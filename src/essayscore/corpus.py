@@ -343,11 +343,14 @@ def extract_windows(essay: Essay, n: int) -> list[WindowSample]:
 
 
 def corrupt_window(sample: WindowSample, n_corruptions: int, rng,
-                   vocab: Vocabulary) -> list[tuple[int, ...]]:
-    """Draw corrupted contexts replacing the center with random words.
+                   vocab: Vocabulary) -> np.ndarray:
+    """Draw the center ids of corrupted copies of a window.
 
-    Replacements are uniform over non-special vocabulary ids excluding
-    the true target, drawn with replacement.
+    A corrupted window is ``sample.context`` with its center replaced by
+    one of the returned ids; every other position is shared, so only the
+    centers are returned, as an int array in draw order. Replacements
+    are uniform over non-special vocabulary ids excluding the true
+    target, drawn with replacement.
     """
     if n_corruptions < 1:
         raise ConfigError(f"need at least one corruption, got {n_corruptions}")
@@ -362,9 +365,7 @@ def corrupt_window(sample: WindowSample, n_corruptions: int, rng,
     draws = rng.integers(0, n_candidates, size=n_corruptions)
     if target_off is not None:
         draws = np.where(draws >= target_off, draws + 1, draws)
-    prefix = sample.context[:sample.center_index]
-    suffix = sample.context[sample.center_index + 1:]
-    return [prefix + (int(d) + N_SPECIALS,) + suffix for d in draws]
+    return draws + N_SPECIALS
 
 
 # --- split manifests and the corpus cache -------------------------------

@@ -22,6 +22,7 @@ with ``diagonal`` and ``off`` modes available.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -345,9 +346,6 @@ class SeqModel:
             setattr(out, name, getattr(layer, name).copy())
         return out
 
-    def allfinite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for _, a in self.named_arrays())
-
 
 @dataclass
 class ForwardCache:
@@ -663,11 +661,29 @@ def save_model(path, model: SeqModel, config_hash: str = ""):
         fh.write(raw)
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, count, path):
+    if count > _bytes_left(fh):
+        raise ModelFormatError(f"truncated model file {path}")
     raw = fh.read(count)
     if len(raw) != count:
         raise ModelFormatError(f"truncated model file {path}")
     return raw
+
+
+def _n_params(v, d, dim, layers, bidirectional, peepholes) -> int:
+    """Parameter count of a model, worked out without allocating it."""
+    peep = {"full": 3 * dim * dim, "diagonal": 3 * dim, "off": 0}[peepholes]
+    width = dim * (2 if bidirectional else 1)
+    total = d * v + width + 1
+    for l in range(layers):
+        in_dim = d if l == 0 else width
+        per_dir = 4 * dim * in_dim + 4 * dim * dim + peep + 4 * dim
+        total += per_dir * (2 if bidirectional else 1)
+    return total
 
 
 def load_model(path) -> tuple[SeqModel, str]:
@@ -682,6 +698,11 @@ def load_model(path) -> tuple[SeqModel, str]:
         if peep_code not in _PEEP_NAMES or layers not in (1, 2):
             raise ModelFormatError(f"corrupt architecture descriptor in {path}")
         peepholes = _PEEP_NAMES[peep_code]
+        # tensors plus the hash length, checked before anything of the
+        # declared size is allocated
+        need = 8 * _n_params(v, d, dim, layers, bool(bi), peepholes) + 4
+        if need > _bytes_left(fh):
+            raise ModelFormatError(f"truncated model file {path}")
         hyper = SeqHyper(lstm_dim=dim, layers=layers, bidirectional=bool(bi),
                          dropout=dropout, peepholes=peepholes)
         model = SeqModel.init(np.zeros((d, v)), hyper,

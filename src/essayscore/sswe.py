@@ -6,10 +6,18 @@ least 1 above center-corrupted ones, and a squared-error regression of
 the essay score from the same hidden activation. The blend weight
 ``alpha`` moves between pure context ranking (1.0) and pure score
 regression (0.0).
+
+The embedding matrix ``M`` is indexed ``(D, V)``, one column per word,
+and stored word-major (Fortran order), so every column is contiguous in
+memory as it is on disk. A corrupted window differs from its target only
+in the center, so corruptions travel as their center ids alone (see
+:func:`corrupt_window`), and the embedding gradient of one window comes
+back as a row per touched column: ``cols`` and ``m_grad``.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -61,7 +69,10 @@ class SSWEHyper:
 class SSWEParams:
     """All learnable tensors of the dual-head window network.
 
-    ``M`` holds one embedding column per vocabulary id. The hidden layer
+    ``M`` holds one embedding column per vocabulary id, shape ``(D, V)``,
+    stored Fortran-ordered so that each word's vector is contiguous and
+    gathering or updating the columns of one window touches contiguous
+    memory. The hidden layer
     maps the concatenated window embedding (n*D) to H units through a
     hard tanh; two scalar heads read the same hidden activation: one
     ranks windows against corruptions, the other regresses the essay
@@ -84,7 +95,7 @@ class SSWEParams:
         d, h, n = hyper.embed_dim, hyper.hidden_dim, hyper.window_size
         u = lambda *shape: rng.uniform(-0.05, 0.05, size=shape)
         return cls(
-            M=u(d, vocab_size),
+            M=np.asfortranarray(u(d, vocab_size)),
             W_hi=u(h, n * d),
             b_h=np.zeros(h),
             W_oh2=u(h),
@@ -114,24 +125,24 @@ class SSWEParams:
         return ("W_hi", "b_h", "W_oh2", "b_o2", "W_oh1", "b_o1")
 
     def copy(self) -> "SSWEParams":
-        return SSWEParams(*[getattr(self, n).copy()
+        """Deep copy that keeps each tensor's memory order."""
+        return SSWEParams(*[getattr(self, n).copy(order="K")
                             for n in ("M",) + self.dense_names()])
-
-    def allfinite(self) -> bool:
-        return all(np.all(np.isfinite(getattr(self, n)))
-                   for n in ("M",) + self.dense_names())
 
 
 @dataclass
 class SSWEGradients:
     """Gradients of the overall loss; sparse over the embedding matrix.
 
-    ``m_cols`` maps column id -> gradient vector and contains exactly the
-    columns touched by the window and its corruptions; untouched columns
-    are implicitly zero.
+    Row ``k`` of ``m_grad`` (shape ``(len(cols), D)``) is the gradient of
+    embedding column ``cols[k]``. ``cols`` holds each column at most
+    once, in ascending order, and only columns touched by the window or
+    its corruptions with a gradient that is not all zero; every other
+    column's gradient is zero.
     """
 
-    m_cols: dict[int, np.ndarray]
+    cols: np.ndarray
+    m_grad: np.ndarray
     dense: dict[str, np.ndarray]
     loss_overall: float = 0.0
     loss_context: float = 0.0
@@ -192,32 +203,63 @@ def loss_overall(alpha: float, context_value: float, score_value: float) -> floa
     return alpha * context_value + (1.0 - alpha) * score_value
 
 
-def sample_loss(params: SSWEParams, sample: WindowSample, corruptions,
+def sample_loss(params: SSWEParams, sample: WindowSample, corrupt_centers,
                 gold_score: float, alpha: float):
-    """(overall, context, score) losses for one window and its corruptions."""
+    """(overall, context, score) losses for one window and its corruptions.
+
+    ``corrupt_centers`` are the center ids of the corrupted windows, as
+    drawn by :func:`corrupt_window`.
+    """
     s_t = embed_window(sample.context, params.M)
     f_t, f_ss = forward(params, s_t)
-    f_cs = [forward(params, embed_window(ctx, params.M))[0] for ctx in corruptions]
+    c = sample.center_index
+    prefix, suffix = sample.context[:c], sample.context[c + 1:]
+    f_cs = [forward(params, embed_window(prefix + (int(w),) + suffix,
+                                         params.M))[0]
+            for w in corrupt_centers]
     l_ctx = loss_context(f_t, f_cs)
     l_sc = float(np.square(np.float64(f_ss - gold_score)))
     return loss_overall(alpha, l_ctx, l_sc), l_ctx, l_sc
 
 
-def backward(params: SSWEParams, sample: WindowSample, corruptions,
+def _merge_rows(cols: np.ndarray, rows: np.ndarray):
+    """Sum the rows of repeated columns, in the order they appear.
+
+    Each column starts from its first row and adds its later rows one at
+    a time in row order, which is the same floating-point sequence as
+    accumulating ``acc = first.copy(); acc += later`` row by row. Columns
+    whose sum is all zero are dropped. Returns ``(unique cols ascending,
+    summed rows)``.
+    """
+    uniq, first, inverse = np.unique(cols, return_index=True,
+                                     return_inverse=True)
+    merged = rows[first]
+    later = np.ones(len(cols), dtype=bool)
+    later[first] = False
+    np.add.at(merged, inverse[later], rows[later])
+    # Inactive corruptions and flat hinge regions can leave a touched
+    # column with an exactly zero vector; keep only true contributions.
+    live = merged.any(axis=1)
+    return uniq[live], merged[live]
+
+
+def backward(params: SSWEParams, sample: WindowSample, corrupt_centers,
              gold_score: float, alpha: float = 0.1) -> SSWEGradients:
     """Exact analytic gradients of the overall loss for one sample.
 
-    The hinge subgradient at zero margin is 0, as is the hard-tanh
-    derivative at its kinks. The corrupted windows share every position
-    with the target window except the center, so context-word columns
-    accumulate gradient from every active corruption as well.
+    ``corrupt_centers`` are the center ids of the corrupted windows, as
+    drawn by :func:`corrupt_window`. The hinge subgradient at zero margin
+    is 0, as is the hard-tanh derivative at its kinks. The corrupted
+    windows share every position with the target window except the
+    center, so context-word columns accumulate gradient from every
+    active corruption as well.
     """
     M = params.M
     d = params.embed_dim
     n = len(sample.context)
     c = sample.center_index
     ids = np.asarray(sample.context, dtype=int)
-    corrupt_centers = np.asarray([ctx[c] for ctx in corruptions], dtype=int)
+    corrupt_centers = np.asarray(corrupt_centers, dtype=int)
     n_corrupt = len(corrupt_centers)
 
     s_t = embed_window(sample.context, M)
@@ -267,29 +309,19 @@ def backward(params: SSWEParams, sample: WindowSample, corruptions,
     ds_shared = params.W_hi.T @ dz_c_sum
     ds_center_c = W_center.T @ dz_c
 
-    m_cols: dict[int, np.ndarray] = {}
+    # One gradient row per (column, contribution), in accumulation
+    # order: per position the target block, then the shared block (not
+    # at the center), then the corruption centers in draw order.
+    per_pos = np.stack([ds_t.reshape(n, d), ds_shared.reshape(n, d)], axis=1)
+    keep = np.ones(2 * n, dtype=bool)
+    keep[2 * c + 1] = False
+    rows = np.concatenate([per_pos.reshape(2 * n, d)[keep], ds_center_c.T])
+    cols = np.concatenate([np.repeat(ids, 2)[keep], corrupt_centers])
+    cols, m_grad = _merge_rows(cols, rows)
 
-    def add_col(col, vec):
-        acc = m_cols.get(col)
-        if acc is None:
-            m_cols[col] = vec.copy()
-        else:
-            acc += vec
-
-    for p in range(n):
-        block = slice(p * d, (p + 1) * d)
-        add_col(int(ids[p]), ds_t[block])
-        if p != c:
-            add_col(int(ids[p]), ds_shared[block])
-    for k in range(n_corrupt):
-        add_col(int(corrupt_centers[k]), ds_center_c[:, k])
-
-    # Inactive corruptions and flat hinge regions can leave a touched
-    # column with an exactly zero vector; keep only true contributions.
-    m_cols = {col: g for col, g in m_cols.items() if np.any(g != 0.0)}
-
-    return SSWEGradients(m_cols=m_cols, dense=dense, loss_overall=l_all,
-                         loss_context=l_ctx, loss_score=l_sc)
+    return SSWEGradients(cols=cols, m_grad=m_grad, dense=dense,
+                         loss_overall=l_all, loss_context=l_ctx,
+                         loss_score=l_sc)
 
 
 @dataclass
@@ -320,17 +352,18 @@ def train_sswe(windows: list[WindowSample], vocab: Vocabulary,
         tot_all = tot_ctx = tot_sc = 0.0
         for idx in order:
             sample = windows[idx]
-            corruptions = corrupt_window(sample, hyper.n_corruptions, rng, vocab)
-            grads = backward(params, sample, corruptions, sample.scaled_score,
+            centers = corrupt_window(sample, hyper.n_corruptions, rng, vocab)
+            grads = backward(params, sample, centers, sample.scaled_score,
                              hyper.alpha)
             tot_all += grads.loss_overall
             tot_ctx += grads.loss_context
             tot_sc += grads.loss_score
             if eta != 0.0:
                 for name in params.dense_names():
-                    getattr(params, name)[...] -= eta * grads.dense[name]
-                for col, g in grads.m_cols.items():
-                    params.M[:, col] -= eta * g
+                    g = grads.dense[name]
+                    g *= eta
+                    getattr(params, name)[...] -= g
+                params.M[:, grads.cols] -= (eta * grads.m_grad).T
         k = len(windows)
         history.append(EpochLosses(epoch, tot_all / k, tot_ctx / k, tot_sc / k))
         if not np.isfinite(history[-1].loss_overall):
@@ -398,7 +431,12 @@ def save_embeddings(path, params: SSWEParams, vocab: Vocabulary,
         fh.write(raw)
 
 
-def _read_exact(fh, count, path):
+def _read_exact(fh, count, path, size):
+    # A count read from a forged header is checked against the bytes
+    # left in the file (``size`` in all) before anything of that size is
+    # allocated.
+    if count > size - fh.tell():
+        raise ModelFormatError(f"truncated embedding file {path}")
     raw = fh.read(count)
     if len(raw) != count:
         raise ModelFormatError(f"truncated embedding file {path}")
@@ -407,31 +445,32 @@ def _read_exact(fh, count, path):
 
 def load_embeddings(path) -> tuple[SSWEParams, Vocabulary, str]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != EMBEDDING_MAGIC:
             raise ModelFormatError(
                 f"{path} is not an embedding file (magic {magic!r})")
-        version, v, d, n, h = struct.unpack("<5I", _read_exact(fh, 20, path))
+        version, v, d, n, h = struct.unpack("<5I", _read_exact(fh, 20, path, size))
         if version != EMBEDDING_VERSION:
             raise ModelFormatError(f"unsupported embedding format version {version}")
         tokens = []
         for _ in range(v):
-            (tlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            tokens.append(_read_exact(fh, tlen, path).decode("utf-8"))
+            (tlen,) = struct.unpack("<I", _read_exact(fh, 4, path, size))
+            tokens.append(_read_exact(fh, tlen, path, size).decode("utf-8"))
         if tokens[:N_SPECIALS] != Vocabulary([]).id_to_token:
             raise ModelFormatError(f"{path}: special tokens out of place")
         vocab = Vocabulary(tokens[N_SPECIALS:])
-        M = np.frombuffer(_read_exact(fh, 8 * d * v, path),
-                          dtype="<f8").reshape(d, v, order="F").copy()
+        M = np.frombuffer(_read_exact(fh, 8 * d * v, path, size),
+                          dtype="<f8").reshape(d, v, order="F").copy(order="F")
         shapes = {"W_hi": (h, n * d), "b_h": (h,), "W_oh2": (h,), "b_o2": (1,),
                   "W_oh1": (h,), "b_o1": (1,)}
         tensors = {}
         for name, shape in shapes.items():
             count = int(np.prod(shape))
             tensors[name] = np.frombuffer(
-                _read_exact(fh, 8 * count, path), dtype="<f8").reshape(shape).copy()
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        config_hash = _read_exact(fh, hlen, path).decode("utf-8")
+                _read_exact(fh, 8 * count, path, size), dtype="<f8").reshape(shape).copy()
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path, size))
+        config_hash = _read_exact(fh, hlen, path, size).decode("utf-8")
     return SSWEParams(M=M, **tensors), vocab, config_hash
 
 

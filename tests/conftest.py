@@ -19,21 +19,21 @@ def finite_difference(fn, arrays, step=1e-5):
     """Central finite differences of a scalar function over named arrays.
 
     ``arrays`` maps name -> ndarray mutated in place; returns the same
-    mapping filled with difference quotients.
+    mapping filled with difference quotients. Entries are perturbed by
+    multi-index, so arrays of any memory order are mutated in place
+    (``reshape(-1)`` would silently copy one that is not C-contiguous).
     """
     out = {}
     for name, arr in arrays.items():
         g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + step
+        for k in np.ndindex(arr.shape):
+            keep = arr[k]
+            arr[k] = keep + step
             hi = fn()
-            flat[k] = keep - step
+            arr[k] = keep - step
             lo = fn()
-            flat[k] = keep
-            gflat[k] = (hi - lo) / (2 * step)
+            arr[k] = keep
+            g[k] = (hi - lo) / (2 * step)
         out[name] = g
     return out
 

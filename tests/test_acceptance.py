@@ -84,8 +84,7 @@ def test_1_gradients_match_finite_differences():
             lambda: sample_loss(p, sample, corruptions, 0.7, alpha)[0],
             arrays)
         dense_m = np.zeros_like(p.M)
-        for col, g in grads.m_cols.items():
-            dense_m[:, col] = g
+        dense_m[:, grads.cols] = grads.m_grad.T
         # difference noise at step 1e-5 swamps entries whose true value
         # is ~0, so floor the denominator at what the step can resolve
         assert max_relative_error({"M": dense_m, **grads.dense},

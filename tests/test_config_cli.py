@@ -1,18 +1,24 @@
 """Configuration handling and end-to-end command-line runs."""
 
 import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import essayscore
 from essayscore.cli import main
 from essayscore.config import (Config, SearchSpace, config_hash, load_config,
                                parse_config_text, serialize_config,
                                write_config)
 from essayscore.corpus import Vocabulary, load_corpus_cache, read_manifest
 from essayscore.errors import ConfigError
-from essayscore.lstm import load_model, save_model
-from essayscore.sswe import SSWEHyper, SSWEParams, save_embeddings
+from essayscore.lstm import MODEL_MAGIC, load_model, save_model
+from essayscore.sswe import (EMBEDDING_MAGIC, SSWEHyper, SSWEParams,
+                             save_embeddings)
 
 
 class TestConfigParsing:
@@ -453,3 +459,51 @@ class TestUsageErrors:
         rc = main(["--config", str(tmp_path / "absent.cfg"), "ingest"])
         assert rc == 2
         capsys.readouterr()
+
+
+# Runs the CLI under a 2 GiB address-space limit set on the child alone,
+# so an allocation sized from a forged header fails instead of being
+# lazily granted by the kernel.
+_LIMITED_CLI = """
+import resource, sys
+from essayscore.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_limited_cli(argv):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(essayscore.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestForgedHeaders:
+    """Headers declaring huge tensors are format errors (exit 2)."""
+
+    def test_forged_embedding_file(self, workspace, tmp_path):
+        root, cfgpath = workspace
+        forged = tmp_path / "forged.sswe"
+        specials = b"".join(struct.pack("<I", len(t)) + t
+                            for t in (b"<pad>", b"<unk>", b"<edge>"))
+        forged.write_bytes(EMBEDDING_MAGIC
+                           + struct.pack("<5I", 1, 3, 2 ** 31, 3, 4)
+                           + specials)
+        proc = run_limited_cli(["--config", str(cfgpath), "train-scorer",
+                                "--embeddings", str(forged)])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("v,d,dim", [(3, 2 ** 31, 4), (3, 4, 2 ** 31)],
+                             ids=["embed_dim", "lstm_dim"])
+    def test_forged_model_file(self, workspace, tmp_path, v, d, dim):
+        root, cfgpath = workspace
+        forged = tmp_path / "model.sats"
+        forged.write_bytes(MODEL_MAGIC
+                           + struct.pack("<7I d", 1, v, d, dim, 1, 0, 0, 0.0))
+        proc = run_limited_cli(["--config", str(cfgpath), "evaluate",
+                                "--model", str(forged), "--split", "val"])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr

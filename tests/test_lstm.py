@@ -9,7 +9,7 @@ from essayscore.corpus import ScoreRange
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
 from essayscore.lstm import (EpochRecord, FORGET_BIAS, LSTMLayer,
-                             RMSPropState, SeqHyper, SeqModel, bptt,
+                             RMSPropState, SeqHyper, SeqModel, _n_params, bptt,
                              clip_gradients, forward_essay, load_model,
                              lstm_step, predict, predict_scaled,
                              rmsprop_update, save_model, scatter_embedding_grad,
@@ -466,6 +466,11 @@ class TestPersistence:
     def test_round_trip_is_bitwise(self, tmp_path, variant):
         model = build_model(vocab=11, embed_dim=4, seed=40, lstm_dim=3,
                             **variant)
+        # the size check a loader makes before allocating counts every
+        # parameter exactly
+        assert _n_params(11, 4, 3, model.n_layers, model.bidirectional,
+                         model.peepholes) \
+            == sum(arr.size for _, arr in model.named_arrays())
         path = tmp_path / "model.sats"
         save_model(path, model, config_hash="0123abcd4567ef89")
         loaded, tag = load_model(path)

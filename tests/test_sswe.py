@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from essayscore.corpus import Vocabulary, WindowSample, extract_windows
+from essayscore.corpus import (ScoreRange, Vocabulary, WindowSample,
+                               corrupt_window, extract_windows)
 from essayscore.errors import ConfigError, ModelFormatError, NumericalError
 from essayscore.sswe import (
     SSWEHyper,
@@ -23,6 +24,8 @@ from essayscore.sswe import (
     save_embeddings,
     train_sswe,
 )
+
+from essayscore.lstm import SeqHyper, SeqModel, train_scorer
 
 from conftest import finite_difference, max_relative_error, make_essay
 
@@ -145,9 +148,15 @@ class TestLosses:
 
 
 def fixed_corruptions(sample, n_corruptions, rng, vocab):
-    """Pre-drawn corruption list, reused across finite-difference evals."""
+    """Pre-drawn corruption centers, reused across finite-difference evals."""
     from essayscore.corpus import corrupt_window
     return corrupt_window(sample, n_corruptions, rng, vocab)
+
+
+def test_finite_difference_mutates_fortran_arrays_in_place():
+    x = np.asfortranarray(np.random.default_rng(4).normal(size=(3, 5)))
+    numeric = finite_difference(lambda: float(np.sum(x ** 2)), {"x": x})["x"]
+    assert np.allclose(numeric, 2 * x, rtol=1e-8, atol=1e-8)
 
 
 class TestBackward:
@@ -165,8 +174,7 @@ class TestBackward:
             lambda: sample_loss(p, sample, corruptions, 0.7, alpha)[0],
             arrays)
         dense_m = np.zeros_like(p.M)
-        for col, g in grads.m_cols.items():
-            dense_m[:, col] = g
+        dense_m[:, grads.cols] = grads.m_grad.T
         analytic = {"M": dense_m, **grads.dense}
         assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -187,8 +195,10 @@ class TestBackward:
         assert np.any(np.abs(z) < 1.0)
         assert np.all(np.abs(np.abs(z) - 1.0) > 1e-3)
         f_t, _ = forward(p, s)
-        margins = [1.0 - f_t + forward(p, embed_window(c, p.M))[0]
-                   for c in corruptions]
+        margins = [1.0 - f_t + forward(p, embed_window(
+                       (sample.context[0], int(w), sample.context[2]),
+                       p.M))[0]
+                   for w in corruptions]
         assert any(m < 0 for m in margins)
         assert any(m > 0 for m in margins)
         assert all(abs(m) > 1e-3 for m in margins)
@@ -199,30 +209,29 @@ class TestBackward:
             lambda: sample_loss(p, sample, corruptions, 0.3, 0.5)[0],
             arrays)
         dense_m = np.zeros_like(p.M)
-        for col, g in grads.m_cols.items():
-            dense_m[:, col] = g
+        dense_m[:, grads.cols] = grads.m_grad.T
         assert max_relative_error({"M": dense_m, **grads.dense}, numeric) <= 1e-4
 
     def test_untouched_columns_absent(self):
         p = small_params()
         vocab = Vocabulary([f"w{k}" for k in range(9)])
         sample = WindowSample((3, 4, 5), 1, 0.5, 1)
-        corruptions = [(3, 6, 5), (3, 7, 5)]
+        corruptions = [6, 7]
         grads = backward(p, sample, corruptions, 0.5, 0.5)
-        assert set(grads.m_cols) <= {3, 4, 5, 6, 7}
+        assert set(grads.cols.tolist()) <= {3, 4, 5, 6, 7}
 
     def test_alpha_zero_ignores_corruption_columns(self):
         p = small_params()
         sample = WindowSample((3, 4, 5), 1, 0.5, 1)
-        grads = backward(p, sample, [(3, 6, 5), (3, 7, 5)], 0.5, 0.0)
-        assert 6 not in grads.m_cols
-        assert 7 not in grads.m_cols
+        grads = backward(p, sample, [6, 7], 0.5, 0.0)
+        assert 6 not in grads.cols
+        assert 7 not in grads.cols
         assert grads.loss_overall == grads.loss_score
 
     def test_losses_attached(self):
         p = small_params()
         sample = WindowSample((3, 4, 5), 1, 0.5, 1)
-        corruptions = [(3, 6, 5)]
+        corruptions = [6]
         grads = backward(p, sample, corruptions, 0.5, 0.25)
         overall, ctx, sc = sample_loss(p, sample, corruptions, 0.5, 0.25)
         assert grads.loss_overall == pytest.approx(overall)
@@ -285,6 +294,119 @@ class TestTraining:
                 train_sswe(training_windows(vocab), vocab, hyper)
 
 
+def reference_backward(params, sample, corruptions, gold_score, alpha):
+    """The embedding gradient as a dict of columns, accumulated one
+    contribution at a time; ``corruptions`` are full window tuples."""
+    M = params.M
+    d = params.embed_dim
+    n = len(sample.context)
+    c = sample.center_index
+    ids = np.asarray(sample.context, dtype=int)
+    corrupt_centers = np.asarray([ctx[c] for ctx in corruptions], dtype=int)
+    n_corrupt = len(corrupt_centers)
+
+    s_t = M[:, ids].T.reshape(-1)
+    z_t = params.W_hi @ s_t + params.b_h
+    i_t = htanh(z_t)
+    f_t = float(params.W_oh2 @ i_t + params.b_o2[0])
+    f_ss = float(params.W_oh1 @ i_t + params.b_o1[0])
+    W_center = params.W_hi[:, c * d:(c + 1) * d]
+    delta = M[:, corrupt_centers] - M[:, ids[c]][:, None]
+    z_c = z_t[:, None] + W_center @ delta
+    i_c = htanh(z_c)
+    f_c = params.W_oh2 @ i_c + params.b_o2[0]
+    margins = 1.0 - f_t + f_c
+    active = margins > 0.0
+    l_ctx = float(np.mean(np.maximum(0.0, margins)))
+    l_sc = float(np.square(np.float64(f_ss - gold_score)))
+    df_t = -alpha * np.count_nonzero(active) / n_corrupt
+    df_c = alpha * active.astype(float) / n_corrupt
+    df_ss = (1.0 - alpha) * 2.0 * (f_ss - gold_score)
+    dz_t = (df_t * params.W_oh2 + df_ss * params.W_oh1) * htanh_grad_mask(z_t)
+    dz_c = (params.W_oh2[:, None] * df_c[None, :]) * htanh_grad_mask(z_c)
+    dz_c_sum = dz_c.sum(axis=1)
+    dense = {
+        "W_oh2": df_t * i_t + i_c @ df_c,
+        "b_o2": np.array([df_t + df_c.sum()]),
+        "W_oh1": df_ss * i_t,
+        "b_o1": np.array([df_ss]),
+        "b_h": dz_t + dz_c_sum,
+    }
+    dW_hi = np.outer(dz_t + dz_c_sum, s_t)
+    dW_hi[:, c * d:(c + 1) * d] += dz_c @ delta.T
+    dense["W_hi"] = dW_hi
+    ds_t = params.W_hi.T @ dz_t
+    ds_shared = params.W_hi.T @ dz_c_sum
+    ds_center_c = W_center.T @ dz_c
+
+    m_cols = {}
+
+    def add_col(col, vec):
+        acc = m_cols.get(col)
+        if acc is None:
+            m_cols[col] = vec.copy()
+        else:
+            acc += vec
+
+    for p in range(n):
+        block = slice(p * d, (p + 1) * d)
+        add_col(int(ids[p]), ds_t[block])
+        if p != c:
+            add_col(int(ids[p]), ds_shared[block])
+    for k in range(n_corrupt):
+        add_col(int(corrupt_centers[k]), ds_center_c[:, k])
+    m_cols = {col: g for col, g in m_cols.items() if np.any(g != 0.0)}
+    return m_cols, dense, loss_overall(alpha, l_ctx, l_sc)
+
+
+def reference_train(windows, vocab, hyper):
+    """Per-sample SGD on a C-ordered M with a per-column update loop."""
+    rng = np.random.default_rng(hyper.seed)
+    params = SSWEParams.init(len(vocab), hyper, rng)
+    params.M = np.ascontiguousarray(params.M)
+    order = np.arange(len(windows))
+    losses = []
+    for _ in range(hyper.epochs):
+        rng.shuffle(order)
+        for idx in order:
+            sample = windows[idx]
+            c = sample.center_index
+            corruptions = [sample.context[:c] + (int(w),)
+                           + sample.context[c + 1:]
+                           for w in corrupt_window(sample, hyper.n_corruptions,
+                                                   rng, vocab)]
+            m_cols, dense, loss = reference_backward(
+                params, sample, corruptions, sample.scaled_score, hyper.alpha)
+            losses.append(loss)
+            for name in params.dense_names():
+                getattr(params, name)[...] -= hyper.learning_rate * dense[name]
+            for col, g in m_cols.items():
+                params.M[:, col] -= hyper.learning_rate * g
+    return params
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_training_matches_dict_accumulation_bitwise(self, alpha):
+        # four candidate words and 12 corruptions per window force
+        # repeated draws and draws that hit context ids; essays repeat
+        # ids within a window and carry unknown words and edge padding
+        vocab = Vocabulary(["a", "b", "c", "d"])
+        windows = []
+        for k, tokens in enumerate([[3, 3, 4, 1, 3, 5], [6, 1, 1, 6, 4],
+                                    [5, 5, 5]]):
+            essay = make_essay(tokens, essay_id=k, raw=float(3 * k + 2))
+            windows.extend(extract_windows(essay, 5))
+        hyper = SSWEHyper(embed_dim=4, hidden_dim=5, window_size=5,
+                          n_corruptions=12, alpha=alpha, learning_rate=0.2,
+                          epochs=3, seed=5)
+        got, _ = train_sswe(windows, vocab, hyper)
+        want = reference_train(windows, vocab, hyper)
+        assert got.M.flags.f_contiguous
+        for name in ("M",) + got.dense_names():
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 class TestNeighbors:
     def test_cosine_ordering_and_exclusion(self):
         vocab = Vocabulary(["a", "b", "c", "d"])
@@ -324,6 +446,41 @@ class TestPersistence:
         assert loaded_vocab.id_to_token == vocab.id_to_token
         assert all(np.array_equal(getattr(p, n), getattr(q, n))
                    for n in ("M",) + p.dense_names())
+
+    def test_loaded_matrix_is_word_major_and_resaves_identically(self,
+                                                                 tmp_path):
+        vocab = Vocabulary(["alpha", "beta", "gamma"])
+        hyper = SSWEHyper(embed_dim=3, hidden_dim=4, window_size=3)
+        p = SSWEParams.init(len(vocab), hyper, np.random.default_rng(8))
+        path = tmp_path / "emb.sswe"
+        save_embeddings(path, p, vocab, config_hash="beef")
+        q, loaded_vocab, chash = load_embeddings(path)
+        assert q.M.flags.f_contiguous
+        again = tmp_path / "again.sswe"
+        save_embeddings(again, q, loaded_vocab, chash)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_scorer_training_ignores_embedding_layout(self):
+        # pretrained embeddings reach the scorer Fortran-ordered, fresh
+        # ones C-ordered; training must not depend on which
+        rng = np.random.default_rng(6)
+        M = rng.uniform(-0.5, 0.5, size=(5, 12))
+        ranges = {1: ScoreRange(0, 10)}
+        essays = [make_essay(rng.integers(0, 12, size=7 + k), essay_id=k,
+                             raw=float(k % 11)) for k in range(6)]
+        hyper = SeqHyper(lstm_dim=3, layers=2, bidirectional=True,
+                         dropout=0.3, peepholes="full", learning_rate=0.01,
+                         epochs=3, batch_size=4, patience=3, seed=2)
+        results = []
+        for layout in (np.asfortranarray, np.ascontiguousarray):
+            model = SeqModel.init(layout(M.copy()), hyper,
+                                  np.random.default_rng(1))
+            results.append(train_scorer(model, essays[:4], essays[4:],
+                                        ranges, hyper))
+        (a, ha), (b, hb) = results
+        assert ha == hb
+        for (name, x), (_, y) in zip(a.named_arrays(), b.named_arrays()):
+            assert np.array_equal(x, y), name
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.sswe"
