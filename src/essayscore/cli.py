@@ -196,8 +196,11 @@ def _init_scorer(cfg, corpus, embeddings_arg: str):
     """Model around pretrained embeddings, or fresh ones for "learned"."""
     rng = np.random.default_rng(cfg.seed)
     if embeddings_arg == "learned":
-        M = rng.uniform(-lstmmod.INIT_SCALE, lstmmod.INIT_SCALE,
-                        size=(cfg.embed_dim, len(corpus.vocab)))
+        # word-major like a loaded embedding matrix: training reads and
+        # steps whole columns
+        M = np.asfortranarray(rng.uniform(
+            -lstmmod.INIT_SCALE, lstmmod.INIT_SCALE,
+            size=(cfg.embed_dim, len(corpus.vocab))))
     else:
         params, vocab, _ = sswemod.load_embeddings(embeddings_arg)
         if len(vocab) != len(corpus.vocab):

@@ -18,13 +18,45 @@ Gate equations, per timestep:
 The output gate peeps at the current cell state, the input and forget
 gates at the previous one. Peepholes default to full square matrices,
 with ``diagonal`` and ``off`` modes available.
+
+Fused layout. Each direction of each layer keeps its weights in fused
+buffers with the gates stacked in the order i, f, c, o: ``W_x`` (4H, D_in),
+``W_h`` (4H, H) and ``b`` (4H,), plus for peepholes ``W_p`` with the rows
+of i, f, o: (3H, H) when full, (3H,) when diagonal, absent when off. The
+per-gate names of the equations (``W_is`` ... ``b_o``) are views into these
+buffers, so ``named_arrays``, the optimizer state and the file format
+still see one array per gate.
+
+Lockstep batches. B essays run together, each from its own first step;
+one step advances every essay still running, and the directions of a
+layer advance together as a leading axis. Per step there is one
+``h @ W_h^T`` and one peephole product (``c_t @ W_p^T`` gives the output
+gate's term at t and the input and forget gates' terms at t + 1).
+Activations are stored packed, without padding: essays are ranked by
+length, longest first, so the essays running at step t are a prefix of
+those running at t - 1, and step t occupies the next ``counts[t]`` rows
+(see :class:`_Layout`). The backward direction runs over each essay's own
+reversed span, laid out the same way; one gather index per batch
+(``rev``, the row of the same essay at step L - 1 - t) maps between the
+two time orders, both ways. Each essay's final state is read at its own
+length, and backpropagation through an essay starts from zero after its
+last step. One essay is the batch B = 1 (:func:`forward_essay`,
+:func:`bptt`).
+
+The first layer reads only the embedding rows of the batch's tokens
+(no padded embedding tensor is built), and its input gradients come back
+one row per token, essay after essay. Training sums those into the
+columns the batch touched and RMSprop updates ``M`` on those columns
+only, decaying the rest of its accumulator: bitwise the dense rule, as
+a zero gradient leaves a weight unchanged when ``eps_rms > 0``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -39,6 +71,9 @@ PEEPHOLE_MODES = ("full", "diagonal", "off")
 
 INIT_SCALE = 0.05
 FORGET_BIAS = 1.0
+
+# essays per lockstep batch at inference, taken in order of length
+PREDICT_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -73,16 +108,37 @@ class SeqHyper:
             raise ConfigError("epochs must be >= 0, batch_size and patience >= 1")
         if not 0.0 < self.rho_rms < 1.0:
             raise ConfigError(f"rho_rms must lie in (0, 1), got {self.rho_rms}")
+        # a zero accumulator plus eps_rms divides a zero gradient: with
+        # eps_rms = 0 every weight without a gradient would become NaN
+        if not (math.isfinite(self.eps_rms) and self.eps_rms > 0.0):
+            raise ConfigError(f"eps_rms must be a finite number > 0, "
+                              f"got {self.eps_rms}")
         if self.clip_norm < 0.0:
             raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
+
+
+def _gate_view(buffer: str, k: int):
+    """Gate k's block of a fused buffer; assigning to it writes through."""
+    def get(self):
+        buf = getattr(self, buffer)
+        if buf is None:
+            return None
+        return buf[k * self.dim:(k + 1) * self.dim]
+
+    def put(self, value):
+        get(self)[...] = value
+
+    return property(get, put)
 
 
 class LSTMLayer:
     """One direction of one stacked layer: all gate weights and biases.
 
-    Array names follow the gate equations: W_gs maps the input, W_gh the
-    previous hidden state, W_gc the cell state (peephole), b_g the bias,
-    for gates g in i (input), f (forget), c (candidate), o (output).
+    The weights live in the fused buffers ``W_x``, ``W_h``, ``W_p`` and
+    ``b`` (see the module docstring). Per-gate names follow the gate
+    equations: W_gs maps the input, W_gh the previous hidden state, W_gc
+    the cell state (peephole), b_g the bias, for gates g in i (input),
+    f (forget), c (candidate), o (output); each is a view of its buffer.
     """
 
     INPUT_NAMES = ("W_is", "W_fs", "W_cs", "W_os")
@@ -90,31 +146,30 @@ class LSTMLayer:
     PEEP_NAMES = ("W_ic", "W_fc", "W_oc")
     BIAS_NAMES = ("b_i", "b_f", "b_c", "b_o")
 
+    W_is, W_fs, W_cs, W_os = (_gate_view("W_x", k) for k in range(4))
+    W_ih, W_fh, W_ch, W_oh = (_gate_view("W_h", k) for k in range(4))
+    W_ic, W_fc, W_oc = (_gate_view("W_p", k) for k in range(3))
+    b_i, b_f, b_c, b_o = (_gate_view("b", k) for k in range(4))
+
     def __init__(self, in_dim: int, dim: int, peepholes: str, rng=None):
         if peepholes not in PEEPHOLE_MODES:
             raise ConfigError(f"unknown peephole mode {peepholes!r}")
         self.in_dim = in_dim
         self.dim = dim
         self.peepholes = peepholes
-        u = (lambda *s: rng.uniform(-INIT_SCALE, INIT_SCALE, size=s)) \
-            if rng is not None else (lambda *s: np.zeros(s))
-        for name in self.INPUT_NAMES:
-            setattr(self, name, u(dim, in_dim))
-        for name in self.RECUR_NAMES:
-            setattr(self, name, u(dim, dim))
-        if peepholes == "full":
-            for name in self.PEEP_NAMES:
-                setattr(self, name, u(dim, dim))
-        elif peepholes == "diagonal":
-            for name in self.PEEP_NAMES:
-                setattr(self, name, u(dim))
-        else:
-            for name in self.PEEP_NAMES:
-                setattr(self, name, None)
-        self.b_i = np.zeros(dim)
-        self.b_f = np.full(dim, FORGET_BIAS)
-        self.b_c = np.zeros(dim)
-        self.b_o = np.zeros(dim)
+        self.W_x = np.zeros((4 * dim, in_dim))
+        self.W_h = np.zeros((4 * dim, dim))
+        peep_shape = {"full": (3 * dim, dim), "diagonal": (3 * dim,)}
+        self.W_p = np.zeros(peep_shape[peepholes]) \
+            if peepholes in peep_shape else None
+        self.b = np.zeros(4 * dim)
+        self.b_f = FORGET_BIAS
+        if rng is not None:
+            for name in self.array_names():
+                if not name.startswith("b_"):
+                    view = getattr(self, name)
+                    view[...] = rng.uniform(-INIT_SCALE, INIT_SCALE,
+                                            size=view.shape)
 
     def array_names(self):
         names = self.INPUT_NAMES + self.RECUR_NAMES
@@ -122,136 +177,12 @@ class LSTMLayer:
             names = names + self.PEEP_NAMES
         return names + self.BIAS_NAMES
 
-    def _peep(self, name: str, c: np.ndarray):
-        w = getattr(self, name)
-        if w is None:
-            return 0.0
-        if w.ndim == 1:
-            return w * c
-        return w @ c
-
-    def _peep_back(self, name: str, da: np.ndarray):
-        """Transpose-product of a peephole: contribution of da to dc."""
-        w = getattr(self, name)
-        if w is None:
-            return 0.0
-        if w.ndim == 1:
-            return w * da
-        return w.T @ da
-
-
-def lstm_step(layer: LSTMLayer, s_t, h_prev, c_prev):
-    """One gate update; returns (h_t, c_t)."""
-    s_t = np.asarray(s_t, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    c_prev = np.asarray(c_prev, dtype=float)
-    if s_t.shape != (layer.in_dim,) or h_prev.shape != (layer.dim,) \
-            or c_prev.shape != (layer.dim,):
-        raise ValueError(f"state shapes {s_t.shape}/{h_prev.shape}/{c_prev.shape} "
-                         f"do not match layer ({layer.in_dim}, {layer.dim})")
-    i = expit(layer.W_is @ s_t + layer.W_ih @ h_prev
-              + layer._peep("W_ic", c_prev) + layer.b_i)
-    f = expit(layer.W_fs @ s_t + layer.W_fh @ h_prev
-              + layer._peep("W_fc", c_prev) + layer.b_f)
-    u = np.tanh(layer.W_cs @ s_t + layer.W_ch @ h_prev + layer.b_c)
-    c = i * u + f * c_prev
-    o = expit(layer.W_os @ s_t + layer.W_oh @ h_prev
-              + layer._peep("W_oc", c) + layer.b_o)
-    return o * np.tanh(c), c
-
-
-@dataclass
-class _DirectionCache:
-    """Per-timestep activations of one direction pass, in its own time order."""
-
-    S: np.ndarray   # inputs, (T, in_dim)
-    I: np.ndarray   # input gate
-    F: np.ndarray   # forget gate
-    U: np.ndarray   # candidate tanh
-    O: np.ndarray   # output gate
-    C: np.ndarray   # cell state
-    TC: np.ndarray  # tanh(cell state)
-    H: np.ndarray   # hidden state
-
-
-def _run_direction(layer: LSTMLayer, S: np.ndarray) -> _DirectionCache:
-    # Input projections for the whole sequence are hoisted out of the
-    # recurrence; the loop handles only state-dependent terms.
-    T = S.shape[0]
-    dim = layer.dim
-    P_i = S @ layer.W_is.T + layer.b_i
-    P_f = S @ layer.W_fs.T + layer.b_f
-    P_u = S @ layer.W_cs.T + layer.b_c
-    P_o = S @ layer.W_os.T + layer.b_o
-    I, F, U, O = (np.empty((T, dim)) for _ in range(4))
-    C, TC, H = (np.empty((T, dim)) for _ in range(3))
-    h = np.zeros(dim)
-    c = np.zeros(dim)
-    for t in range(T):
-        i = expit(P_i[t] + layer.W_ih @ h + layer._peep("W_ic", c))
-        f = expit(P_f[t] + layer.W_fh @ h + layer._peep("W_fc", c))
-        u = np.tanh(P_u[t] + layer.W_ch @ h)
-        c = i * u + f * c
-        o = expit(P_o[t] + layer.W_oh @ h + layer._peep("W_oc", c))
-        tc = np.tanh(c)
-        h = o * tc
-        I[t], F[t], U[t], O[t], C[t], TC[t], H[t] = i, f, u, o, c, tc, h
-    return _DirectionCache(S=S, I=I, F=F, U=U, O=O, C=C, TC=TC, H=H)
-
-
-def _direction_backward(layer: LSTMLayer, cache: _DirectionCache,
-                        dH_out: np.ndarray):
-    """Backpropagate through one direction pass.
-
-    ``dH_out`` holds the loss gradient at each timestep's hidden state in
-    the cache's time order. Returns (per-array gradients, gradient with
-    respect to the input sequence).
-    """
-    T, dim = dH_out.shape
-    dA_i = np.empty((T, dim))
-    dA_f = np.empty((T, dim))
-    dA_u = np.empty((T, dim))
-    dA_o = np.empty((T, dim))
-    dh_next = np.zeros(dim)
-    dc_next = np.zeros(dim)
-    zero = np.zeros(dim)
-    for t in range(T - 1, -1, -1):
-        c_prev = cache.C[t - 1] if t > 0 else zero
-        i, f, u, o = cache.I[t], cache.F[t], cache.U[t], cache.O[t]
-        dh = dH_out[t] + dh_next
-        da_o = dh * cache.TC[t] * o * (1.0 - o)
-        dc = dc_next + dh * o * (1.0 - cache.TC[t] ** 2) \
-            + layer._peep_back("W_oc", da_o)
-        da_i = dc * u * i * (1.0 - i)
-        da_u = dc * i * (1.0 - u ** 2)
-        da_f = dc * c_prev * f * (1.0 - f)
-        dA_i[t], dA_f[t], dA_u[t], dA_o[t] = da_i, da_f, da_u, da_o
-        dh_next = layer.W_ih.T @ da_i + layer.W_fh.T @ da_f \
-            + layer.W_ch.T @ da_u + layer.W_oh.T @ da_o
-        dc_next = dc * f + layer._peep_back("W_ic", da_i) \
-            + layer._peep_back("W_fc", da_f)
-
-    H_prev = np.vstack([zero, cache.H[:-1]])
-    C_prev = np.vstack([zero, cache.C[:-1]])
-    grads = {
-        "W_is": dA_i.T @ cache.S, "W_fs": dA_f.T @ cache.S,
-        "W_cs": dA_u.T @ cache.S, "W_os": dA_o.T @ cache.S,
-        "W_ih": dA_i.T @ H_prev, "W_fh": dA_f.T @ H_prev,
-        "W_ch": dA_u.T @ H_prev, "W_oh": dA_o.T @ H_prev,
-        "b_i": dA_i.sum(axis=0), "b_f": dA_f.sum(axis=0),
-        "b_c": dA_u.sum(axis=0), "b_o": dA_o.sum(axis=0),
-    }
-    if layer.peepholes == "full":
-        grads["W_ic"] = dA_i.T @ C_prev
-        grads["W_fc"] = dA_f.T @ C_prev
-        grads["W_oc"] = dA_o.T @ cache.C
-    elif layer.peepholes == "diagonal":
-        grads["W_ic"] = (dA_i * C_prev).sum(axis=0)
-        grads["W_fc"] = (dA_f * C_prev).sum(axis=0)
-        grads["W_oc"] = (dA_o * cache.C).sum(axis=0)
-    dS = dA_i @ layer.W_is + dA_f @ layer.W_fs \
-        + dA_u @ layer.W_cs + dA_o @ layer.W_os
-    return grads, dS
+    def copy(self) -> "LSTMLayer":
+        out = LSTMLayer.__new__(LSTMLayer)
+        out.in_dim, out.dim, out.peepholes = self.in_dim, self.dim, self.peepholes
+        out.W_x, out.W_h, out.b = self.W_x.copy(), self.W_h.copy(), self.b.copy()
+        out.W_p = None if self.W_p is None else self.W_p.copy()
+        return out
 
 
 class SeqModel:
@@ -328,94 +259,383 @@ class SeqModel:
         layers = self.fwd_layers if prefix.startswith("fwd") else self.bwd_layers
         return getattr(layers[int(prefix[3:])], attr)
 
+    def directions(self, l: int) -> list[LSTMLayer]:
+        """Layer ``l``'s directions: forward, then backward if present."""
+        return [self.fwd_layers[l]] + self.bwd_layers[l:l + 1]
+
     def copy(self) -> "SeqModel":
         clone = SeqModel.__new__(SeqModel)
-        clone.M = self.M.copy()
+        clone.M = self.M.copy(order="K")
         clone.dropout = self.dropout
         clone.peepholes = self.peepholes
         clone.W_yh = self.W_yh.copy()
         clone.b_y = self.b_y.copy()
-        clone.fwd_layers = [self._copy_layer(l) for l in self.fwd_layers]
-        clone.bwd_layers = [self._copy_layer(l) for l in self.bwd_layers]
+        clone.fwd_layers = [layer.copy() for layer in self.fwd_layers]
+        clone.bwd_layers = [layer.copy() for layer in self.bwd_layers]
         return clone
 
-    @staticmethod
-    def _copy_layer(layer: LSTMLayer) -> LSTMLayer:
-        out = LSTMLayer(layer.in_dim, layer.dim, layer.peepholes)
-        for name in layer.array_names():
-            setattr(out, name, getattr(layer, name).copy())
-        return out
+
+# --- lockstep batches ---------------------------------------------------
+
+@dataclass
+class _Stack:
+    """One layer's K directions, weights stacked for lockstep steps."""
+
+    W_x: np.ndarray          # (K * 4H, D_in), direction blocks in order
+    b: np.ndarray            # (K * 4H,)
+    W_h: np.ndarray          # (K, 4H, H)
+    W_p: np.ndarray | None   # (K, 3H, H) full, (K, 1, 3H) diagonal
+    peepholes: str
+    dim: int
+
+    @classmethod
+    def of(cls, dirs: list[LSTMLayer]) -> "_Stack":
+        peep = dirs[0].peepholes
+        W_p = None
+        if peep == "full":
+            W_p = np.stack([d.W_p for d in dirs])
+        elif peep == "diagonal":
+            W_p = np.stack([d.W_p for d in dirs])[:, None, :]
+        return cls(W_x=np.concatenate([d.W_x for d in dirs]),
+                   b=np.concatenate([d.b for d in dirs]),
+                   W_h=np.stack([d.W_h for d in dirs]), W_p=W_p,
+                   peepholes=peep, dim=dirs[0].dim)
 
 
 @dataclass
-class ForwardCache:
-    """Everything the backward pass reuses from one forward pass."""
+class _Layout:
+    """Where each token of a batch lives in the packed step-major layout.
 
-    tokens: list
-    fwd: list
-    bwd: list
-    masks: list
-    outputs: list
-    embedding: np.ndarray
-    y: float
+    Essays are ranked by length, longest first; step t holds the
+    ``counts[t]`` essays still running, in rank order, at packed rows
+    ``offsets[t]:offsets[t + 1]``. Every array below indexes those rows.
+    """
+
+    ids: np.ndarray      # (N,) token ids, essay after essay
+    lengths: np.ndarray  # (B,)
+    offsets: np.ndarray  # (T + 1,)
+    row: np.ndarray      # (N,) packed row of each token, in ``ids`` order
+    rev: np.ndarray      # (N,) row of the same essay at the mirrored step
+    prev: np.ndarray     # (N - B,) row one step back, for steps >= 1
+    first: np.ndarray    # (B,) row of each essay's first step
+    last: np.ndarray     # (B,) row of each essay's last step
+
+    @classmethod
+    def of(cls, model: SeqModel, token_lists) -> "_Layout":
+        """Validate a batch of essays and lay it out."""
+        if not token_lists:
+            raise DataError("cannot score an empty batch")
+        seqs = [np.asarray(list(tokens), dtype=int) for tokens in token_lists]
+        for ids in seqs:
+            if ids.size == 0:
+                raise DataError("cannot score an empty essay")
+            if ids.min() < 0 or ids.max() >= model.vocab_size:
+                raise DataError(f"token id out of range for vocabulary of "
+                                f"{model.vocab_size}")
+        lengths = np.array([ids.size for ids in seqs])
+        B = lengths.size
+        rank = np.empty(B, dtype=int)
+        rank[np.argsort(-lengths, kind="stable")] = np.arange(B)
+        counts = B - np.cumsum(np.bincount(lengths))[:-1]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        col = np.repeat(np.arange(B), lengths)
+        pos = np.arange(col.size) - np.repeat(np.cumsum(lengths) - lengths,
+                                              lengths)
+        row = offsets[pos] + rank[col]
+        rev = np.empty_like(row)
+        rev[row] = offsets[lengths[col] - 1 - pos] + rank[col]
+        later = pos > 0
+        prev = np.empty(col.size - B, dtype=int)
+        prev[row[later] - B] = offsets[pos[later] - 1] + rank[col[later]]
+        return cls(ids=np.concatenate(seqs), lengths=lengths, offsets=offsets,
+                   row=row, rev=rev, prev=prev, first=rank,
+                   last=offsets[lengths - 1] + rank)
+
+
+@dataclass
+class _LayerCache:
+    """Activations of one layer's K directions, each in its own time order.
+
+    Arrays are (K, N, .) over packed rows: ``G`` holds the gates i, f,
+    c (candidate), o after their nonlinearities, ``C`` the cell state,
+    ``TC`` its tanh and ``H`` the hidden state.
+    """
+
+    G: np.ndarray
+    C: np.ndarray
+    TC: np.ndarray
+    H: np.ndarray
+
+
+@dataclass
+class BatchCache:
+    """Everything the backward pass reuses from one lockstep forward pass.
+
+    ``inputs[l]`` is layer l's input over packed rows in essay time: the
+    embedding rows of the tokens for l = 0, the previous layer's output
+    after dropout (backward direction realigned) above it. ``masks[l]``
+    is layer l's dropout mask over packed rows, or None.
+    """
+
+    layout: _Layout
+    inputs: list
+    layers: list
+    masks: list | None
+    final: np.ndarray        # (B, width) the states the head reads
+    y: np.ndarray            # (B,)
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Token ids, essay after essay: the order of ``d_inputs`` rows."""
+        return self.layout.ids
+
+
+def _draw_masks(model: SeqModel, layout: _Layout, rng) -> list:
+    """Inverted-dropout masks over packed rows, one per layer.
+
+    Drawn essay by essay and layer by layer with shape (L, width), so the
+    generator's stream does not depend on how essays are batched.
+    """
+    keep = 1.0 - model.dropout
+    width = model.lstm_dim * (2 if model.bidirectional else 1)
+    N = layout.ids.size
+    masks = [np.empty((N, width)) for _ in range(model.n_layers)]
+    for b, L in enumerate(layout.lengths):
+        rows = layout.offsets[:L] + layout.first[b]
+        for mask in masks:
+            mask[rows] = (rng.random((L, width)) < keep) / keep
+    return masks
+
+
+def _recur(stack: _Stack, G: np.ndarray, offsets: np.ndarray, keep: bool):
+    """Run K directions over the lockstep steps of a packed batch.
+
+    ``G`` (K, N, 4H) holds the input projections plus biases and is
+    overwritten with the gate activations. Returns (C, TC, H); with
+    ``keep`` unset only H is kept for every step (C and TC are None).
+    """
+    K, N, _ = G.shape
+    n = stack.dim
+    H = np.empty((K, N, n))
+    C = np.empty((K, N, n)) if keep else None
+    TC = np.empty((K, N, n)) if keep else None
+    W_hT = stack.W_h.transpose(0, 2, 1)
+    full = stack.peepholes == "full"
+    if full:
+        W_pT = stack.W_p.transpose(0, 2, 1)
+    B = offsets[1]
+    h = np.zeros((K, B, n))
+    c = np.zeros((K, B, n))
+    p_if = None  # the input and forget gates' peephole terms for this step
+    for s, e in zip(offsets[:-1], offsets[1:]):
+        m = e - s  # the essays still running are a prefix of the last step's
+        a = G[:, s:e]
+        a += h[:, :m] @ W_hT
+        if p_if is not None:
+            a[..., :2 * n] += p_if[:, :m]
+        expit(a[..., :2 * n], out=a[..., :2 * n])
+        np.tanh(a[..., 2 * n:3 * n], out=a[..., 2 * n:3 * n])
+        c_new = np.multiply(a[..., :n], a[..., 2 * n:3 * n],
+                            out=C[:, s:e] if keep else None)
+        c_new += a[..., n:2 * n] * c[:, :m]
+        c = c_new
+        if stack.W_p is not None:
+            q = c @ W_pT if full else np.concatenate((c, c, c), axis=-1) \
+                * stack.W_p
+            a[..., 3 * n:] += q[..., 2 * n:]
+            p_if = q[..., :2 * n]
+        expit(a[..., 3 * n:], out=a[..., 3 * n:])
+        tc = np.tanh(c, out=TC[:, s:e] if keep else None)
+        h = np.multiply(a[..., 3 * n:], tc, out=H[:, s:e])
+    return C, TC, H
+
+
+def _recur_backward(stack: _Stack, cache: _LayerCache, dH: np.ndarray,
+                    layout: _Layout):
+    """Gradient at the gate pre-activations, (K, N, 4H), from dL/dH."""
+    K, N, n = dH.shape
+    offsets = layout.offsets
+    B = offsets[1]
+    G, TC = cache.G, cache.TC
+    I, F, U, O = (G[..., k * n:(k + 1) * n] for k in range(4))
+    C_prev = np.zeros((K, N, n))
+    C_prev[:, B:] = cache.C[:, layout.prev]
+    # per-row factors, vectorised over all steps: dA = factor * (dh or dc)
+    k_o = TC * O * (1.0 - O)
+    k_c = O * (1.0 - TC * TC)
+    k_ifu = np.stack((U * I * (1.0 - I), C_prev * F * (1.0 - F),
+                      I * (1.0 - U * U)), axis=2)
+    del C_prev
+    dA = np.empty((K, N, 4 * n))
+    dA_ifu = dA.reshape(K, N, 4, n)[:, :, :3]
+    full = stack.peepholes == "full"
+    if stack.W_p is not None:
+        if full:
+            W_p_if, W_p_o = stack.W_p[:, :2 * n], stack.W_p[:, 2 * n:]
+        else:
+            w_i, w_f, w_o = (stack.W_p[..., k * n:(k + 1) * n]
+                             for k in range(3))
+    # an essay's rows in these stay zero until its last step is reached
+    dh_next = np.zeros((K, B, n))
+    dc_next = np.zeros((K, B, n))
+    for s, e in zip(offsets[-2::-1], offsets[:0:-1]):
+        m = e - s
+        dh = dH[:, s:e] + dh_next[:, :m]
+        da_o = np.multiply(dh, k_o[:, s:e], out=dA[:, s:e, 3 * n:])
+        dc = dh * k_c[:, s:e]
+        dc += dc_next[:, :m]
+        if stack.W_p is not None:
+            dc += da_o @ W_p_o if full else da_o * w_o
+        np.multiply(dc[:, :, None, :], k_ifu[:, s:e], out=dA_ifu[:, s:e])
+        dh_next[:, :m] = dA[:, s:e] @ stack.W_h
+        dc = np.multiply(dc, F[:, s:e], out=dc)
+        if stack.W_p is not None:
+            if full:
+                dc += dA[:, s:e, :2 * n] @ W_p_if
+            else:
+                dc += dA[:, s:e, :n] * w_i
+                dc += dA[:, s:e, n:2 * n] * w_f
+        dc_next[:, :m] = dc
+    return dA
+
+
+def _layer_grads(stack: _Stack, cache: _LayerCache, dA: np.ndarray,
+                 layout: _Layout):
+    """Recurrent, peephole and bias gradients per direction, fused."""
+    n = stack.dim
+    B = layout.offsets[1]
+    out = []
+    for k in range(dA.shape[0]):
+        a, C = dA[k], cache.C[k]
+        a_later = a[B:]  # rows of steps >= 1, whose previous step is ``prev``
+        g = {"W_h": a_later.T @ cache.H[k, layout.prev], "b": a.sum(axis=0)}
+        C_prev = C[layout.prev]
+        if stack.peepholes == "full":
+            g["W_p"] = np.concatenate((a_later[:, :2 * n].T @ C_prev,
+                                       a[:, 3 * n:].T @ C))
+        elif stack.peepholes == "diagonal":
+            g["W_p"] = np.concatenate((
+                (a_later[:, :n] * C_prev).sum(axis=0),
+                (a_later[:, n:2 * n] * C_prev).sum(axis=0),
+                (a[:, 3 * n:] * C).sum(axis=0)))
+        out.append(g)
+    return out
+
+
+_FUSED_NAMES = (("W_x", LSTMLayer.INPUT_NAMES), ("W_h", LSTMLayer.RECUR_NAMES),
+                ("W_p", LSTMLayer.PEEP_NAMES), ("b", LSTMLayer.BIAS_NAMES))
+
+
+def _name_grads(grads: dict, prefix: str, fused: dict, n: int):
+    """Split fused gradients into the per-gate names of ``named_arrays``."""
+    for buf, names in _FUSED_NAMES:
+        g = fused.get(buf)
+        if g is not None:
+            for k, name in enumerate(names):
+                grads[f"{prefix}.{name}"] = g[k * n:(k + 1) * n]
+
+
+def _run(model: SeqModel, layout: _Layout, masks=None, keep: bool = True):
+    """Forward pass of a lockstep batch; returns (y, BatchCache or None)."""
+    bi = model.bidirectional
+    K = 2 if bi else 1
+    n = model.lstm_dim
+    packed_ids = np.empty_like(layout.ids)
+    packed_ids[layout.row] = layout.ids
+    seq = model.M.T[packed_ids]
+    inputs, layers = [], []
+    for l in range(model.n_layers):
+        stack = _Stack.of(model.directions(l))
+        proj = seq @ stack.W_x.T
+        proj += stack.b
+        G = np.empty((K, seq.shape[0], 4 * n))
+        G[0] = proj[:, :4 * n]
+        if bi:
+            G[1] = proj[layout.rev, 4 * n:]
+        del proj
+        C, TC, H = _recur(stack, G, layout.offsets, keep)
+        if keep:
+            inputs.append(seq)
+            layers.append(_LayerCache(G, C, TC, H))
+        del G, C, TC
+        seq = np.concatenate((H[0], H[1, layout.rev]), axis=1) if bi else H[0]
+        if masks is not None:
+            seq = seq * masks[l]
+    final = np.concatenate((seq[layout.last, :n], seq[layout.first, n:]),
+                           axis=1) if bi else seq[layout.last]
+    y = final @ model.W_yh + model.b_y[0]
+    if not keep:
+        return y, None
+    return y, BatchCache(layout=layout, inputs=inputs, layers=layers,
+                         masks=masks, final=final, y=y)
+
+
+def forward_batch(model: SeqModel, token_lists, training: bool = False,
+                  rng=None) -> tuple[np.ndarray, BatchCache]:
+    """Run B essays through the stack in lockstep.
+
+    Returns the unclamped scaled scores (B,) read off each essay's final
+    states, plus the activation cache for :func:`backward_batch`. With
+    ``training`` set, inverted-dropout masks are drawn from ``rng``
+    essay by essay and applied to each layer's output sequence.
+    """
+    dropout = training and model.dropout > 0.0
+    if dropout and rng is None:
+        raise ConfigError("training-mode forward pass needs a random generator")
+    layout = _Layout.of(model, token_lists)
+    masks = _draw_masks(model, layout, rng) if dropout else None
+    return _run(model, layout, masks)
+
+
+def backward_batch(model: SeqModel, cache: BatchCache,
+                   dy) -> tuple[dict, np.ndarray]:
+    """Backpropagate per-essay output gradients ``dy`` (B,) through the stack.
+
+    Returns (named parameter gradients without the embedding matrix,
+    summed over the batch; gradient with respect to each token's word
+    vector, (N, D) essay after essay, in ``cache.ids`` order).
+    """
+    layout = cache.layout
+    dy = np.asarray(dy, dtype=float).reshape(-1)
+    bi = model.bidirectional
+    n = model.lstm_dim
+    grads = {"head.W_yh": dy @ cache.final, "head.b_y": np.array([dy.sum()])}
+    d_final = dy[:, None] * model.W_yh
+    d_out = np.zeros((layout.ids.size, d_final.shape[1]))
+    d_out[layout.last, :n] = d_final[:, :n]
+    if bi:
+        d_out[layout.first, n:] = d_final[:, n:]
+    for l in range(model.n_layers - 1, -1, -1):
+        if cache.masks is not None:
+            d_out *= cache.masks[l]
+        stack = _Stack.of(model.directions(l))
+        dH = d_out[None, :, :n] if not bi else np.stack(
+            (d_out[:, :n], d_out[layout.rev, n:]))
+        dA = _recur_backward(stack, cache.layers[l], dH, layout)
+        fused = _layer_grads(stack, cache.layers[l], dA, layout)
+        # both directions' gate gradients in essay time, side by side
+        dA = np.concatenate((dA[0], dA[1, layout.rev]), axis=1) if bi \
+            else dA[0]
+        d_W_x = dA.T @ cache.inputs[l]
+        d_out = dA @ stack.W_x
+        for k, (prefix, g) in enumerate(zip(("fwd", "bwd"), fused)):
+            g["W_x"] = d_W_x[4 * n * k:4 * n * (k + 1)]
+            _name_grads(grads, f"{prefix}{l}", g, n)
+    return grads, d_out[layout.row]
 
 
 def forward_essay(model: SeqModel, tokens, training: bool = False,
-                  rng=None) -> tuple[float, ForwardCache]:
-    """Run one essay through the stack.
+                  rng=None) -> tuple[float, BatchCache]:
+    """Run one essay through the stack: :func:`forward_batch` with B = 1.
 
     Returns the unclamped scaled score read off the final-timestep
-    embedding, plus the activation cache for backpropagation. With
-    ``training`` set, inverted-dropout masks are drawn from ``rng`` and
-    applied to each layer's output sequence.
+    embedding, plus the activation cache for :func:`bptt`.
     """
-    tokens = list(tokens)
-    if not tokens:
-        raise DataError("cannot score an empty essay")
-    ids = np.asarray(tokens, dtype=int)
-    if ids.min() < 0 or ids.max() >= model.vocab_size:
-        raise DataError(f"token id out of range for vocabulary of "
-                        f"{model.vocab_size}")
-    if training and model.dropout > 0.0 and rng is None:
-        raise ConfigError("training-mode forward pass needs a random generator")
-
-    T = len(tokens)
-    seq = model.M[:, ids].T
-    fwd_caches, bwd_caches, masks, outputs = [], [], [], []
-    for l in range(model.n_layers):
-        fc = _run_direction(model.fwd_layers[l], seq)
-        if model.bidirectional:
-            bc = _run_direction(model.bwd_layers[l], seq[::-1])
-            aligned = np.concatenate([fc.H, bc.H[::-1]], axis=1)
-        else:
-            bc = None
-            aligned = fc.H
-        if training and model.dropout > 0.0:
-            keep = 1.0 - model.dropout
-            mask = (rng.random(aligned.shape) < keep) / keep
-            out = aligned * mask
-        else:
-            mask = None
-            out = aligned
-        fwd_caches.append(fc)
-        bwd_caches.append(bc)
-        masks.append(mask)
-        outputs.append(out)
-        seq = out
-
-    final = outputs[-1]
-    if model.bidirectional:
-        dim = model.fwd_layers[-1].dim
-        embedding = np.concatenate([final[T - 1, :dim], final[0, dim:]])
-    else:
-        embedding = final[T - 1]
-    y = float(model.W_yh @ embedding + model.b_y[0])
-    return y, ForwardCache(tokens=tokens, fwd=fwd_caches, bwd=bwd_caches,
-                           masks=masks, outputs=outputs, embedding=embedding,
-                           y=y)
+    y, cache = forward_batch(model, [tokens], training, rng)
+    return float(y[0]), cache
 
 
-def bptt(model: SeqModel, cache: ForwardCache,
+def bptt(model: SeqModel, cache: BatchCache,
          gold: float) -> tuple[dict, np.ndarray]:
     """Exact gradients of (y - gold)^2 through the whole stack.
 
@@ -424,58 +644,30 @@ def bptt(model: SeqModel, cache: ForwardCache,
     caller scatters the latter into embedding columns; saliency reads it
     per position.
     """
-    T = len(cache.tokens)
-    dy = 2.0 * (cache.y - gold)
-    grads = {"head.W_yh": dy * cache.embedding, "head.b_y": np.array([dy])}
-    d_emb = dy * model.W_yh
-
-    d_out = np.zeros_like(cache.outputs[-1])
-    if model.bidirectional:
-        dim = model.fwd_layers[-1].dim
-        d_out[T - 1, :dim] = d_emb[:dim]
-        d_out[0, dim:] += d_emb[dim:]
-    else:
-        d_out[T - 1] = d_emb
-
-    for l in range(model.n_layers - 1, -1, -1):
-        if cache.masks[l] is not None:
-            d_out = d_out * cache.masks[l]
-        if model.bidirectional:
-            dim = model.fwd_layers[l].dim
-            layer_grads, dS = _direction_backward(
-                model.fwd_layers[l], cache.fwd[l], d_out[:, :dim])
-            for name, g in layer_grads.items():
-                grads[f"fwd{l}.{name}"] = g
-            layer_grads, dS_b = _direction_backward(
-                model.bwd_layers[l], cache.bwd[l], d_out[:, dim:][::-1])
-            for name, g in layer_grads.items():
-                grads[f"bwd{l}.{name}"] = g
-            dS = dS + dS_b[::-1]
-        else:
-            layer_grads, dS = _direction_backward(
-                model.fwd_layers[l], cache.fwd[l], d_out)
-            for name, g in layer_grads.items():
-                grads[f"fwd{l}.{name}"] = g
-        d_out = dS
-    return grads, d_out
+    return backward_batch(model, cache, 2.0 * (cache.y - gold))
 
 
-def scatter_embedding_grad(tokens, d_inputs) -> dict[int, np.ndarray]:
-    """Sum per-position input gradients into per-column gradients."""
-    cols: dict[int, np.ndarray] = {}
-    for t, tok in enumerate(tokens):
-        acc = cols.get(tok)
-        if acc is None:
-            cols[tok] = d_inputs[t].copy()
-        else:
-            acc += d_inputs[t]
-    return cols
+def predict_batch(model: SeqModel, token_lists) -> np.ndarray:
+    """Unclamped scaled scores of many essays, in input order.
+
+    Essays run in lockstep chunks of ``PREDICT_CHUNK`` taken in order of
+    length, so that little of a chunk is padding; no gate activations
+    are kept.
+    """
+    token_lists = list(token_lists)
+    order = np.argsort([len(t) for t in token_lists], kind="stable")
+    out = np.empty(len(token_lists))
+    for start in range(0, len(order), PREDICT_CHUNK):
+        chunk = order[start:start + PREDICT_CHUNK]
+        layout = _Layout.of(model, [token_lists[k] for k in chunk])
+        out[chunk], _ = _run(model, layout, keep=False)
+    return out
 
 
 def predict_scaled(model: SeqModel, tokens) -> float:
     """Deterministic prediction clamped to the trained [0, 1] target space."""
-    y, _ = forward_essay(model, tokens, training=False)
-    return min(max(y, 0.0), 1.0)
+    y = predict_batch(model, [tokens])[0]
+    return min(max(float(y), 0.0), 1.0)
 
 
 def predict(model: SeqModel, essays: list[Essay],
@@ -487,16 +679,17 @@ def predict(model: SeqModel, essays: list[Essay],
     and is unscaled through the set range; a model trained directly on
     raw scores skips the unscaling.
     """
+    for essay in essays:
+        if essay.set_id not in ranges:
+            raise DataError(f"no score range for essay set {essay.set_id}")
+    y = predict_batch(model, [essay.tokens for essay in essays])
     out = np.empty(len(essays))
     for k, essay in enumerate(essays):
-        r = ranges.get(essay.set_id)
-        if r is None:
-            raise DataError(f"no score range for essay set {essay.set_id}")
+        r = ranges[essay.set_id]
         if normalized:
-            out[k] = r.clamp(r.unscale(predict_scaled(model, essay.tokens)))
+            out[k] = r.clamp(r.unscale(min(max(float(y[k]), 0.0), 1.0)))
         else:
-            y, _ = forward_essay(model, essay.tokens, training=False)
-            out[k] = r.clamp(y)
+            out[k] = r.clamp(float(y[k]))
     return out
 
 
@@ -519,33 +712,61 @@ class RMSPropState:
 
 
 def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
-                   grads: dict[str, np.ndarray]):
+                   grads: dict):
     """In-place step: acc <- rho*acc + (1-rho)*g^2; p <- p - eta*g/sqrt(acc+eps).
 
     Arrays without a gradient entry still have their accumulator decayed
-    (zero gradient), matching the element-wise rule.
+    (zero gradient), matching the element-wise rule. A gradient given as
+    ``(cols, rows)`` covers only those columns of a 2-D array, ``rows``
+    holding one row per column; every other column has a zero gradient,
+    which leaves its weights unchanged (``eps > 0``), so only the listed
+    columns are stepped. The result is bitwise the dense rule's.
     """
     for name, acc in state.acc.items():
         g = grads.get(name)
-        if g is None:
-            acc *= state.rho
-            continue
         acc *= state.rho
-        acc += (1.0 - state.rho) * g * g
-        arrays[name] -= state.eta * g / np.sqrt(acc + state.eps)
+        if g is None:
+            continue
+        if isinstance(g, tuple):
+            cols, rows = g
+            g = rows.T
+            sub = acc[:, cols]
+            sub += (1.0 - state.rho) * g * g
+            acc[:, cols] = sub
+            arrays[name][:, cols] -= state.eta * g / np.sqrt(sub + state.eps)
+        else:
+            acc += (1.0 - state.rho) * g * g
+            arrays[name] -= state.eta * g / np.sqrt(acc + state.eps)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients down to a global L2 norm; returns the norm found."""
+def clip_gradients(grads: dict, max_norm: float) -> float:
+    """Scale all gradients down to a global L2 norm; returns the norm found.
+
+    A ``(cols, rows)`` entry counts through its rows.
+    """
+    dense = [g[1] if isinstance(g, tuple) else g for g in grads.values()]
     total = 0.0
-    for g in grads.values():
+    for g in dense:
         total += float((g * g).sum())
     norm = total ** 0.5
     if max_norm > 0.0 and norm > max_norm:
         scale = max_norm / norm
-        for g in grads.values():
+        for g in dense:
             g *= scale
     return norm
+
+
+def column_gradient(ids: np.ndarray, d_inputs: np.ndarray):
+    """Sum per-token input gradients into embedding columns.
+
+    Returns ``(cols, rows)``: the distinct ids in ascending order and one
+    summed row per id. Repeats are added in token order, as a dense
+    ``np.add.at`` into the matrix's columns would add them.
+    """
+    cols, inverse = np.unique(ids, return_inverse=True)
+    rows = np.zeros((cols.size, d_inputs.shape[1]))
+    np.add.at(rows, inverse, d_inputs)
+    return cols, rows
 
 
 @dataclass
@@ -590,31 +811,26 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
         rng.shuffle(order)
         sq_sum = 0.0
         for start in range(0, len(order), hyper.batch_size):
-            batch = order[start:start + hyper.batch_size]
-            total: dict[str, np.ndarray] = {}
-            m_grad = np.zeros_like(model.M)
-            for idx in batch:
-                essay = train[idx]
-                y, cache = forward_essay(model, essay.tokens, training=True,
-                                         rng=rng)
+            batch = [train[k] for k in order[start:start + hyper.batch_size]]
+            y, cache = forward_batch(model, [e.tokens for e in batch],
+                                     training=True, rng=rng)
+            err = y - np.array([e.scaled_score for e in batch])
+            for e in err:
                 # square via numpy so a diverged run overflows to inf
-                sq_sum += float(np.square(np.float64(y - essay.scaled_score)))
-                grads, d_inputs = bptt(model, cache, essay.scaled_score)
-                for name, g in grads.items():
-                    acc = total.get(name)
-                    if acc is None:
-                        total[name] = g
-                    else:
-                        acc += g
-                np.add.at(m_grad.T, cache.tokens, d_inputs)
+                sq_sum += float(np.square(e))
+            grads, d_inputs = backward_batch(model, cache, 2.0 * err)
+            ids = cache.ids
+            del cache
             inv = 1.0 / len(batch)
-            for g in total.values():
+            for g in grads.values():
                 g *= inv
-            m_grad *= inv
-            total["M"] = m_grad
+            cols, rows = column_gradient(ids, d_inputs)
+            del d_inputs
+            rows *= inv
+            grads["M"] = (cols, rows)
             if hyper.clip_norm > 0.0:
-                clip_gradients(total, hyper.clip_norm)
-            rmsprop_update(state, dict(model.named_arrays()), total)
+                clip_gradients(grads, hyper.clip_norm)
+            rmsprop_update(state, dict(model.named_arrays()), grads)
 
         train_mse = sq_sum / len(train)
         val_rmse = float(np.sqrt(np.mean(
@@ -698,14 +914,19 @@ def load_model(path) -> tuple[SeqModel, str]:
         if peep_code not in _PEEP_NAMES or layers not in (1, 2):
             raise ModelFormatError(f"corrupt architecture descriptor in {path}")
         peepholes = _PEEP_NAMES[peep_code]
+        hyper = SeqHyper(lstm_dim=dim, layers=layers, bidirectional=bool(bi),
+                         dropout=dropout, peepholes=peepholes)
+        try:
+            hyper.validate()
+        except ConfigError as exc:
+            raise ModelFormatError(
+                f"corrupt architecture descriptor in {path}: {exc}") from exc
         # tensors plus the hash length, checked before anything of the
         # declared size is allocated
         need = 8 * _n_params(v, d, dim, layers, bool(bi), peepholes) + 4
         if need > _bytes_left(fh):
             raise ModelFormatError(f"truncated model file {path}")
-        hyper = SeqHyper(lstm_dim=dim, layers=layers, bidirectional=bool(bi),
-                         dropout=dropout, peepholes=peepholes)
-        model = SeqModel.init(np.zeros((d, v)), hyper,
+        model = SeqModel.init(np.zeros((d, v), order="F"), hyper,
                               np.random.default_rng(0))
         for name, arr in model.named_arrays():
             raw = _read_exact(fh, 8 * arr.size, path)
@@ -715,7 +936,11 @@ def load_model(path) -> tuple[SeqModel, str]:
             else:
                 arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        config_hash = _read_exact(fh, hlen, path).decode("utf-8")
+        try:
+            config_hash = _read_exact(fh, hlen, path).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(
+                f"config hash in {path} is not UTF-8") from exc
         if fh.read(1):
             raise ModelFormatError(f"trailing bytes in model file {path}")
     return model, config_hash

@@ -7,6 +7,13 @@ set maximum and much adjustment toward the set minimum are good ones, so
 quality is the minimum-side magnitude minus the maximum-side magnitude:
 larger means better. Colors run dark red (worst octile) to dark green
 (best octile).
+
+For a pseudo-score p the gradient is ``2 (y - p) dy/dx_t``, so both
+magnitudes are scalar multiples of ``g_t = |dy/dx_t|`` and one forward
+and one backward pass (seeded with ``dy = 1``) give the whole map:
+quality is ``2 (|y - y_min| - |y - y_max|) g_t``. Within an essay (or
+span) the ranking is therefore the input-gradient norm, flipped when the
+prediction falls below the midpoint of the scale.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ import numpy as np
 
 from .corpus import Essay, ScoreRange, Vocabulary
 from .errors import DataError
-from .lstm import SeqModel, bptt, forward_essay
+from .lstm import (SeqModel, backward_batch, bptt, forward_batch,
+                   forward_essay, predict_scaled)
 
 # Octile color scales, worst to best: 4 reds then 4 greens.
 ANSI_SCALE = (52, 88, 124, 167, 150, 77, 28, 22)
@@ -75,6 +83,26 @@ def quality_bins(quality: np.ndarray) -> np.ndarray:
     return np.minimum(ranks * N_BINS // T, N_BINS - 1)
 
 
+def _displayed(y: float, score_range: ScoreRange | None) -> float:
+    """A prediction clamped to [0, 1], unscaled onto the raw scale if given."""
+    predicted = min(max(float(y), 0.0), 1.0)
+    if score_range is not None:
+        predicted = score_range.clamp(score_range.unscale(predicted))
+    return predicted
+
+
+def _entries(words, grad_norms, y: float, y_max: float,
+             y_min: float) -> list[TokenQuality]:
+    """Quality entries of one scored sequence from its |dy/dx_t| norms."""
+    mag_max = abs(2.0 * (y - y_max)) * grad_norms
+    mag_min = abs(2.0 * (y - y_min)) * grad_norms
+    quality = mag_min - mag_max
+    bins = quality_bins(quality)
+    return [TokenQuality(words[t], float(mag_max[t]), float(mag_min[t]),
+                         float(quality[t]), int(bins[t]))
+            for t in range(len(words))]
+
+
 def quality_map(model: SeqModel, essay: Essay, vocab: Vocabulary,
                 score_range: ScoreRange | None = None,
                 y_max: float = 1.0, y_min: float = 0.0) -> QualityMap:
@@ -83,27 +111,15 @@ def quality_map(model: SeqModel, essay: Essay, vocab: Vocabulary,
     ``y_max`` and ``y_min`` are the essay set's extreme scores in the
     model's target space; after min-max scaling those are simply 1 and 0.
     When ``score_range`` is given the displayed prediction is unscaled
-    onto the raw score scale.
+    onto the raw score scale. One forward and one backward pass.
     """
     if not essay.tokens:
         raise DataError(f"essay {essay.essay_id} has no tokens")
-    grads_max = input_gradients(model, essay.tokens, y_max)
-    grads_min = input_gradients(model, essay.tokens, y_min)
-    mag_max = np.linalg.norm(grads_max, axis=1)
-    mag_min = np.linalg.norm(grads_min, axis=1)
-    quality = mag_min - mag_max
-    bins = quality_bins(quality)
-
-    y, _ = forward_essay(model, essay.tokens, training=False)
-    predicted = min(max(y, 0.0), 1.0)
-    if score_range is not None:
-        predicted = score_range.clamp(score_range.unscale(predicted))
-
-    words = vocab.decode(essay.tokens)
-    entries = [TokenQuality(words[t], float(mag_max[t]), float(mag_min[t]),
-                            float(quality[t]), int(bins[t]))
-               for t in range(len(words))]
-    return QualityMap(essay.essay_id, predicted, entries)
+    y, cache = forward_essay(model, essay.tokens, training=False)
+    _, d_inputs = backward_batch(model, cache, [1.0])
+    entries = _entries(vocab.decode(essay.tokens),
+                       np.linalg.norm(d_inputs, axis=1), y, y_max, y_min)
+    return QualityMap(essay.essay_id, _displayed(y, score_range), entries)
 
 
 def quality_map_spans(model: SeqModel, essay: Essay, vocab: Vocabulary,
@@ -114,9 +130,9 @@ def quality_map_spans(model: SeqModel, essay: Essay, vocab: Vocabulary,
 
     Each span is fed to the model as if it were a whole essay, so the
     gradients reflect the span in isolation; bins are assigned within
-    each span. A span length at or beyond the essay length reduces to
-    :func:`quality_map` exactly. The displayed prediction is still the
-    whole essay's.
+    each span. All spans run as one lockstep batch. A span length at or
+    beyond the essay length reduces to :func:`quality_map` exactly. The
+    displayed prediction is still the whole essay's.
     """
     if span_len < 1:
         raise DataError(f"span length must be >= 1, got {span_len}")
@@ -125,17 +141,18 @@ def quality_map_spans(model: SeqModel, essay: Essay, vocab: Vocabulary,
     if span_len >= len(essay.tokens):
         return quality_map(model, essay, vocab, score_range, y_max, y_min)
 
-    y, _ = forward_essay(model, essay.tokens, training=False)
-    predicted = min(max(y, 0.0), 1.0)
-    if score_range is not None:
-        predicted = score_range.clamp(score_range.unscale(predicted))
+    predicted = _displayed(predict_scaled(model, essay.tokens), score_range)
+    starts = range(0, len(essay.tokens), span_len)
+    spans = [essay.tokens[s:s + span_len] for s in starts]
+    y, cache = forward_batch(model, spans)
+    _, d_inputs = backward_batch(model, cache, np.ones(len(spans)))
+    norms = np.linalg.norm(d_inputs, axis=1)
+    words = vocab.decode(essay.tokens)
     entries: list[TokenQuality] = []
-    for start in range(0, len(essay.tokens), span_len):
-        chunk = Essay(essay.essay_id, essay.set_id,
-                      essay.tokens[start:start + span_len],
-                      essay.raw_score, essay.scaled_score)
-        part = quality_map(model, chunk, vocab, score_range, y_max, y_min)
-        entries.extend(part.entries)
+    for s, span, y_span in zip(starts, spans, y):
+        end = s + len(span)
+        entries.extend(_entries(words[s:end], norms[s:end], y_span,
+                                y_max, y_min))
     return QualityMap(essay.essay_id, predicted, entries)
 
 

@@ -443,6 +443,13 @@ def _read_exact(fh, count, path, size):
     return raw
 
 
+def _decode(raw: bytes, path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: text field is not UTF-8") from exc
+
+
 def load_embeddings(path) -> tuple[SSWEParams, Vocabulary, str]:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -456,7 +463,7 @@ def load_embeddings(path) -> tuple[SSWEParams, Vocabulary, str]:
         tokens = []
         for _ in range(v):
             (tlen,) = struct.unpack("<I", _read_exact(fh, 4, path, size))
-            tokens.append(_read_exact(fh, tlen, path, size).decode("utf-8"))
+            tokens.append(_decode(_read_exact(fh, tlen, path, size), path))
         if tokens[:N_SPECIALS] != Vocabulary([]).id_to_token:
             raise ModelFormatError(f"{path}: special tokens out of place")
         vocab = Vocabulary(tokens[N_SPECIALS:])
@@ -470,7 +477,7 @@ def load_embeddings(path) -> tuple[SSWEParams, Vocabulary, str]:
             tensors[name] = np.frombuffer(
                 _read_exact(fh, 8 * count, path, size), dtype="<f8").reshape(shape).copy()
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path, size))
-        config_hash = _read_exact(fh, hlen, path, size).decode("utf-8")
+        config_hash = _decode(_read_exact(fh, hlen, path, size), path)
     return SSWEParams(M=M, **tensors), vocab, config_hash
 
 

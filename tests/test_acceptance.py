@@ -20,9 +20,9 @@ from essayscore.cli import main
 from essayscore.corpus import (ScoreRange, SplitSpec, Vocabulary,
                                corrupt_window, extract_windows, load_corpus,
                                read_manifest, split_corpus, WindowSample)
-from essayscore.lstm import (SeqHyper, SeqModel, bptt, forward_essay,
-                             load_model, predict, save_model,
-                             scatter_embedding_grad, train_scorer)
+from essayscore.lstm import (SeqHyper, SeqModel, bptt, column_gradient,
+                             forward_essay, load_model, predict, save_model,
+                             train_scorer)
 from essayscore.metrics import (pearson_r, quadratic_weighted_kappa, rmse,
                                 spearman_rho)
 from essayscore.saliency import quality_map
@@ -111,8 +111,8 @@ def test_1_gradients_match_finite_differences():
             _, cache = forward_essay(model, tokens)
             grads, d_inputs = bptt(model, cache, 1.0)
             dense_m = np.zeros_like(model.M)
-            for col, g in scatter_embedding_grad(tokens, d_inputs).items():
-                dense_m[:, col] = g
+            cols, rows = column_gradient(cache.ids, d_inputs)
+            dense_m[:, cols] = rows.T
 
             def loss():
                 y, _ = forward_essay(model, tokens)

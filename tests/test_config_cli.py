@@ -82,6 +82,14 @@ class TestConfigParsing:
         assert load_config(path) == cfg
         assert path.read_text().startswith("# for the record\n")
 
+    def test_eps_rms_must_be_positive_and_finite(self):
+        # eps_rms = 0 would turn every weight without a gradient into NaN
+        for value in ("0", "0.0", "-1e-8", "nan", "inf"):
+            cfg = parse_config_text(f"eps_rms = {value}\n")
+            with pytest.raises(ConfigError):
+                cfg.validate()
+        parse_config_text("eps_rms = 1e-12\n").validate()
+
     def test_validation_rejects_bad_settings(self):
         for field, value in (("min_count", 0), ("val_ratio", 0.7),
                              ("embed_epochs", -1), ("dropout", 1.0),
@@ -495,6 +503,35 @@ class TestForgedHeaders:
                                 "--embeddings", str(forged)])
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("dim,dropout", [(0, 0.0), (4, float("nan"))],
+                             ids=["zero_lstm_dim", "nan_dropout"])
+    def test_invalid_architecture_is_a_format_error(self, workspace, tmp_path,
+                                                    capsys, dim, dropout):
+        root, cfgpath = workspace
+        forged = tmp_path / "model.sats"
+        forged.write_bytes(MODEL_MAGIC + struct.pack(
+            "<7I d", 1, 3, 4, dim, 1, 0, 0, dropout))
+        assert len(forged.read_bytes()) == 40
+        rc = main(["--config", str(cfgpath), "evaluate",
+                   "--model", str(forged), "--split", "val"])
+        assert rc == 2
+        assert "corrupt architecture" in capsys.readouterr().err
+
+    def test_non_utf8_token_is_a_format_error(self, workspace, tmp_path,
+                                              capsys):
+        root, cfgpath = workspace
+        raw = bytearray((root / "models" / "embeddings.sswe").read_bytes())
+        # magic, five header words, then the first token's length and bytes
+        first = 4 + 20 + 4
+        assert raw[first:first + 5] == b"<pad>"
+        raw[first] = 0xFF
+        forged = tmp_path / "forged.sswe"
+        forged.write_bytes(bytes(raw))
+        rc = main(["--config", str(cfgpath), "train-scorer",
+                   "--embeddings", str(forged)])
+        assert rc == 2
+        assert "UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("v,d,dim", [(3, 2 ** 31, 4), (3, 4, 2 ** 31)],
                              ids=["embed_dim", "lstm_dim"])

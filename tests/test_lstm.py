@@ -2,6 +2,8 @@
 
 import math
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,16 @@ from essayscore.corpus import ScoreRange
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
 from essayscore.lstm import (EpochRecord, FORGET_BIAS, LSTMLayer,
-                             RMSPropState, SeqHyper, SeqModel, _n_params, bptt,
-                             clip_gradients, forward_essay, load_model,
-                             lstm_step, predict, predict_scaled,
-                             rmsprop_update, save_model, scatter_embedding_grad,
-                             train_scorer, write_history_csv)
+                             RMSPropState, SeqHyper, SeqModel, _n_params,
+                             backward_batch, bptt, clip_gradients,
+                             column_gradient, forward_batch, forward_essay,
+                             load_model, predict, predict_scaled,
+                             rmsprop_update, save_model, train_scorer,
+                             write_history_csv)
 
+import reference_lstm as ref
 from conftest import finite_difference, make_essay, max_relative_error
+from reference_lstm import lstm_step
 
 
 def build_model(vocab=9, embed_dim=3, seed=0, boost=3.0, mscale=0.5, **kw):
@@ -107,16 +112,19 @@ class TestStep:
             c = np.zeros(layer.dim)
             for t in range(len(tokens)):
                 h, c = lstm_step(layer, seq[t], h, c)
-                assert np.allclose(cache.fwd[0].H[t], h, rtol=1e-12)
-                assert np.allclose(cache.fwd[0].C[t], c, rtol=1e-12)
+                # (direction, step, unit): one essay's rows are its steps
+                assert np.allclose(cache.layers[0].H[0, t], h, rtol=1e-12)
+                assert np.allclose(cache.layers[0].C[0, t], c, rtol=1e-12)
 
     def test_gate_activations_stay_in_range(self):
         model = build_model(seed=3, peepholes="full", boost=8.0)
         _, cache = forward_essay(model, [2, 5, 1, 8, 0, 6, 3])
-        d = cache.fwd[0]
-        for gate in (d.I, d.F, d.O):
+        d = cache.layers[0]
+        n = model.lstm_dim
+        I, F, U, O = (d.G[..., k * n:(k + 1) * n] for k in range(4))
+        for gate in (I, F, O):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
-        assert np.all(np.abs(d.U) < 1.0)
+        assert np.all(np.abs(U) < 1.0)
         assert np.all(np.abs(d.H) < 1.0)
 
 
@@ -126,7 +134,7 @@ class TestForward:
         y, cache = forward_essay(model, [5])
         h, _ = lstm_step(model.fwd_layers[0], model.M[:, 5],
                          np.zeros(model.lstm_dim), np.zeros(model.lstm_dim))
-        assert np.allclose(cache.embedding, h, rtol=1e-12)
+        assert np.allclose(cache.final[0], h, rtol=1e-12)
         assert y == pytest.approx(float(model.W_yh @ h + model.b_y[0]),
                                   rel=1e-12)
 
@@ -189,46 +197,86 @@ class TestForward:
         assert y_a != y_c or y_a != y_eval
 
 
-VARIANTS = [
-    dict(bidirectional=False, layers=1, peepholes="off"),
-    dict(bidirectional=False, layers=2, peepholes="off"),
-    dict(bidirectional=True, layers=1, peepholes="off"),
-    dict(bidirectional=True, layers=2, peepholes="off"),
-    dict(bidirectional=False, layers=1, peepholes="full"),
-    dict(bidirectional=False, layers=1, peepholes="diagonal"),
-    dict(bidirectional=True, layers=2, peepholes="full"),
-]
+VARIANTS = [dict(bidirectional=bi, layers=layers, peepholes=peep)
+            for layers in (1, 2) for bi in (False, True)
+            for peep in ("full", "diagonal", "off")] \
+    + [dict(bidirectional=True, layers=2, peepholes="full", dropout=0.5)]
+
+
+def variant_id(v):
+    tag = "{}l{}-{}".format("bi" if v["bidirectional"] else "uni",
+                            v["layers"], v["peepholes"])
+    return tag + ("-dropout" if v.get("dropout") else "")
+
+
+def fd_model(variant):
+    model = build_model(vocab=8, embed_dim=3, seed=9, lstm_dim=2,
+                        boost=8.0, mscale=1.0, **variant)
+    # a saturated forget bias crushes its own gradient below the
+    # resolution of finite differences, so flatten it for the check
+    for layer in model.fwd_layers + model.bwd_layers:
+        layer.b_f[...] = 0.3
+    return model
+
+
+def batch_pass(model, token_lists):
+    """Forward pass; with dropout, the same masks on every call."""
+    training = model.dropout > 0.0
+    rng = np.random.default_rng(5) if training else None
+    return forward_batch(model, token_lists, training=training, rng=rng)
+
+
+def check_gradients(model, token_lists, golds):
+    """Batched gradients of sum_b (y_b - gold_b)^2 against central differences."""
+    golds = np.asarray(golds)
+    y, cache = batch_pass(model, token_lists)
+    grads, d_inputs = backward_batch(model, cache, 2.0 * (y - golds))
+    dense_m = np.zeros_like(model.M)
+    cols, rows = column_gradient(cache.ids, d_inputs)
+    dense_m[:, cols] = rows.T
+    analytic = {"M": dense_m, **grads}
+
+    def loss():
+        y, _ = batch_pass(model, token_lists)
+        return float(np.sum((y - golds) ** 2))
+
+    numeric = finite_difference(loss, dict(model.named_arrays()))
+    assert analytic.keys() == numeric.keys()
+    assert max_relative_error(analytic, numeric, floor=1e-6) <= 1e-4
 
 
 class TestBackward:
-    @pytest.mark.parametrize("variant", VARIANTS,
-                             ids=lambda v: "{}l{}-{}".format(
-                                 "bi" if v["bidirectional"] else "uni",
-                                 v["layers"], v["peepholes"]))
+    @pytest.mark.parametrize("variant", VARIANTS, ids=variant_id)
     def test_gradients_match_finite_differences(self, variant):
-        model = build_model(vocab=8, embed_dim=3, seed=9, lstm_dim=2,
-                            dropout=0.0, boost=8.0, mscale=1.0, **variant)
-        # a saturated forget bias crushes its own gradient below the
-        # resolution of finite differences, so flatten it for the check
-        for layer in model.fwd_layers + model.bwd_layers:
-            layer.b_f[...] = 0.3
+        model = fd_model(variant)
         tokens = [4, 2, 7, 2]
         gold = 1.0
+        if model.dropout == 0.0:
+            # bptt of forward_essay, the one-essay entry points
+            y, cache = forward_essay(model, tokens)
+            grads, d_inputs = bptt(model, cache, gold)
+            dense_m = np.zeros_like(model.M)
+            cols, rows = column_gradient(cache.ids, d_inputs)
+            dense_m[:, cols] = rows.T
+            analytic = {"M": dense_m, **grads}
 
-        y, cache = forward_essay(model, tokens)
-        grads, d_inputs = bptt(model, cache, gold)
-        dense_m = np.zeros_like(model.M)
-        for col, g in scatter_embedding_grad(tokens, d_inputs).items():
-            dense_m[:, col] = g
-        analytic = {"M": dense_m, **grads}
+            def loss():
+                y, _ = forward_essay(model, tokens)
+                return (y - gold) ** 2
 
-        def loss():
-            y, _ = forward_essay(model, tokens)
-            return (y - gold) ** 2
+            numeric = finite_difference(loss, dict(model.named_arrays()))
+            assert analytic.keys() == numeric.keys()
+            assert max_relative_error(analytic, numeric, floor=1e-6) <= 1e-4
+        else:
+            check_gradients(model, [tokens], [gold])
 
-        numeric = finite_difference(loss, dict(model.named_arrays()))
-        assert analytic.keys() == numeric.keys()
-        assert max_relative_error(analytic, numeric, floor=1e-6) <= 1e-4
+    @pytest.mark.parametrize("variant", VARIANTS, ids=variant_id)
+    def test_batch_gradients_match_finite_differences(self, variant):
+        # lengths 1, 5 and 9 in one lockstep batch: padding, a one-step
+        # essay and repeated tokens across essays
+        check_gradients(fd_model(variant),
+                        [[3], [4, 2, 7, 2, 5], [1, 6, 0, 3, 3, 7, 2, 5, 4]],
+                        [1.0, -0.5, 0.25])
 
     def test_exact_prediction_gives_zero_gradients(self):
         model = build_model(seed=10, bidirectional=True, peepholes="full")
@@ -242,10 +290,23 @@ class TestBackward:
         tokens = [3, 4, 5, 4]
         _, cache = forward_essay(model, tokens)
         _, d_inputs = bptt(model, cache, 0.9)
-        cols = scatter_embedding_grad(tokens, d_inputs)
-        assert set(cols) == {3, 4, 5}
-        # a repeated token accumulates both positions
-        assert np.allclose(cols[4], d_inputs[1] + d_inputs[3], rtol=1e-15)
+        cols, rows = column_gradient(cache.ids, d_inputs)
+        assert list(cols) == [3, 4, 5]
+        # a repeated token accumulates both positions, in order
+        assert np.array_equal(rows[1], d_inputs[1] + d_inputs[3])
+        assert np.array_equal(rows[0], d_inputs[0])
+
+    def test_column_gradient_is_bitwise_the_dense_scatter(self):
+        # many repeats of each id: the sums depend on the addition order
+        rng = np.random.default_rng(12)
+        ids = rng.integers(0, 6, size=40)
+        d_inputs = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(
+            -8, 8, size=(40, 1))
+        dense = np.zeros((3, 9))
+        np.add.at(dense.T, ids, d_inputs)
+        cols, rows = column_gradient(ids, d_inputs)
+        assert list(cols) == sorted(set(ids.tolist()))
+        assert rows.tobytes() == np.ascontiguousarray(dense[:, cols].T).tobytes()
 
     def test_dropout_mask_is_respected(self):
         # with a saved mask, gradients of masked-out units must vanish
@@ -254,10 +315,61 @@ class TestBackward:
         rng = np.random.default_rng(3)
         y, cache = forward_essay(model, tokens, training=True, rng=rng)
         grads, _ = bptt(model, cache, 0.0)
-        mask = cache.masks[0]
+        mask = cache.masks[0]  # (T, width): one essay's rows are its steps
         dead = mask[len(tokens) - 1] == 0.0
         assert np.any(dead)
         assert np.all(grads["head.W_yh"][dead] == 0.0)
+
+
+def normwise_error(a, b):
+    """max |a - b| over max |b|: rounding error relative to the array's scale."""
+    scale = np.max(np.abs(b))
+    return float(np.max(np.abs(a - b)) / scale) if scale > 0 else \
+        float(np.max(np.abs(a)))
+
+
+class TestBatchMatchesReference:
+    """The lockstep, fused-gate path against the per-essay, per-gate loop."""
+
+    @pytest.mark.parametrize("lengths", [(1,), (9,), (1, 5, 9, 3), (4, 4)],
+                             ids=["B1-len1", "B1", "mixed", "equal"])
+    @pytest.mark.parametrize("variant", VARIANTS, ids=variant_id)
+    def test_outputs_and_gradients(self, variant, lengths):
+        model = build_model(vocab=14, embed_dim=5, seed=31, lstm_dim=3,
+                            boost=4.0, **variant)
+        rng = np.random.default_rng(8)
+        token_lists = [list(rng.integers(0, 14, size=L)) for L in lengths]
+        golds = rng.uniform(-1.0, 1.0, size=len(lengths))
+        training = model.dropout > 0.0
+
+        y, cache = forward_batch(model, token_lists, training=training,
+                                 rng=np.random.default_rng(21))
+        grads, d_inputs = backward_batch(model, cache, 2.0 * (y - golds))
+
+        # the reference draws its masks essay by essay from the same stream
+        ref_rng = np.random.default_rng(21)
+        ref_y, ref_d, ref_grads = [], [], {}
+        for tokens, gold in zip(token_lists, golds):
+            yr, c = ref.forward_essay(model, tokens, training=training,
+                                      rng=ref_rng)
+            g, d = ref.bptt(model, c, gold)
+            ref_y.append(yr)
+            ref_d.append(d)
+            for name, arr in g.items():
+                ref_grads[name] = ref_grads.get(name, 0.0) + arr
+        assert normwise_error(y, np.array(ref_y)) <= 1e-12
+        assert normwise_error(d_inputs, np.concatenate(ref_d)) <= 1e-12
+        assert sorted(grads) == sorted(ref_grads)
+        for name, g in ref_grads.items():
+            assert grads[name].shape == g.shape, name
+            assert normwise_error(grads[name], g) <= 1e-12, name
+
+    def test_empty_essay_or_batch_rejected(self):
+        model = build_model()
+        with pytest.raises(DataError):
+            forward_batch(model, [[1, 2], []])
+        with pytest.raises(DataError):
+            forward_batch(model, [])
 
 
 class TestCopy:
@@ -310,6 +422,35 @@ class TestOptimizer:
                              rho=0.9, eps=1e-8, eta=0.05)
         rmsprop_update(state, {"a": a, "b": b}, {"a": g, "b": g.copy()})
         assert np.array_equal(a, b)
+
+    def test_column_step_is_bitwise_the_dense_rule(self):
+        rng = np.random.default_rng(17)
+        M = np.asfortranarray(rng.normal(size=(4, 12)))
+        M[0, 5] = -0.0
+        acc = np.asfortranarray(rng.uniform(0.0, 0.1, size=(4, 12)))
+        acc[:, 7] = 0.0  # a column that was never touched
+        cols = np.array([1, 4, 5, 9])
+        rows = rng.normal(size=(4, 4))
+        rows[2, 1] = 0.0
+        w = rng.normal(size=3)
+        g_w = rng.normal(size=3)
+        dense = np.zeros_like(M)
+        dense[:, cols] = rows.T
+
+        got = {"M": M.copy(order="F"), "w": w.copy()}
+        want = {"M": M.copy(order="F"), "w": w.copy()}
+        state = RMSPropState(acc={"M": acc.copy(order="F"),
+                                  "w": np.zeros(3)}, eta=0.01)
+        ref_state = RMSPropState(acc={"M": acc.copy(order="F"),
+                                      "w": np.zeros(3)}, eta=0.01)
+        for _ in range(3):
+            rmsprop_update(state, got, {"M": (cols, rows), "w": g_w})
+            ref.dense_rmsprop_update(ref_state, want,
+                                     {"M": dense, "w": g_w})
+        for name in ("M", "w"):
+            assert got[name].tobytes() == want[name].tobytes(), name
+            assert state.acc[name].tobytes() \
+                == ref_state.acc[name].tobytes(), name
 
     def test_clip_rescales_to_global_norm(self):
         g1 = np.full((2, 2), 3.0)
@@ -422,6 +563,54 @@ class TestTraining:
                 train_scorer(model, train, val, ranges, hyper)
 
 
+def mixed_corpus(vocab_used=12):
+    """Essays of lengths 1-9 over the first ``vocab_used`` ids."""
+    r = ScoreRange(0, 10)
+    rng = np.random.default_rng(3)
+    lengths = [1, 4, 7, 2, 9, 5, 3, 8, 6, 2]
+    essays = [make_essay(rng.integers(0, vocab_used, size=L), essay_id=k,
+                         raw=float(rng.integers(0, 11)), score_range=r)
+              for k, L in enumerate(lengths)]
+    return essays[:8], essays[8:], {1: r}
+
+
+class TestTrainingMatchesReference:
+    def test_one_epoch_follows_the_per_essay_loop(self):
+        train, val, ranges = mixed_corpus()
+        hyper = SeqHyper(lstm_dim=3, layers=2, bidirectional=True,
+                         peepholes="full", dropout=0.5, learning_rate=0.01,
+                         epochs=1, batch_size=3, seed=4)
+        model = build_model(vocab=16, embed_dim=4, seed=33, lstm_dim=3,
+                            layers=2, bidirectional=True, peepholes="full",
+                            dropout=0.5, boost=2.0)
+        oracle = model.copy()
+        best, history = train_scorer(model, train, val, ranges, hyper)
+
+        rng = np.random.default_rng(hyper.seed)
+        state = RMSPropState.for_model(oracle, hyper)
+        sq_sum = ref.train_epoch(oracle, train, hyper, rng, state)
+        assert history[0].train_mse == pytest.approx(sq_sum / len(train),
+                                                     rel=1e-10)
+        for (name, a), (_, b) in zip(best.named_arrays(),
+                                     oracle.named_arrays()):
+            assert normwise_error(a, b) <= 1e-10, name
+
+    def test_untouched_columns_are_bitwise_unchanged(self):
+        train, val, ranges = mixed_corpus(vocab_used=12)
+        hyper = SeqHyper(lstm_dim=3, dropout=0.3, peepholes="full",
+                         learning_rate=0.05, epochs=3, batch_size=3, seed=2)
+        model = build_model(vocab=16, embed_dim=4, seed=34, lstm_dim=3,
+                            dropout=0.3, peepholes="full")
+        model.M = np.asfortranarray(model.M)
+        before = model.M.copy(order="F")
+        best, _ = train_scorer(model, train, val, ranges, hyper)
+        touched = sorted({t for e in train for t in e.tokens})
+        untouched = [c for c in range(16) if c not in touched]
+        assert untouched and touched
+        assert best.M[:, untouched].tobytes() == before[:, untouched].tobytes()
+        assert not np.array_equal(best.M[:, touched], before[:, touched])
+
+
 class TestPredict:
     def setup_method(self):
         self.model = build_model(vocab=9, seed=30)
@@ -450,6 +639,21 @@ class TestPredict:
         self.model.b_y[0] = 12.0
         got = predict(self.model, self.essays, self.ranges, normalized=False)
         assert got[0] == 10.0
+
+    def test_batched_predictions_keep_input_order(self):
+        # more essays than one inference chunk, in no order of length
+        model = build_model(vocab=9, seed=35, bidirectional=True, layers=2,
+                            peepholes="diagonal", boost=4.0)
+        rng = np.random.default_rng(9)
+        essays = [make_essay(rng.integers(0, 9, size=int(L)), essay_id=k,
+                             raw=5.0)
+                  for k, L in enumerate(rng.integers(1, 12, size=45))]
+        got = predict(model, essays, self.ranges)
+        for k, essay in enumerate(essays):
+            y, _ = forward_essay(model, essay.tokens)
+            want = self.ranges[1].clamp(
+                self.ranges[1].unscale(min(max(y, 0.0), 1.0)))
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_unknown_set_rejected(self):
         stray = [make_essay([1], essay_id=2, set_id=3, raw=1.0)]
@@ -487,6 +691,38 @@ class TestPersistence:
         y_orig, _ = forward_essay(model, tokens)
         y_load, _ = forward_essay(loaded, tokens)
         assert y_orig == y_load
+
+    # sha256 of the saved bytes, computed with the per-gate layer layout
+    # this format was defined with; the fused buffers must not move a byte
+    PINNED = [
+        (dict(bidirectional=True, layers=2, peepholes="full", dropout=0.25),
+         "7a4b8a0d4b659815b53e7acf6aa59b605dcb27f233be566a3fd4d15893f328cf"),
+        (dict(bidirectional=False, layers=1, peepholes="diagonal",
+              dropout=0.0),
+         "ac99c82fb3040e69e0f433dc32126947f292d7a5fff95e66345e4034ca5b39fc"),
+        (dict(bidirectional=True, layers=1, peepholes="off", dropout=0.5),
+         "ed8aacfd544854f4953478099966b9408175d6680bc1b73b829d78e218a08fe3"),
+    ]
+
+    @pytest.mark.parametrize("arch,digest", PINNED,
+                             ids=["bi2-full", "uni1-diag", "bi1-off"])
+    def test_seeded_model_bytes_are_pinned(self, tmp_path, arch, digest):
+        rng = np.random.default_rng(2024)
+        M = rng.uniform(-0.05, 0.05, size=(4, 11))
+        model = SeqModel.init(M, SeqHyper(lstm_dim=3, **arch), rng)
+        path = tmp_path / "m.sats"
+        save_model(path, model, config_hash="0123abcd4567ef89")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_non_utf8_hash_rejected(self, tmp_path):
+        model = build_model(vocab=6, seed=43)
+        path = tmp_path / "model.sats"
+        save_model(path, model, config_hash="ab")
+        raw = bytearray(path.read_bytes())
+        raw[-1] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.sats"
