@@ -44,35 +44,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Pending:
-    """Collects finished temp files, then moves them into place together.
+    """Temp files moved into place together when the ``with`` block ends.
 
-    A command that fails mid-way leaves only ``.tmp`` debris behind,
-    never a partial primary artifact.
+    A command that fails mid-way, even while moving, leaves neither a
+    partial primary artifact nor ``.tmp`` debris behind.
     """
 
     def __init__(self):
         self.moves: list[tuple[str, str]] = []
 
     def path_for(self, final) -> str:
-        final = str(final)
-        tmp = final + ".tmp"
-        self.moves.append((tmp, final))
+        tmp = str(final) + ".tmp"
+        self.moves.append((tmp, str(final)))
         return tmp
 
     def write_text(self, final, text: str):
         with open(self.path_for(final), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
-    def commit(self):
-        for tmp, final in self.moves:
-            os.replace(tmp, final)
-        self.moves.clear()
+    def __enter__(self):
+        return self
 
-    def discard(self):
-        for tmp, _ in self.moves:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        self.moves.clear()
+    def __exit__(self, exc_type, *exc):
+        try:
+            if exc_type is None:
+                for tmp, final in self.moves:
+                    os.replace(tmp, final)
+        finally:
+            for tmp, _ in self.moves:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
 
 
 def _resolve_config(args) -> cfgmod.Config:
@@ -109,6 +110,12 @@ def _with_targets(essays, cfg):
     return [dataclasses.replace(e, scaled_score=e.raw_score) for e in essays]
 
 
+def _windows(essays, cfg):
+    """Every essay's embedding-training windows, essay after essay."""
+    return [w for essay in essays
+            for w in corpusmod.extract_windows(essay, cfg.window_size)]
+
+
 def _pseudo_bounds(cfg, score_range):
     if cfg.normalize_scores:
         return 1.0, 0.0
@@ -132,8 +139,7 @@ def cmd_ingest(args) -> int:
     os.makedirs(cfg.splits_dir, exist_ok=True)
     manifest_paths = {name: os.path.join(cfg.splits_dir, fname)
                       for name, fname in MANIFEST_NAMES.items()}
-    pending = _Pending()
-    try:
+    with _Pending() as pending:
         if all(os.path.exists(p) for p in manifest_paths.values()):
             print("reusing existing split manifests")
             sizes = {name: len(corpusmod.read_manifest(p))
@@ -148,10 +154,6 @@ def cmd_ingest(args) -> int:
         corpusmod.save_corpus_cache(
             pending.path_for(os.path.join(cfg.splits_dir, CACHE_NAME)),
             corpus, chash)
-        pending.commit()
-    except BaseException:
-        pending.discard()
-        raise
     print(f"ingested {len(corpus.essays)} essays "
           f"({len(corpus.vocab)} vocabulary entries); splits: "
           f"{sizes['train']}/{sizes['val']}/{sizes['test']}")
@@ -163,16 +165,13 @@ def cmd_train_embeddings(args) -> int:
     chash = cfgmod.config_hash(cfg)
     corpus, _ = _load_cache(cfg)
     train = _with_targets(_load_split(cfg, corpus, "train"), cfg)
-    windows = []
-    for essay in train:
-        windows.extend(corpusmod.extract_windows(essay, cfg.window_size))
+    windows = _windows(train, cfg)
     params, history = sswemod.train_sswe(windows, corpus.vocab,
                                          cfg.sswe_hyper())
 
     os.makedirs(cfg.models_dir, exist_ok=True)
     os.makedirs(cfg.reports_dir, exist_ok=True)
-    pending = _Pending()
-    try:
+    with _Pending() as pending:
         sswemod.save_embeddings(
             pending.path_for(os.path.join(cfg.models_dir, EMBEDDINGS_NAME)),
             params, corpus.vocab, chash)
@@ -181,10 +180,6 @@ def cmd_train_embeddings(args) -> int:
                  f"{h.loss_score!r}" for h in history]
         pending.write_text(os.path.join(cfg.reports_dir, "embed_history.csv"),
                            "\n".join(rows) + "\n")
-        pending.commit()
-    except BaseException:
-        pending.discard()
-        raise
     last = history[-1] if history else None
     tail = (f"; final loss {last.loss_overall:.6f}" if last else "")
     print(f"trained embeddings on {len(windows)} windows"
@@ -227,8 +222,7 @@ def cmd_train_scorer(args) -> int:
 
     os.makedirs(cfg.models_dir, exist_ok=True)
     os.makedirs(cfg.reports_dir, exist_ok=True)
-    pending = _Pending()
-    try:
+    with _Pending() as pending:
         lstmmod.save_model(
             pending.path_for(os.path.join(cfg.models_dir, MODEL_NAME)),
             best, chash)
@@ -236,10 +230,6 @@ def cmd_train_scorer(args) -> int:
         rows += [f"{h.epoch},{h.train_mse!r},{h.val_rmse!r}" for h in history]
         pending.write_text(os.path.join(cfg.reports_dir, "scorer_history.csv"),
                            "\n".join(rows) + "\n")
-        pending.commit()
-    except BaseException:
-        pending.discard()
-        raise
     if history:
         best_rmse = min(h.val_rmse for h in history)
         print(f"trained scorer for {len(history)} epochs; "
@@ -262,8 +252,7 @@ def cmd_evaluate(args) -> int:
     model_name = os.path.basename(model_path)
 
     os.makedirs(cfg.reports_dir, exist_ok=True)
-    pending = _Pending()
-    try:
+    with _Pending() as pending:
         for name in splits:
             essays = _load_split(cfg, corpus, name)
             # A split over several essay sets still yields one report
@@ -286,10 +275,6 @@ def cmd_evaluate(args) -> int:
                 f"{rep.pretty()}\n")
             print(f"[{name}]")
             print(rep.pretty())
-        pending.commit()
-    except BaseException:
-        pending.discard()
-        raise
     return 0
 
 
@@ -308,9 +293,8 @@ def cmd_visualize(args) -> int:
         raise ConfigError("--ids named no essays")
 
     os.makedirs(cfg.heatmaps_dir, exist_ok=True)
-    pending = _Pending()
     index_rows = [f"# config {chash}", "essay_id,predicted,mean_q"]
-    try:
+    with _Pending() as pending:
         for eid in ids:
             try:
                 essay = corpus.by_id(eid)
@@ -335,18 +319,12 @@ def cmd_visualize(args) -> int:
             index_rows.append(f"{eid},{qmap.predicted!r},{qmap.mean_quality!r}")
         pending.write_text(os.path.join(cfg.heatmaps_dir, "index.csv"),
                            "\n".join(index_rows) + "\n")
-        pending.commit()
-    except BaseException:
-        pending.discard()
-        raise
     return 0
 
 
 def _run_trial(cfg, corpus, train, val) -> float:
-    windows = []
-    for essay in train:
-        windows.extend(corpusmod.extract_windows(essay, cfg.window_size))
-    params, _ = sswemod.train_sswe(windows, corpus.vocab, cfg.sswe_hyper())
+    params, _ = sswemod.train_sswe(_windows(train, cfg), corpus.vocab,
+                                   cfg.sswe_hyper())
     rng = np.random.default_rng(cfg.seed)
     model = lstmmod.SeqModel.init(params.M, cfg.seq_hyper(), rng)
     _, history = lstmmod.train_scorer(model, train, val, corpus.ranges,
@@ -389,30 +367,20 @@ def cmd_search(args) -> int:
             best_cfg = tcfg
 
     os.makedirs(cfg.reports_dir, exist_ok=True)
-    pending = _Pending()
-    try:
+    with _Pending() as pending:
         pending.write_text(os.path.join(cfg.reports_dir, "search_trials.csv"),
                            "\n".join(rows) + "\n")
         cfgmod.write_config(
             pending.path_for(os.path.join(cfg.reports_dir, "best_config.cfg")),
             best_cfg, header=f"config {chash}")
-        pending.commit()
-    except BaseException:
-        pending.discard()
-        raise
     print(f"best validation RMSE {best_rmse:.4f}")
     return 0
 
 
 def cmd_synth(args) -> int:
     seed = int(args.seed) if args.seed is not None else 0
-    pending = _Pending()
-    try:
+    with _Pending() as pending:
         pending.write_text(args.out, synthmod.generate(args.profile, seed))
-        pending.commit()
-    except BaseException:
-        pending.discard()
-        raise
     print(f"wrote {args.profile} corpus to {args.out}")
     return 0
 

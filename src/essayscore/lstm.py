@@ -54,15 +54,14 @@ a zero gradient leaves a weight unchanged when ``eps_rms > 0``.
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
+from . import artifact
 from .corpus import Essay, ScoreRange
-from .errors import ConfigError, DataError, ModelFormatError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 MODEL_MAGIC = b"SATS"
 MODEL_VERSION = 1
@@ -851,43 +850,22 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
 
 # --- persistence --------------------------------------------------------
 
-_PEEP_CODES = {"off": 0, "diagonal": 1, "full": 2}
-_PEEP_NAMES = {v: k for k, v in _PEEP_CODES.items()}
+_PEEP_CODES = ("off", "diagonal", "full")  # on disk: the index
 
 
 def save_model(path, model: SeqModel, config_hash: str = ""):
-    """Versioned binary dump: magic, architecture, all tensors, hash.
+    """Versioned dump in the :mod:`essayscore.artifact` container.
 
-    Tensors are 64-bit little-endian in ``named_arrays`` order; the
-    embedding matrix is stored column-major like the embedding file.
+    Header: the architecture and the dropout. Then the tensors in
+    ``named_arrays`` order, ``M`` column-major, and the config hash.
     """
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack(
-            "<7I d", MODEL_VERSION, model.vocab_size, model.embed_dim,
-            model.lstm_dim, model.n_layers, int(model.bidirectional),
-            _PEEP_CODES[model.peepholes], model.dropout))
+    with artifact.writing(path, MODEL_MAGIC, MODEL_VERSION) as out:
+        out.header("6I d", model.vocab_size, model.embed_dim, model.lstm_dim,
+                   model.n_layers, int(model.bidirectional),
+                   _PEEP_CODES.index(model.peepholes), model.dropout)
         for name, arr in model.named_arrays():
-            if name == "M":
-                fh.write(np.asfortranarray(arr, dtype="<f8").tobytes(order="F"))
-            else:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        raw = config_hash.encode("utf-8")
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-
-
-def _bytes_left(fh) -> int:
-    return os.fstat(fh.fileno()).st_size - fh.tell()
-
-
-def _read_exact(fh, count, path):
-    if count > _bytes_left(fh):
-        raise ModelFormatError(f"truncated model file {path}")
-    raw = fh.read(count)
-    if len(raw) != count:
-        raise ModelFormatError(f"truncated model file {path}")
-    return raw
+            out.tensor(arr, "F" if name == "M" else "C")
+        out.text(config_hash)
 
 
 def _n_params(v, d, dim, layers, bidirectional, peepholes) -> int:
@@ -903,54 +881,26 @@ def _n_params(v, d, dim, layers, bidirectional, peepholes) -> int:
 
 
 def load_model(path) -> tuple[SeqModel, str]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MODEL_MAGIC:
-            raise ModelFormatError(f"{path} is not a model file (magic {magic!r})")
-        version, v, d, dim, layers, bi, peep_code, dropout = struct.unpack(
-            "<7I d", _read_exact(fh, 36, path))
-        if version != MODEL_VERSION:
-            raise ModelFormatError(f"unsupported model format version {version}")
-        if peep_code not in _PEEP_NAMES or layers not in (1, 2):
-            raise ModelFormatError(f"corrupt architecture descriptor in {path}")
-        peepholes = _PEEP_NAMES[peep_code]
+    """Read a :func:`save_model` file.
+
+    An invalid architecture, a zero embed dim and trailing bytes are
+    :class:`ModelFormatError` (exit 2).
+    """
+    with artifact.reading(path, MODEL_MAGIC, MODEL_VERSION,
+                          "model file") as inp:
+        v, d, dim, layers, bi, peep_code, dropout = inp.header("6I d")
+        if peep_code >= len(_PEEP_CODES) or bi > 1 or d < 1:
+            raise inp.error("corrupt architecture descriptor")
+        peepholes = _PEEP_CODES[peep_code]
         hyper = SeqHyper(lstm_dim=dim, layers=layers, bidirectional=bool(bi),
                          dropout=dropout, peepholes=peepholes)
-        try:
-            hyper.validate()
-        except ConfigError as exc:
-            raise ModelFormatError(
-                f"corrupt architecture descriptor in {path}: {exc}") from exc
-        # tensors plus the hash length, checked before anything of the
-        # declared size is allocated
-        need = 8 * _n_params(v, d, dim, layers, bool(bi), peepholes) + 4
-        if need > _bytes_left(fh):
-            raise ModelFormatError(f"truncated model file {path}")
-        model = SeqModel.init(np.zeros((d, v), order="F"), hyper,
+        inp.validate(hyper)
+        # tensors plus the hash length, checked before the model is built
+        inp.require(8 * _n_params(v, d, dim, layers, bool(bi), peepholes) + 4)
+        model = SeqModel.init(inp.tensor((d, v), "F"), hyper,
                               np.random.default_rng(0))
         for name, arr in model.named_arrays():
-            raw = _read_exact(fh, 8 * arr.size, path)
-            if name == "M":
-                arr[...] = np.frombuffer(raw, dtype="<f8").reshape(
-                    arr.shape, order="F")
-            else:
-                arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        try:
-            config_hash = _read_exact(fh, hlen, path).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(
-                f"config hash in {path} is not UTF-8") from exc
-        if fh.read(1):
-            raise ModelFormatError(f"trailing bytes in model file {path}")
+            if name != "M":
+                arr[...] = inp.tensor(arr.shape)
+        config_hash = inp.text()
     return model, config_hash
-
-
-def write_history_csv(path, history: list[EpochRecord], config_hash: str = ""):
-    """Training curve as `epoch,train_mse,val_rmse` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if config_hash:
-            fh.write(f"# config {config_hash}\n")
-        fh.write("epoch,train_mse,val_rmse\n")
-        for rec in history:
-            fh.write(f"{rec.epoch},{rec.train_mse!r},{rec.val_rmse!r}\n")

@@ -17,14 +17,14 @@ back as a row per touched column: ``cols`` and ``m_grad``.
 
 from __future__ import annotations
 
-import os
-import struct
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifact
 from .corpus import N_SPECIALS, Vocabulary, WindowSample, corrupt_window
-from .errors import ConfigError, ModelFormatError, NumericalError
+from .errors import ConfigError, NumericalError
 
 EMBEDDING_MAGIC = b"SSWE"
 EMBEDDING_VERSION = 1
@@ -406,84 +406,42 @@ def cosine_distance(params: SSWEParams, vocab: Vocabulary,
 
 def save_embeddings(path, params: SSWEParams, vocab: Vocabulary,
                     config_hash: str = ""):
-    """Versioned binary dump: header, vocabulary, then all tensors.
+    """Versioned dump in the :mod:`essayscore.artifact` container.
 
-    Layout: magic, version u32, vocab size u32, embed dim u32, window
-    size u32, hidden dim u32, length-prefixed UTF-8 tokens, the embedding
-    matrix column-major as little-endian f64, the remaining tensors in
-    declared order, and a trailing length-prefixed config hash.
+    Header: vocab size, embed dim, window size, hidden dim. Then the
+    tokens, the embedding matrix column-major, the remaining tensors in
+    declared order and the config hash.
     """
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<5I", EMBEDDING_VERSION, params.vocab_size,
-                             params.embed_dim, params.window_size,
-                             params.hidden_dim))
+    with artifact.writing(path, EMBEDDING_MAGIC, EMBEDDING_VERSION) as out:
+        out.header("4I", params.vocab_size, params.embed_dim,
+                   params.window_size, params.hidden_dim)
         for token in vocab.id_to_token:
-            raw = token.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        fh.write(np.asfortranarray(params.M, dtype="<f8").tobytes(order="F"))
+            out.text(token)
+        out.tensor(params.M, "F")
         for name in params.dense_names():
-            fh.write(np.ascontiguousarray(getattr(params, name),
-                                          dtype="<f8").tobytes())
-        raw = config_hash.encode("utf-8")
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-
-
-def _read_exact(fh, count, path, size):
-    # A count read from a forged header is checked against the bytes
-    # left in the file (``size`` in all) before anything of that size is
-    # allocated.
-    if count > size - fh.tell():
-        raise ModelFormatError(f"truncated embedding file {path}")
-    raw = fh.read(count)
-    if len(raw) != count:
-        raise ModelFormatError(f"truncated embedding file {path}")
-    return raw
-
-
-def _decode(raw: bytes, path) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: text field is not UTF-8") from exc
+            out.tensor(getattr(params, name))
+        out.text(config_hash)
 
 
 def load_embeddings(path) -> tuple[SSWEParams, Vocabulary, str]:
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(4)
-        if magic != EMBEDDING_MAGIC:
-            raise ModelFormatError(
-                f"{path} is not an embedding file (magic {magic!r})")
-        version, v, d, n, h = struct.unpack("<5I", _read_exact(fh, 20, path, size))
-        if version != EMBEDDING_VERSION:
-            raise ModelFormatError(f"unsupported embedding format version {version}")
-        tokens = []
-        for _ in range(v):
-            (tlen,) = struct.unpack("<I", _read_exact(fh, 4, path, size))
-            tokens.append(_decode(_read_exact(fh, tlen, path, size), path))
-        if tokens[:N_SPECIALS] != Vocabulary([]).id_to_token:
-            raise ModelFormatError(f"{path}: special tokens out of place")
-        vocab = Vocabulary(tokens[N_SPECIALS:])
-        M = np.frombuffer(_read_exact(fh, 8 * d * v, path, size),
-                          dtype="<f8").reshape(d, v, order="F").copy(order="F")
-        shapes = {"W_hi": (h, n * d), "b_h": (h,), "W_oh2": (h,), "b_o2": (1,),
-                  "W_oh1": (h,), "b_o1": (1,)}
-        tensors = {}
-        for name, shape in shapes.items():
-            count = int(np.prod(shape))
-            tensors[name] = np.frombuffer(
-                _read_exact(fh, 8 * count, path, size), dtype="<f8").reshape(shape).copy()
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path, size))
-        config_hash = _decode(_read_exact(fh, hlen, path, size), path)
-    return SSWEParams(M=M, **tensors), vocab, config_hash
+    """Read a :func:`save_embeddings` file.
 
-
-def export_embeddings_text(path, params: SSWEParams, vocab: Vocabulary):
-    """Plain-text export: one `token v1 ... vD` line per word."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, token in enumerate(vocab.id_to_token):
-            vec = " ".join(repr(float(x)) for x in params.M[:, i])
-            fh.write(f"{token} {vec}\n")
+    Zero or invalid dimensions, misplaced or duplicate tokens and
+    trailing bytes are :class:`ModelFormatError` (exit 2).
+    """
+    with artifact.reading(path, EMBEDDING_MAGIC, EMBEDDING_VERSION,
+                          "embedding file") as inp:
+        v, d, n, h = inp.header("4I")
+        inp.validate(SSWEHyper(embed_dim=d, hidden_dim=h, window_size=n))
+        shapes = {"M": (d, v), "W_hi": (h, n * d), "b_h": (h,), "W_oh2": (h,),
+                  "b_o2": (1,), "W_oh1": (h,), "b_o1": (1,)}
+        # token length prefixes, tensors and the hash length
+        inp.require(4 * v + 8 * sum(map(math.prod, shapes.values())) + 4)
+        tokens = [inp.text() for _ in range(v)]
+        if tokens[:N_SPECIALS] != Vocabulary([]).id_to_token \
+                or len(set(tokens)) != v:
+            raise inp.error("special tokens out of place or duplicate tokens")
+        tensors = {name: inp.tensor(shape, "F" if name == "M" else "C")
+                   for name, shape in shapes.items()}
+        config_hash = inp.text()
+    return SSWEParams(**tensors), Vocabulary(tokens[N_SPECIALS:]), config_hash

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import essayscore
 from essayscore.corpus import Essay, ScoreRange, Vocabulary
 
 
@@ -46,3 +52,30 @@ def max_relative_error(analytic, numeric, floor=1e-8):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+# Runs ``module:function(argv)`` in a child under a 2 GiB address-space
+# limit set on the child alone, after its imports, so an allocation sized
+# from a forged header fails instead of being lazily granted by the
+# kernel. The function's return value is the child's exit code.
+_LIMITED = """
+import importlib, resource, sys
+module, name = sys.argv[1].split(":")
+fn = getattr(importlib.import_module(module), name)
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.exit(fn(sys.argv[2:]))
+"""
+
+
+def run_limited(target, argv):
+    paths = [str(Path(essayscore.__file__).parents[1]),
+             str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-c", _LIMITED, target, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def run_limited_cli(argv):
+    return run_limited("essayscore.cli:main", argv)

@@ -1,24 +1,22 @@
 """Configuration handling and end-to-end command-line runs."""
 
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import essayscore
 from essayscore.cli import main
 from essayscore.config import (Config, SearchSpace, config_hash, load_config,
                                parse_config_text, serialize_config,
                                write_config)
 from essayscore.corpus import Vocabulary, load_corpus_cache, read_manifest
 from essayscore.errors import ConfigError
-from essayscore.lstm import MODEL_MAGIC, load_model, save_model
+from essayscore.lstm import (MODEL_MAGIC, SeqHyper, SeqModel, load_model,
+                             save_model)
 from essayscore.sswe import (EMBEDDING_MAGIC, SSWEHyper, SSWEParams,
-                             save_embeddings)
+                             load_embeddings, save_embeddings)
+
+from conftest import run_limited_cli
 
 
 class TestConfigParsing:
@@ -418,6 +416,16 @@ class TestVisualizeCommand:
                      "--ids", "999"]) == 2
         capsys.readouterr()
 
+    def test_missing_id_leaves_no_heatmap(self, workspace, tmp_path, capsys):
+        # essay 4 renders before 999 fails; nothing of the run may remain
+        root, cfgpath = workspace
+        maps = tmp_path / "maps"
+        assert main(["--config", str(cfgpath), "--heatmaps-dir", str(maps),
+                     "visualize", "--ids", "4,999"]) == 2
+        capsys.readouterr()
+        assert maps.is_dir()
+        assert list(maps.iterdir()) == []
+
 
 class TestSearchCommand:
     def test_single_trial_is_deterministic(self, workspace, capsys):
@@ -469,25 +477,6 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
-# Runs the CLI under a 2 GiB address-space limit set on the child alone,
-# so an allocation sized from a forged header fails instead of being
-# lazily granted by the kernel.
-_LIMITED_CLI = """
-import resource, sys
-from essayscore.cli import main
-resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-sys.exit(main(sys.argv[1:]))
-"""
-
-
-def run_limited_cli(argv):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(Path(essayscore.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
-
-
 class TestForgedHeaders:
     """Headers declaring huge tensors are format errors (exit 2)."""
 
@@ -532,6 +521,36 @@ class TestForgedHeaders:
                    "--embeddings", str(forged)])
         assert rc == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_zero_embed_dim_embedding_file(self, workspace, tmp_path, capsys):
+        # the corpus's own vocabulary and tensors that fit the header: only
+        # embed_dim = 0 is wrong, and it must not reach the scorer
+        root, cfgpath = workspace
+        _, vocab, _ = load_embeddings(root / "models" / "embeddings.sswe")
+        v, n, h = len(vocab), 3, 2
+        tokens = b"".join(struct.pack("<I", len(t.encode())) + t.encode()
+                          for t in vocab.id_to_token)
+        forged = tmp_path / "zero.sswe"
+        forged.write_bytes(EMBEDDING_MAGIC + struct.pack("<5I", 1, v, 0, n, h)
+                           + tokens + struct.pack(f"<{3 * h + 2}d",
+                                                  *([0.0] * (3 * h + 2)))
+                           + struct.pack("<I", 0))
+        rc = main(["--config", str(cfgpath), "train-scorer",
+                   "--embeddings", str(forged)])
+        assert rc == 2
+        assert "corrupt architecture" in capsys.readouterr().err
+
+    def test_zero_embed_dim_model_file(self, workspace, tmp_path, capsys):
+        root, cfgpath = workspace
+        model, _ = load_model(root / "models" / "model.sats")
+        empty = SeqModel.init(np.zeros((0, model.vocab_size), order="F"),
+                              SeqHyper(lstm_dim=4), np.random.default_rng(0))
+        forged = tmp_path / "zero.sats"
+        save_model(forged, empty)
+        rc = main(["--config", str(cfgpath), "evaluate",
+                   "--model", str(forged), "--split", "val"])
+        assert rc == 2
+        assert "corrupt architecture" in capsys.readouterr().err
 
     @pytest.mark.parametrize("v,d,dim", [(3, 2 ** 31, 4), (3, 4, 2 ** 31)],
                              ids=["embed_dim", "lstm_dim"])

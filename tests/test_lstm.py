@@ -10,13 +10,12 @@ import pytest
 from essayscore.corpus import ScoreRange
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
-from essayscore.lstm import (EpochRecord, FORGET_BIAS, LSTMLayer,
+from essayscore.lstm import (FORGET_BIAS, LSTMLayer,
                              RMSPropState, SeqHyper, SeqModel, _n_params,
                              backward_batch, bptt, clip_gradients,
                              column_gradient, forward_batch, forward_essay,
                              load_model, predict, predict_scaled,
-                             rmsprop_update, save_model, train_scorer,
-                             write_history_csv)
+                             rmsprop_update, save_model, train_scorer)
 
 import reference_lstm as ref
 from conftest import finite_difference, make_essay, max_relative_error
@@ -714,6 +713,18 @@ class TestPersistence:
         save_model(path, model, config_hash="0123abcd4567ef89")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("arch", [arch for arch, _ in PINNED],
+                             ids=["bi2-full", "uni1-diag", "bi1-off"])
+    def test_seeded_model_resaves_identically(self, tmp_path, arch):
+        rng = np.random.default_rng(2024)
+        M = rng.uniform(-0.05, 0.05, size=(4, 11))
+        model = SeqModel.init(M, SeqHyper(lstm_dim=3, **arch), rng)
+        path, again = tmp_path / "m.sats", tmp_path / "again.sats"
+        save_model(path, model, config_hash="0123abcd4567ef89")
+        loaded, tag = load_model(path)
+        save_model(again, loaded, tag)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_non_utf8_hash_rejected(self, tmp_path):
         model = build_model(vocab=6, seed=43)
         path = tmp_path / "model.sats"
@@ -747,17 +758,11 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_zero_embed_dim_rejected(self, tmp_path):
+        model = SeqModel.init(np.zeros((0, 6), order="F"), SeqHyper(lstm_dim=3),
+                              np.random.default_rng(0))
+        path = tmp_path / "model.sats"
+        save_model(path, model)
+        with pytest.raises(ModelFormatError, match="corrupt architecture"):
+            load_model(path)
 
-class TestHistoryCsv:
-    def test_rows_round_trip(self, tmp_path):
-        history = [EpochRecord(0, 0.25, 1.5), EpochRecord(1, 1 / 3, 0.1)]
-        path = tmp_path / "history.csv"
-        write_history_csv(path, history, config_hash="deadbeef00112233")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# config deadbeef00112233"
-        assert lines[1] == "epoch,train_mse,val_rmse"
-        assert len(lines) == 4
-        epoch, mse, rmse = lines[3].split(",")
-        assert int(epoch) == 1
-        assert float(mse) == 1 / 3
-        assert float(rmse) == 0.1

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from essayscore.sswe import (
     backward,
     cosine_distance,
     embed_window,
-    export_embeddings_text,
     forward,
     htanh,
     htanh_grad_mask,
@@ -488,6 +489,58 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="magic"):
             load_embeddings(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        vocab = Vocabulary(["alpha", "beta"])
+        hyper = SSWEHyper(embed_dim=3, hidden_dim=4, window_size=3)
+        p = SSWEParams.init(len(vocab), hyper, np.random.default_rng(4))
+        path = tmp_path / "emb.sswe"
+        save_embeddings(path, p, vocab)
+        path.write_bytes(path.read_bytes() + b"x")
+        with pytest.raises(ModelFormatError, match="trailing"):
+            load_embeddings(path)
+
+    def test_even_window_rejected(self, tmp_path):
+        # a consistent file whose header says window 4: the tensors fit,
+        # the architecture does not
+        vocab = Vocabulary(["alpha", "beta"])
+        rng = np.random.default_rng(5)
+        d, h = 3, 2
+        p = SSWEParams(M=rng.uniform(size=(d, len(vocab))),
+                       W_hi=rng.uniform(size=(h, 4 * d)), b_h=np.zeros(h),
+                       W_oh2=rng.uniform(size=h), b_o2=np.zeros(1),
+                       W_oh1=rng.uniform(size=h), b_o1=np.zeros(1))
+        assert p.window_size == 4
+        path = tmp_path / "emb.sswe"
+        save_embeddings(path, p, vocab)
+        with pytest.raises(ModelFormatError, match="corrupt architecture"):
+            load_embeddings(path)
+
+    # sha256 of the saved bytes, computed with the embedding file's own
+    # reader and writer before both formats shared one container
+    PINNED = [
+        (["alpha", "beta", "gamma"], dict(embed_dim=3, hidden_dim=4,
+                                          window_size=3), "0123abcd4567ef89",
+         "9aefb3e92155d530734aa68f2e249e25952061416644d6a5734cb6d4b5fb4057"),
+        (["naïve", "café", "日本語"], dict(embed_dim=5, hidden_dim=2,
+                                         window_size=5), "cafe01",
+         "1aad24732d3f9585838460e0f5ab046110d6d951e17d8117797b76ae87aecd87"),
+        ([], dict(embed_dim=2, hidden_dim=3, window_size=7), "",
+         "a60d8bb1cd3d11bafb624a00a566948996f26ebd906c070eccf6e2766014bb50"),
+    ]
+
+    @pytest.mark.parametrize("words,hyper,chash,digest", PINNED,
+                             ids=["ascii", "non-ascii", "specials-only"])
+    def test_seeded_embedding_bytes_are_pinned(self, tmp_path, words, hyper,
+                                               chash, digest):
+        vocab = Vocabulary(words)
+        p = SSWEParams.init(len(vocab), SSWEHyper(**hyper),
+                            np.random.default_rng(2024))
+        path, again = tmp_path / "e.sswe", tmp_path / "again.sswe"
+        save_embeddings(path, p, vocab, config_hash=chash)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        save_embeddings(again, *load_embeddings(path))
+        assert again.read_bytes() == path.read_bytes()
+
     def test_truncation(self, tmp_path):
         vocab = Vocabulary(["alpha", "beta"])
         hyper = SSWEHyper(embed_dim=3, hidden_dim=4, window_size=3)
@@ -498,15 +551,3 @@ class TestPersistence:
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(ModelFormatError, match="truncated"):
             load_embeddings(path)
-
-    def test_text_export(self, tmp_path):
-        vocab = Vocabulary(["word"])
-        hyper = SSWEHyper(embed_dim=2, hidden_dim=2, window_size=3)
-        p = SSWEParams.init(len(vocab), hyper, np.random.default_rng(0))
-        path = tmp_path / "emb.txt"
-        export_embeddings_text(path, p, vocab)
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(vocab)
-        name, *vec = lines[-1].split(" ")
-        assert name == "word"
-        assert np.allclose([float(x) for x in vec], p.M[:, 3])
