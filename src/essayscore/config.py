@@ -19,7 +19,18 @@ from .errors import ConfigError
 
 @dataclass
 class Config:
-    """Every knob of the pipeline, with the best-known defaults."""
+    """Every knob of the pipeline, with the best-known defaults.
+
+    One ``learning_rate`` drives both the SSWE step (plain SGD:
+    ``eta * gradient``) and the scorer's RMSprop step (about ``eta`` per
+    coordinate), and ``search`` draws one eta for both. It stays one key
+    because it is a single hyperparameter of the random search, which
+    judges a trial by the scorer's validation RMSE alone, and because the
+    config hash every artifact records covers every key, so a new key
+    would change the hash of every existing configuration. The stages run
+    as separate commands, so each can take its own value through
+    ``--learning-rate`` on its own command line.
+    """
 
     # shared
     seed: int = 0

@@ -203,7 +203,11 @@ class SeqModel:
 
     @classmethod
     def init(cls, M: np.ndarray, hyper: SeqHyper, rng) -> "SeqModel":
-        """Fresh model around an embedding matrix (owned, not copied)."""
+        """Fresh model around an embedding matrix (owned, not copied).
+
+        With ``rng=None`` every layer and head array is left zero-filled
+        (the forget bias at its constant) for a loader to fill in.
+        """
         hyper.validate()
         d_in = M.shape[0]
         fwd, bwd = [], []
@@ -214,7 +218,8 @@ class SeqModel:
             if hyper.bidirectional:
                 bwd.append(LSTMLayer(width_in, hyper.lstm_dim, hyper.peepholes, rng))
         width_out = hyper.lstm_dim * (2 if hyper.bidirectional else 1)
-        W_yh = rng.uniform(-INIT_SCALE, INIT_SCALE, size=width_out)
+        W_yh = np.zeros(width_out) if rng is None else \
+            rng.uniform(-INIT_SCALE, INIT_SCALE, size=width_out)
         return cls(M, fwd, bwd, W_yh, np.zeros(1), hyper.dropout, hyper.peepholes)
 
     @property
@@ -897,8 +902,7 @@ def load_model(path) -> tuple[SeqModel, str]:
         inp.validate(hyper)
         # tensors plus the hash length, checked before the model is built
         inp.require(8 * _n_params(v, d, dim, layers, bool(bi), peepholes) + 4)
-        model = SeqModel.init(inp.tensor((d, v), "F"), hyper,
-                              np.random.default_rng(0))
+        model = SeqModel.init(inp.tensor((d, v), "F"), hyper, rng=None)
         for name, arr in model.named_arrays():
             if name != "M":
                 arr[...] = inp.tensor(arr.shape)

@@ -9,22 +9,32 @@ regression (0.0).
 
 The embedding matrix ``M`` is indexed ``(D, V)``, one column per word,
 and stored word-major (Fortran order), so every column is contiguous in
-memory as it is on disk. A corrupted window differs from its target only
-in the center, so corruptions travel as their center ids alone (see
-:func:`corrupt_window`), and the embedding gradient of one window comes
-back as a row per touched column: ``cols`` and ``m_grad``.
+memory as it is on disk and ``M.T`` is a C-ordered ``(V, D)`` matrix
+whose rows a window gathers and updates. A corrupted window differs from
+its target only in the center, so corruptions travel as their center ids
+alone (see :func:`corrupt_window`), and the embedding gradient of one
+window comes back as a row per touched column: ``cols`` and ``m_grad``.
+
+For the same reason the gradient of the hidden weights ``W_hi`` is never
+built as a dense ``(H, n*D)`` matrix. Every window, target or corrupted,
+reads the target's vector ``s_t`` outside the center block, so the
+gradient is the rank-one ``outer(u, s_t)``, where ``u`` is the ``b_h``
+gradient, plus an ``(H, D)`` block on the center columns.
+:func:`train_sswe` applies the rank-one part to ``W_hi`` in place with
+BLAS ``ger`` and then subtracts the center block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import artifact
 from .corpus import N_SPECIALS, Vocabulary, WindowSample, corrupt_window
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 EMBEDDING_MAGIC = b"SSWE"
 EMBEDDING_VERSION = 1
@@ -132,68 +142,31 @@ class SSWEParams:
 
 @dataclass
 class SSWEGradients:
-    """Gradients of the overall loss; sparse over the embedding matrix.
+    """Gradients of the overall loss for one window.
 
-    Row ``k`` of ``m_grad`` (shape ``(len(cols), D)``) is the gradient of
-    embedding column ``cols[k]``. ``cols`` holds each column at most
-    once, in ascending order, and only columns touched by the window or
-    its corruptions with a gradient that is not all zero; every other
-    column's gradient is zero.
+    Sparse over the embedding matrix: row ``k`` of ``m_grad`` (shape
+    ``(len(cols), D)``) is the gradient of embedding column ``cols[k]``.
+    ``cols`` holds each column at most once, in ascending order, and only
+    columns touched by the window or its corruptions with a gradient that
+    is not all zero; every other column's gradient is zero.
+
+    ``dense`` holds the gradients of ``b_h``, ``W_oh2``, ``b_o2``,
+    ``W_oh1`` and ``b_o1``. The gradient of ``W_hi`` is kept factored:
+    ``outer(dense["b_h"], s_t)`` plus ``w_center`` (shape ``(H, D)``)
+    added to the columns ``center``, the window's center block.
+    :func:`train_sswe` applies the rank-one part to ``W_hi`` in place
+    with BLAS ``ger``, so no ``(H, n*D)`` gradient is ever allocated.
     """
 
     cols: np.ndarray
     m_grad: np.ndarray
     dense: dict[str, np.ndarray]
+    s_t: np.ndarray
+    center: slice
+    w_center: np.ndarray
     loss_overall: float = 0.0
     loss_context: float = 0.0
     loss_score: float = 0.0
-
-
-def embed_window(context, M) -> np.ndarray:
-    """Concatenate the embedding columns of a window, in order."""
-    ids = np.asarray(context, dtype=int)
-    if ids.size and (ids.min() < 0 or ids.max() >= M.shape[1]):
-        raise IndexError(f"window id out of range for vocabulary of {M.shape[1]}")
-    return M[:, ids].T.reshape(-1)
-
-
-def forward(params: SSWEParams, s: np.ndarray) -> tuple[float, float]:
-    """Compute (context score, essay score) for one window vector.
-
-    Both heads share the hidden activation. The essay-score head is
-    returned raw; clamp only reported predictions, never the value used
-    for the loss.
-    """
-    if s.shape != (params.W_hi.shape[1],):
-        raise ValueError(f"window vector has shape {s.shape}, "
-                         f"expected ({params.W_hi.shape[1]},)")
-    hidden = htanh(params.W_hi @ s + params.b_h)
-    f_context = float(params.W_oh2 @ hidden + params.b_o2[0])
-    f_ss = float(params.W_oh1 @ hidden + params.b_o1[0])
-    return f_context, f_ss
-
-
-def predict_window_score(params: SSWEParams, s: np.ndarray) -> float:
-    """Score-head prediction clamped to the trained [0, 1] target range."""
-    _, f_ss = forward(params, s)
-    return min(max(f_ss, 0.0), 1.0)
-
-
-def loss_context(f_target: float, f_corrupts) -> float:
-    """Mean hinge over corruptions: (1/E) sum_k max(0, 1 - f_t + f_ck)."""
-    f_corrupts = np.asarray(f_corrupts, dtype=float)
-    if f_corrupts.size == 0:
-        raise ConfigError("loss_context needs at least one corruption score")
-    return float(np.mean(np.maximum(0.0, 1.0 - f_target + f_corrupts)))
-
-
-def loss_score(predictions, golds) -> float:
-    """Mean squared error between predicted and gold scores."""
-    predictions = np.asarray(predictions, dtype=float)
-    golds = np.asarray(golds, dtype=float)
-    if predictions.shape != golds.shape or predictions.size == 0:
-        raise ValueError(f"shape mismatch: {predictions.shape} vs {golds.shape}")
-    return float(np.mean((predictions - golds) ** 2))
 
 
 def loss_overall(alpha: float, context_value: float, score_value: float) -> float:
@@ -203,33 +176,12 @@ def loss_overall(alpha: float, context_value: float, score_value: float) -> floa
     return alpha * context_value + (1.0 - alpha) * score_value
 
 
-def sample_loss(params: SSWEParams, sample: WindowSample, corrupt_centers,
-                gold_score: float, alpha: float):
-    """(overall, context, score) losses for one window and its corruptions.
-
-    ``corrupt_centers`` are the center ids of the corrupted windows, as
-    drawn by :func:`corrupt_window`.
-    """
-    s_t = embed_window(sample.context, params.M)
-    f_t, f_ss = forward(params, s_t)
-    c = sample.center_index
-    prefix, suffix = sample.context[:c], sample.context[c + 1:]
-    f_cs = [forward(params, embed_window(prefix + (int(w),) + suffix,
-                                         params.M))[0]
-            for w in corrupt_centers]
-    l_ctx = loss_context(f_t, f_cs)
-    l_sc = float(np.square(np.float64(f_ss - gold_score)))
-    return loss_overall(alpha, l_ctx, l_sc), l_ctx, l_sc
-
-
 def _merge_rows(cols: np.ndarray, rows: np.ndarray):
     """Sum the rows of repeated columns, in the order they appear.
 
     Each column starts from its first row and adds its later rows one at
-    a time in row order, which is the same floating-point sequence as
-    accumulating ``acc = first.copy(); acc += later`` row by row. Columns
-    whose sum is all zero are dropped. Returns ``(unique cols ascending,
-    summed rows)``.
+    a time in row order. Columns whose sum is all zero are dropped.
+    Returns ``(unique cols ascending, summed rows)``.
     """
     uniq, first, inverse = np.unique(cols, return_index=True,
                                      return_inverse=True)
@@ -240,6 +192,8 @@ def _merge_rows(cols: np.ndarray, rows: np.ndarray):
     # Inactive corruptions and flat hinge regions can leave a touched
     # column with an exactly zero vector; keep only true contributions.
     live = merged.any(axis=1)
+    if live.all():
+        return uniq, merged
     return uniq[live], merged[live]
 
 
@@ -248,33 +202,46 @@ def backward(params: SSWEParams, sample: WindowSample, corrupt_centers,
     """Exact analytic gradients of the overall loss for one sample.
 
     ``corrupt_centers`` are the center ids of the corrupted windows, as
-    drawn by :func:`corrupt_window`. The hinge subgradient at zero margin
-    is 0, as is the hard-tanh derivative at its kinks. The corrupted
-    windows share every position with the target window except the
-    center, so context-word columns accumulate gradient from every
-    active corruption as well.
+    drawn by :func:`corrupt_window`; ids are not range-checked here
+    (:func:`train_sswe` checks its windows once). The hinge subgradient
+    at zero margin is 0, as is the hard-tanh derivative at its kinks.
+
+    The corrupted windows share every position with the target window
+    except the center, so their hidden pre-activations are ``z_t`` plus
+    one center-block product, and the ``W_hi`` gradient comes back
+    factored as ``(u, s_t)`` plus the center block (see
+    :class:`SSWEGradients`), for :func:`train_sswe` to apply in place
+    with BLAS ``ger``: no ``(H, n*D)`` matrix is built. For the same
+    reason every context position's embedding row comes from one product
+    ``u @ W_hi`` of the shared hidden gradient ``u``, and only the
+    center and the corruption centers need products of their own.
     """
-    M = params.M
+    rows_of = params.M.T          # (V, D), one C-ordered row per word
+    W_hi = params.W_hi
     d = params.embed_dim
     n = len(sample.context)
     c = sample.center_index
-    ids = np.asarray(sample.context, dtype=int)
-    corrupt_centers = np.asarray(corrupt_centers, dtype=int)
+    center = slice(c * d, (c + 1) * d)
+    W_center = W_hi[:, center]
+    ids = np.asarray(sample.context, dtype=np.intp)
+    corrupt_centers = np.asarray(corrupt_centers, dtype=np.intp)
     n_corrupt = len(corrupt_centers)
 
-    s_t = embed_window(sample.context, M)
-    z_t = params.W_hi @ s_t + params.b_h
+    x_t = rows_of[ids]
+    s_t = x_t.reshape(-1)
+    z_t = W_hi @ s_t
+    z_t += params.b_h
     i_t = htanh(z_t)
     f_t = float(params.W_oh2 @ i_t + params.b_o2[0])
     f_ss = float(params.W_oh1 @ i_t + params.b_o1[0])
 
-    # Corruptions differ from the target only in the center block, so
-    # their hidden pre-activations are a rank-one update of z_t.
-    W_center = params.W_hi[:, c * d:(c + 1) * d]
-    delta = M[:, corrupt_centers] - M[:, ids[c]][:, None]
-    z_c = z_t[:, None] + W_center @ delta
+    # one row per corruption: (E, D) center differences, (E, H) hiddens
+    delta = rows_of[corrupt_centers]
+    delta -= x_t[c]
+    z_c = delta @ W_center.T
+    z_c += z_t
     i_c = htanh(z_c)
-    f_c = params.W_oh2 @ i_c + params.b_o2[0]
+    f_c = i_c @ params.W_oh2 + params.b_o2[0]
 
     margins = 1.0 - f_t + f_c
     active = margins > 0.0
@@ -288,38 +255,33 @@ def backward(params: SSWEParams, sample: WindowSample, corrupt_centers,
     df_ss = (1.0 - alpha) * 2.0 * (f_ss - gold_score)
 
     dz_t = (df_t * params.W_oh2 + df_ss * params.W_oh1) * htanh_grad_mask(z_t)
-    dz_c = (params.W_oh2[:, None] * df_c[None, :]) * htanh_grad_mask(z_c)
-    dz_c_sum = dz_c.sum(axis=1)
+    # outer(df_c, W_oh2) * htanh'(z_c), where df_c is alpha / E on the
+    # active corruptions and 0 on the others
+    mask = np.abs(z_c) < 1.0
+    mask &= active[:, None]
+    dz_c = mask * (alpha / n_corrupt * params.W_oh2)
+    u = dz_t + dz_c.sum(axis=0)
 
     dense = {
-        "W_oh2": df_t * i_t + i_c @ df_c,
-        "b_o2": np.array([df_t + df_c.sum()]),
+        "b_h": u,
+        "W_oh2": df_t * i_t + df_c @ i_c,
+        # b_o2 cancels from every margin 1 - f_t + f_c
+        "b_o2": np.zeros(1),
         "W_oh1": df_ss * i_t,
         "b_o1": np.array([df_ss]),
-        "b_h": dz_t + dz_c_sum,
     }
 
-    # W_hi gradient: target window plus corruptions; corruption windows
-    # share s_t outside the center block.
-    dW_hi = np.outer(dz_t + dz_c_sum, s_t)
-    dW_hi[:, c * d:(c + 1) * d] += dz_c @ delta.T
-    dense["W_hi"] = dW_hi
+    # Embedding rows in accumulation order: one per context position,
+    # the target's own row at the center, then one per corruption center
+    # in draw order.
+    rows = np.empty((n + n_corrupt, d))
+    np.matmul(u, W_hi, out=rows[:n].reshape(-1))
+    np.matmul(dz_t, W_center, out=rows[c])
+    np.matmul(dz_c, W_center, out=rows[n:])
+    cols, m_grad = _merge_rows(np.concatenate([ids, corrupt_centers]), rows)
 
-    ds_t = params.W_hi.T @ dz_t
-    ds_shared = params.W_hi.T @ dz_c_sum
-    ds_center_c = W_center.T @ dz_c
-
-    # One gradient row per (column, contribution), in accumulation
-    # order: per position the target block, then the shared block (not
-    # at the center), then the corruption centers in draw order.
-    per_pos = np.stack([ds_t.reshape(n, d), ds_shared.reshape(n, d)], axis=1)
-    keep = np.ones(2 * n, dtype=bool)
-    keep[2 * c + 1] = False
-    rows = np.concatenate([per_pos.reshape(2 * n, d)[keep], ds_center_c.T])
-    cols = np.concatenate([np.repeat(ids, 2)[keep], corrupt_centers])
-    cols, m_grad = _merge_rows(cols, rows)
-
-    return SSWEGradients(cols=cols, m_grad=m_grad, dense=dense,
+    return SSWEGradients(cols=cols, m_grad=m_grad, dense=dense, s_t=s_t,
+                         center=center, w_center=dz_c.T @ delta,
                          loss_overall=l_all, loss_context=l_ctx,
                          loss_score=l_sc)
 
@@ -337,11 +299,22 @@ def train_sswe(windows: list[WindowSample], vocab: Vocabulary,
     """Per-sample SGD over shuffled windows.
 
     Corruptions are redrawn at every visit from the seeded generator, so
-    a fixed seed reproduces the parameter trajectory exactly.
+    a fixed seed reproduces the parameter trajectory exactly. Every
+    window id is checked against the vocabulary once, up front; an id
+    out of range is a :class:`DataError`.
     """
     hyper.validate()
     if not windows:
         raise ConfigError("cannot train embeddings on an empty window set")
+    ids = np.fromiter(chain.from_iterable(w.context for w in windows),
+                      dtype=np.intp)
+    if ids.min() < 0 or ids.max() >= len(vocab):
+        raise DataError(f"window id out of range for vocabulary of "
+                        f"{len(vocab)}")
+    # imported here: scipy.linalg costs about 6 MB at import, which the
+    # scoring and serving paths should not pay
+    from scipy.linalg.blas import dger
+
     rng = np.random.default_rng(hyper.seed)
     params = SSWEParams.init(len(vocab), hyper, rng)
     eta = hyper.learning_rate
@@ -359,11 +332,17 @@ def train_sswe(windows: list[WindowSample], vocab: Vocabulary,
             tot_ctx += grads.loss_context
             tot_sc += grads.loss_score
             if eta != 0.0:
-                for name in params.dense_names():
-                    g = grads.dense[name]
+                # W_hi is C-ordered, so W_hi.T is a Fortran-ordered view
+                # that ger updates in place: W_hi -= eta * outer(u, s_t)
+                dger(-eta, grads.s_t, grads.dense["b_h"], a=params.W_hi.T,
+                     overwrite_a=True)
+                grads.w_center *= eta
+                params.W_hi[:, grads.center] -= grads.w_center
+                for name, g in grads.dense.items():
                     g *= eta
                     getattr(params, name)[...] -= g
-                params.M[:, grads.cols] -= (eta * grads.m_grad).T
+                grads.m_grad *= eta
+                params.M.T[grads.cols] -= grads.m_grad
         k = len(windows)
         history.append(EpochLosses(epoch, tot_all / k, tot_ctx / k, tot_sc / k))
         if not np.isfinite(history[-1].loss_overall):

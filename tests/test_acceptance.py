@@ -16,6 +16,7 @@ import pytest
 import scipy.stats
 
 from conftest import finite_difference, max_relative_error
+from reference_sswe import dense_gradients, predict_window_score, sample_loss
 from essayscore.cli import main
 from essayscore.corpus import (ScoreRange, SplitSpec, Vocabulary,
                                corrupt_window, extract_windows, load_corpus,
@@ -28,7 +29,6 @@ from essayscore.metrics import (pearson_r, quadratic_weighted_kappa, rmse,
 from essayscore.saliency import quality_map
 from essayscore.sswe import (SSWEHyper, SSWEParams, backward,
                              cosine_distance, load_embeddings,
-                             predict_window_score, sample_loss,
                              save_embeddings, train_sswe)
 from essayscore.synth import MISSPELL_PAIRS, write_tsv
 
@@ -83,11 +83,9 @@ def test_1_gradients_match_finite_differences():
         numeric = finite_difference(
             lambda: sample_loss(p, sample, corruptions, 0.7, alpha)[0],
             arrays)
-        dense_m = np.zeros_like(p.M)
-        dense_m[:, grads.cols] = grads.m_grad.T
         # difference noise at step 1e-5 swamps entries whose true value
         # is ~0, so floor the denominator at what the step can resolve
-        assert max_relative_error({"M": dense_m, **grads.dense},
+        assert max_relative_error(dense_gradients(p, grads),
                                   numeric, floor=1e-6) <= 1e-4
 
     # sequence network, all four shapes, peepholes and dropout off

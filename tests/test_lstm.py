@@ -691,6 +691,22 @@ class TestPersistence:
         y_load, _ = forward_essay(loaded, tokens)
         assert y_orig == y_load
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        # every array comes from the file, so loading needs no generator
+        model = build_model(vocab=11, embed_dim=4, seed=41, lstm_dim=3,
+                            bidirectional=True, layers=2)
+        path = tmp_path / "model.sats"
+        save_model(path, model)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_model drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded, _ = load_model(path)
+        for (name, a), (_, b) in zip(model.named_arrays(),
+                                     loaded.named_arrays()):
+            assert np.array_equal(a, b), name
+
     # sha256 of the saved bytes, computed with the per-gate layer layout
     # this format was defined with; the fused buffers must not move a byte
     PINNED = [
