@@ -203,6 +203,12 @@ def _init_scorer(cfg, corpus, embeddings_arg: str):
                 f"embedding vocabulary has {len(vocab)} entries but the "
                 f"corpus has {len(corpus.vocab)}; retrain embeddings on "
                 f"this corpus")
+        for i, (tok, want) in enumerate(zip(vocab.id_to_token,
+                                            corpus.vocab.id_to_token)):
+            if tok != want:
+                raise DataError(
+                    f"embedding vocabulary has {tok!r} at id {i} where the "
+                    f"corpus has {want!r}; retrain embeddings on this corpus")
         M = params.M
     return lstmmod.SeqModel.init(M, cfg.seq_hyper(), rng)
 
@@ -239,17 +245,23 @@ def cmd_train_scorer(args) -> int:
     return 0
 
 
+def _load_scorer(cfg, corpus, model_arg):
+    """The scorer at ``model_arg`` (default: the models dir), sized for corpus."""
+    model, _ = lstmmod.load_model(
+        model_arg or os.path.join(cfg.models_dir, MODEL_NAME))
+    if model.vocab_size != len(corpus.vocab):
+        raise DataError(f"model vocabulary has {model.vocab_size} entries "
+                        f"but the corpus has {len(corpus.vocab)}")
+    return model
+
+
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     chash = cfgmod.config_hash(cfg)
     corpus, _ = _load_cache(cfg)
-    model_path = args.model or os.path.join(cfg.models_dir, MODEL_NAME)
-    model, _ = lstmmod.load_model(model_path)
-    if model.vocab_size != len(corpus.vocab):
-        raise DataError(f"model vocabulary has {model.vocab_size} entries "
-                        f"but the corpus has {len(corpus.vocab)}")
+    model = _load_scorer(cfg, corpus, args.model)
     splits = MANIFEST_NAMES if args.split == "all" else (args.split,)
-    model_name = os.path.basename(model_path)
+    model_name = os.path.basename(args.model or MODEL_NAME)
 
     os.makedirs(cfg.reports_dir, exist_ok=True)
     with _Pending() as pending:
@@ -282,8 +294,7 @@ def cmd_visualize(args) -> int:
     cfg = _resolve_config(args)
     chash = cfgmod.config_hash(cfg)
     corpus, _ = _load_cache(cfg)
-    model_path = args.model or os.path.join(cfg.models_dir, MODEL_NAME)
-    model, _ = lstmmod.load_model(model_path)
+    model = _load_scorer(cfg, corpus, args.model)
     try:
         ids = [int(tok) for tok in args.ids.split(",") if tok.strip()]
     except ValueError:

@@ -7,25 +7,25 @@ regresses the score from it. Training minimizes squared error on the
 scaled score, with gradients flowing through time, through the gates and
 peepholes, and into the embedding matrix itself.
 
-Gate equations, per timestep:
+Parameters. Each direction of each layer keeps its weights in fused
+buffers with the gates stacked in the order i, f, c, o: ``W_x`` (4H, D_in)
+maps the input, ``W_h`` (4H, H) the previous hidden state and ``b`` (4H,)
+is the bias; the peepholes ``W_p`` hold the rows of i, f, o: (3H, H) when
+full, (3H,) when diagonal, absent when off. These buffers are the
+parameter names throughout: ``named_arrays``, the gradients, the optimizer
+state and the tensor order of the model file. Writing X[g] for gate g's
+block of rows of buffer X, the gate equations per timestep are
 
-    i_t = sigma(W_is s_t + W_ih h_{t-1} + W_ic c_{t-1} + b_i)
-    f_t = sigma(W_fs s_t + W_fh h_{t-1} + W_fc c_{t-1} + b_f)
-    c_t = i_t * tanh(W_cs s_t + W_ch h_{t-1} + b_c) + f_t * c_{t-1}
-    o_t = sigma(W_os s_t + W_oh h_{t-1} + W_oc c_t + b_o)
+    i_t = sigma(W_x[i] s_t + W_h[i] h_{t-1} + W_p[i] c_{t-1} + b[i])
+    f_t = sigma(W_x[f] s_t + W_h[f] h_{t-1} + W_p[f] c_{t-1} + b[f])
+    c_t = i_t * tanh(W_x[c] s_t + W_h[c] h_{t-1} + b[c]) + f_t * c_{t-1}
+    o_t = sigma(W_x[o] s_t + W_h[o] h_{t-1} + W_p[o] c_t + b[o])
     h_t = o_t * tanh(c_t)
 
 The output gate peeps at the current cell state, the input and forget
 gates at the previous one. Peepholes default to full square matrices,
-with ``diagonal`` and ``off`` modes available.
-
-Fused layout. Each direction of each layer keeps its weights in fused
-buffers with the gates stacked in the order i, f, c, o: ``W_x`` (4H, D_in),
-``W_h`` (4H, H) and ``b`` (4H,), plus for peepholes ``W_p`` with the rows
-of i, f, o: (3H, H) when full, (3H,) when diagonal, absent when off. The
-per-gate names of the equations (``W_is`` ... ``b_o``) are views into these
-buffers, so ``named_arrays``, the optimizer state and the file format
-still see one array per gate.
+with ``diagonal`` and ``off`` modes available (a diagonal peephole
+multiplies elementwise).
 
 Lockstep batches. B essays run together, each from its own first step;
 one step advances every essay still running, and the directions of a
@@ -116,39 +116,13 @@ class SeqHyper:
             raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
 
 
-def _gate_view(buffer: str, k: int):
-    """Gate k's block of a fused buffer; assigning to it writes through."""
-    def get(self):
-        buf = getattr(self, buffer)
-        if buf is None:
-            return None
-        return buf[k * self.dim:(k + 1) * self.dim]
-
-    def put(self, value):
-        get(self)[...] = value
-
-    return property(get, put)
-
-
 class LSTMLayer:
-    """One direction of one stacked layer: all gate weights and biases.
+    """One direction of one stacked layer.
 
-    The weights live in the fused buffers ``W_x``, ``W_h``, ``W_p`` and
-    ``b`` (see the module docstring). Per-gate names follow the gate
-    equations: W_gs maps the input, W_gh the previous hidden state, W_gc
-    the cell state (peephole), b_g the bias, for gates g in i (input),
-    f (forget), c (candidate), o (output); each is a view of its buffer.
+    Its parameters are the fused buffers of the module docstring, under
+    their own names: ``W_x``, ``W_h``, ``W_p`` (None when peepholes are
+    off) and ``b``.
     """
-
-    INPUT_NAMES = ("W_is", "W_fs", "W_cs", "W_os")
-    RECUR_NAMES = ("W_ih", "W_fh", "W_ch", "W_oh")
-    PEEP_NAMES = ("W_ic", "W_fc", "W_oc")
-    BIAS_NAMES = ("b_i", "b_f", "b_c", "b_o")
-
-    W_is, W_fs, W_cs, W_os = (_gate_view("W_x", k) for k in range(4))
-    W_ih, W_fh, W_ch, W_oh = (_gate_view("W_h", k) for k in range(4))
-    W_ic, W_fc, W_oc = (_gate_view("W_p", k) for k in range(3))
-    b_i, b_f, b_c, b_o = (_gate_view("b", k) for k in range(4))
 
     def __init__(self, in_dim: int, dim: int, peepholes: str, rng=None):
         if peepholes not in PEEPHOLE_MODES:
@@ -162,19 +136,16 @@ class LSTMLayer:
         self.W_p = np.zeros(peep_shape[peepholes]) \
             if peepholes in peep_shape else None
         self.b = np.zeros(4 * dim)
-        self.b_f = FORGET_BIAS
+        self.b[dim:2 * dim] = FORGET_BIAS
         if rng is not None:
-            for name in self.array_names():
-                if not name.startswith("b_"):
-                    view = getattr(self, name)
-                    view[...] = rng.uniform(-INIT_SCALE, INIT_SCALE,
-                                            size=view.shape)
+            for w in (self.W_x, self.W_h, self.W_p):
+                if w is not None:
+                    w[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=w.shape)
 
     def array_names(self):
-        names = self.INPUT_NAMES + self.RECUR_NAMES
-        if self.peepholes != "off":
-            names = names + self.PEEP_NAMES
-        return names + self.BIAS_NAMES
+        if self.peepholes == "off":
+            return ("W_x", "W_h", "b")
+        return ("W_x", "W_h", "W_p", "b")
 
     def copy(self) -> "LSTMLayer":
         out = LSTMLayer.__new__(LSTMLayer)
@@ -526,19 +497,6 @@ def _layer_grads(stack: _Stack, cache: _LayerCache, dA: np.ndarray,
     return out
 
 
-_FUSED_NAMES = (("W_x", LSTMLayer.INPUT_NAMES), ("W_h", LSTMLayer.RECUR_NAMES),
-                ("W_p", LSTMLayer.PEEP_NAMES), ("b", LSTMLayer.BIAS_NAMES))
-
-
-def _name_grads(grads: dict, prefix: str, fused: dict, n: int):
-    """Split fused gradients into the per-gate names of ``named_arrays``."""
-    for buf, names in _FUSED_NAMES:
-        g = fused.get(buf)
-        if g is not None:
-            for k, name in enumerate(names):
-                grads[f"{prefix}.{name}"] = g[k * n:(k + 1) * n]
-
-
 def _run(model: SeqModel, layout: _Layout, masks=None, keep: bool = True):
     """Forward pass of a lockstep batch; returns (y, BatchCache or None)."""
     bi = model.bidirectional
@@ -595,9 +553,10 @@ def backward_batch(model: SeqModel, cache: BatchCache,
                    dy) -> tuple[dict, np.ndarray]:
     """Backpropagate per-essay output gradients ``dy`` (B,) through the stack.
 
-    Returns (named parameter gradients without the embedding matrix,
-    summed over the batch; gradient with respect to each token's word
-    vector, (N, D) essay after essay, in ``cache.ids`` order).
+    Returns (parameter gradients under their ``named_arrays`` names,
+    without the embedding matrix, summed over the batch; gradient with
+    respect to each token's word vector, (N, D) essay after essay, in
+    ``cache.ids`` order).
     """
     layout = cache.layout
     dy = np.asarray(dy, dtype=float).reshape(-1)
@@ -616,15 +575,15 @@ def backward_batch(model: SeqModel, cache: BatchCache,
         dH = d_out[None, :, :n] if not bi else np.stack(
             (d_out[:, :n], d_out[layout.rev, n:]))
         dA = _recur_backward(stack, cache.layers[l], dH, layout)
-        fused = _layer_grads(stack, cache.layers[l], dA, layout)
+        dir_grads = _layer_grads(stack, cache.layers[l], dA, layout)
         # both directions' gate gradients in essay time, side by side
         dA = np.concatenate((dA[0], dA[1, layout.rev]), axis=1) if bi \
             else dA[0]
         d_W_x = dA.T @ cache.inputs[l]
         d_out = dA @ stack.W_x
-        for k, (prefix, g) in enumerate(zip(("fwd", "bwd"), fused)):
+        for k, (prefix, g) in enumerate(zip(("fwd", "bwd"), dir_grads)):
             g["W_x"] = d_W_x[4 * n * k:4 * n * (k + 1)]
-            _name_grads(grads, f"{prefix}{l}", g, n)
+            grads.update((f"{prefix}{l}.{name}", a) for name, a in g.items())
     return grads, d_out[layout.row]
 
 

@@ -1,11 +1,15 @@
 """Per-essay, per-gate LSTM: the reference the batched scorer is checked against.
 
 This is the scorer's earlier implementation, one essay and one timestep
-at a time, reading each gate's weights through the per-gate names
-(``W_is`` ... ``b_o``). It is kept here, outside the package, only as an
-oracle: the batched, fused-gate path in ``essayscore.lstm`` must match it
-within rounding on outputs, input gradients and every parameter
-gradient, and one training epoch must follow the same trajectory.
+at a time, with one weight matrix per gate. The package names its
+parameters by fused buffer (``W_x``, ``W_h``, ``W_p``, ``b``); here
+:func:`gate` gives each gate's block of a buffer under the name of the
+gate equations (``W_is`` ... ``b_o``), and :func:`bptt` concatenates the
+per-gate gradients back into the buffers' names. It is kept here,
+outside the package, only as an oracle: the batched, fused-gate path in
+``essayscore.lstm`` must match it within rounding on outputs, input
+gradients and every parameter gradient, and one training epoch must
+follow the same trajectory.
 """
 
 from __future__ import annotations
@@ -18,8 +22,43 @@ from scipy.special import expit
 from essayscore.lstm import LSTMLayer, RMSPropState, SeqModel
 
 
-def _peep(layer: LSTMLayer, name: str, c: np.ndarray):
-    w = getattr(layer, name)
+# each fused buffer's row blocks, in order, by the gate equations' names
+GATE_BLOCKS = {
+    "W_x": ("W_is", "W_fs", "W_cs", "W_os"),
+    "W_h": ("W_ih", "W_fh", "W_ch", "W_oh"),
+    "W_p": ("W_ic", "W_fc", "W_oc"),
+    "b": ("b_i", "b_f", "b_c", "b_o"),
+}
+_BLOCK_OF = {name: (buf, k) for buf, names in GATE_BLOCKS.items()
+             for k, name in enumerate(names)}
+
+
+def gate(layer: LSTMLayer, name: str):
+    """Gate block ``name`` of its fused buffer (a view; None without peepholes)."""
+    buf, k = _BLOCK_OF[name]
+    w = getattr(layer, buf)
+    return None if w is None else w[k * layer.dim:(k + 1) * layer.dim]
+
+
+def split_gates(grads: dict, dim: int) -> dict:
+    """Per-gate views of fused named gradients; other entries pass through."""
+    out = {}
+    for name, g in grads.items():
+        prefix, _, buf = name.rpartition(".")
+        if prefix.startswith(("fwd", "bwd")):
+            for k, gname in enumerate(GATE_BLOCKS[buf]):
+                out[f"{prefix}.{gname}"] = g[k * dim:(k + 1) * dim]
+        else:
+            out[name] = g
+    return out
+
+
+def _gates(layer: LSTMLayer) -> dict:
+    """Every gate block of a layer, by name."""
+    return {name: gate(layer, name) for name in _BLOCK_OF}
+
+
+def _peep(w, c: np.ndarray):
     if w is None:
         return 0.0
     if w.ndim == 1:
@@ -27,9 +66,8 @@ def _peep(layer: LSTMLayer, name: str, c: np.ndarray):
     return w @ c
 
 
-def _peep_back(layer: LSTMLayer, name: str, da: np.ndarray):
+def _peep_back(w, da: np.ndarray):
     """Transpose-product of a peephole: contribution of da to dc."""
-    w = getattr(layer, name)
     if w is None:
         return 0.0
     if w.ndim == 1:
@@ -46,14 +84,15 @@ def lstm_step(layer: LSTMLayer, s_t, h_prev, c_prev):
             or c_prev.shape != (layer.dim,):
         raise ValueError(f"state shapes {s_t.shape}/{h_prev.shape}/{c_prev.shape} "
                          f"do not match layer ({layer.in_dim}, {layer.dim})")
-    i = expit(layer.W_is @ s_t + layer.W_ih @ h_prev
-              + _peep(layer, "W_ic", c_prev) + layer.b_i)
-    f = expit(layer.W_fs @ s_t + layer.W_fh @ h_prev
-              + _peep(layer, "W_fc", c_prev) + layer.b_f)
-    u = np.tanh(layer.W_cs @ s_t + layer.W_ch @ h_prev + layer.b_c)
+    w = _gates(layer)
+    i = expit(w["W_is"] @ s_t + w["W_ih"] @ h_prev
+              + _peep(w["W_ic"], c_prev) + w["b_i"])
+    f = expit(w["W_fs"] @ s_t + w["W_fh"] @ h_prev
+              + _peep(w["W_fc"], c_prev) + w["b_f"])
+    u = np.tanh(w["W_cs"] @ s_t + w["W_ch"] @ h_prev + w["b_c"])
     c = i * u + f * c_prev
-    o = expit(layer.W_os @ s_t + layer.W_oh @ h_prev
-              + _peep(layer, "W_oc", c) + layer.b_o)
+    o = expit(w["W_os"] @ s_t + w["W_oh"] @ h_prev
+              + _peep(w["W_oc"], c) + w["b_o"])
     return o * np.tanh(c), c
 
 
@@ -74,20 +113,21 @@ class DirectionCache:
 def run_direction(layer: LSTMLayer, S: np.ndarray) -> DirectionCache:
     T = S.shape[0]
     dim = layer.dim
-    P_i = S @ layer.W_is.T + layer.b_i
-    P_f = S @ layer.W_fs.T + layer.b_f
-    P_u = S @ layer.W_cs.T + layer.b_c
-    P_o = S @ layer.W_os.T + layer.b_o
+    w = _gates(layer)
+    P_i = S @ w["W_is"].T + w["b_i"]
+    P_f = S @ w["W_fs"].T + w["b_f"]
+    P_u = S @ w["W_cs"].T + w["b_c"]
+    P_o = S @ w["W_os"].T + w["b_o"]
     I, F, U, O = (np.empty((T, dim)) for _ in range(4))
     C, TC, H = (np.empty((T, dim)) for _ in range(3))
     h = np.zeros(dim)
     c = np.zeros(dim)
     for t in range(T):
-        i = expit(P_i[t] + layer.W_ih @ h + _peep(layer, "W_ic", c))
-        f = expit(P_f[t] + layer.W_fh @ h + _peep(layer, "W_fc", c))
-        u = np.tanh(P_u[t] + layer.W_ch @ h)
+        i = expit(P_i[t] + w["W_ih"] @ h + _peep(w["W_ic"], c))
+        f = expit(P_f[t] + w["W_fh"] @ h + _peep(w["W_fc"], c))
+        u = np.tanh(P_u[t] + w["W_ch"] @ h)
         c = i * u + f * c
-        o = expit(P_o[t] + layer.W_oh @ h + _peep(layer, "W_oc", c))
+        o = expit(P_o[t] + w["W_oh"] @ h + _peep(w["W_oc"], c))
         tc = np.tanh(c)
         h = o * tc
         I[t], F[t], U[t], O[t], C[t], TC[t], H[t] = i, f, u, o, c, tc, h
@@ -99,10 +139,11 @@ def direction_backward(layer: LSTMLayer, cache: DirectionCache,
     """Backpropagate through one direction pass.
 
     ``dH_out`` holds the loss gradient at each timestep's hidden state in
-    the cache's time order. Returns (per-array gradients, gradient with
+    the cache's time order. Returns (per-gate gradients, gradient with
     respect to the input sequence).
     """
     T, dim = dH_out.shape
+    w = _gates(layer)
     dA_i = np.empty((T, dim))
     dA_f = np.empty((T, dim))
     dA_u = np.empty((T, dim))
@@ -116,15 +157,15 @@ def direction_backward(layer: LSTMLayer, cache: DirectionCache,
         dh = dH_out[t] + dh_next
         da_o = dh * cache.TC[t] * o * (1.0 - o)
         dc = dc_next + dh * o * (1.0 - cache.TC[t] ** 2) \
-            + _peep_back(layer, "W_oc", da_o)
+            + _peep_back(w["W_oc"], da_o)
         da_i = dc * u * i * (1.0 - i)
         da_u = dc * i * (1.0 - u ** 2)
         da_f = dc * c_prev * f * (1.0 - f)
         dA_i[t], dA_f[t], dA_u[t], dA_o[t] = da_i, da_f, da_u, da_o
-        dh_next = layer.W_ih.T @ da_i + layer.W_fh.T @ da_f \
-            + layer.W_ch.T @ da_u + layer.W_oh.T @ da_o
-        dc_next = dc * f + _peep_back(layer, "W_ic", da_i) \
-            + _peep_back(layer, "W_fc", da_f)
+        dh_next = w["W_ih"].T @ da_i + w["W_fh"].T @ da_f \
+            + w["W_ch"].T @ da_u + w["W_oh"].T @ da_o
+        dc_next = dc * f + _peep_back(w["W_ic"], da_i) \
+            + _peep_back(w["W_fc"], da_f)
 
     H_prev = np.vstack([zero, cache.H[:-1]])
     C_prev = np.vstack([zero, cache.C[:-1]])
@@ -144,9 +185,15 @@ def direction_backward(layer: LSTMLayer, cache: DirectionCache,
         grads["W_ic"] = (dA_i * C_prev).sum(axis=0)
         grads["W_fc"] = (dA_f * C_prev).sum(axis=0)
         grads["W_oc"] = (dA_o * cache.C).sum(axis=0)
-    dS = dA_i @ layer.W_is + dA_f @ layer.W_fs \
-        + dA_u @ layer.W_cs + dA_o @ layer.W_os
+    dS = dA_i @ w["W_is"] + dA_f @ w["W_fs"] \
+        + dA_u @ w["W_cs"] + dA_o @ w["W_os"]
     return grads, dS
+
+
+def fuse_gates(grads: dict) -> dict:
+    """Per-gate gradients of one direction concatenated into its buffers."""
+    return {buf: np.concatenate([grads[name] for name in names])
+            for buf, names in GATE_BLOCKS.items() if names[0] in grads}
 
 
 @dataclass
@@ -205,7 +252,11 @@ def forward_essay(model: SeqModel, tokens, training: bool = False,
 
 def bptt(model: SeqModel, cache: EssayCache,
          gold: float) -> tuple[dict, np.ndarray]:
-    """Gradients of (y - gold)^2: (named grads without M, per-position d_inputs)."""
+    """Gradients of (y - gold)^2: (named grads without M, per-position d_inputs).
+
+    Each direction's per-gate gradients come back concatenated under the
+    package's fused buffer names (``fwd0.W_x`` ...).
+    """
     T = len(cache.tokens)
     dy = 2.0 * (cache.y - gold)
     grads = {"head.W_yh": dy * cache.embedding, "head.b_y": np.array([dy])}
@@ -222,22 +273,17 @@ def bptt(model: SeqModel, cache: EssayCache,
     for l in range(model.n_layers - 1, -1, -1):
         if cache.masks[l] is not None:
             d_out = d_out * cache.masks[l]
+        dim = model.fwd_layers[l].dim
+        layer_grads, dS = direction_backward(
+            model.fwd_layers[l], cache.fwd[l], d_out[:, :dim])
+        grads.update((f"fwd{l}.{name}", g)
+                     for name, g in fuse_gates(layer_grads).items())
         if model.bidirectional:
-            dim = model.fwd_layers[l].dim
-            layer_grads, dS = direction_backward(
-                model.fwd_layers[l], cache.fwd[l], d_out[:, :dim])
-            for name, g in layer_grads.items():
-                grads[f"fwd{l}.{name}"] = g
             layer_grads, dS_b = direction_backward(
                 model.bwd_layers[l], cache.bwd[l], d_out[:, dim:][::-1])
-            for name, g in layer_grads.items():
-                grads[f"bwd{l}.{name}"] = g
+            grads.update((f"bwd{l}.{name}", g)
+                         for name, g in fuse_gates(layer_grads).items())
             dS = dS + dS_b[::-1]
-        else:
-            layer_grads, dS = direction_backward(
-                model.fwd_layers[l], cache.fwd[l], d_out)
-            for name, g in layer_grads.items():
-                grads[f"fwd{l}.{name}"] = g
         d_out = dS
     return grads, d_out
 
@@ -265,16 +311,20 @@ def dense_rmsprop_update(state: RMSPropState, arrays, grads):
         arrays[name] -= state.eta * g / np.sqrt(acc + state.eps)
 
 
-def train_epoch(model: SeqModel, train, hyper, rng, state) -> float:
-    """One epoch of the per-essay training loop; returns the squared-error sum.
+def train_epoch(model: SeqModel, train, hyper, rng, state):
+    """One epoch of the per-essay training loop.
 
     Shuffles ``train`` with ``rng``, sums per-essay gradients per
     minibatch, scatters input gradients densely into ``M`` with
-    ``np.add.at`` and takes one dense RMSprop step per batch.
+    ``np.add.at`` and takes one dense RMSprop step per batch. With
+    ``hyper.clip_norm > 0`` the batch gradient is first scaled down to
+    that global norm, the norm summed gate block by gate block. Returns
+    (squared-error sum, number of clipped steps).
     """
     order = np.arange(len(train))
     rng.shuffle(order)
     sq_sum = 0.0
+    clipped = 0
     for start in range(0, len(order), hyper.batch_size):
         batch = order[start:start + hyper.batch_size]
         total: dict[str, np.ndarray] = {}
@@ -297,5 +347,12 @@ def train_epoch(model: SeqModel, train, hyper, rng, state) -> float:
             g *= inv
         m_grad *= inv
         total["M"] = m_grad
+        if hyper.clip_norm > 0.0:
+            blocks = split_gates(total, model.lstm_dim).values()
+            norm = sum(float((g * g).sum()) for g in blocks) ** 0.5
+            if norm > hyper.clip_norm:
+                clipped += 1
+                for g in total.values():
+                    g *= hyper.clip_norm / norm
         dense_rmsprop_update(state, dict(model.named_arrays()), total)
-    return sq_sum
+    return sq_sum, clipped

@@ -16,6 +16,7 @@ import pytest
 import scipy.stats
 
 from conftest import finite_difference, max_relative_error
+from reference_lstm import gate
 from reference_sswe import dense_gradients, predict_window_score, sample_loss
 from essayscore.cli import main
 from essayscore.corpus import (ScoreRange, SplitSpec, Vocabulary,
@@ -104,7 +105,7 @@ def test_1_gradients_match_finite_differences():
             # the saturated forget bias would hide under the difference
             # step, so flatten it before comparing
             for layer in model.fwd_layers + model.bwd_layers:
-                layer.b_f[...] = 0.3
+                gate(layer, "b_f")[...] = 0.3
 
             _, cache = forward_essay(model, tokens)
             grads, d_inputs = bptt(model, cache, 1.0)

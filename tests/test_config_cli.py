@@ -310,6 +310,30 @@ class TestTrainCommands:
         assert str(len(vocab)) in err
         assert str(len(corpus.vocab)) in err
 
+    def test_same_size_foreign_vocabulary_names_first_mismatch(
+            self, workspace, tmp_path, capsys):
+        # the corpus's words with the two most frequent swapped: equal
+        # sizes, but every column of the matrix would score the wrong word
+        root, cfgpath = workspace
+        corpus, _ = load_corpus_cache(root / "splits" / "corpus.json")
+        words = corpus.vocab.id_to_token[3:]
+        words[0], words[1] = words[1], words[0]
+        vocab = Vocabulary(words)
+        assert len(vocab) == len(corpus.vocab)
+        hyper = SSWEHyper(embed_dim=8, hidden_dim=6, window_size=3,
+                          n_corruptions=5)
+        params = SSWEParams.init(len(vocab), hyper, np.random.default_rng(0))
+        alien = tmp_path / "alien.sswe"
+        save_embeddings(alien, params, vocab)
+        model_bytes = (root / "models" / "model.sats").read_bytes()
+        rc = main(["--config", str(cfgpath), "train-scorer",
+                   "--embeddings", str(alien)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "id 3" in err
+        assert repr(words[0]) in err and repr(words[1]) in err
+        assert (root / "models" / "model.sats").read_bytes() == model_bytes
+
     def test_missing_cache_is_a_data_error(self, tmp_path, capsys):
         cfgpath = write_workspace_config(tmp_path)
         rc = main(["--config", str(cfgpath), "train-embeddings"])
@@ -415,6 +439,23 @@ class TestVisualizeCommand:
         assert main(["--config", str(cfgpath), "visualize",
                      "--ids", "999"]) == 2
         capsys.readouterr()
+
+    def test_larger_vocabulary_model_is_a_data_error(self, workspace,
+                                                      tmp_path, capsys):
+        # one extra embedding column: ids would still be in range, so
+        # only the vocabulary check stops it scoring the wrong columns
+        root, cfgpath = workspace
+        model, tag = load_model(root / "models" / "model.sats")
+        model.M = np.asfortranarray(
+            np.hstack((model.M, np.zeros((model.embed_dim, 1)))))
+        big = tmp_path / "big.sats"
+        save_model(big, model, tag)
+        maps = tmp_path / "maps"
+        rc = main(["--config", str(cfgpath), "--heatmaps-dir", str(maps),
+                   "visualize", "--model", str(big), "--ids", "1"])
+        assert rc == 2
+        assert "vocabulary" in capsys.readouterr().err
+        assert not maps.exists() or list(maps.iterdir()) == []
 
     def test_missing_id_leaves_no_heatmap(self, workspace, tmp_path, capsys):
         # essay 4 renders before 999 fails; nothing of the run may remain

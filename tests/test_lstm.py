@@ -37,13 +37,6 @@ def build_model(vocab=9, embed_dim=3, seed=0, boost=3.0, mscale=0.5, **kw):
     return model
 
 
-def rand_layer(in_dim, dim, peepholes, seed=0, scale=1.0):
-    layer = LSTMLayer(in_dim, dim, peepholes, np.random.default_rng(seed))
-    for name in layer.array_names():
-        getattr(layer, name)[...] *= scale / 0.05
-    return layer
-
-
 def sig(x):
     return 1.0 / (1.0 + math.exp(-x))
 
@@ -71,7 +64,7 @@ class TestStep:
                     W_cs=1.1, W_ch=0.5, b_c=-0.2,
                     W_os=0.3, W_oh=-0.8, W_oc=0.25, b_o=0.05)
         for name, v in vals.items():
-            getattr(layer, name)[...] = v
+            ref.gate(layer, name)[...] = v
         s, h0, c0 = 0.9, -0.6, 0.8
 
         i = sig(vals["W_is"] * s + vals["W_ih"] * h0 + vals["W_ic"] * c0
@@ -90,7 +83,7 @@ class TestStep:
 
     def test_saturated_forget_gate_preserves_cell(self):
         layer = LSTMLayer(2, 3, "off")
-        layer.b_f = np.full(3, 50.0)
+        ref.gate(layer, "b_f")[...] = 50.0
         c_prev = np.array([1.3, -0.7, 0.2])
         _, c = lstm_step(layer, np.zeros(2), np.zeros(3), c_prev)
         assert np.allclose(c, c_prev, rtol=0, atol=1e-15)
@@ -214,7 +207,7 @@ def fd_model(variant):
     # a saturated forget bias crushes its own gradient below the
     # resolution of finite differences, so flatten it for the check
     for layer in model.fwd_layers + model.bwd_layers:
-        layer.b_f[...] = 0.3
+        ref.gate(layer, "b_f")[...] = 0.3
     return model
 
 
@@ -381,9 +374,10 @@ class TestCopy:
             assert name == cname
             assert np.array_equal(a, b)
         clone.M[0, 0] += 1.0
-        clone.fwd_layers[0].W_is[0, 0] += 1.0
+        ref.gate(clone.fwd_layers[0], "W_is")[0, 0] += 1.0
         assert model.M[0, 0] != clone.M[0, 0]
-        assert model.fwd_layers[0].W_is[0, 0] != clone.fwd_layers[0].W_is[0, 0]
+        assert ref.gate(model.fwd_layers[0], "W_is")[0, 0] \
+            != ref.gate(clone.fwd_layers[0], "W_is")[0, 0]
 
 
 class TestOptimizer:
@@ -574,11 +568,13 @@ def mixed_corpus(vocab_used=12):
 
 
 class TestTrainingMatchesReference:
-    def test_one_epoch_follows_the_per_essay_loop(self):
+    @staticmethod
+    def epoch_against_reference(clip_norm):
+        """One epoch of both loops; returns the reference's clipped steps."""
         train, val, ranges = mixed_corpus()
         hyper = SeqHyper(lstm_dim=3, layers=2, bidirectional=True,
                          peepholes="full", dropout=0.5, learning_rate=0.01,
-                         epochs=1, batch_size=3, seed=4)
+                         epochs=1, batch_size=3, seed=4, clip_norm=clip_norm)
         model = build_model(vocab=16, embed_dim=4, seed=33, lstm_dim=3,
                             layers=2, bidirectional=True, peepholes="full",
                             dropout=0.5, boost=2.0)
@@ -587,12 +583,39 @@ class TestTrainingMatchesReference:
 
         rng = np.random.default_rng(hyper.seed)
         state = RMSPropState.for_model(oracle, hyper)
-        sq_sum = ref.train_epoch(oracle, train, hyper, rng, state)
+        sq_sum, clipped = ref.train_epoch(oracle, train, hyper, rng, state)
         assert history[0].train_mse == pytest.approx(sq_sum / len(train),
                                                      rel=1e-10)
         for (name, a), (_, b) in zip(best.named_arrays(),
                                      oracle.named_arrays()):
             assert normwise_error(a, b) <= 1e-10, name
+        return clipped
+
+    def test_one_epoch_follows_the_per_essay_loop(self):
+        assert self.epoch_against_reference(0.0) == 0
+
+    def test_clipped_epoch_follows_the_per_essay_loop(self):
+        # the reference sums the global norm gate block by gate block;
+        # every one of the three steps is clipped
+        assert self.epoch_against_reference(0.05) == 3
+
+    def test_clip_norm_over_fused_buffers_matches_per_gate_split(self):
+        model = build_model(vocab=14, embed_dim=5, seed=31, lstm_dim=3,
+                            layers=2, bidirectional=True, peepholes="full",
+                            boost=4.0)
+        y, cache = forward_batch(model, [[3, 1, 4], [1, 5, 9, 2, 6]])
+        grads, d_inputs = backward_batch(model, cache, 2.0 * (y - 0.5))
+        grads["M"] = column_gradient(cache.ids, d_inputs)
+        per_gate = ref.split_gates(grads, model.lstm_dim)
+        # four directions, each with 4 buffers split into 15 gate blocks
+        assert len(per_gate) == len(grads) + 4 * (15 - 4)
+        fused_norm = clip_gradients(grads, 0.0)
+        assert fused_norm == pytest.approx(clip_gradients(per_gate, 0.0),
+                                           rel=1e-12)
+        squares = [float(x) ** 2 for g in per_gate.values()
+                   for x in (g[1] if isinstance(g, tuple) else g).ravel()]
+        assert fused_norm == pytest.approx(math.fsum(squares) ** 0.5,
+                                           rel=1e-12)
 
     def test_untouched_columns_are_bitwise_unchanged(self):
         train, val, ranges = mixed_corpus(vocab_used=12)
@@ -728,6 +751,24 @@ class TestPersistence:
         path = tmp_path / "m.sats"
         save_model(path, model, config_hash="0123abcd4567ef89")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_trained_model_bytes_are_pinned(self, tmp_path):
+        # one seeded epoch with dropout; the digest was computed with one
+        # RMSprop accumulator per gate, so it pins the optimizer's
+        # arithmetic as well as the file layout
+        train, val, ranges = mixed_corpus()
+        hyper = SeqHyper(lstm_dim=3, layers=2, bidirectional=True,
+                         peepholes="full", dropout=0.5, learning_rate=0.01,
+                         epochs=1, batch_size=3, seed=4, clip_norm=0.0)
+        rng = np.random.default_rng(2024)
+        M = rng.uniform(-0.05, 0.05, size=(4, 16))
+        best, history = train_scorer(SeqModel.init(M, hyper, rng), train,
+                                     val, ranges, hyper)
+        assert len(history) == 1
+        path = tmp_path / "m.sats"
+        save_model(path, best, config_hash="0123abcd4567ef89")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "d458d1a2ba3d6ac6c54064b4a8b35c72ad0702a8bb349feb4b5b53643f9c0651"
 
     @pytest.mark.parametrize("arch", [arch for arch, _ in PINNED],
                              ids=["bi2-full", "uni1-diag", "bi1-off"])
