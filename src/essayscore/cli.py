@@ -209,6 +209,10 @@ def _init_scorer(cfg, corpus, embeddings_arg: str):
                 raise DataError(
                     f"embedding vocabulary has {tok!r} at id {i} where the "
                     f"corpus has {want!r}; retrain embeddings on this corpus")
+        if params.embed_dim != cfg.embed_dim:
+            raise DataError(
+                f"embeddings have dimension {params.embed_dim} but the "
+                f"config's embed_dim is {cfg.embed_dim}")
         M = params.M
     return lstmmod.SeqModel.init(M, cfg.seq_hyper(), rng)
 

@@ -12,8 +12,7 @@ and stored word-major (Fortran order), so every column is contiguous in
 memory as it is on disk and ``M.T`` is a C-ordered ``(V, D)`` matrix
 whose rows a window gathers and updates. A corrupted window differs from
 its target only in the center, so corruptions travel as their center ids
-alone (see :func:`corrupt_window`), and the embedding gradient of one
-window comes back as a row per touched column: ``cols`` and ``m_grad``.
+alone (see :func:`corrupt_window`).
 
 For the same reason the gradient of the hidden weights ``W_hi`` is never
 built as a dense ``(H, n*D)`` matrix. Every window, target or corrupted,
@@ -22,6 +21,15 @@ gradient is the rank-one ``outer(u, s_t)``, where ``u`` is the ``b_h``
 gradient, plus an ``(H, D)`` block on the center columns.
 :func:`train_sswe` applies the rank-one part to ``W_hi`` in place with
 BLAS ``ger`` and then subtracts the center block.
+
+A center drawn several times is one corrupted window weighted by its
+count, so the backward pass works on the distinct centers. A corruption
+with no saturated hidden unit passes the hidden gradient
+``alpha / E * W_oh2`` per draw, so all such corruptions share one
+embedding row, scaled by each one's count (0 when its hinge is
+inactive), and one outer product in the center block. Only the active
+corruptions that saturate a unit need products of their own (see
+:class:`SSWEGradients`).
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ EMBEDDING_VERSION = 1
 
 def htanh(x):
     """Hard tanh: clips to [-1, 1], identity inside. Element-wise."""
-    return np.clip(x, -1.0, 1.0)
+    # the two ufuncs give np.clip's values for a third of its call cost
+    return np.minimum(np.maximum(x, -1.0), 1.0)
 
 
 def htanh_grad_mask(preact):
@@ -144,26 +153,46 @@ class SSWEParams:
 class SSWEGradients:
     """Gradients of the overall loss for one window.
 
-    Sparse over the embedding matrix: row ``k`` of ``m_grad`` (shape
-    ``(len(cols), D)``) is the gradient of embedding column ``cols[k]``.
-    ``cols`` holds each column at most once, in ascending order, and only
-    columns touched by the window or its corruptions with a gradient that
-    is not all zero; every other column's gradient is zero.
+    Sparse over the embedding matrix, in two parts whose columns may
+    overlap; a column's gradient is the sum of its rows in both.
+
+    - ``ids`` and ``ctx_rows``: the window's ids in order and one row per
+      position, shape ``(n, D)``. An id that repeats gets each of its
+      rows.
+    - The corruptions: ``centers`` holds the distinct centers, ascending.
+      Row 0 of ``dz`` is the hidden gradient of one draw of a corruption
+      with no saturated unit, ``alpha / E * W_oh2``, and row 0 of
+      ``rows`` its embedding row. Center ``k``'s gradient is
+      ``weights[k] * rows[0]``, where ``weights[k]`` is its draw count,
+      or 0 when its hinge is inactive or it saturates a unit. The active
+      corruptions that saturate a unit are ``centers[partial]``: row
+      ``1 + j`` of ``dz`` and of ``rows`` is the hidden gradient and the
+      embedding row of ``centers[partial[j]]``, over all its draws.
+      ``rows`` is ``dz @ W_center``, ``W_center`` the center block of
+      ``W_hi``.
 
     ``dense`` holds the gradients of ``b_h``, ``W_oh2``, ``b_o2``,
     ``W_oh1`` and ``b_o1``. The gradient of ``W_hi`` is kept factored:
-    ``outer(dense["b_h"], s_t)`` plus ``w_center`` (shape ``(H, D)``)
-    added to the columns ``center``, the window's center block.
-    :func:`train_sswe` applies the rank-one part to ``W_hi`` in place
-    with BLAS ``ger``, so no ``(H, n*D)`` gradient is ever allocated.
+    ``outer(dense["b_h"], s_t)`` plus ``dz.T @ inputs`` added to the
+    columns ``center``, the window's center block. A corruption's center
+    difference is its center's vector minus the target's; ``inputs[0]``
+    is their sum weighted by ``weights``, and ``inputs[1 + j]`` that of
+    ``centers[partial[j]]``. :func:`train_sswe` applies the rank-one part
+    to ``W_hi`` in place with BLAS ``ger``, so no ``(H, n*D)`` gradient
+    is ever allocated.
     """
 
-    cols: np.ndarray
-    m_grad: np.ndarray
+    ids: np.ndarray
+    ctx_rows: np.ndarray
+    centers: np.ndarray
+    weights: np.ndarray
+    partial: np.ndarray
+    dz: np.ndarray
+    rows: np.ndarray
+    inputs: np.ndarray
     dense: dict[str, np.ndarray]
     s_t: np.ndarray
     center: slice
-    w_center: np.ndarray
     loss_overall: float = 0.0
     loss_context: float = 0.0
     loss_score: float = 0.0
@@ -174,27 +203,6 @@ def loss_overall(alpha: float, context_value: float, score_value: float) -> floa
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha * context_value + (1.0 - alpha) * score_value
-
-
-def _merge_rows(cols: np.ndarray, rows: np.ndarray):
-    """Sum the rows of repeated columns, in the order they appear.
-
-    Each column starts from its first row and adds its later rows one at
-    a time in row order. Columns whose sum is all zero are dropped.
-    Returns ``(unique cols ascending, summed rows)``.
-    """
-    uniq, first, inverse = np.unique(cols, return_index=True,
-                                     return_inverse=True)
-    merged = rows[first]
-    later = np.ones(len(cols), dtype=bool)
-    later[first] = False
-    np.add.at(merged, inverse[later], rows[later])
-    # Inactive corruptions and flat hinge regions can leave a touched
-    # column with an exactly zero vector; keep only true contributions.
-    live = merged.any(axis=1)
-    if live.all():
-        return uniq, merged
-    return uniq[live], merged[live]
 
 
 def backward(params: SSWEParams, sample: WindowSample, corrupt_centers,
@@ -213,19 +221,22 @@ def backward(params: SSWEParams, sample: WindowSample, corrupt_centers,
     :class:`SSWEGradients`), for :func:`train_sswe` to apply in place
     with BLAS ``ger``: no ``(H, n*D)`` matrix is built. For the same
     reason every context position's embedding row comes from one product
-    ``u @ W_hi`` of the shared hidden gradient ``u``, and only the
-    center and the corruption centers need products of their own.
+    ``u @ W_hi`` of the shared hidden gradient ``u``. Repeated draws of a
+    center are one corrupted window weighted by its count, and every
+    corruption without a saturated unit shares one hidden gradient, so
+    only the saturating ones need embedding rows of their own.
     """
     rows_of = params.M.T          # (V, D), one C-ordered row per word
     W_hi = params.W_hi
     d = params.embed_dim
-    n = len(sample.context)
+    ids = np.asarray(sample.context, dtype=np.intp)
+    n = len(ids)
     c = sample.center_index
     center = slice(c * d, (c + 1) * d)
     W_center = W_hi[:, center]
-    ids = np.asarray(sample.context, dtype=np.intp)
-    corrupt_centers = np.asarray(corrupt_centers, dtype=np.intp)
     n_corrupt = len(corrupt_centers)
+    centers, counts = np.unique(np.asarray(corrupt_centers, dtype=np.intp),
+                                return_counts=True)
 
     x_t = rows_of[ids]
     s_t = x_t.reshape(-1)
@@ -235,8 +246,8 @@ def backward(params: SSWEParams, sample: WindowSample, corrupt_centers,
     f_t = float(params.W_oh2 @ i_t + params.b_o2[0])
     f_ss = float(params.W_oh1 @ i_t + params.b_o1[0])
 
-    # one row per corruption: (E, D) center differences, (E, H) hiddens
-    delta = rows_of[corrupt_centers]
+    # one row per distinct center: (U, D) center differences, (U, H) hiddens
+    delta = rows_of[centers]
     delta -= x_t[c]
     z_c = delta @ W_center.T
     z_c += z_t
@@ -245,45 +256,54 @@ def backward(params: SSWEParams, sample: WindowSample, corrupt_centers,
 
     margins = 1.0 - f_t + f_c
     active = margins > 0.0
-    l_ctx = float(np.mean(np.maximum(0.0, margins)))
+    weights = np.where(active, counts, 0.0)
+    l_ctx = float(counts @ np.maximum(0.0, margins)) / n_corrupt
     # squared error via numpy so a diverged run overflows to inf
     l_sc = float(np.square(np.float64(f_ss - gold_score)))
     l_all = loss_overall(alpha, l_ctx, l_sc)
 
-    df_t = -alpha * np.count_nonzero(active) / n_corrupt
-    df_c = alpha * active.astype(float) / n_corrupt
+    df_t = -alpha * weights.sum() / n_corrupt
     df_ss = (1.0 - alpha) * 2.0 * (f_ss - gold_score)
-
     dz_t = (df_t * params.W_oh2 + df_ss * params.W_oh1) * htanh_grad_mask(z_t)
-    # outer(df_c, W_oh2) * htanh'(z_c), where df_c is alpha / E on the
-    # active corruptions and 0 on the others
-    mask = np.abs(z_c) < 1.0
-    mask &= active[:, None]
-    dz_c = mask * (alpha / n_corrupt * params.W_oh2)
-    u = dz_t + dz_c.sum(axis=0)
+    d_W_oh2 = df_t * i_t + (alpha / n_corrupt * weights) @ i_c
 
+    # the hidden gradient of one draw of an active corruption is
+    # shared * htanh'(z_c), which is shared itself unless a unit saturates
+    shared = alpha / n_corrupt * params.W_oh2
+    saturated = np.abs(z_c) >= 1.0
+    if saturated.any():
+        partial = np.flatnonzero(active & saturated.any(axis=1))
+        dz_p = ~saturated[partial] * shared
+        dz_p *= weights[partial, None]
+        weights[partial] = 0.0
+        dz = np.vstack([shared, dz_p])
+        inputs = np.vstack([weights @ delta, delta[partial]])
+        u = dz_t + weights.sum() * shared + dz_p.sum(axis=0)
+    else:
+        partial = np.empty(0, dtype=np.intp)
+        dz = shared[None]
+        inputs = (weights @ delta)[None]
+        u = dz_t + weights.sum() * shared
     dense = {
         "b_h": u,
-        "W_oh2": df_t * i_t + df_c @ i_c,
+        "W_oh2": d_W_oh2,
         # b_o2 cancels from every margin 1 - f_t + f_c
         "b_o2": np.zeros(1),
         "W_oh1": df_ss * i_t,
         "b_o1": np.array([df_ss]),
     }
 
-    # Embedding rows in accumulation order: one per context position,
-    # the target's own row at the center, then one per corruption center
-    # in draw order.
-    rows = np.empty((n + n_corrupt, d))
-    np.matmul(u, W_hi, out=rows[:n].reshape(-1))
-    np.matmul(dz_t, W_center, out=rows[c])
-    np.matmul(dz_c, W_center, out=rows[n:])
-    cols, m_grad = _merge_rows(np.concatenate([ids, corrupt_centers]), rows)
+    # one row per context position from the shared u, except the
+    # target's own center row, which the corruptions do not read
+    ctx_rows = np.empty((n, d))
+    np.matmul(u, W_hi, out=ctx_rows.reshape(-1))
+    np.matmul(dz_t, W_center, out=ctx_rows[c])
 
-    return SSWEGradients(cols=cols, m_grad=m_grad, dense=dense, s_t=s_t,
-                         center=center, w_center=dz_c.T @ delta,
-                         loss_overall=l_all, loss_context=l_ctx,
-                         loss_score=l_sc)
+    return SSWEGradients(ids=ids, ctx_rows=ctx_rows, centers=centers,
+                         weights=weights, partial=partial, dz=dz,
+                         rows=dz @ W_center, inputs=inputs, dense=dense,
+                         s_t=s_t, center=center, loss_overall=l_all,
+                         loss_context=l_ctx, loss_score=l_sc)
 
 
 @dataclass
@@ -313,7 +333,7 @@ def train_sswe(windows: list[WindowSample], vocab: Vocabulary,
                         f"{len(vocab)}")
     # imported here: scipy.linalg costs about 6 MB at import, which the
     # scoring and serving paths should not pay
-    from scipy.linalg.blas import dger
+    from scipy.linalg.blas import dgemm, dger
 
     rng = np.random.default_rng(hyper.seed)
     params = SSWEParams.init(len(vocab), hyper, rng)
@@ -332,17 +352,33 @@ def train_sswe(windows: list[WindowSample], vocab: Vocabulary,
             tot_ctx += grads.loss_context
             tot_sc += grads.loss_score
             if eta != 0.0:
-                # W_hi is C-ordered, so W_hi.T is a Fortran-ordered view
-                # that ger updates in place: W_hi -= eta * outer(u, s_t)
+                # eta rides on the BLAS calls' scale and on small
+                # arrays; of the corruptions' rows only the saturating
+                # ones are scaled one by one. W_hi is C-ordered, so
+                # W_hi.T is a Fortran-ordered view that ger updates in
+                # place: W_hi -= eta * outer(u, s_t)
                 dger(-eta, grads.s_t, grads.dense["b_h"], a=params.W_hi.T,
                      overwrite_a=True)
-                grads.w_center *= eta
-                params.W_hi[:, grads.center] -= grads.w_center
+                # the center block eta * dz.T @ inputs, built transposed
+                # so that no operand is copied
+                params.W_hi[:, grads.center] -= dgemm(
+                    eta, grads.inputs.T, grads.dz.T, trans_b=1).T
                 for name, g in grads.dense.items():
                     g *= eta
                     getattr(params, name)[...] -= g
-                grads.m_grad *= eta
-                params.M.T[grads.cols] -= grads.m_grad
+                # every gradient was taken before these writes, so the
+                # centers' and the context's columns may overlap
+                step = np.zeros((len(grads.centers), params.embed_dim))
+                dger(eta, grads.rows[0], grads.weights, a=step.T,
+                     overwrite_a=True)
+                if grads.partial.size:
+                    step[grads.partial] = eta * grads.rows[1:]
+                params.M.T[grads.centers] -= step
+                step = eta * grads.ctx_rows
+                if len(set(sample.context)) == len(step):
+                    params.M.T[grads.ids] -= step
+                else:
+                    np.subtract.at(params.M.T, grads.ids, step)
         k = len(windows)
         history.append(EpochLosses(epoch, tot_all / k, tot_ctx / k, tot_sc / k))
         if not np.isfinite(history[-1].loss_overall):

@@ -88,12 +88,16 @@ def sample_loss(params: SSWEParams, sample, corrupt_centers,
 
 def dense_gradients(params: SSWEParams, grads) -> dict[str, np.ndarray]:
     """Every gradient of an ``SSWEGradients`` as an array shaped like its
-    parameter: ``M`` from ``(cols, m_grad)``, ``W_hi`` from its rank-one
-    factors plus the center block."""
+    parameter: ``M`` from the context rows (a repeated id adds each of its
+    rows), the shared row times each center's weight and the partial
+    rows; ``W_hi`` from its rank-one factors plus the center block."""
     dense_m = np.zeros_like(params.M)
-    dense_m[:, grads.cols] = grads.m_grad.T
+    rows_of = dense_m.T
+    np.add.at(rows_of, grads.ids, grads.ctx_rows)
+    rows_of[grads.centers] += np.outer(grads.weights, grads.rows[0])
+    rows_of[grads.centers[grads.partial]] += grads.rows[1:]
     w_hi = np.outer(grads.dense["b_h"], grads.s_t)
-    w_hi[:, grads.center] += grads.w_center
+    w_hi[:, grads.center] += grads.dz.T @ grads.inputs
     return {"M": dense_m, "W_hi": w_hi, **grads.dense}
 
 

@@ -334,6 +334,25 @@ class TestTrainCommands:
         assert repr(words[0]) in err and repr(words[1]) in err
         assert (root / "models" / "model.sats").read_bytes() == model_bytes
 
+    def test_embedding_dimension_must_match_config(self, workspace, tmp_path,
+                                                   capsys):
+        # the corpus's own vocabulary, but 5 dimensions against the
+        # config's embed_dim = 8: the saved model's config hash would
+        # name a dimension it does not have
+        root, cfgpath = workspace
+        _, vocab, _ = load_embeddings(root / "models" / "embeddings.sswe")
+        hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3)
+        params = SSWEParams.init(len(vocab), hyper, np.random.default_rng(0))
+        narrow = tmp_path / "narrow.sswe"
+        save_embeddings(narrow, params, vocab)
+        model_bytes = (root / "models" / "model.sats").read_bytes()
+        rc = main(["--config", str(cfgpath), "train-scorer",
+                   "--embeddings", str(narrow)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dimension 5" in err and "embed_dim is 8" in err
+        assert (root / "models" / "model.sats").read_bytes() == model_bytes
+
     def test_missing_cache_is_a_data_error(self, tmp_path, capsys):
         cfgpath = write_workspace_config(tmp_path)
         rc = main(["--config", str(cfgpath), "train-embeddings"])

@@ -1,8 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import essayscore
+import essayscore.sswe as sswemod
 from essayscore.corpus import (ScoreRange, Vocabulary, WindowSample,
                                corrupt_window, extract_windows)
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
@@ -214,14 +220,16 @@ class TestBackward:
         sample = WindowSample((3, 4, 5), 1, 0.5, 1)
         corruptions = [6, 7]
         grads = backward(p, sample, corruptions, 0.5, 0.5)
-        assert set(grads.cols.tolist()) <= {3, 4, 5, 6, 7}
+        dense_m = dense_gradients(p, grads)["M"]
+        untouched = [k for k in range(p.vocab_size) if k not in range(3, 8)]
+        assert np.all(dense_m[:, untouched] == 0.0)
 
     def test_alpha_zero_ignores_corruption_columns(self):
         p = small_params()
         sample = WindowSample((3, 4, 5), 1, 0.5, 1)
         grads = backward(p, sample, [6, 7], 0.5, 0.0)
-        assert 6 not in grads.cols
-        assert 7 not in grads.cols
+        dense_m = dense_gradients(p, grads)["M"]
+        assert np.all(dense_m[:, [6, 7]] == 0.0)
         assert grads.loss_overall == grads.loss_score
 
     def test_losses_attached(self):
@@ -314,36 +322,94 @@ class TestTraining:
                 train_sswe(training_windows(vocab), vocab, hyper)
 
 
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # train_sswe imports scipy.linalg itself, so that scoring and serving
+    # do not pay its memory
+    code = ("import sys, essayscore, essayscore.cli; "
+            "sys.exit('scipy.linalg' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(essayscore.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def parity_windows():
+    # four candidate words and 12 corruptions per window force repeated
+    # draws and draws that hit context ids; essays repeat ids within a
+    # window and carry unknown words and edge padding
+    vocab = Vocabulary(["a", "b", "c", "d"])
+    windows = []
+    for k, tokens in enumerate([[3, 3, 4, 1, 3, 5], [6, 1, 1, 6, 4],
+                                [5, 5, 5]]):
+        essay = make_essay(tokens, essay_id=k, raw=float(3 * k + 2))
+        windows.extend(extract_windows(essay, 5))
+    return vocab, windows
+
+
+def assert_matches_reference(windows, vocab, hyper):
+    got, history = train_sswe(windows, vocab, hyper)
+    want, losses = reference_train(windows, vocab, hyper)
+    assert got.M.flags.f_contiguous
+    # the factored step rounds differently from the dense one; the
+    # reference's b_o2 is pure rounding residue around its exact 0
+    for name in ("M",) + got.dense_names():
+        a, b = getattr(got, name), getattr(want, name)
+        tol = 1e-12 * np.max(np.abs(b))
+        if name == "b_o2":
+            tol = max(tol, 1e-15)
+        assert np.max(np.abs(a - b)) <= tol, name
+    k = len(windows)
+    for epoch, h in enumerate(history):
+        mean = sum(losses[epoch * k:(epoch + 1) * k]) / k
+        assert h.loss_overall == pytest.approx(mean, rel=1e-12, abs=0)
+
+
 class TestReferenceParity:
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_training_matches_dict_accumulation(self, alpha):
-        # four candidate words and 12 corruptions per window force
-        # repeated draws and draws that hit context ids; essays repeat
-        # ids within a window and carry unknown words and edge padding
-        vocab = Vocabulary(["a", "b", "c", "d"])
-        windows = []
-        for k, tokens in enumerate([[3, 3, 4, 1, 3, 5], [6, 1, 1, 6, 4],
-                                    [5, 5, 5]]):
-            essay = make_essay(tokens, essay_id=k, raw=float(3 * k + 2))
-            windows.extend(extract_windows(essay, 5))
+        vocab, windows = parity_windows()
         hyper = SSWEHyper(embed_dim=4, hidden_dim=5, window_size=5,
                           n_corruptions=12, alpha=alpha, learning_rate=0.2,
                           epochs=3, seed=5)
-        got, history = train_sswe(windows, vocab, hyper)
-        want, losses = reference_train(windows, vocab, hyper)
-        assert got.M.flags.f_contiguous
-        # the factored step rounds differently from the dense one; the
-        # reference's b_o2 is pure rounding residue around its exact 0
-        for name in ("M",) + got.dense_names():
-            a, b = getattr(got, name), getattr(want, name)
-            tol = 1e-12 * np.max(np.abs(b))
-            if name == "b_o2":
-                tol = max(tol, 1e-15)
-            assert np.max(np.abs(a - b)) <= tol, name
-        k = len(windows)
-        for epoch, h in enumerate(history):
-            mean = sum(losses[epoch * k:(epoch + 1) * k]) / k
-            assert h.loss_overall == pytest.approx(mean, rel=1e-12, abs=0)
+        assert_matches_reference(windows, vocab, hyper)
+
+    def test_saturated_training_matches_dict_accumulation(self,
+                                                          monkeypatch):
+        # a scaled-up network saturates hidden units, so the corruptions
+        # of one run take the shared row, the partial rows and the
+        # inactive path
+        init = SSWEParams.init.__func__
+
+        def scaled_init(cls, vocab_size, hyper, rng):
+            params = init(cls, vocab_size, hyper, rng)
+            params.W_hi *= 25.0
+            params.W_oh2 *= 30.0
+            return params
+
+        seen = []
+
+        def recording_backward(params, sample, centers, gold, alpha):
+            grads = backward(params, sample, centers, gold, alpha)
+            seen.append((sample.context, centers, grads))
+            return grads
+
+        monkeypatch.setattr(SSWEParams, "init", classmethod(scaled_init))
+        monkeypatch.setattr(sswemod, "backward", recording_backward)
+        vocab, windows = parity_windows()
+        hyper = SSWEHyper(embed_dim=4, hidden_dim=5, window_size=5,
+                          n_corruptions=12, alpha=0.5, learning_rate=0.2,
+                          epochs=3, seed=5)
+        assert_matches_reference(windows, vocab, hyper)
+
+        shared = sum(np.count_nonzero(g.weights) for *_, g in seen)
+        partial = sum(g.partial.size for *_, g in seen)
+        inactive = sum(g.centers.size for *_, g in seen) - shared - partial
+        assert shared and partial and inactive
+        assert any(g.weights.any() and g.partial.size for *_, g in seen)
+        assert any(g.centers.size < len(drawn) for _, drawn, g in seen)
+        assert any(set(ctx) & set(g.centers.tolist()) for ctx, _, g in seen)
+        assert any(len(set(ctx)) < len(ctx) for ctx, *_ in seen)
 
 
 class TestNeighbors:
