@@ -25,12 +25,15 @@ for set_id, score_range in sorted(corpus.ranges.items()):
 train, val, test = split_corpus(corpus.essays, SplitSpec(seed=0))
 print(f"split sizes: train {len(train)}, val {len(val)}, test {len(test)}")
 
-# every token becomes the center of one training window
+# every token becomes the center of one training window; the windows
+# of all essays are rows of one id stream, each essay's edges padded
+# by the boundary ids it shares with its neighbors
+windows = extract_windows(train, 3)
 essay = train[0]
-windows = extract_windows(essay, 3)
-print(f"\nessay {essay.essay_id} (score {essay.raw_score:g}) "
-      f"yields {len(windows)} windows of 3 tokens:")
-for sample in windows[:4]:
-    print("  ", corpus.vocab.decode(list(sample.context)),
-          "->", sample.scaled_score)
+print(f"\n{len(train)} training essays yield {len(windows)} windows of "
+      f"3 tokens over a stream of {len(windows.stream)} ids")
+print(f"the first, from essay {essay.essay_id} (score {essay.raw_score:g}):")
+for k in range(4):
+    ids = windows.view[windows.starts[k]]
+    print("  ", corpus.vocab.decode(ids.tolist()), "->", windows.scores[k])
 print("   ...")

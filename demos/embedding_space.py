@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from essayscore.corpus import extract_windows, load_corpus
+from essayscore.corpus import load_corpus
 from essayscore.sswe import (SSWEHyper, cosine_distance, nearest_neighbors,
                              train_sswe)
 from essayscore.synth import MISSPELL_PAIRS, write_tsv
@@ -22,15 +22,16 @@ workdir = tempfile.mkdtemp(prefix="essayscore_demo_")
 path = os.path.join(workdir, "essays.tsv")
 write_tsv(path, "misspell", seed=0)
 corpus, _ = load_corpus(path, min_count=1)
-windows = [w for e in corpus.essays for w in extract_windows(e, 3)]
-print(f"{len(corpus.essays)} essays, {len(windows)} windows")
+# one training window per token
+n_windows = sum(len(e.tokens) for e in corpus.essays)
+print(f"{len(corpus.essays)} essays, {n_windows} windows")
 
 
 def train(alpha):
     hyper = SSWEHyper(embed_dim=12, hidden_dim=8, window_size=3,
                       n_corruptions=8, alpha=alpha, learning_rate=0.01,
                       epochs=5, seed=0)
-    params, history = train_sswe(windows, corpus.vocab, hyper)
+    params, history = train_sswe(corpus.essays, corpus.vocab, hyper)
     print(f"alpha={alpha}: final loss {history[-1].loss_overall:.4f}")
     return params
 

@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 
-from essayscore.corpus import extract_windows, load_corpus
+from essayscore.corpus import load_corpus
 from essayscore.lstm import SeqHyper, SeqModel, predict, train_scorer
 from essayscore.metrics import report
 from essayscore.sswe import SSWEHyper, train_sswe
@@ -19,11 +19,11 @@ path = os.path.join(workdir, "essays.tsv")
 write_tsv(path, "overfit16", seed=0)
 corpus, _ = load_corpus(path, min_count=1)
 
-windows = [w for e in corpus.essays for w in extract_windows(e, 3)]
-params, _ = train_sswe(windows, corpus.vocab, SSWEHyper(
+params, _ = train_sswe(corpus.essays, corpus.vocab, SSWEHyper(
     embed_dim=12, hidden_dim=8, window_size=3, n_corruptions=8,
     alpha=0.1, learning_rate=0.01, epochs=5, seed=0))
-print(f"embeddings trained on {len(windows)} windows")
+n_windows = sum(len(e.tokens) for e in corpus.essays)  # one per token
+print(f"embeddings trained on {n_windows} windows")
 
 hyper = SeqHyper(lstm_dim=8, layers=1, bidirectional=False, dropout=0.0,
                  peepholes="full", learning_rate=0.01, epochs=200,

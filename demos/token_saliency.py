@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 
-from essayscore.corpus import extract_windows, load_corpus
+from essayscore.corpus import load_corpus
 from essayscore.lstm import SeqHyper, SeqModel, train_scorer
 from essayscore.saliency import quality_map, render_ansi, render_html
 from essayscore.sswe import SSWEHyper, train_sswe
@@ -20,8 +20,7 @@ path = os.path.join(workdir, "essays.tsv")
 write_tsv(path, "overfit16", seed=0)
 corpus, _ = load_corpus(path, min_count=1)
 
-windows = [w for e in corpus.essays for w in extract_windows(e, 3)]
-params, _ = train_sswe(windows, corpus.vocab, SSWEHyper(
+params, _ = train_sswe(corpus.essays, corpus.vocab, SSWEHyper(
     embed_dim=12, hidden_dim=8, window_size=3, n_corruptions=8,
     alpha=0.1, learning_rate=0.01, epochs=5, seed=0))
 hyper = SeqHyper(lstm_dim=8, layers=1, bidirectional=False, dropout=0.0,

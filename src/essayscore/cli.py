@@ -110,12 +110,6 @@ def _with_targets(essays, cfg):
     return [dataclasses.replace(e, scaled_score=e.raw_score) for e in essays]
 
 
-def _windows(essays, cfg):
-    """Every essay's embedding-training windows, essay after essay."""
-    return [w for essay in essays
-            for w in corpusmod.extract_windows(essay, cfg.window_size)]
-
-
 def _pseudo_bounds(cfg, score_range):
     if cfg.normalize_scores:
         return 1.0, 0.0
@@ -165,8 +159,7 @@ def cmd_train_embeddings(args) -> int:
     chash = cfgmod.config_hash(cfg)
     corpus, _ = _load_cache(cfg)
     train = _with_targets(_load_split(cfg, corpus, "train"), cfg)
-    windows = _windows(train, cfg)
-    params, history = sswemod.train_sswe(windows, corpus.vocab,
+    params, history = sswemod.train_sswe(train, corpus.vocab,
                                          cfg.sswe_hyper())
 
     os.makedirs(cfg.models_dir, exist_ok=True)
@@ -182,7 +175,9 @@ def cmd_train_embeddings(args) -> int:
                            "\n".join(rows) + "\n")
     last = history[-1] if history else None
     tail = (f"; final loss {last.loss_overall:.6f}" if last else "")
-    print(f"trained embeddings on {len(windows)} windows"
+    # one window per token
+    n_windows = sum(len(e.tokens) for e in train)
+    print(f"trained embeddings on {n_windows} windows"
           f" over {len(train)} essays{tail}")
     return 0
 
@@ -338,8 +333,7 @@ def cmd_visualize(args) -> int:
 
 
 def _run_trial(cfg, corpus, train, val) -> float:
-    params, _ = sswemod.train_sswe(_windows(train, cfg), corpus.vocab,
-                                   cfg.sswe_hyper())
+    params, _ = sswemod.train_sswe(train, corpus.vocab, cfg.sswe_hyper())
     rng = np.random.default_rng(cfg.seed)
     model = lstmmod.SeqModel.init(params.M, cfg.seq_hyper(), rng)
     _, history = lstmmod.train_scorer(model, train, val, corpus.ranges,
@@ -353,8 +347,12 @@ def _run_trial(cfg, corpus, train, val) -> float:
 def cmd_search(args) -> int:
     cfg = _resolve_config(args)
     chash = cfgmod.config_hash(cfg)
-    choices = tuple(float(a) for a in args.alpha_choices.split(",")) \
-        if args.alpha_choices else ()
+    try:
+        choices = tuple(float(a) for a in args.alpha_choices.split(",")) \
+            if args.alpha_choices else ()
+    except ValueError:
+        raise ConfigError(f"--alpha-choices expects comma-separated numbers, "
+                          f"got {args.alpha_choices!r}") from None
     space = cfgmod.SearchSpace(trials=args.trials, seed=args.search_seed,
                                alpha_choices=choices)
     space.validate()
@@ -393,9 +391,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = int(args.seed) if args.seed is not None else 0
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     with _Pending() as pending:
-        pending.write_text(args.out, synthmod.generate(args.profile, seed))
+        pending.write_text(args.out, synthmod.generate(args.profile,
+                                                       args.seed))
     print(f"wrote {args.profile} corpus to {args.out}")
     return 0
 
@@ -453,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic fixture corpus")
     p.add_argument("--profile", required=True,
                    choices=sorted(synthmod.PROFILES))
-    p.add_argument("--seed", default=None, help="generator seed (default 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="generator seed (default 0)")
     p.add_argument("--out", required=True, help="output TSV path")
     p.set_defaults(func=cmd_synth)
     return parser

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,14 @@ class Config:
     heatmaps_dir: str = "heatmaps"
 
     def validate(self):
+        # a NaN passes every comparison below, so reject it first
+        for name, kind in _FIELDS.items():
+            if kind == "float" and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
+        # numpy's generators take no negative seed
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.min_count < 1:
             raise ConfigError(f"min_count must be >= 1, got {self.min_count}")
         if self.val_ratio < 0 or self.test_ratio < 0 \

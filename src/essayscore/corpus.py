@@ -1,6 +1,10 @@
 """Corpus handling: tokenization, vocabulary, TSV ingestion, splits and
 training windows.
 
+The training windows of a list of essays are the rows of one sliding
+view over a single boundary-padded int32 id stream (:class:`Windows`),
+so building them copies each token once and makes no object per window.
+
 The ingestion format is the tab-separated essay dump used by the ASAP
 competition: a header row with at least ``essay_id``, ``essay_set``,
 ``essay`` and ``domain1_score`` columns; extra columns are ignored.
@@ -16,8 +20,10 @@ import re
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -292,8 +298,9 @@ def split_corpus(essays: list[Essay], spec: SplitSpec = SplitSpec()):
     """
     if abs(sum(spec.ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios {spec.ratios} do not sum to 1")
-    if any(r < 0 for r in spec.ratios):
-        raise ConfigError(f"split ratios must be non-negative, got {spec.ratios}")
+    if not all(math.isfinite(r) and r >= 0 for r in spec.ratios):
+        raise ConfigError(f"split ratios must be finite and non-negative, "
+                          f"got {spec.ratios}")
 
     by_set: dict[int, list[Essay]] = {}
     for e in essays:
@@ -318,43 +325,74 @@ def split_corpus(essays: list[Essay], spec: SplitSpec = SplitSpec()):
 
 
 @dataclass(frozen=True)
-class WindowSample:
-    """An n-gram training window centered on one target token."""
+class Windows:
+    """The n-gram training windows of a list of essays, one per token.
 
-    context: tuple[int, ...]
-    center_index: int
-    scaled_score: float
-    source_essay: int
+    ``stream`` holds every essay's ids in order as one int32 array, with
+    ``(n - 1) // 2`` ``BOUNDARY_ID``s before the first essay, between
+    every two essays and after the last, so each essay's edges are
+    padded by the boundaries it shares with its neighbors. ``view`` is
+    the ``(len(stream) - n + 1, n)`` sliding-window view of the stream,
+    which copies nothing. Window ``k`` is ``view[starts[k]]``, centered
+    at ``n // 2`` on one token, and ``scores[k]`` is its essay's
+    ``scaled_score``. Windows run essay after essay, token after token.
+    """
 
-    @property
-    def target(self) -> int:
-        return self.context[self.center_index]
+    stream: np.ndarray
+    view: np.ndarray
+    starts: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
 
-def extract_windows(essay: Essay, n: int) -> list[WindowSample]:
-    """One window per token position, boundary-padded at the essay edges."""
+def extract_windows(essays: list[Essay], n: int) -> Windows:
+    """Every token of ``essays`` as the center of one width-``n`` window.
+
+    The windows are rows of one boundary-padded id stream (see
+    :class:`Windows`); an essay with no tokens contributes none. A token
+    id outside the int32 range is a :class:`DataError`.
+    """
     if n % 2 == 0 or n < 3:
         raise ConfigError(f"window size must be odd and >= 3, got {n}")
-    half = (n - 1) // 2
-    padded = [BOUNDARY_ID] * half + list(essay.tokens) + [BOUNDARY_ID] * half
-    return [WindowSample(tuple(padded[i:i + n]), half, essay.scaled_score,
-                         essay.essay_id)
-            for i in range(len(essay.tokens))]
+    half = n // 2
+    lengths = np.fromiter((len(e.tokens) for e in essays), dtype=np.intp,
+                          count=len(essays))
+    total = int(lengths.sum())
+    pad = [BOUNDARY_ID] * half
+    pieces = chain.from_iterable((e.tokens, pad) for e in essays)
+    try:
+        stream = np.fromiter(chain(pad, chain.from_iterable(pieces)),
+                             dtype=np.int32,
+                             count=total + half * (len(essays) + 1))
+    except OverflowError:
+        raise DataError("token id out of the int32 range") from None
+    # essay k's tokens sit k + 1 paddings into the stream, so token j's
+    # window starts at half * k plus the tokens before it
+    starts = np.arange(total)
+    starts += np.repeat(half * np.arange(len(essays)), lengths)
+    scores = np.repeat(np.array([e.scaled_score for e in essays], dtype=float),
+                       lengths)
+    # a stream of paddings alone can be shorter than one window
+    view = sliding_window_view(stream, n) if total \
+        else np.empty((0, n), dtype=np.int32)
+    return Windows(stream, view, starts, scores)
 
 
-def corrupt_window(sample: WindowSample, n_corruptions: int, rng,
+def corrupt_window(target: int, n_corruptions: int, rng,
                    vocab: Vocabulary) -> np.ndarray:
     """Draw the center ids of corrupted copies of a window.
 
-    A corrupted window is ``sample.context`` with its center replaced by
-    one of the returned ids; every other position is shared, so only the
-    centers are returned, as an int array in draw order. Replacements
-    are uniform over non-special vocabulary ids excluding the true
-    target, drawn with replacement.
+    A corrupted window is the window whose center is ``target`` with
+    that center replaced by one of the returned ids; every other
+    position is shared, so only the centers are returned, as an int
+    array in draw order. Replacements are uniform over non-special
+    vocabulary ids excluding ``target``, drawn with replacement, so the
+    draws depend on the target alone.
     """
     if n_corruptions < 1:
         raise ConfigError(f"need at least one corruption, got {n_corruptions}")
-    target = sample.target
     n_candidates = vocab.n_words
     target_off = target - N_SPECIALS if target >= N_SPECIALS else None
     if target_off is not None:

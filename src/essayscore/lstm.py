@@ -112,8 +112,10 @@ class SeqHyper:
         if not (math.isfinite(self.eps_rms) and self.eps_rms > 0.0):
             raise ConfigError(f"eps_rms must be a finite number > 0, "
                               f"got {self.eps_rms}")
-        if self.clip_norm < 0.0:
-            raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
+        # a NaN clip_norm would fail every comparison and turn clipping off
+        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0.0):
+            raise ConfigError(f"clip_norm must be a finite number >= 0, "
+                              f"got {self.clip_norm}")
 
 
 class LSTMLayer:

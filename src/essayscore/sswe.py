@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import artifact
-from .corpus import N_SPECIALS, Vocabulary, WindowSample, corrupt_window
+from .corpus import (N_SPECIALS, Essay, Vocabulary, corrupt_window,
+                     extract_windows)
 from .errors import ConfigError, DataError, NumericalError
 
 EMBEDDING_MAGIC = b"SSWE"
@@ -205,10 +205,11 @@ def loss_overall(alpha: float, context_value: float, score_value: float) -> floa
     return alpha * context_value + (1.0 - alpha) * score_value
 
 
-def backward(params: SSWEParams, sample: WindowSample, corrupt_centers,
+def backward(params: SSWEParams, ids, corrupt_centers,
              gold_score: float, alpha: float = 0.1) -> SSWEGradients:
-    """Exact analytic gradients of the overall loss for one sample.
+    """Exact analytic gradients of the overall loss for one window.
 
+    ``ids`` are the window's ``n`` ids, its center at ``n // 2``.
     ``corrupt_centers`` are the center ids of the corrupted windows, as
     drawn by :func:`corrupt_window`; ids are not range-checked here
     (:func:`train_sswe` checks its windows once). The hinge subgradient
@@ -229,9 +230,9 @@ def backward(params: SSWEParams, sample: WindowSample, corrupt_centers,
     rows_of = params.M.T          # (V, D), one C-ordered row per word
     W_hi = params.W_hi
     d = params.embed_dim
-    ids = np.asarray(sample.context, dtype=np.intp)
+    ids = np.asarray(ids, dtype=np.intp)
     n = len(ids)
-    c = sample.center_index
+    c = n // 2
     center = slice(c * d, (c + 1) * d)
     W_center = W_hi[:, center]
     n_corrupt = len(corrupt_centers)
@@ -314,21 +315,25 @@ class EpochLosses:
     loss_score: float
 
 
-def train_sswe(windows: list[WindowSample], vocab: Vocabulary,
+def train_sswe(essays: list[Essay], vocab: Vocabulary,
                hyper: SSWEHyper) -> tuple[SSWEParams, list[EpochLosses]]:
-    """Per-sample SGD over shuffled windows.
+    """Per-sample SGD over the shuffled windows of ``essays``.
 
-    Corruptions are redrawn at every visit from the seeded generator, so
-    a fixed seed reproduces the parameter trajectory exactly. Every
-    window id is checked against the vocabulary once, up front; an id
-    out of range is a :class:`DataError`.
+    Every token of every essay centers one window of
+    ``hyper.window_size`` ids, padded with boundary ids at the essay's
+    edges, whose gold score is the essay's ``scaled_score``; the windows
+    are rows of one id stream (:func:`extract_windows`). Corruptions are
+    redrawn at every visit from the seeded generator, so a fixed seed
+    reproduces the parameter trajectory exactly. Every id is checked
+    against the vocabulary once, up front; an id out of range is a
+    :class:`DataError`, and essays without a token are a
+    :class:`ConfigError`.
     """
     hyper.validate()
-    if not windows:
+    windows = extract_windows(essays, hyper.window_size)
+    if not len(windows):
         raise ConfigError("cannot train embeddings on an empty window set")
-    ids = np.fromiter(chain.from_iterable(w.context for w in windows),
-                      dtype=np.intp)
-    if ids.min() < 0 or ids.max() >= len(vocab):
+    if windows.stream.min() < 0 or windows.stream.max() >= len(vocab):
         raise DataError(f"window id out of range for vocabulary of "
                         f"{len(vocab)}")
     # imported here: scipy.linalg costs about 6 MB at import, which the
@@ -339,15 +344,17 @@ def train_sswe(windows: list[WindowSample], vocab: Vocabulary,
     params = SSWEParams.init(len(vocab), hyper, rng)
     eta = hyper.learning_rate
     history = []
+    view, starts, scores = windows.view, windows.starts, windows.scores
+    half = hyper.window_size // 2
     order = np.arange(len(windows))
     for epoch in range(hyper.epochs):
         rng.shuffle(order)
         tot_all = tot_ctx = tot_sc = 0.0
         for idx in order:
-            sample = windows[idx]
-            centers = corrupt_window(sample, hyper.n_corruptions, rng, vocab)
-            grads = backward(params, sample, centers, sample.scaled_score,
-                             hyper.alpha)
+            ids = view[starts[idx]]
+            centers = corrupt_window(ids[half], hyper.n_corruptions, rng,
+                                     vocab)
+            grads = backward(params, ids, centers, scores[idx], hyper.alpha)
             tot_all += grads.loss_overall
             tot_ctx += grads.loss_context
             tot_sc += grads.loss_score
@@ -375,7 +382,7 @@ def train_sswe(windows: list[WindowSample], vocab: Vocabulary,
                     step[grads.partial] = eta * grads.rows[1:]
                 params.M.T[grads.centers] -= step
                 step = eta * grads.ctx_rows
-                if len(set(sample.context)) == len(step):
+                if len(set(grads.ids.tolist())) == len(step):
                     params.M.T[grads.ids] -= step
                 else:
                     np.subtract.at(params.M.T, grads.ids, step)

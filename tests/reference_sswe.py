@@ -7,15 +7,17 @@ the finite-difference checks differentiate. ``reference_backward`` and
 ``reference_train`` are the earlier per-sample SGD: a dense ``W_hi``
 gradient, the embedding gradient accumulated as a dict of columns one
 contribution at a time, and a per-column update loop on a C-ordered
-``M``. None of this is used by the package; the factored step in
-``essayscore.sswe`` must match it within rounding.
+``M``, over windows that ``essay_windows`` cuts from each essay padded
+on its own. None of this is used by the package; the factored step in
+``essayscore.sswe``, over the windows of one shared id stream, must
+match it within rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from essayscore.corpus import corrupt_window
+from essayscore.corpus import BOUNDARY_ID, corrupt_window
 from essayscore.errors import ConfigError
 from essayscore.sswe import SSWEParams, htanh, htanh_grad_mask, loss_overall
 
@@ -67,17 +69,31 @@ def loss_score(predictions, golds) -> float:
     return float(np.mean((predictions - golds) ** 2))
 
 
-def sample_loss(params: SSWEParams, sample, corrupt_centers,
+def essay_windows(essays, n):
+    """``(window, score)`` pairs, essay after essay and token after token:
+    each essay padded with ``n // 2`` boundary ids on either side, and
+    one ``n``-tuple of ids centered on each of its tokens."""
+    pad = [BOUNDARY_ID] * (n // 2)
+    windows = []
+    for essay in essays:
+        padded = pad + list(essay.tokens) + pad
+        windows.extend((tuple(padded[i:i + n]), essay.scaled_score)
+                       for i in range(len(essay.tokens)))
+    return windows
+
+
+def sample_loss(params: SSWEParams, context, corrupt_centers,
                 gold_score: float, alpha: float):
     """(overall, context, score) losses for one window and its corruptions.
 
+    ``context`` is the window's id tuple, centered at ``len // 2``;
     ``corrupt_centers`` are the center ids of the corrupted windows, as
     drawn by :func:`corrupt_window`.
     """
-    s_t = embed_window(sample.context, params.M)
+    s_t = embed_window(context, params.M)
     f_t, f_ss = forward(params, s_t)
-    c = sample.center_index
-    prefix, suffix = sample.context[:c], sample.context[c + 1:]
+    c = len(context) // 2
+    prefix, suffix = context[:c], context[c + 1:]
     f_cs = [forward(params, embed_window(prefix + (int(w),) + suffix,
                                          params.M))[0]
             for w in corrupt_centers]
@@ -101,15 +117,15 @@ def dense_gradients(params: SSWEParams, grads) -> dict[str, np.ndarray]:
     return {"M": dense_m, "W_hi": w_hi, **grads.dense}
 
 
-def reference_backward(params, sample, corruptions, gold_score, alpha):
+def reference_backward(params, context, corruptions, gold_score, alpha):
     """The embedding gradient as a dict of columns, accumulated one
     contribution at a time, and every dense gradient, ``W_hi`` as a full
-    matrix; ``corruptions`` are full window tuples."""
+    matrix; ``context`` and ``corruptions`` are full window tuples."""
     M = params.M
     d = params.embed_dim
-    n = len(sample.context)
-    c = sample.center_index
-    ids = np.asarray(sample.context, dtype=int)
+    n = len(context)
+    c = n // 2
+    ids = np.asarray(context, dtype=int)
     corrupt_centers = np.asarray([ctx[c] for ctx in corruptions], dtype=int)
     n_corrupt = len(corrupt_centers)
 
@@ -167,11 +183,14 @@ def reference_backward(params, sample, corruptions, gold_score, alpha):
     return m_cols, dense, loss_overall(alpha, l_ctx, l_sc)
 
 
-def reference_train(windows, vocab, hyper):
-    """Per-sample SGD on a C-ordered M with a per-column update loop.
+def reference_train(essays, vocab, hyper):
+    """Per-sample SGD on a C-ordered M with a per-column update loop,
+    over the windows of :func:`essay_windows`.
 
     Returns the parameters and the loss of every visited window.
     """
+    windows = essay_windows(essays, hyper.window_size)
+    c = hyper.window_size // 2
     rng = np.random.default_rng(hyper.seed)
     params = SSWEParams.init(len(vocab), hyper, rng)
     params.M = np.ascontiguousarray(params.M)
@@ -180,14 +199,13 @@ def reference_train(windows, vocab, hyper):
     for _ in range(hyper.epochs):
         rng.shuffle(order)
         for idx in order:
-            sample = windows[idx]
-            c = sample.center_index
-            corruptions = [sample.context[:c] + (int(w),)
-                           + sample.context[c + 1:]
-                           for w in corrupt_window(sample, hyper.n_corruptions,
+            context, score = windows[idx]
+            corruptions = [context[:c] + (int(w),) + context[c + 1:]
+                           for w in corrupt_window(context[c],
+                                                   hyper.n_corruptions,
                                                    rng, vocab)]
             m_cols, dense, loss = reference_backward(
-                params, sample, corruptions, sample.scaled_score, hyper.alpha)
+                params, context, corruptions, score, hyper.alpha)
             losses.append(loss)
             for name in params.dense_names():
                 getattr(params, name)[...] -= hyper.learning_rate * dense[name]

@@ -20,8 +20,8 @@ from reference_lstm import gate
 from reference_sswe import dense_gradients, predict_window_score, sample_loss
 from essayscore.cli import main
 from essayscore.corpus import (ScoreRange, SplitSpec, Vocabulary,
-                               corrupt_window, extract_windows, load_corpus,
-                               read_manifest, split_corpus, WindowSample)
+                               corrupt_window, load_corpus, read_manifest,
+                               split_corpus)
 from essayscore.lstm import (SeqHyper, SeqModel, bptt, column_gradient,
                              forward_essay, load_model, predict, save_model,
                              train_scorer)
@@ -47,9 +47,8 @@ def train_overfit(path):
     write_tsv(path, "overfit16", seed=0)
     corpus, errors = load_corpus(path, min_count=1)
     assert errors == []
-    windows = [w for e in corpus.essays for w in extract_windows(e, 3)]
     started = time.perf_counter()
-    params, _ = train_sswe(windows, corpus.vocab, SSWEHyper(
+    params, _ = train_sswe(corpus.essays, corpus.vocab, SSWEHyper(
         embed_dim=12, hidden_dim=8, window_size=3, n_corruptions=8,
         alpha=0.1, learning_rate=0.01, epochs=5, seed=0))
     hyper = SeqHyper(lstm_dim=8, layers=1, bidirectional=False, dropout=0.0,
@@ -72,17 +71,17 @@ def test_1_gradients_match_finite_differences():
 
     # window network, every loss mix
     vocab = Vocabulary([f"w{k}" for k in range(9)])
-    sample = WindowSample((4, 8, 6), 1, 0.7, 1)
+    ids = (4, 8, 6)
     for alpha in (0.0, 0.1, 0.5, 1.0):
         p = SSWEParams.init(12, SSWEHyper(embed_dim=6, hidden_dim=7,
                                           window_size=3),
                             np.random.default_rng(3))
-        corruptions = corrupt_window(sample, 6, np.random.default_rng(0),
+        corruptions = corrupt_window(ids[1], 6, np.random.default_rng(0),
                                      vocab)
-        grads = backward(p, sample, corruptions, 0.7, alpha)
+        grads = backward(p, ids, corruptions, 0.7, alpha)
         arrays = {"M": p.M, **{n: getattr(p, n) for n in p.dense_names()}}
         numeric = finite_difference(
-            lambda: sample_loss(p, sample, corruptions, 0.7, alpha)[0],
+            lambda: sample_loss(p, ids, corruptions, 0.7, alpha)[0],
             arrays)
         # difference noise at step 1e-5 swamps entries whose true value
         # is ~0, so floor the denominator at what the step can resolve
@@ -137,10 +136,8 @@ def test_3_misspellings_separate_under_score_weight(tmp_path):
     write_tsv(tmp_path / "misspell.tsv", "misspell", seed=0)
     corpus, errors = load_corpus(tmp_path / "misspell.tsv", min_count=1)
     assert errors == []
-    windows = [w for e in corpus.essays for w in extract_windows(e, 3)]
-
     def mean_pair_distance(alpha, seed):
-        params, _ = train_sswe(windows, corpus.vocab, SSWEHyper(
+        params, _ = train_sswe(corpus.essays, corpus.vocab, SSWEHyper(
             embed_dim=12, hidden_dim=8, window_size=3, n_corruptions=8,
             alpha=alpha, learning_rate=0.01, epochs=5, seed=seed))
         return float(np.mean([cosine_distance(params, corpus.vocab, a, b)
@@ -156,11 +153,10 @@ def test_4_score_weight_beats_context_only_on_held_out(tmp_path):
     assert errors == []
     train, val, test = split_corpus(corpus.essays, SplitSpec(seed=0))
     held = val + test
-    windows = [w for e in train for w in extract_windows(e, 3)]
     gold = np.array([e.raw_score for e in held], dtype=float)
 
     def held_out_rho(alpha, seed):
-        params, _ = train_sswe(windows, corpus.vocab, SSWEHyper(
+        params, _ = train_sswe(train, corpus.vocab, SSWEHyper(
             embed_dim=12, hidden_dim=8, window_size=3, n_corruptions=8,
             alpha=alpha, learning_rate=0.01, epochs=5, seed=seed))
         hyper = SeqHyper(lstm_dim=8, layers=1, bidirectional=False,

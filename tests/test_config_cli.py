@@ -88,6 +88,13 @@ class TestConfigParsing:
                 cfg.validate()
         parse_config_text("eps_rms = 1e-12\n").validate()
 
+    def test_float_settings_must_be_finite(self):
+        for field in ("val_ratio", "test_ratio", "alpha", "learning_rate",
+                      "dropout", "rho_rms", "clip_norm"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ConfigError, match=field):
+                    Config(**{field: value}).validate()
+
     def test_validation_rejects_bad_settings(self):
         for field, value in (("min_count", 0), ("val_ratio", 0.7),
                              ("embed_epochs", -1), ("dropout", 1.0),
@@ -530,6 +537,41 @@ class TestUsageErrors:
         rc = main(["--config", str(cfgpath), "--alpha", "2.0", "ingest"])
         assert rc == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", ["abc", "-1"])
+    def test_bad_synth_seed(self, tmp_path, capsys, seed):
+        out = tmp_path / "x.tsv"
+        rc = main(["synth", "--profile", "ablation", "--seed", seed,
+                   "--out", str(out)])
+        assert rc == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_config_seed(self, workspace, capsys):
+        # numpy's generators refuse a negative seed with a bare ValueError
+        _, cfgpath = workspace
+        rc = main(["--config", str(cfgpath), "--seed", "-1",
+                   "train-embeddings"])
+        assert rc == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_non_numeric_alpha_choices(self, capsys):
+        assert main(["search", "--alpha-choices", "a,b"]) == 1
+        assert "--alpha-choices" in capsys.readouterr().err
+
+    # NaN passes every range comparison: ratios used to crash ingest in
+    # split_corpus, and clip_norm turned clipping off with exit 0
+    @pytest.mark.parametrize("flag,command", [
+        ("--val-ratio", "ingest"), ("--test-ratio", "ingest"),
+        ("--clip-norm", "train-scorer")])
+    def test_nan_values_rejected(self, workspace, flag, command, capsys):
+        root, cfgpath = workspace
+        model = root / "models" / "model.sats"
+        before = model.read_bytes()
+        rc = main(["--config", str(cfgpath), flag, "nan", command])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert model.read_bytes() == before
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.cfg"), "ingest"])

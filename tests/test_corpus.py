@@ -29,6 +29,7 @@ from essayscore.corpus import (
 from essayscore.errors import ConfigError, DataError
 
 from conftest import make_essay
+from reference_sswe import essay_windows
 
 
 class TestTokenize:
@@ -263,6 +264,10 @@ class TestSplit:
             split_corpus(_essays(10), SplitSpec(ratios=(0.5, 0.2, 0.2)))
         with pytest.raises(ConfigError):
             split_corpus(_essays(10), SplitSpec(ratios=(1.2, -0.1, -0.1)))
+        # NaN fails the sum check's comparison, so it needs its own
+        with pytest.raises(ConfigError, match="finite"):
+            split_corpus(_essays(10), SplitSpec(ratios=(0.8, float("nan"),
+                                                        0.2)))
 
     def test_output_preserves_input_order(self):
         essays = _essays(30)
@@ -271,67 +276,100 @@ class TestSplit:
         assert ids == sorted(ids)
 
 
+def window_rows(windows):
+    return windows.view[windows.starts].tolist()
+
+
 class TestWindows:
     def test_three_token_essay_n3(self):
-        e = make_essay([10, 11, 12])
-        wins = extract_windows(e, 3)
-        assert [w.context for w in wins] == [
-            (BOUNDARY_ID, 10, 11), (10, 11, 12), (11, 12, BOUNDARY_ID)]
-        assert all(w.center_index == 1 for w in wins)
-        assert [w.target for w in wins] == [10, 11, 12]
+        wins = extract_windows([make_essay([10, 11, 12])], 3)
+        assert window_rows(wins) == [
+            [BOUNDARY_ID, 10, 11], [10, 11, 12], [11, 12, BOUNDARY_ID]]
+        assert wins.view[wins.starts, 1].tolist() == [10, 11, 12]
 
     def test_one_window_per_token(self):
         e = make_essay(list(range(10, 27)))
-        assert len(extract_windows(e, 9)) == 17
+        assert len(extract_windows([e], 9)) == 17
+        assert len(extract_windows([e, e, make_essay([3])], 9)) == 35
 
     def test_short_essay_mostly_boundary(self):
         e = make_essay([10, 11, 12, 13])
-        for w in extract_windows(e, 9):
-            assert sum(1 for t in w.context if t == BOUNDARY_ID) >= 4
+        for row in window_rows(extract_windows([e], 9)):
+            assert row.count(BOUNDARY_ID) >= 4
+
+    def test_essays_share_their_boundaries(self):
+        wins = extract_windows([make_essay([10, 11], raw=2.0),
+                                make_essay([12], essay_id=2, raw=6.0)], 5)
+        b = BOUNDARY_ID
+        assert wins.stream.tolist() == [b, b, 10, 11, b, b, 12, b, b]
+        assert wins.stream.dtype == np.int32
+        assert np.shares_memory(wins.view, wins.stream)
+        assert window_rows(wins) == [[b, b, 10, 11, b], [b, 10, 11, b, b],
+                                     [b, b, 12, b, b]]
+        assert wins.scores.tolist() == [0.2, 0.2, 0.6]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(3, 40), max_size=12), max_size=6),
+           st.sampled_from([3, 5, 7, 9]))
+    def test_matches_per_essay_padding(self, token_lists, n):
+        essays = [make_essay(tokens, essay_id=k, raw=float(k))
+                  for k, tokens in enumerate(token_lists)]
+        wins = extract_windows(essays, n)
+        want = essay_windows(essays, n)
+        assert len(wins) == len(want)
+        assert window_rows(wins) == [list(ctx) for ctx, _ in want]
+        assert wins.scores.tolist() == [score for _, score in want]
+
+    def test_no_tokens_no_windows(self):
+        for essays in ([], [make_essay([])],
+                       [make_essay([]), make_essay([], essay_id=2)] * 2):
+            wins = extract_windows(essays, 3)
+            assert len(wins) == 0
+            assert wins.view.shape == (0, 3)
 
     def test_even_or_tiny_n_rejected(self):
         e = make_essay([10, 11])
         with pytest.raises(ConfigError):
-            extract_windows(e, 4)
+            extract_windows([e], 4)
         with pytest.raises(ConfigError):
-            extract_windows(e, 1)
+            extract_windows([e], 1)
+
+    def test_id_beyond_int32_rejected(self):
+        with pytest.raises(DataError, match="int32"):
+            extract_windows([make_essay([10, 2 ** 31])], 3)
 
     def test_score_carried_on_every_window(self):
         e = make_essay([10, 11], raw=8.0)
-        assert all(w.scaled_score == 0.8 for w in extract_windows(e, 3))
+        assert extract_windows([e], 3).scores.tolist() == [0.8, 0.8]
 
 
 class TestCorruption:
     def test_only_center_differs(self, tiny_vocab):
-        e = make_essay(tiny_vocab.encode(["the", "cat", "sat", "mat", "dog"]))
-        sample = extract_windows(e, 5)[2]
+        target = tiny_vocab.id_of("sat")
         rng = np.random.default_rng(0)
-        centers = corrupt_window(sample, 50, rng, tiny_vocab)
-        # one id per corruption: every other position is the sample's own
+        centers = corrupt_window(target, 50, rng, tiny_vocab)
+        # one id per corruption: every other position is the window's own
         assert centers.shape == (50,)
         for w in centers:
-            assert w != sample.target
+            assert w != target
 
     def test_replacements_are_real_words(self, tiny_vocab):
-        e = make_essay([3, 4, 5])
-        sample = extract_windows(e, 3)[1]
         rng = np.random.default_rng(1)
-        for w in corrupt_window(sample, 100, rng, tiny_vocab):
+        for w in corrupt_window(4, 100, rng, tiny_vocab):
             assert w >= N_SPECIALS
 
     def test_uniform_over_candidates(self, tiny_vocab):
         # chi-square against uniform over the 9 non-target words
-        e = make_essay([3, 4, 5])
-        sample = extract_windows(e, 3)[1]
+        target = 4
         rng = np.random.default_rng(2)
         draws = 9000
         counts = np.zeros(len(tiny_vocab))
-        for w in corrupt_window(sample, draws, rng, tiny_vocab):
+        for w in corrupt_window(target, draws, rng, tiny_vocab):
             counts[w] += 1
-        assert counts[sample.target] == 0
+        assert counts[target] == 0
         candidates = counts[N_SPECIALS:]
         candidates = candidates[np.arange(N_SPECIALS, len(tiny_vocab))
-                                != sample.target]
+                                != target]
         expected = draws / candidates.size
         chi2 = float(((candidates - expected) ** 2 / expected).sum())
         # 8 degrees of freedom; the 0.999 quantile is about 26.12
@@ -339,10 +377,8 @@ class TestCorruption:
 
     def test_vocab_of_one_word_cannot_corrupt(self):
         vocab = Vocabulary(["only"])
-        e = make_essay([3])
-        sample = extract_windows(e, 3)[0]
         with pytest.raises(DataError):
-            corrupt_window(sample, 1, np.random.default_rng(0), vocab)
+            corrupt_window(3, 1, np.random.default_rng(0), vocab)
 
 
 class TestManifests:

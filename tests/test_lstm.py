@@ -537,6 +537,11 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_scorer(model, train, [], ranges, hyper)
 
+    @pytest.mark.parametrize("clip_norm", [-1.0, float("nan"), float("inf")])
+    def test_clip_norm_must_be_finite_and_non_negative(self, clip_norm):
+        with pytest.raises(ConfigError, match="clip_norm"):
+            SeqHyper(clip_norm=clip_norm).validate()
+
     def test_unknown_essay_set_rejected(self):
         train, val, ranges = toy_corpus()
         stray = make_essay([1, 2], essay_id=99, set_id=4, raw=2.0)

@@ -9,11 +9,11 @@ import pytest
 
 import essayscore
 import essayscore.sswe as sswemod
-from essayscore.corpus import (ScoreRange, Vocabulary, WindowSample,
-                               corrupt_window, extract_windows)
+from essayscore.corpus import ScoreRange, Vocabulary, corrupt_window
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
 from essayscore.sswe import (
+    EpochLosses,
     SSWEHyper,
     SSWEParams,
     backward,
@@ -152,10 +152,9 @@ class TestLosses:
             loss_overall(-0.1, 1.0, 1.0)
 
 
-def fixed_corruptions(sample, n_corruptions, rng, vocab):
+def fixed_corruptions(ids, n_corruptions, rng, vocab):
     """Pre-drawn corruption centers, reused across finite-difference evals."""
-    from essayscore.corpus import corrupt_window
-    return corrupt_window(sample, n_corruptions, rng, vocab)
+    return corrupt_window(ids[len(ids) // 2], n_corruptions, rng, vocab)
 
 
 def test_finite_difference_mutates_fortran_arrays_in_place():
@@ -169,14 +168,14 @@ class TestBackward:
     def test_gradients_match_finite_differences(self, alpha):
         p = small_params(seed=3)
         vocab = Vocabulary([f"w{k}" for k in range(9)])
-        sample = WindowSample((4, 8, 6), 1, 0.7, 1)
-        corruptions = fixed_corruptions(sample, 6, np.random.default_rng(0),
+        ids = (4, 8, 6)
+        corruptions = fixed_corruptions(ids, 6, np.random.default_rng(0),
                                         vocab)
-        grads = backward(p, sample, corruptions, 0.7, alpha)
+        grads = backward(p, ids, corruptions, 0.7, alpha)
 
         arrays = {"M": p.M, **{n: getattr(p, n) for n in p.dense_names()}}
         numeric = finite_difference(
-            lambda: sample_loss(p, sample, corruptions, 0.7, alpha)[0],
+            lambda: sample_loss(p, ids, corruptions, 0.7, alpha)[0],
             arrays)
         analytic = dense_gradients(p, grads)
         assert analytic.keys() == numeric.keys()
@@ -189,77 +188,69 @@ class TestBackward:
         p.W_hi *= 300.0
         p.W_oh2 *= 40.0
         vocab = Vocabulary([f"w{k}" for k in range(9)])
-        sample = WindowSample((5, 9, 7), 1, 0.3, 1)
-        corruptions = fixed_corruptions(sample, 8, np.random.default_rng(1),
+        ids = (5, 9, 7)
+        corruptions = fixed_corruptions(ids, 8, np.random.default_rng(1),
                                         vocab)
 
-        s = embed_window(sample.context, p.M)
+        s = embed_window(ids, p.M)
         z = p.W_hi @ s + p.b_h
         assert np.any(np.abs(z) > 1.0)
         assert np.any(np.abs(z) < 1.0)
         assert np.all(np.abs(np.abs(z) - 1.0) > 1e-3)
         f_t, _ = forward(p, s)
         margins = [1.0 - f_t + forward(p, embed_window(
-                       (sample.context[0], int(w), sample.context[2]),
-                       p.M))[0]
+                       (ids[0], int(w), ids[2]), p.M))[0]
                    for w in corruptions]
         assert any(m < 0 for m in margins)
         assert any(m > 0 for m in margins)
         assert all(abs(m) > 1e-3 for m in margins)
 
-        grads = backward(p, sample, corruptions, 0.3, 0.5)
+        grads = backward(p, ids, corruptions, 0.3, 0.5)
         arrays = {"M": p.M, **{n: getattr(p, n) for n in p.dense_names()}}
         numeric = finite_difference(
-            lambda: sample_loss(p, sample, corruptions, 0.3, 0.5)[0],
+            lambda: sample_loss(p, ids, corruptions, 0.3, 0.5)[0],
             arrays)
         assert max_relative_error(dense_gradients(p, grads), numeric) <= 1e-4
 
     def test_untouched_columns_absent(self):
         p = small_params()
         vocab = Vocabulary([f"w{k}" for k in range(9)])
-        sample = WindowSample((3, 4, 5), 1, 0.5, 1)
         corruptions = [6, 7]
-        grads = backward(p, sample, corruptions, 0.5, 0.5)
+        grads = backward(p, (3, 4, 5), corruptions, 0.5, 0.5)
         dense_m = dense_gradients(p, grads)["M"]
         untouched = [k for k in range(p.vocab_size) if k not in range(3, 8)]
         assert np.all(dense_m[:, untouched] == 0.0)
 
     def test_alpha_zero_ignores_corruption_columns(self):
         p = small_params()
-        sample = WindowSample((3, 4, 5), 1, 0.5, 1)
-        grads = backward(p, sample, [6, 7], 0.5, 0.0)
+        grads = backward(p, (3, 4, 5), [6, 7], 0.5, 0.0)
         dense_m = dense_gradients(p, grads)["M"]
         assert np.all(dense_m[:, [6, 7]] == 0.0)
         assert grads.loss_overall == grads.loss_score
 
     def test_losses_attached(self):
         p = small_params()
-        sample = WindowSample((3, 4, 5), 1, 0.5, 1)
         corruptions = [6]
-        grads = backward(p, sample, corruptions, 0.5, 0.25)
-        overall, ctx, sc = sample_loss(p, sample, corruptions, 0.5, 0.25)
+        grads = backward(p, (3, 4, 5), corruptions, 0.5, 0.25)
+        overall, ctx, sc = sample_loss(p, (3, 4, 5), corruptions, 0.5, 0.25)
         assert grads.loss_overall == pytest.approx(overall)
         assert grads.loss_context == pytest.approx(ctx)
         assert grads.loss_score == pytest.approx(sc)
 
 
-def training_windows(vocab, n_essays=6):
-    windows = []
-    for k in range(n_essays):
-        tokens = [3 + (k + j) % vocab.n_words for j in range(8)]
-        essay = make_essay(tokens, essay_id=k, raw=float(k % 11))
-        windows.extend(extract_windows(essay, 3))
-    return windows
+def training_essays(vocab, n_essays=6):
+    return [make_essay([3 + (k + j) % vocab.n_words for j in range(8)],
+                       essay_id=k, raw=float(k % 11))
+            for k in range(n_essays)]
 
 
 class TestTraining:
     def test_loss_decreases(self):
         vocab = Vocabulary([f"w{k}" for k in range(10)])
-        windows = training_windows(vocab)
         hyper = SSWEHyper(embed_dim=6, hidden_dim=8, window_size=3,
                           n_corruptions=5, alpha=0.1, learning_rate=0.05,
                           epochs=8, seed=0)
-        _, history = train_sswe(windows, vocab, hyper)
+        _, history = train_sswe(training_essays(vocab), vocab, hyper)
         assert history[-1].loss_overall < history[0].loss_overall
 
     def test_deterministic_given_seed(self):
@@ -267,8 +258,8 @@ class TestTraining:
         hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3,
                           n_corruptions=4, learning_rate=0.01, epochs=3,
                           seed=11)
-        a, ha = train_sswe(training_windows(vocab), vocab, hyper)
-        b, hb = train_sswe(training_windows(vocab), vocab, hyper)
+        a, ha = train_sswe(training_essays(vocab), vocab, hyper)
+        b, hb = train_sswe(training_essays(vocab), vocab, hyper)
         assert all(np.array_equal(getattr(a, n), getattr(b, n))
                    for n in ("M",) + a.dense_names())
         assert ha == hb
@@ -277,7 +268,7 @@ class TestTraining:
         vocab = Vocabulary([f"w{k}" for k in range(10)])
         hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3,
                           n_corruptions=4, learning_rate=0.0, epochs=2, seed=2)
-        params, history = train_sswe(training_windows(vocab), vocab, hyper)
+        params, history = train_sswe(training_essays(vocab), vocab, hyper)
         init = SSWEParams.init(len(vocab), hyper, np.random.default_rng(2))
         assert all(np.array_equal(getattr(params, n), getattr(init, n))
                    for n in ("M",) + params.dense_names())
@@ -290,7 +281,7 @@ class TestTraining:
         hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3,
                           n_corruptions=7, alpha=0.6, learning_rate=0.05,
                           epochs=3, seed=3)
-        params, _ = train_sswe(training_windows(vocab), vocab, hyper)
+        params, _ = train_sswe(training_essays(vocab), vocab, hyper)
         init = SSWEParams.init(len(vocab), hyper, np.random.default_rng(3))
         assert not np.array_equal(params.W_oh2, init.W_oh2)
         assert params.b_o2.tobytes() == init.b_o2.tobytes()
@@ -299,18 +290,25 @@ class TestTraining:
     def test_window_id_out_of_range_rejected(self, where):
         vocab = Vocabulary([f"w{k}" for k in range(10)])
         bad = -1 if where == "negative" else len(vocab)
-        windows = training_windows(vocab)
-        windows[5] = WindowSample((3, bad, 4), 1, 0.5, 0)
+        essays = training_essays(vocab)
+        essays[1].tokens[2] = bad
         hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3,
                           n_corruptions=4, learning_rate=0.01, epochs=1)
         with pytest.raises(DataError, match="window id out of range for "
                                             f"vocabulary of {len(vocab)}"):
-            train_sswe(windows, vocab, hyper)
+            train_sswe(essays, vocab, hyper)
 
     def test_empty_windows_rejected(self):
+        # no essays, or essays without tokens: their stream of boundary
+        # ids alone is shorter than a window, except for three empty
+        # essays at window 3
         vocab = Vocabulary(["a"])
-        with pytest.raises(ConfigError):
-            train_sswe([], vocab, SSWEHyper())
+        for n_empty in (0, 1, 3):
+            essays = [make_essay([], essay_id=k) for k in range(n_empty)]
+            for hyper in (SSWEHyper(), SSWEHyper(window_size=3)):
+                with pytest.raises(ConfigError, match="cannot train "
+                                   "embeddings on an empty window set"):
+                    train_sswe(essays, vocab, hyper)
 
     def test_divergence_raises_numerical_error(self):
         vocab = Vocabulary([f"w{k}" for k in range(10)])
@@ -319,7 +317,7 @@ class TestTraining:
                           seed=0)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericalError):
-                train_sswe(training_windows(vocab), vocab, hyper)
+                train_sswe(training_essays(vocab), vocab, hyper)
 
 
 def test_package_import_leaves_scipy_linalg_unloaded():
@@ -334,22 +332,22 @@ def test_package_import_leaves_scipy_linalg_unloaded():
     assert run.returncode == 0, run.stderr
 
 
-def parity_windows():
+def parity_essays():
     # four candidate words and 12 corruptions per window force repeated
     # draws and draws that hit context ids; essays repeat ids within a
-    # window and carry unknown words and edge padding
+    # window and carry unknown words and edge padding, and one is
+    # shorter than the window. The reference pads each essay on its
+    # own, so parity also checks the shared stream of extract_windows
     vocab = Vocabulary(["a", "b", "c", "d"])
-    windows = []
-    for k, tokens in enumerate([[3, 3, 4, 1, 3, 5], [6, 1, 1, 6, 4],
-                                [5, 5, 5]]):
-        essay = make_essay(tokens, essay_id=k, raw=float(3 * k + 2))
-        windows.extend(extract_windows(essay, 5))
-    return vocab, windows
+    essays = [make_essay(tokens, essay_id=k, raw=float(3 * k + 2))
+              for k, tokens in enumerate([[3, 3, 4, 1, 3, 5], [6, 1, 1, 6, 4],
+                                          [5, 5, 5], [4]])]
+    return vocab, essays
 
 
-def assert_matches_reference(windows, vocab, hyper):
-    got, history = train_sswe(windows, vocab, hyper)
-    want, losses = reference_train(windows, vocab, hyper)
+def assert_matches_reference(essays, vocab, hyper):
+    got, history = train_sswe(essays, vocab, hyper)
+    want, losses = reference_train(essays, vocab, hyper)
     assert got.M.flags.f_contiguous
     # the factored step rounds differently from the dense one; the
     # reference's b_o2 is pure rounding residue around its exact 0
@@ -359,7 +357,7 @@ def assert_matches_reference(windows, vocab, hyper):
         if name == "b_o2":
             tol = max(tol, 1e-15)
         assert np.max(np.abs(a - b)) <= tol, name
-    k = len(windows)
+    k = sum(len(e.tokens) for e in essays)
     for epoch, h in enumerate(history):
         mean = sum(losses[epoch * k:(epoch + 1) * k]) / k
         assert h.loss_overall == pytest.approx(mean, rel=1e-12, abs=0)
@@ -368,11 +366,11 @@ def assert_matches_reference(windows, vocab, hyper):
 class TestReferenceParity:
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_training_matches_dict_accumulation(self, alpha):
-        vocab, windows = parity_windows()
+        vocab, essays = parity_essays()
         hyper = SSWEHyper(embed_dim=4, hidden_dim=5, window_size=5,
                           n_corruptions=12, alpha=alpha, learning_rate=0.2,
                           epochs=3, seed=5)
-        assert_matches_reference(windows, vocab, hyper)
+        assert_matches_reference(essays, vocab, hyper)
 
     def test_saturated_training_matches_dict_accumulation(self,
                                                           monkeypatch):
@@ -389,18 +387,18 @@ class TestReferenceParity:
 
         seen = []
 
-        def recording_backward(params, sample, centers, gold, alpha):
-            grads = backward(params, sample, centers, gold, alpha)
-            seen.append((sample.context, centers, grads))
+        def recording_backward(params, ids, centers, gold, alpha):
+            grads = backward(params, ids, centers, gold, alpha)
+            seen.append((ids.tolist(), centers, grads))
             return grads
 
         monkeypatch.setattr(SSWEParams, "init", classmethod(scaled_init))
         monkeypatch.setattr(sswemod, "backward", recording_backward)
-        vocab, windows = parity_windows()
+        vocab, essays = parity_essays()
         hyper = SSWEHyper(embed_dim=4, hidden_dim=5, window_size=5,
                           n_corruptions=12, alpha=0.5, learning_rate=0.2,
                           epochs=3, seed=5)
-        assert_matches_reference(windows, vocab, hyper)
+        assert_matches_reference(essays, vocab, hyper)
 
         shared = sum(np.count_nonzero(g.weights) for *_, g in seen)
         partial = sum(g.partial.size for *_, g in seen)
@@ -544,6 +542,28 @@ class TestPersistence:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         save_embeddings(again, *load_embeddings(path))
         assert again.read_bytes() == path.read_bytes()
+
+    def test_trained_embedding_bytes_are_pinned(self, tmp_path):
+        # one seeded epoch over essays that repeat ids, one of them
+        # shorter than the window; the digest and the losses were
+        # computed when each caller built its windows as a list of
+        # per-essay tuples, so they pin the windows, their order, the
+        # corruption draws and the step's arithmetic
+        vocab = Vocabulary(["a", "b", "c", "d", "e", "f"])
+        essays = [make_essay([3, 4, 3, 5, 6, 3, 7], essay_id=0, raw=2.0),
+                  make_essay([8, 1, 8], essay_id=1, raw=7.0),
+                  make_essay([4, 4, 5, 6, 7, 8, 3, 4], essay_id=2, raw=9.0)]
+        hyper = SSWEHyper(embed_dim=4, hidden_dim=5, window_size=5,
+                          n_corruptions=6, alpha=0.1, learning_rate=0.05,
+                          epochs=1, seed=7)
+        params, history = train_sswe(essays, vocab, hyper)
+        assert history == [EpochLosses(0, 0.30596652434412214,
+                                       1.0000195024606482,
+                                       0.22884952677561912)]
+        path = tmp_path / "e.sswe"
+        save_embeddings(path, params, vocab, config_hash="0123abcd4567ef89")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "6871b7a001e3b2b7b11f78b90b39e63fc7bda7ae69f43cd0c0c7487887694edd"
 
     def test_truncation(self, tmp_path):
         vocab = Vocabulary(["alpha", "beta"])
