@@ -47,16 +47,15 @@ class _Pending:
     """Temp files moved into place together when the ``with`` block ends.
 
     A command that fails mid-way, even while moving, leaves neither a
-    partial primary artifact nor ``.tmp`` debris behind.
+    partial primary artifact nor ``.tmp`` debris behind. A final path
+    asked for again keeps its one temp file and its one move.
     """
 
     def __init__(self):
-        self.moves: list[tuple[str, str]] = []
+        self.moves: dict[str, str] = {}  # final path -> temp path
 
     def path_for(self, final) -> str:
-        tmp = str(final) + ".tmp"
-        self.moves.append((tmp, str(final)))
-        return tmp
+        return self.moves.setdefault(str(final), str(final) + ".tmp")
 
     def write_text(self, final, text: str):
         with open(self.path_for(final), "w", encoding="utf-8", newline="") as fh:
@@ -68,10 +67,10 @@ class _Pending:
     def __exit__(self, exc_type, *exc):
         try:
             if exc_type is None:
-                for tmp, final in self.moves:
+                for final, tmp in self.moves.items():
                     os.replace(tmp, final)
         finally:
-            for tmp, _ in self.moves:
+            for tmp in self.moves.values():
                 if os.path.exists(tmp):
                     os.remove(tmp)
 

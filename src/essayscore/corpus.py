@@ -480,7 +480,29 @@ def save_corpus_cache(path, corpus: Corpus, config_hash: str = ""):
         json.dump(payload, fh)
 
 
+def _cached_essay(d: dict, n_vocab: int, ranges: dict, path) -> Essay:
+    """One essay of a corpus cache, its tokens and score checked."""
+    tokens = list(d["tokens"])
+    if tokens and (set(map(type, tokens)) != {int}
+                   or min(tokens) < 0 or max(tokens) >= n_vocab):
+        bad = next(t for t in tokens
+                   if type(t) is not int or not 0 <= t < n_vocab)
+        raise DataError(f"corrupt corpus cache {path}: essay {d['id']} has "
+                        f"token {bad!r}, not an id in [0, {n_vocab})")
+    score = d["score"]
+    if type(score) not in (int, float) or not math.isfinite(score):
+        raise DataError(f"corrupt corpus cache {path}: essay {d['id']} has "
+                        f"score {score!r}, not a finite number")
+    return Essay(d["id"], d["set"], tokens, score,
+                 ranges[d["set"]].scale(score))
+
+
 def load_corpus_cache(path) -> tuple[Corpus, str]:
+    """Read a :func:`save_corpus_cache` file.
+
+    Every token must be an integer id of the cached vocabulary and every
+    score a finite number; anything else is a :class:`DataError`.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -490,8 +512,7 @@ def load_corpus_cache(path) -> tuple[Corpus, str]:
         vocab = Vocabulary(payload["vocabulary"], min_count=payload["min_count"])
         ranges = {int(k): ScoreRange(lo, hi)
                   for k, (lo, hi) in payload["ranges"].items()}
-        essays = [Essay(d["id"], d["set"], list(d["tokens"]), d["score"],
-                        ranges[d["set"]].scale(d["score"]))
+        essays = [_cached_essay(d, len(vocab), ranges, path)
                   for d in payload["essays"]]
     except (KeyError, TypeError) as exc:
         raise DataError(f"corrupt corpus cache {path}: missing field {exc}") from None

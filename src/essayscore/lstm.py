@@ -7,14 +7,16 @@ regresses the score from it. Training minimizes squared error on the
 scaled score, with gradients flowing through time, through the gates and
 peepholes, and into the embedding matrix itself.
 
-Parameters. Each direction of each layer keeps its weights in fused
-buffers with the gates stacked in the order i, f, c, o: ``W_x`` (4H, D_in)
-maps the input, ``W_h`` (4H, H) the previous hidden state and ``b`` (4H,)
-is the bias; the peepholes ``W_p`` hold the rows of i, f, o: (3H, H) when
-full, (3H,) when diagonal, absent when off. These buffers are the
-parameter names throughout: ``named_arrays``, the gradients, the optimizer
-state and the tensor order of the model file. Writing X[g] for gate g's
-block of rows of buffer X, the gate equations per timestep are
+Parameters. Each direction of each layer has fused buffers with the
+gates stacked in the order i, f, c, o: ``W_x`` (4H, D_in) maps the input,
+``W_h`` (4H, H) the previous hidden state and ``b`` (4H,) is the bias;
+the peepholes ``W_p`` hold the rows of i, f, o: (3H, H) when full, (3H,)
+when diagonal, absent when off. A layer stores its directions' buffers
+stacked on a leading axis (:class:`LSTMLayer`), the one form the passes
+use; each direction's slices are the parameter names throughout:
+``named_arrays``, the gradients, the optimizer state and the tensor
+order of the model file. Writing X[g] for gate g's block of rows of
+buffer X, the gate equations per timestep are
 
     i_t = sigma(W_x[i] s_t + W_h[i] h_{t-1} + W_p[i] c_{t-1} + b[i])
     f_t = sigma(W_x[f] s_t + W_h[f] h_{t-1} + W_p[f] c_{t-1} + b[f])
@@ -29,7 +31,7 @@ multiplies elementwise).
 
 Lockstep batches. B essays run together, each from its own first step;
 one step advances every essay still running, and the directions of a
-layer advance together as a leading axis. Per step there is one
+layer advance together on their leading axis. Per step there is one
 ``h @ W_h^T`` and one peephole product (``c_t @ W_p^T`` gives the output
 gate's term at t and the input and forget gates' terms at t + 1).
 Activations are stored packed, without padding: essays are ranked by
@@ -53,6 +55,7 @@ a zero gradient leaves a weight unchanged when ``eps_rms > 0``.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -119,57 +122,61 @@ class SeqHyper:
 
 
 class LSTMLayer:
-    """One direction of one stacked layer.
+    """One stacked layer: the parameters of its K directions, stacked.
 
-    Its parameters are the fused buffers of the module docstring, under
-    their own names: ``W_x``, ``W_h``, ``W_p`` (None when peepholes are
-    off) and ``b``.
+    Direction k (0 forward, 1 backward) keeps the fused buffers of the
+    module docstring at index k of the layer's own: ``W_x`` (K, 4H, D_in),
+    ``W_h`` (K, 4H, H), ``b`` (K, 4H) and ``W_p`` (K, 3H, H) when full,
+    (K, 3H) when diagonal, None when off. The lockstep passes read them
+    as they are, all K directions at once; :meth:`SeqModel.named_arrays`
+    names each direction's views.
     """
 
-    def __init__(self, in_dim: int, dim: int, peepholes: str, rng=None):
+    def __init__(self, directions: int, in_dim: int, dim: int,
+                 peepholes: str, rng=None):
         if peepholes not in PEEPHOLE_MODES:
             raise ConfigError(f"unknown peephole mode {peepholes!r}")
-        self.in_dim = in_dim
-        self.dim = dim
-        self.peepholes = peepholes
-        self.W_x = np.zeros((4 * dim, in_dim))
-        self.W_h = np.zeros((4 * dim, dim))
-        peep_shape = {"full": (3 * dim, dim), "diagonal": (3 * dim,)}
+        K = directions
+        self.W_x = np.zeros((K, 4 * dim, in_dim))
+        self.W_h = np.zeros((K, 4 * dim, dim))
+        peep_shape = {"full": (K, 3 * dim, dim), "diagonal": (K, 3 * dim)}
         self.W_p = np.zeros(peep_shape[peepholes]) \
             if peepholes in peep_shape else None
-        self.b = np.zeros(4 * dim)
-        self.b[dim:2 * dim] = FORGET_BIAS
+        self.b = np.zeros((K, 4 * dim))
+        self.b[:, dim:2 * dim] = FORGET_BIAS
         if rng is not None:
-            for w in (self.W_x, self.W_h, self.W_p):
-                if w is not None:
-                    w[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=w.shape)
+            # direction by direction, as if each had its own buffers
+            for k in range(K):
+                for w in (self.W_x, self.W_h, self.W_p):
+                    if w is not None:
+                        w[k] = rng.uniform(-INIT_SCALE, INIT_SCALE,
+                                           size=w.shape[1:])
 
-    def array_names(self):
-        if self.peepholes == "off":
-            return ("W_x", "W_h", "b")
-        return ("W_x", "W_h", "W_p", "b")
+    @property
+    def in_dim(self) -> int:
+        return self.W_x.shape[2]
 
-    def copy(self) -> "LSTMLayer":
-        out = LSTMLayer.__new__(LSTMLayer)
-        out.in_dim, out.dim, out.peepholes = self.in_dim, self.dim, self.peepholes
-        out.W_x, out.W_h, out.b = self.W_x.copy(), self.W_h.copy(), self.b.copy()
-        out.W_p = None if self.W_p is None else self.W_p.copy()
-        return out
+    @property
+    def dim(self) -> int:
+        return self.W_h.shape[2]
+
+    @property
+    def peepholes(self) -> str:
+        if self.W_p is None:
+            return "off"
+        return "full" if self.W_p.ndim == 3 else "diagonal"
 
 
 class SeqModel:
     """Embedding matrix, one or two (bi)directional LSTM layers, linear head."""
 
-    def __init__(self, M: np.ndarray, fwd_layers, bwd_layers, W_yh, b_y,
-                 dropout: float, peepholes: str):
+    def __init__(self, M: np.ndarray, layers, W_yh, b_y, dropout: float):
         self.M = M
-        self.fwd_layers = list(fwd_layers)
-        self.bwd_layers = list(bwd_layers)
+        self.layers = list(layers)
         self.W_yh = W_yh
         self.b_y = b_y
         self.dropout = dropout
-        self.peepholes = peepholes
-        width = self.fwd_layers[-1].dim * (2 if self.bidirectional else 1)
+        width = self.lstm_dim * (2 if self.bidirectional else 1)
         if W_yh.shape != (width,):
             raise ConfigError(f"head width {W_yh.shape} does not match "
                               f"layer output width {width}")
@@ -182,30 +189,30 @@ class SeqModel:
         (the forget bias at its constant) for a loader to fill in.
         """
         hyper.validate()
-        d_in = M.shape[0]
-        fwd, bwd = [], []
-        for l in range(hyper.layers):
-            width_in = d_in if l == 0 else \
-                hyper.lstm_dim * (2 if hyper.bidirectional else 1)
-            fwd.append(LSTMLayer(width_in, hyper.lstm_dim, hyper.peepholes, rng))
-            if hyper.bidirectional:
-                bwd.append(LSTMLayer(width_in, hyper.lstm_dim, hyper.peepholes, rng))
-        width_out = hyper.lstm_dim * (2 if hyper.bidirectional else 1)
+        K = 2 if hyper.bidirectional else 1
+        width_out = hyper.lstm_dim * K
+        layers = [LSTMLayer(K, M.shape[0] if l == 0 else width_out,
+                            hyper.lstm_dim, hyper.peepholes, rng)
+                  for l in range(hyper.layers)]
         W_yh = np.zeros(width_out) if rng is None else \
             rng.uniform(-INIT_SCALE, INIT_SCALE, size=width_out)
-        return cls(M, fwd, bwd, W_yh, np.zeros(1), hyper.dropout, hyper.peepholes)
+        return cls(M, layers, W_yh, np.zeros(1), hyper.dropout)
 
     @property
     def bidirectional(self) -> bool:
-        return bool(self.bwd_layers)
+        return self.layers[0].W_x.shape[0] == 2
 
     @property
     def n_layers(self) -> int:
-        return len(self.fwd_layers)
+        return len(self.layers)
 
     @property
     def lstm_dim(self) -> int:
-        return self.fwd_layers[0].dim
+        return self.layers[0].dim
+
+    @property
+    def peepholes(self) -> str:
+        return self.layers[0].peepholes
 
     @property
     def embed_dim(self) -> int:
@@ -216,68 +223,32 @@ class SeqModel:
         return self.M.shape[1]
 
     def named_arrays(self):
-        """(name, array) pairs in a fixed order covering every parameter."""
+        """(name, array) pairs in a fixed order covering every parameter.
+
+        Direction k of layer l is named ``fwd{l}`` (k = 0) or ``bwd{l}``
+        (k = 1); its arrays are views of the layer's stacked buffers, so
+        writing through them changes the model. Every forward direction
+        comes before every backward one: the tensor order of the file.
+        """
         yield "M", self.M
-        for l, layer in enumerate(self.fwd_layers):
-            for name in layer.array_names():
-                yield f"fwd{l}.{name}", getattr(layer, name)
-        for l, layer in enumerate(self.bwd_layers):
-            for name in layer.array_names():
-                yield f"bwd{l}.{name}", getattr(layer, name)
+        prefixes = ("fwd", "bwd") if self.bidirectional else ("fwd",)
+        for k, prefix in enumerate(prefixes):
+            for l, layer in enumerate(self.layers):
+                for name in ("W_x", "W_h", "W_p", "b"):
+                    w = getattr(layer, name)
+                    if w is not None:
+                        yield f"{prefix}{l}.{name}", w[k]
         yield "head.W_yh", self.W_yh
         yield "head.b_y", self.b_y
 
     def get_array(self, name: str) -> np.ndarray:
-        if name == "M":
-            return self.M
-        if name.startswith("head."):
-            return getattr(self, name[5:])
-        prefix, attr = name.split(".")
-        layers = self.fwd_layers if prefix.startswith("fwd") else self.bwd_layers
-        return getattr(layers[int(prefix[3:])], attr)
-
-    def directions(self, l: int) -> list[LSTMLayer]:
-        """Layer ``l``'s directions: forward, then backward if present."""
-        return [self.fwd_layers[l]] + self.bwd_layers[l:l + 1]
+        return dict(self.named_arrays())[name]
 
     def copy(self) -> "SeqModel":
-        clone = SeqModel.__new__(SeqModel)
-        clone.M = self.M.copy(order="K")
-        clone.dropout = self.dropout
-        clone.peepholes = self.peepholes
-        clone.W_yh = self.W_yh.copy()
-        clone.b_y = self.b_y.copy()
-        clone.fwd_layers = [layer.copy() for layer in self.fwd_layers]
-        clone.bwd_layers = [layer.copy() for layer in self.bwd_layers]
-        return clone
+        return copy.deepcopy(self)
 
 
 # --- lockstep batches ---------------------------------------------------
-
-@dataclass
-class _Stack:
-    """One layer's K directions, weights stacked for lockstep steps."""
-
-    W_x: np.ndarray          # (K * 4H, D_in), direction blocks in order
-    b: np.ndarray            # (K * 4H,)
-    W_h: np.ndarray          # (K, 4H, H)
-    W_p: np.ndarray | None   # (K, 3H, H) full, (K, 1, 3H) diagonal
-    peepholes: str
-    dim: int
-
-    @classmethod
-    def of(cls, dirs: list[LSTMLayer]) -> "_Stack":
-        peep = dirs[0].peepholes
-        W_p = None
-        if peep == "full":
-            W_p = np.stack([d.W_p for d in dirs])
-        elif peep == "diagonal":
-            W_p = np.stack([d.W_p for d in dirs])[:, None, :]
-        return cls(W_x=np.concatenate([d.W_x for d in dirs]),
-                   b=np.concatenate([d.b for d in dirs]),
-                   W_h=np.stack([d.W_h for d in dirs]), W_p=W_p,
-                   peepholes=peep, dim=dirs[0].dim)
-
 
 @dataclass
 class _Layout:
@@ -384,7 +355,7 @@ def _draw_masks(model: SeqModel, layout: _Layout, rng) -> list:
     return masks
 
 
-def _recur(stack: _Stack, G: np.ndarray, offsets: np.ndarray, keep: bool):
+def _recur(layer: LSTMLayer, G: np.ndarray, offsets: np.ndarray, keep: bool):
     """Run K directions over the lockstep steps of a packed batch.
 
     ``G`` (K, N, 4H) holds the input projections plus biases and is
@@ -392,14 +363,16 @@ def _recur(stack: _Stack, G: np.ndarray, offsets: np.ndarray, keep: bool):
     ``keep`` unset only H is kept for every step (C and TC are None).
     """
     K, N, _ = G.shape
-    n = stack.dim
+    n = layer.dim
     H = np.empty((K, N, n))
     C = np.empty((K, N, n)) if keep else None
     TC = np.empty((K, N, n)) if keep else None
-    W_hT = stack.W_h.transpose(0, 2, 1)
-    full = stack.peepholes == "full"
+    W_hT = layer.W_h.transpose(0, 2, 1)
+    full = layer.peepholes == "full"
     if full:
-        W_pT = stack.W_p.transpose(0, 2, 1)
+        W_pT = layer.W_p.transpose(0, 2, 1)
+    elif layer.W_p is not None:
+        W_p = layer.W_p[:, None]  # (K, 1, 3H), broadcast over the essays
     B = offsets[1]
     h = np.zeros((K, B, n))
     c = np.zeros((K, B, n))
@@ -416,9 +389,9 @@ def _recur(stack: _Stack, G: np.ndarray, offsets: np.ndarray, keep: bool):
                             out=C[:, s:e] if keep else None)
         c_new += a[..., n:2 * n] * c[:, :m]
         c = c_new
-        if stack.W_p is not None:
+        if layer.W_p is not None:
             q = c @ W_pT if full else np.concatenate((c, c, c), axis=-1) \
-                * stack.W_p
+                * W_p
             a[..., 3 * n:] += q[..., 2 * n:]
             p_if = q[..., :2 * n]
         expit(a[..., 3 * n:], out=a[..., 3 * n:])
@@ -427,7 +400,7 @@ def _recur(stack: _Stack, G: np.ndarray, offsets: np.ndarray, keep: bool):
     return C, TC, H
 
 
-def _recur_backward(stack: _Stack, cache: _LayerCache, dH: np.ndarray,
+def _recur_backward(layer: LSTMLayer, cache: _LayerCache, dH: np.ndarray,
                     layout: _Layout):
     """Gradient at the gate pre-activations, (K, N, 4H), from dL/dH."""
     K, N, n = dH.shape
@@ -445,12 +418,12 @@ def _recur_backward(stack: _Stack, cache: _LayerCache, dH: np.ndarray,
     del C_prev
     dA = np.empty((K, N, 4 * n))
     dA_ifu = dA.reshape(K, N, 4, n)[:, :, :3]
-    full = stack.peepholes == "full"
-    if stack.W_p is not None:
+    full = layer.peepholes == "full"
+    if layer.W_p is not None:
         if full:
-            W_p_if, W_p_o = stack.W_p[:, :2 * n], stack.W_p[:, 2 * n:]
+            W_p_if, W_p_o = layer.W_p[:, :2 * n], layer.W_p[:, 2 * n:]
         else:
-            w_i, w_f, w_o = (stack.W_p[..., k * n:(k + 1) * n]
+            w_i, w_f, w_o = (layer.W_p[:, None, k * n:(k + 1) * n]
                              for k in range(3))
     # an essay's rows in these stay zero until its last step is reached
     dh_next = np.zeros((K, B, n))
@@ -461,12 +434,12 @@ def _recur_backward(stack: _Stack, cache: _LayerCache, dH: np.ndarray,
         da_o = np.multiply(dh, k_o[:, s:e], out=dA[:, s:e, 3 * n:])
         dc = dh * k_c[:, s:e]
         dc += dc_next[:, :m]
-        if stack.W_p is not None:
+        if layer.W_p is not None:
             dc += da_o @ W_p_o if full else da_o * w_o
         np.multiply(dc[:, :, None, :], k_ifu[:, s:e], out=dA_ifu[:, s:e])
-        dh_next[:, :m] = dA[:, s:e] @ stack.W_h
+        dh_next[:, :m] = dA[:, s:e] @ layer.W_h
         dc = np.multiply(dc, F[:, s:e], out=dc)
-        if stack.W_p is not None:
+        if layer.W_p is not None:
             if full:
                 dc += dA[:, s:e, :2 * n] @ W_p_if
             else:
@@ -476,10 +449,10 @@ def _recur_backward(stack: _Stack, cache: _LayerCache, dH: np.ndarray,
     return dA
 
 
-def _layer_grads(stack: _Stack, cache: _LayerCache, dA: np.ndarray,
+def _layer_grads(layer: LSTMLayer, cache: _LayerCache, dA: np.ndarray,
                  layout: _Layout):
     """Recurrent, peephole and bias gradients per direction, fused."""
-    n = stack.dim
+    n = layer.dim
     B = layout.offsets[1]
     out = []
     for k in range(dA.shape[0]):
@@ -487,10 +460,10 @@ def _layer_grads(stack: _Stack, cache: _LayerCache, dA: np.ndarray,
         a_later = a[B:]  # rows of steps >= 1, whose previous step is ``prev``
         g = {"W_h": a_later.T @ cache.H[k, layout.prev], "b": a.sum(axis=0)}
         C_prev = C[layout.prev]
-        if stack.peepholes == "full":
+        if layer.peepholes == "full":
             g["W_p"] = np.concatenate((a_later[:, :2 * n].T @ C_prev,
                                        a[:, 3 * n:].T @ C))
-        elif stack.peepholes == "diagonal":
+        elif layer.peepholes == "diagonal":
             g["W_p"] = np.concatenate((
                 (a_later[:, :n] * C_prev).sum(axis=0),
                 (a_later[:, n:2 * n] * C_prev).sum(axis=0),
@@ -508,16 +481,15 @@ def _run(model: SeqModel, layout: _Layout, masks=None, keep: bool = True):
     packed_ids[layout.row] = layout.ids
     seq = model.M.T[packed_ids]
     inputs, layers = [], []
-    for l in range(model.n_layers):
-        stack = _Stack.of(model.directions(l))
-        proj = seq @ stack.W_x.T
-        proj += stack.b
+    for l, layer in enumerate(model.layers):
+        proj = seq @ layer.W_x.reshape(-1, layer.in_dim).T
+        proj += layer.b.reshape(-1)
         G = np.empty((K, seq.shape[0], 4 * n))
         G[0] = proj[:, :4 * n]
         if bi:
             G[1] = proj[layout.rev, 4 * n:]
         del proj
-        C, TC, H = _recur(stack, G, layout.offsets, keep)
+        C, TC, H = _recur(layer, G, layout.offsets, keep)
         if keep:
             inputs.append(seq)
             layers.append(_LayerCache(G, C, TC, H))
@@ -573,16 +545,16 @@ def backward_batch(model: SeqModel, cache: BatchCache,
     for l in range(model.n_layers - 1, -1, -1):
         if cache.masks is not None:
             d_out *= cache.masks[l]
-        stack = _Stack.of(model.directions(l))
+        layer = model.layers[l]
         dH = d_out[None, :, :n] if not bi else np.stack(
             (d_out[:, :n], d_out[layout.rev, n:]))
-        dA = _recur_backward(stack, cache.layers[l], dH, layout)
-        dir_grads = _layer_grads(stack, cache.layers[l], dA, layout)
+        dA = _recur_backward(layer, cache.layers[l], dH, layout)
+        dir_grads = _layer_grads(layer, cache.layers[l], dA, layout)
         # both directions' gate gradients in essay time, side by side
         dA = np.concatenate((dA[0], dA[1, layout.rev]), axis=1) if bi \
             else dA[0]
         d_W_x = dA.T @ cache.inputs[l]
-        d_out = dA @ stack.W_x
+        d_out = dA @ layer.W_x.reshape(-1, layer.in_dim)
         for k, (prefix, g) in enumerate(zip(("fwd", "bwd"), dir_grads)):
             g["W_x"] = d_W_x[4 * n * k:4 * n * (k + 1)]
             grads.update((f"{prefix}{l}.{name}", a) for name, a in g.items())
@@ -627,12 +599,6 @@ def predict_batch(model: SeqModel, token_lists) -> np.ndarray:
         layout = _Layout.of(model, [token_lists[k] for k in chunk])
         out[chunk], _ = _run(model, layout, keep=False)
     return out
-
-
-def predict_scaled(model: SeqModel, tokens) -> float:
-    """Deterministic prediction clamped to the trained [0, 1] target space."""
-    y = predict_batch(model, [tokens])[0]
-    return min(max(float(y), 0.0), 1.0)
 
 
 def predict(model: SeqModel, essays: list[Essay],

@@ -32,18 +32,12 @@ def _pair(a, b, min_n: int):
 
 def average_ranks(x) -> np.ndarray:
     """Fractional ranks starting at 1; tied values share their mean rank."""
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    i = 0
-    sorted_x = x[order]
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(x, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    # a value first seen at sorted position start holds ranks start + 1 ...
+    # start + count, whose mean is start + (count + 1) / 2
+    start = np.cumsum(counts) - counts
+    return (start + (counts + 1) / 2.0)[inverse]
 
 
 def pearson_r(a, b) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from .corpus import Essay, ScoreRange, Vocabulary
 from .errors import DataError
 from .lstm import (SeqModel, backward_batch, bptt, forward_batch,
-                   forward_essay, predict_scaled)
+                   forward_essay, predict_batch)
 
 # Octile color scales, worst to best: 4 reds then 4 greens.
 ANSI_SCALE = (52, 88, 124, 167, 150, 77, 28, 22)
@@ -141,7 +141,8 @@ def quality_map_spans(model: SeqModel, essay: Essay, vocab: Vocabulary,
     if span_len >= len(essay.tokens):
         return quality_map(model, essay, vocab, score_range, y_max, y_min)
 
-    predicted = _displayed(predict_scaled(model, essay.tokens), score_range)
+    predicted = _displayed(predict_batch(model, [essay.tokens])[0],
+                           score_range)
     starts = range(0, len(essay.tokens), span_len)
     spans = [essay.tokens[s:s + span_len] for s in starts]
     y, cache = forward_batch(model, spans)

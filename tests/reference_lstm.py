@@ -5,7 +5,9 @@ at a time, with one weight matrix per gate. The package names its
 parameters by fused buffer (``W_x``, ``W_h``, ``W_p``, ``b``); here
 :func:`gate` gives each gate's block of a buffer under the name of the
 gate equations (``W_is`` ... ``b_o``), and :func:`bptt` concatenates the
-per-gate gradients back into the buffers' names. It is kept here,
+per-gate gradients back into the buffers' names. The package stacks a
+layer's directions in one set of buffers; :func:`direction` gives one
+direction's views under the per-direction names. It is kept here,
 outside the package, only as an oracle: the batched, fused-gate path in
 ``essayscore.lstm`` must match it within rounding on outputs, input
 gradients and every parameter gradient, and one training epoch must
@@ -15,11 +17,12 @@ follow the same trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit
 
-from essayscore.lstm import LSTMLayer, RMSPropState, SeqModel
+from essayscore.lstm import RMSPropState, SeqModel
 
 
 # each fused buffer's row blocks, in order, by the gate equations' names
@@ -33,7 +36,21 @@ _BLOCK_OF = {name: (buf, k) for buf, names in GATE_BLOCKS.items()
              for k, name in enumerate(names)}
 
 
-def gate(layer: LSTMLayer, name: str):
+def direction(model: SeqModel, l: int, k: int) -> SimpleNamespace:
+    """Direction k (0 forward, 1 backward) of layer l: views of its buffers.
+
+    Has ``W_x``, ``W_h``, ``W_p`` (None without peepholes), ``b``,
+    ``dim``, ``in_dim`` and ``peepholes``; writing through a buffer
+    changes the model.
+    """
+    layer = model.layers[l]
+    return SimpleNamespace(
+        W_x=layer.W_x[k], W_h=layer.W_h[k], b=layer.b[k],
+        W_p=None if layer.W_p is None else layer.W_p[k],
+        dim=layer.dim, in_dim=layer.in_dim, peepholes=layer.peepholes)
+
+
+def gate(layer, name: str):
     """Gate block ``name`` of its fused buffer (a view; None without peepholes)."""
     buf, k = _BLOCK_OF[name]
     w = getattr(layer, buf)
@@ -53,7 +70,7 @@ def split_gates(grads: dict, dim: int) -> dict:
     return out
 
 
-def _gates(layer: LSTMLayer) -> dict:
+def _gates(layer) -> dict:
     """Every gate block of a layer, by name."""
     return {name: gate(layer, name) for name in _BLOCK_OF}
 
@@ -75,7 +92,7 @@ def _peep_back(w, da: np.ndarray):
     return w.T @ da
 
 
-def lstm_step(layer: LSTMLayer, s_t, h_prev, c_prev):
+def lstm_step(layer, s_t, h_prev, c_prev):
     """One gate update; returns (h_t, c_t)."""
     s_t = np.asarray(s_t, dtype=float)
     h_prev = np.asarray(h_prev, dtype=float)
@@ -110,7 +127,7 @@ class DirectionCache:
     H: np.ndarray   # hidden state
 
 
-def run_direction(layer: LSTMLayer, S: np.ndarray) -> DirectionCache:
+def run_direction(layer, S: np.ndarray) -> DirectionCache:
     T = S.shape[0]
     dim = layer.dim
     w = _gates(layer)
@@ -134,7 +151,7 @@ def run_direction(layer: LSTMLayer, S: np.ndarray) -> DirectionCache:
     return DirectionCache(S=S, I=I, F=F, U=U, O=O, C=C, TC=TC, H=H)
 
 
-def direction_backward(layer: LSTMLayer, cache: DirectionCache,
+def direction_backward(layer, cache: DirectionCache,
                        dH_out: np.ndarray):
     """Backpropagate through one direction pass.
 
@@ -218,9 +235,9 @@ def forward_essay(model: SeqModel, tokens, training: bool = False,
     seq = model.M[:, ids].T
     fwd_caches, bwd_caches, masks, outputs = [], [], [], []
     for l in range(model.n_layers):
-        fc = run_direction(model.fwd_layers[l], seq)
+        fc = run_direction(direction(model, l, 0), seq)
         if model.bidirectional:
-            bc = run_direction(model.bwd_layers[l], seq[::-1])
+            bc = run_direction(direction(model, l, 1), seq[::-1])
             aligned = np.concatenate([fc.H, bc.H[::-1]], axis=1)
         else:
             bc = None
@@ -240,7 +257,7 @@ def forward_essay(model: SeqModel, tokens, training: bool = False,
 
     final = outputs[-1]
     if model.bidirectional:
-        dim = model.fwd_layers[-1].dim
+        dim = model.lstm_dim
         embedding = np.concatenate([final[T - 1, :dim], final[0, dim:]])
     else:
         embedding = final[T - 1]
@@ -264,7 +281,7 @@ def bptt(model: SeqModel, cache: EssayCache,
 
     d_out = np.zeros_like(cache.outputs[-1])
     if model.bidirectional:
-        dim = model.fwd_layers[-1].dim
+        dim = model.lstm_dim
         d_out[T - 1, :dim] = d_emb[:dim]
         d_out[0, dim:] += d_emb[dim:]
     else:
@@ -273,14 +290,14 @@ def bptt(model: SeqModel, cache: EssayCache,
     for l in range(model.n_layers - 1, -1, -1):
         if cache.masks[l] is not None:
             d_out = d_out * cache.masks[l]
-        dim = model.fwd_layers[l].dim
+        dim = model.lstm_dim
         layer_grads, dS = direction_backward(
-            model.fwd_layers[l], cache.fwd[l], d_out[:, :dim])
+            direction(model, l, 0), cache.fwd[l], d_out[:, :dim])
         grads.update((f"fwd{l}.{name}", g)
                      for name, g in fuse_gates(layer_grads).items())
         if model.bidirectional:
             layer_grads, dS_b = direction_backward(
-                model.bwd_layers[l], cache.bwd[l], d_out[:, dim:][::-1])
+                direction(model, l, 1), cache.bwd[l], d_out[:, dim:][::-1])
             grads.update((f"bwd{l}.{name}", g)
                          for name, g in fuse_gates(layer_grads).items())
             dS = dS + dS_b[::-1]

@@ -16,7 +16,7 @@ import pytest
 import scipy.stats
 
 from conftest import finite_difference, max_relative_error
-from reference_lstm import gate
+from reference_lstm import direction, gate
 from reference_sswe import dense_gradients, predict_window_score, sample_loss
 from essayscore.cli import main
 from essayscore.corpus import (ScoreRange, SplitSpec, Vocabulary,
@@ -103,8 +103,9 @@ def test_1_gradients_match_finite_differences():
                     arr *= 8.0
             # the saturated forget bias would hide under the difference
             # step, so flatten it before comparing
-            for layer in model.fwd_layers + model.bwd_layers:
-                gate(layer, "b_f")[...] = 0.3
+            for l in range(layers):
+                for k in range(2 if bidirectional else 1):
+                    gate(direction(model, l, k), "b_f")[...] = 0.3
 
             _, cache = forward_essay(model, tokens)
             grads, d_inputs = bptt(model, cache, 1.0)

@@ -1,5 +1,6 @@
 """Configuration handling and end-to-end command-line runs."""
 
+import json
 import struct
 
 import numpy as np
@@ -493,6 +494,19 @@ class TestVisualizeCommand:
         assert maps.is_dir()
         assert list(maps.iterdir()) == []
 
+    def test_repeated_id_renders_once(self, workspace, tmp_path, capsys):
+        # the second registration of essay_5.html used to move a temp file
+        # the first had already moved, failing before index.csv was written
+        root, cfgpath = workspace
+        maps = tmp_path / "maps"
+        assert main(["--config", str(cfgpath), "--heatmaps-dir", str(maps),
+                     "visualize", "--ids", "5,5"]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in maps.iterdir()) \
+            == ["essay_5.html", "index.csv"]
+        rows = (maps / "index.csv").read_text().splitlines()[2:]
+        assert len(rows) == 2 and rows[0] == rows[1]
+
 
 class TestSearchCommand:
     def test_single_trial_is_deterministic(self, workspace, capsys):
@@ -572,6 +586,38 @@ class TestUsageErrors:
         assert rc == 1
         assert "must be finite" in capsys.readouterr().err
         assert model.read_bytes() == before
+
+    # a hand-edited cache used to train with a float token truncated to
+    # an id, or fail on a string score as a "missing field"
+    @pytest.mark.parametrize("command", [
+        ["train-embeddings"], ["train-scorer", "--embeddings", "learned"]],
+        ids=["embeddings", "scorer"])
+    @pytest.mark.parametrize("field,value,message", [
+        ("tokens", 3.7, "not an id"), ("tokens", True, "not an id"),
+        ("tokens", -1, "not an id"), ("tokens", "vocab", "not an id"),
+        ("score", "7", "not a finite number"),
+        ("score", float("nan"), "not a finite number"),
+        ("score", False, "not a finite number")])
+    def test_bad_corpus_cache_values(self, tmp_path, capsys, command, field,
+                                     value, message):
+        cfgpath = write_workspace_config(tmp_path)
+        assert main(["synth", "--profile", "overfit16",
+                     "--out", str(tmp_path / "synth.tsv")]) == 0
+        assert main(["--config", str(cfgpath), "ingest"]) == 0
+        cache = tmp_path / "splits" / "corpus.json"
+        payload = json.loads(cache.read_text())
+        essay = payload["essays"][0]
+        if value == "vocab":
+            value = len(payload["vocabulary"]) + 3  # one past the last id
+        if field == "tokens":
+            essay["tokens"][0] = value
+        else:
+            essay["score"] = value
+        cache.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["--config", str(cfgpath)] + command) == 2
+        err = capsys.readouterr().err
+        assert f"essay {essay['id']} has" in err and message in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.cfg"), "ingest"])

@@ -14,8 +14,8 @@ from essayscore.lstm import (FORGET_BIAS, LSTMLayer,
                              RMSPropState, SeqHyper, SeqModel, _n_params,
                              backward_batch, bptt, clip_gradients,
                              column_gradient, forward_batch, forward_essay,
-                             load_model, predict, predict_scaled,
-                             rmsprop_update, save_model, train_scorer)
+                             load_model, predict, rmsprop_update,
+                             save_model, train_scorer)
 
 import reference_lstm as ref
 from conftest import finite_difference, make_essay, max_relative_error
@@ -37,19 +37,27 @@ def build_model(vocab=9, embed_dim=3, seed=0, boost=3.0, mscale=0.5, **kw):
     return model
 
 
+def zero_direction(in_dim, dim, peepholes):
+    """The one direction of a fresh layer: zero weights, forget bias set."""
+    model = SeqModel(np.zeros((in_dim, 1)),
+                     [LSTMLayer(1, in_dim, dim, peepholes)], np.zeros(dim),
+                     np.zeros(1), dropout=0.0)
+    return ref.direction(model, 0, 0)
+
+
 def sig(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
 class TestStep:
     def test_zero_layer_from_zero_state(self):
-        layer = LSTMLayer(3, 2, "off")
+        layer = zero_direction(3, 2, "off")
         h, c = lstm_step(layer, [0.3, -0.1, 0.9], np.zeros(2), np.zeros(2))
         assert np.array_equal(c, np.zeros(2))
         assert np.array_equal(h, np.zeros(2))
 
     def test_zero_layer_carries_cell_through_forget_gate(self):
-        layer = LSTMLayer(3, 2, "off")
+        layer = zero_direction(3, 2, "off")
         c_prev = np.array([0.4, -0.2])
         h, c = lstm_step(layer, np.zeros(3), np.zeros(2), c_prev)
         f = sig(FORGET_BIAS)
@@ -58,7 +66,7 @@ class TestStep:
 
     def test_scalar_oracle(self):
         # transcribe the gate equations in plain python on a 1x1 layer
-        layer = LSTMLayer(1, 1, "full")
+        layer = zero_direction(1, 1, "full")
         vals = dict(W_is=0.7, W_ih=-0.3, W_ic=0.2, b_i=0.1,
                     W_fs=-0.4, W_fh=0.6, W_fc=-0.1, b_f=1.0,
                     W_cs=1.1, W_ch=0.5, b_c=-0.2,
@@ -82,14 +90,14 @@ class TestStep:
         assert h[0] == pytest.approx(h1, rel=1e-14)
 
     def test_saturated_forget_gate_preserves_cell(self):
-        layer = LSTMLayer(2, 3, "off")
+        layer = zero_direction(2, 3, "off")
         ref.gate(layer, "b_f")[...] = 50.0
         c_prev = np.array([1.3, -0.7, 0.2])
         _, c = lstm_step(layer, np.zeros(2), np.zeros(3), c_prev)
         assert np.allclose(c, c_prev, rtol=0, atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
-        layer = LSTMLayer(3, 2, "off")
+        layer = zero_direction(3, 2, "off")
         with pytest.raises(ValueError):
             lstm_step(layer, np.zeros(4), np.zeros(2), np.zeros(2))
 
@@ -98,7 +106,7 @@ class TestStep:
             model = build_model(seed=7, peepholes=peep)
             tokens = [1, 4, 0, 7, 3, 4]
             _, cache = forward_essay(model, tokens)
-            layer = model.fwd_layers[0]
+            layer = ref.direction(model, 0, 0)
             seq = model.M[:, tokens].T
             h = np.zeros(layer.dim)
             c = np.zeros(layer.dim)
@@ -124,7 +132,7 @@ class TestForward:
     def test_single_token_equals_one_step(self):
         model = build_model(seed=1, peepholes="full")
         y, cache = forward_essay(model, [5])
-        h, _ = lstm_step(model.fwd_layers[0], model.M[:, 5],
+        h, _ = lstm_step(ref.direction(model, 0, 0), model.M[:, 5],
                          np.zeros(model.lstm_dim), np.zeros(model.lstm_dim))
         assert np.allclose(cache.final[0], h, rtol=1e-12)
         assert y == pytest.approx(float(model.W_yh @ h + model.b_y[0]),
@@ -142,8 +150,9 @@ class TestForward:
         # with both directions sharing weights and a half-symmetric head,
         # reading the essay backwards must give the same score
         model = build_model(seed=4, bidirectional=True, peepholes="full")
-        for fwd, bwd in zip(model.fwd_layers, model.bwd_layers):
-            for name in fwd.array_names():
+        for l in range(model.n_layers):
+            fwd, bwd = ref.direction(model, l, 0), ref.direction(model, l, 1)
+            for name in ("W_x", "W_h", "W_p", "b"):
                 getattr(bwd, name)[...] = getattr(fwd, name)
         dim = model.lstm_dim
         model.W_yh[dim:] = model.W_yh[:dim]
@@ -206,8 +215,9 @@ def fd_model(variant):
                         boost=8.0, mscale=1.0, **variant)
     # a saturated forget bias crushes its own gradient below the
     # resolution of finite differences, so flatten it for the check
-    for layer in model.fwd_layers + model.bwd_layers:
-        ref.gate(layer, "b_f")[...] = 0.3
+    for l in range(model.n_layers):
+        for k in range(2 if model.bidirectional else 1):
+            ref.gate(ref.direction(model, l, k), "b_f")[...] = 0.3
     return model
 
 
@@ -364,6 +374,31 @@ class TestBatchMatchesReference:
             forward_batch(model, [])
 
 
+class TestNamedArrays:
+    def test_layer_arrays_are_views_of_the_stacked_buffers(self):
+        model = build_model(seed=14, bidirectional=True, layers=2,
+                            peepholes="full")
+        buffers = [w for layer in model.layers
+                   for w in (layer.W_x, layer.W_h, layer.W_p, layer.b)]
+        names = []
+        for name, arr in model.named_arrays():
+            if name == "M" or name.startswith("head."):
+                continue
+            names.append(name)
+            assert any(np.shares_memory(arr, w) for w in buffers), name
+        assert names[:8] == [f"fwd{l}.{b}" for l in (0, 1)
+                             for b in ("W_x", "W_h", "W_p", "b")]
+
+    def test_write_through_get_array_changes_the_output(self):
+        model = build_model(seed=15, bidirectional=True, layers=2,
+                            peepholes="diagonal", boost=4.0)
+        tokens = [1, 4, 2, 7]
+        y_before, _ = forward_essay(model, tokens)
+        model.get_array("bwd1.W_p")[...] += 0.5
+        y_after, _ = forward_essay(model, tokens)
+        assert y_after != y_before
+
+
 class TestCopy:
     def test_copy_is_deep_and_exact(self):
         model = build_model(seed=13, bidirectional=True, layers=2,
@@ -374,10 +409,10 @@ class TestCopy:
             assert name == cname
             assert np.array_equal(a, b)
         clone.M[0, 0] += 1.0
-        ref.gate(clone.fwd_layers[0], "W_is")[0, 0] += 1.0
+        ref.gate(ref.direction(clone, 0, 0), "W_is")[0, 0] += 1.0
         assert model.M[0, 0] != clone.M[0, 0]
-        assert ref.gate(model.fwd_layers[0], "W_is")[0, 0] \
-            != ref.gate(clone.fwd_layers[0], "W_is")[0, 0]
+        assert ref.gate(ref.direction(model, 0, 0), "W_is")[0, 0] \
+            != ref.gate(ref.direction(clone, 0, 0), "W_is")[0, 0]
 
 
 class TestOptimizer:
@@ -644,14 +679,6 @@ class TestPredict:
         self.model.W_yh[...] = 0.0
         self.ranges = {1: ScoreRange(0, 10)}
         self.essays = [make_essay([1, 2, 3], essay_id=1, raw=5.0)]
-
-    def test_clamped_to_unit_interval(self):
-        self.model.b_y[0] = 1.2
-        assert predict_scaled(self.model, [1, 2]) == 1.0
-        self.model.b_y[0] = -0.2
-        assert predict_scaled(self.model, [1, 2]) == 0.0
-        self.model.b_y[0] = 0.25
-        assert predict_scaled(self.model, [1, 2]) == 0.25
 
     def test_unscaled_into_set_range(self):
         self.model.b_y[0] = 1.2

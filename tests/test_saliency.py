@@ -253,6 +253,15 @@ class TestSpans:
             tile = got.entries[start:start + 3]
             assert sorted(e.bin for e in tile) == [0, 2, 5]
 
+    def test_predicted_score_is_clamped_to_unit_interval(self):
+        model = build_model(vocab=9, seed=30)
+        model.W_yh[...] = 0.0
+        essay = make_essay([1, 2, 3], raw=5.0)
+        for bias, want in ((1.2, 1.0), (-0.2, 0.0), (0.25, 0.25)):
+            model.b_y[0] = bias
+            got = quality_map_spans(model, essay, words_vocab(), span_len=2)
+            assert got.predicted == want
+
     def test_bad_span_length_rejected(self):
         model = build_model(vocab=8)
         essay = make_essay([1, 2], raw=5.0)
