@@ -476,8 +476,10 @@ def save_corpus_cache(path, corpus: Corpus, config_hash: str = ""):
             for e in corpus.essays
         ],
     }
+    # one dumps call runs the C encoder; json.dump streams through the
+    # pure-Python one, for the same bytes
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def _cached_essay(d: dict, n_vocab: int, ranges: dict, path) -> Essay:

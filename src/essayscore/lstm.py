@@ -30,10 +30,16 @@ with ``diagonal`` and ``off`` modes available (a diagonal peephole
 multiplies elementwise).
 
 Lockstep batches. B essays run together, each from its own first step;
-one step advances every essay still running, and the directions of a
-layer advance together on their leading axis. Per step there is one
-``h @ W_h^T`` and one peephole product (``c_t @ W_p^T`` gives the output
-gate's term at t and the input and forget gates' terms at t + 1).
+one step advances every essay still running, and the two directions of
+a bidirectional layer advance together on a leading axis; a
+one-direction layer has no such axis and runs on 2-D arrays. Per step
+there is one ``h @ W_h^T`` and one peephole product (``c_t @ W_p^T``
+gives the output gate's term at t and the input and forget gates' terms
+at t + 1). A step is a dozen numpy calls on a few rows, so numpy's cost
+per call, not the arithmetic, sets its time: the loops write every
+product into a buffer allocated once per pass, index no direction axis
+when there is one direction, and re-slice the running state only when
+an essay ends.
 Activations are stored packed, without padding: essays are ranked by
 length, longest first, so the essays running at step t are a prefix of
 those running at t - 1, and step t occupies the next ``counts[t]`` rows
@@ -304,7 +310,8 @@ class _Layout:
 class _LayerCache:
     """Activations of one layer's K directions, each in its own time order.
 
-    Arrays are (K, N, .) over packed rows: ``G`` holds the gates i, f,
+    Arrays are (K, N, .) over packed rows, for K = 1 a view of the step
+    loops' (N, .) arrays: ``G`` holds the gates i, f,
     c (candidate), o after their nonlinearities, ``C`` the cell state,
     ``TC`` its tanh and ``H`` the hidden state.
     """
@@ -355,97 +362,143 @@ def _draw_masks(model: SeqModel, layout: _Layout, rng) -> list:
     return masks
 
 
-def _recur(layer: LSTMLayer, G: np.ndarray, offsets: np.ndarray, keep: bool):
-    """Run K directions over the lockstep steps of a packed batch.
+def _steps_form(bi: bool, *arrays):
+    """The arrays as the step loops take them: a layer's stacked buffers or
+    activations as they are when it is bidirectional, one direction's 2-D
+    views (no copy) when it is not. None stays None."""
+    return arrays if bi else tuple(None if a is None else a[0] for a in arrays)
 
-    ``G`` (K, N, 4H) holds the input projections plus biases and is
-    overwritten with the gate activations. Returns (C, TC, H); with
-    ``keep`` unset only H is kept for every step (C and TC are None).
+
+def _recur(W_h: np.ndarray, W_p, G: np.ndarray, offsets: np.ndarray,
+           keep: bool):
+    """Run a layer over the lockstep steps of a packed batch.
+
+    ``G`` holds the input projections plus biases, (N, 4H) for one
+    direction or (2, N, 4H) for two, and is overwritten with the gate
+    activations; ``W_h`` and ``W_p`` carry the same leading axis, or
+    none (:func:`_steps_form`). A step is a dozen numpy calls on a few
+    rows, and their per-call overhead is its cost, so the loop makes
+    each call count: one direction runs on 2-D arrays with no direction
+    axis to index, the running prefixes of the state are re-sliced only
+    when an essay ends, and every product is written into a buffer
+    allocated once per pass. Returns (C, TC, H) in the layout of ``G``;
+    with ``keep`` unset only H is kept for every step (C and TC are
+    None) and two cell buffers take turns.
     """
-    K, N, _ = G.shape
-    n = layer.dim
-    H = np.empty((K, N, n))
-    C = np.empty((K, N, n)) if keep else None
-    TC = np.empty((K, N, n)) if keep else None
-    W_hT = layer.W_h.transpose(0, 2, 1)
-    full = layer.peepholes == "full"
+    lead, (N, n) = G.shape[:-2], (G.shape[-2], W_h.shape[-1])
+    H = np.empty(lead + (N, n))
+    C = np.empty(lead + (N, n)) if keep else None
+    TC = np.empty(lead + (N, n)) if keep else None
+    W_hT = W_h.swapaxes(-1, -2)
+    full = W_p is not None and W_p.ndim == W_h.ndim
     if full:
-        W_pT = layer.W_p.transpose(0, 2, 1)
-    elif layer.W_p is not None:
-        W_p = layer.W_p[:, None]  # (K, 1, 3H), broadcast over the essays
+        W_pT = W_p.swapaxes(-1, -2)
+    elif W_p is not None:
+        # (..., 1, 3, H): one row per gate, broadcast over the essays
+        W_p3 = W_p.reshape(W_p.shape[:-1] + (1, 3, n))
+    offsets = offsets.tolist()
     B = offsets[1]
-    h = np.zeros((K, B, n))
-    c = np.zeros((K, B, n))
-    p_if = None  # the input and forget gates' peephole terms for this step
-    for s, e in zip(offsets[:-1], offsets[1:]):
-        m = e - s  # the essays still running are a prefix of the last step's
-        a = G[:, s:e]
-        a += h[:, :m] @ W_hT
-        if p_if is not None:
-            a[..., :2 * n] += p_if[:, :m]
-        expit(a[..., :2 * n], out=a[..., :2 * n])
-        np.tanh(a[..., 2 * n:3 * n], out=a[..., 2 * n:3 * n])
-        c_new = np.multiply(a[..., :n], a[..., 2 * n:3 * n],
-                            out=C[:, s:e] if keep else None)
-        c_new += a[..., n:2 * n] * c[:, :m]
+
+    def buffer(width):
+        return np.empty(lead + (B, width))
+
+    h, c = np.zeros(lead + (B, n)), np.zeros(lead + (B, n))
+    hw, fc = buffer(4 * n), buffer(n)
+    q = buffer(3 * n) if W_p is not None else None
+    cells = None if keep else (buffer(n), buffer(n))
+    tc = None if keep else buffer(n)
+    m = 0
+    for t, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
+        if e - s != m:
+            # the essays still running are a prefix of the last step's
+            m = e - s
+            h, c, hw, fc = (x[..., :m, :] for x in (h, c, hw, fc))
+            if q is not None:
+                q = q[..., :m, :]
+                q_if, q_o = q[..., :2 * n], q[..., 2 * n:]
+                q3 = q.reshape(q.shape[:-1] + (3, n))
+            if not keep:
+                cells = tuple(x[..., :m, :] for x in cells)
+                tc = tc[..., :m, :]
+        a = G[..., s:e, :]
+        a_if, a_u, a_o = a[..., :2 * n], a[..., 2 * n:3 * n], a[..., 3 * n:]
+        a += np.matmul(h, W_hT, out=hw)
+        if t and q is not None:
+            # the input and forget gates peep at the last step's cell
+            a_if += q_if
+        expit(a_if, out=a_if)
+        np.tanh(a_u, out=a_u)
+        c_new = np.multiply(a[..., :n], a_u,
+                            out=C[..., s:e, :] if keep else cells[t & 1])
+        c_new += np.multiply(a[..., n:2 * n], c, out=fc)
         c = c_new
-        if layer.W_p is not None:
-            q = c @ W_pT if full else np.concatenate((c, c, c), axis=-1) \
-                * W_p
-            a[..., 3 * n:] += q[..., 2 * n:]
-            p_if = q[..., :2 * n]
-        expit(a[..., 3 * n:], out=a[..., 3 * n:])
-        tc = np.tanh(c, out=TC[:, s:e] if keep else None)
-        h = np.multiply(a[..., 3 * n:], tc, out=H[:, s:e])
+        if full:
+            np.matmul(c, W_pT, out=q)
+        elif q is not None:
+            np.multiply(c[..., None, :], W_p3, out=q3)
+        if q is not None:
+            a_o += q_o
+        expit(a_o, out=a_o)
+        tc_new = np.tanh(c, out=TC[..., s:e, :] if keep else tc)
+        h = np.multiply(a_o, tc_new, out=H[..., s:e, :])
     return C, TC, H
 
 
-def _recur_backward(layer: LSTMLayer, cache: _LayerCache, dH: np.ndarray,
-                    layout: _Layout):
-    """Gradient at the gate pre-activations, (K, N, 4H), from dL/dH."""
-    K, N, n = dH.shape
-    offsets = layout.offsets
+def _recur_backward(W_h: np.ndarray, W_p, G: np.ndarray, C: np.ndarray,
+                    TC: np.ndarray, dH: np.ndarray, layout: _Layout):
+    """Gradient at the gate pre-activations from dL/dH.
+
+    Every array is in the form :func:`_recur` takes and returns, with or
+    without the leading direction axis; the result is (..., N, 4H). As
+    in the forward loop, the running gradients are re-sliced only when
+    an essay starts (going back in time) and each product is written
+    into a buffer allocated once per pass.
+    """
+    lead, (N, n) = dH.shape[:-2], dH.shape[-2:]
+    offsets = layout.offsets.tolist()
     B = offsets[1]
-    G, TC = cache.G, cache.TC
     I, F, U, O = (G[..., k * n:(k + 1) * n] for k in range(4))
-    C_prev = np.zeros((K, N, n))
-    C_prev[:, B:] = cache.C[:, layout.prev]
+    C_prev = np.zeros(lead + (N, n))
+    C_prev[..., B:, :] = C[..., layout.prev, :]
     # per-row factors, vectorised over all steps: dA = factor * (dh or dc)
     k_o = TC * O * (1.0 - O)
     k_c = O * (1.0 - TC * TC)
     k_ifu = np.stack((U * I * (1.0 - I), C_prev * F * (1.0 - F),
-                      I * (1.0 - U * U)), axis=2)
+                      I * (1.0 - U * U)), axis=-2)
     del C_prev
-    dA = np.empty((K, N, 4 * n))
-    dA_ifu = dA.reshape(K, N, 4, n)[:, :, :3]
-    full = layer.peepholes == "full"
-    if layer.W_p is not None:
-        if full:
-            W_p_if, W_p_o = layer.W_p[:, :2 * n], layer.W_p[:, 2 * n:]
-        else:
-            w_i, w_f, w_o = (layer.W_p[:, None, k * n:(k + 1) * n]
-                             for k in range(3))
-    # an essay's rows in these stay zero until its last step is reached
-    dh_next = np.zeros((K, B, n))
-    dc_next = np.zeros((K, B, n))
+    dA = np.empty(lead + (N, 4 * n))
+    dA_ifu = dA.reshape(lead + (N, 4, n))[..., :3, :]
+    full = W_p is not None and W_p.ndim == W_h.ndim
+    if full:
+        W_p_if, W_p_o = W_p[..., :2 * n, :], W_p[..., 2 * n:, :]
+    elif W_p is not None:
+        w_i, w_f, w_o = (W_p[..., None, k * n:(k + 1) * n] for k in range(3))
+    # the gradients flowing into step t from step t + 1, accumulated in
+    # place; an essay's rows stay zero until its last step is reached
+    dh_next, dc_next, prods = (np.zeros(lead + (B, n)) for _ in range(3))
+    m = 0
     for s, e in zip(offsets[-2::-1], offsets[:0:-1]):
-        m = e - s
-        dh = dH[:, s:e] + dh_next[:, :m]
-        da_o = np.multiply(dh, k_o[:, s:e], out=dA[:, s:e, 3 * n:])
-        dc = dh * k_c[:, s:e]
-        dc += dc_next[:, :m]
-        if layer.W_p is not None:
-            dc += da_o @ W_p_o if full else da_o * w_o
-        np.multiply(dc[:, :, None, :], k_ifu[:, s:e], out=dA_ifu[:, s:e])
-        dh_next[:, :m] = dA[:, s:e] @ layer.W_h
-        dc = np.multiply(dc, F[:, s:e], out=dc)
-        if layer.W_p is not None:
-            if full:
-                dc += dA[:, s:e, :2 * n] @ W_p_if
-            else:
-                dc += dA[:, s:e, :n] * w_i
-                dc += dA[:, s:e, n:2 * n] * w_f
-        dc_next[:, :m] = dc
+        if e - s != m:
+            m = e - s
+            dh, dc, prod = (x[..., :m, :] for x in (dh_next, dc_next, prods))
+            dc3 = dc[..., None, :]
+        dh += dH[..., s:e, :]
+        da_o = np.multiply(dh, k_o[..., s:e, :], out=dA[..., s:e, 3 * n:])
+        dc += np.multiply(dh, k_c[..., s:e, :], out=prod)
+        if full:
+            dc += np.matmul(da_o, W_p_o, out=prod)
+        elif W_p is not None:
+            dc += np.multiply(da_o, w_o, out=prod)
+        np.multiply(dc3, k_ifu[..., s:e, :, :],
+                    out=dA_ifu[..., s:e, :, :])
+        a = dA[..., s:e, :]
+        np.matmul(a, W_h, out=dh)
+        dc *= F[..., s:e, :]
+        if full:
+            dc += np.matmul(a[..., :2 * n], W_p_if, out=prod)
+        elif W_p is not None:
+            dc += np.multiply(a[..., :n], w_i, out=prod)
+            dc += np.multiply(a[..., n:2 * n], w_f, out=prod)
     return dA
 
 
@@ -475,7 +528,6 @@ def _layer_grads(layer: LSTMLayer, cache: _LayerCache, dA: np.ndarray,
 def _run(model: SeqModel, layout: _Layout, masks=None, keep: bool = True):
     """Forward pass of a lockstep batch; returns (y, BatchCache or None)."""
     bi = model.bidirectional
-    K = 2 if bi else 1
     n = model.lstm_dim
     packed_ids = np.empty_like(layout.ids)
     packed_ids[layout.row] = layout.ids
@@ -484,17 +536,22 @@ def _run(model: SeqModel, layout: _Layout, masks=None, keep: bool = True):
     for l, layer in enumerate(model.layers):
         proj = seq @ layer.W_x.reshape(-1, layer.in_dim).T
         proj += layer.b.reshape(-1)
-        G = np.empty((K, seq.shape[0], 4 * n))
-        G[0] = proj[:, :4 * n]
         if bi:
+            G = np.empty((2, seq.shape[0], 4 * n))
+            G[0] = proj[:, :4 * n]
             G[1] = proj[layout.rev, 4 * n:]
+        else:
+            G = proj  # one direction's projection is its G, no copy
         del proj
-        C, TC, H = _recur(layer, G, layout.offsets, keep)
+        C, TC, H = _recur(*_steps_form(bi, layer.W_h, layer.W_p), G,
+                          layout.offsets, keep)
         if keep:
             inputs.append(seq)
-            layers.append(_LayerCache(G, C, TC, H))
+            # the cache keeps the direction axis: (K, N, .) views
+            layers.append(_LayerCache(*(x if bi else x[None]
+                                        for x in (G, C, TC, H))))
         del G, C, TC
-        seq = np.concatenate((H[0], H[1, layout.rev]), axis=1) if bi else H[0]
+        seq = np.concatenate((H[0], H[1, layout.rev]), axis=1) if bi else H
         if masks is not None:
             seq = seq * masks[l]
     final = np.concatenate((seq[layout.last, :n], seq[layout.first, n:]),
@@ -545,14 +602,14 @@ def backward_batch(model: SeqModel, cache: BatchCache,
     for l in range(model.n_layers - 1, -1, -1):
         if cache.masks is not None:
             d_out *= cache.masks[l]
-        layer = model.layers[l]
-        dH = d_out[None, :, :n] if not bi else np.stack(
-            (d_out[:, :n], d_out[layout.rev, n:]))
-        dA = _recur_backward(layer, cache.layers[l], dH, layout)
-        dir_grads = _layer_grads(layer, cache.layers[l], dA, layout)
-        # both directions' gate gradients in essay time, side by side
-        dA = np.concatenate((dA[0], dA[1, layout.rev]), axis=1) if bi \
-            else dA[0]
+        layer, lc = model.layers[l], cache.layers[l]
+        dH = np.stack((d_out[:, :n], d_out[layout.rev, n:])) if bi else d_out
+        dA = _recur_backward(*_steps_form(bi, layer.W_h, layer.W_p, lc.G,
+                                          lc.C, lc.TC), dH, layout)
+        dir_grads = _layer_grads(layer, lc, dA if bi else dA[None], layout)
+        if bi:
+            # both directions' gate gradients in essay time, side by side
+            dA = np.concatenate((dA[0], dA[1, layout.rev]), axis=1)
         d_W_x = dA.T @ cache.inputs[l]
         d_out = dA @ layer.W_x.reshape(-1, layer.in_dim)
         for k, (prefix, g) in enumerate(zip(("fwd", "bwd"), dir_grads)):
@@ -691,13 +748,17 @@ def column_gradient(ids: np.ndarray, d_inputs: np.ndarray):
     """Sum per-token input gradients into embedding columns.
 
     Returns ``(cols, rows)``: the distinct ids in ascending order and one
-    summed row per id. Repeats are added in token order, as a dense
-    ``np.add.at`` into the matrix's columns would add them.
+    summed row per id. Repeats are added in token order starting from
+    0.0, as a dense ``np.add.at`` into the matrix's columns would add
+    them: ``np.bincount`` over the flat (column, feature) index does
+    exactly that.
     """
     cols, inverse = np.unique(ids, return_inverse=True)
-    rows = np.zeros((cols.size, d_inputs.shape[1]))
-    np.add.at(rows, inverse, d_inputs)
-    return cols, rows
+    D = d_inputs.shape[1]
+    flat = (inverse.reshape(-1, 1) * D + np.arange(D)).reshape(-1)
+    rows = np.bincount(flat, weights=d_inputs.reshape(-1),
+                       minlength=cols.size * D)
+    return cols, rows.reshape(cols.size, D)
 
 
 @dataclass
@@ -732,7 +793,9 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
     rng = np.random.default_rng(hyper.seed)
     state = RMSPropState.for_model(model, hyper)
     val_gold = np.array([e.raw_score for e in val])
-    best = model.copy()
+    # every epoch that runs either improves on inf or raises, so a snapshot
+    # is only needed here when none runs
+    best = None
     best_rmse = np.inf
     history: list[EpochRecord] = []
     order = np.arange(len(train))
@@ -777,7 +840,7 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
             stall += 1
             if stall >= hyper.patience:
                 break
-    return best, history
+    return (model.copy() if best is None else best), history
 
 
 # --- persistence --------------------------------------------------------

@@ -236,8 +236,14 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     center = slice(c * d, (c + 1) * d)
     W_center = W_hi[:, center]
     n_corrupt = len(corrupt_centers)
-    centers, counts = np.unique(np.asarray(corrupt_centers, dtype=np.intp),
-                                return_counts=True)
+    # the distinct centers in ascending order and their counts, from the
+    # run boundaries of one sort (np.unique's wrappers cost more than this)
+    drawn = np.sort(np.asarray(corrupt_centers, dtype=np.intp))
+    starts = np.empty(n_corrupt + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.not_equal(drawn[1:], drawn[:-1], out=starts[1:-1])
+    bounds = np.flatnonzero(starts)
+    centers, counts = drawn[bounds[:-1]], np.diff(bounds)
 
     x_t = rows_of[ids]
     s_t = x_t.reshape(-1)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,9 @@ FIXTURE_TSV = """essay_id\tessay_set\tessay\tdomain1_score
 2\t1\tI hope you feel the same way .\t4
 3\t2\tBeing patience is being understanding .\t3
 """
+
+PINNED_CACHE = \
+    "627e694cf715018d4b6274362aca7c54a8116115a9beddcaf58de8c921c715f4"
 
 
 class TestIngest:
@@ -408,6 +413,15 @@ class TestCorpusCache:
         assert loaded.ranges == corpus.ranges
         assert [(e.essay_id, e.tokens, e.scaled_score) for e in loaded.essays] \
             == [(e.essay_id, e.tokens, e.scaled_score) for e in corpus.essays]
+
+    def test_cache_bytes_are_pinned(self, tmp_path):
+        # sha256 computed when the cache was written by json.dump
+        tsv = tmp_path / "f.tsv"
+        tsv.write_text(FIXTURE_TSV)
+        corpus, _ = load_corpus(tsv, min_count=1)
+        cache = tmp_path / "cache.json"
+        save_corpus_cache(cache, corpus, config_hash="deadbeef")
+        assert hashlib.sha256(cache.read_bytes()).hexdigest() == PINNED_CACHE
 
     def test_corrupt_cache_rejected(self, tmp_path):
         p = tmp_path / "cache.json"

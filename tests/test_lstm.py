@@ -14,7 +14,8 @@ from essayscore.lstm import (FORGET_BIAS, LSTMLayer,
                              RMSPropState, SeqHyper, SeqModel, _n_params,
                              backward_batch, bptt, clip_gradients,
                              column_gradient, forward_batch, forward_essay,
-                             load_model, predict, rmsprop_update,
+                             load_model, predict, predict_batch,
+                             rmsprop_update,
                              save_model, train_scorer)
 
 import reference_lstm as ref
@@ -330,23 +331,55 @@ def normwise_error(a, b):
         float(np.max(np.abs(a)))
 
 
+LENGTHS = {"B1-len1": (1,), "B1": (9,), "mixed": (1, 5, 9, 3),
+           "equal": (4, 4)}
+
+# every architecture of VARIANTS, with dropout on
+PIN_VARIANTS = [dict(v, dropout=0.5) for v in VARIANTS if "dropout" not in v]
+
+
+def batch_case(variant, lengths):
+    """A seeded model, essays of the given lengths and their gold scores."""
+    model = build_model(vocab=14, embed_dim=5, seed=31, lstm_dim=3,
+                        boost=4.0, **variant)
+    rng = np.random.default_rng(8)
+    token_lists = [list(rng.integers(0, 14, size=L)) for L in lengths]
+    golds = rng.uniform(-1.0, 1.0, size=len(lengths))
+    return model, token_lists, golds
+
+
+def batch_passes(model, token_lists, golds):
+    """One forward and backward pass; dropout masks drawn from seed 21."""
+    y, cache = forward_batch(model, token_lists,
+                             training=model.dropout > 0.0,
+                             rng=np.random.default_rng(21))
+    grads, d_inputs = backward_batch(model, cache, 2.0 * (y - golds))
+    return y, cache, grads, d_inputs
+
+
+def pass_digest(variant, lengths):
+    """sha256 over the outputs of both passes and of predict_batch."""
+    model, token_lists, golds = batch_case(variant, lengths)
+    y, _, grads, d_inputs = batch_passes(model, token_lists, golds)
+    names = [name for name, _ in model.named_arrays() if name != "M"]
+    assert sorted(names) == sorted(grads)
+    digest = hashlib.sha256()
+    for a in (y, d_inputs, *(grads[name] for name in names),
+              predict_batch(model, token_lists)):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
 class TestBatchMatchesReference:
     """The lockstep, fused-gate path against the per-essay, per-gate loop."""
 
-    @pytest.mark.parametrize("lengths", [(1,), (9,), (1, 5, 9, 3), (4, 4)],
-                             ids=["B1-len1", "B1", "mixed", "equal"])
+    @pytest.mark.parametrize("lengths", list(LENGTHS.values()),
+                             ids=list(LENGTHS))
     @pytest.mark.parametrize("variant", VARIANTS, ids=variant_id)
     def test_outputs_and_gradients(self, variant, lengths):
-        model = build_model(vocab=14, embed_dim=5, seed=31, lstm_dim=3,
-                            boost=4.0, **variant)
-        rng = np.random.default_rng(8)
-        token_lists = [list(rng.integers(0, 14, size=L)) for L in lengths]
-        golds = rng.uniform(-1.0, 1.0, size=len(lengths))
+        model, token_lists, golds = batch_case(variant, lengths)
         training = model.dropout > 0.0
-
-        y, cache = forward_batch(model, token_lists, training=training,
-                                 rng=np.random.default_rng(21))
-        grads, d_inputs = backward_batch(model, cache, 2.0 * (y - golds))
+        y, cache, grads, d_inputs = batch_passes(model, token_lists, golds)
 
         # the reference draws its masks essay by essay from the same stream
         ref_rng = np.random.default_rng(21)
@@ -365,6 +398,114 @@ class TestBatchMatchesReference:
         for name, g in ref_grads.items():
             assert grads[name].shape == g.shape, name
             assert normwise_error(grads[name], g) <= 1e-12, name
+
+    # sha256 of y, d_inputs, every gradient in parameter order and
+    # predict_batch on the same essays, computed before the step loops
+    # took one-direction layers as 2-D arrays: the passes must not move a bit
+    PINNED_PASSES = {
+        "unil1-full-dropout-B1-len1":
+            "129e45384cf9882cace53832ec435436e68c953941b837044c6170663af684c6",
+        "unil1-full-dropout-B1":
+            "45816d81fd49d3fe9d21a4053d4af3ec484771c7a057700d4ed394b376a1675e",
+        "unil1-full-dropout-mixed":
+            "9e5484a8825560f19e5aea8d72487bae4101d931a003c37af708c4d9d45f4e1a",
+        "unil1-full-dropout-equal":
+            "f05555e8a5d6a268cfb6550ebc985837ceefb282014e9e77ad05727938c30c79",
+        "unil1-diagonal-dropout-B1-len1":
+            "ce06ca1d7b609ce150c88abe819d627f564abd3e7e06f47f3ebe203fcda7ff94",
+        "unil1-diagonal-dropout-B1":
+            "8cac617daa8167324939469a2e939cd031270c609481f715e7879479a07c9ed1",
+        "unil1-diagonal-dropout-mixed":
+            "79e990acda4330b7ab33cc836d783a06c0b1aacf73e9d942e5b4d7693a04e41a",
+        "unil1-diagonal-dropout-equal":
+            "f8f9a0ff90c76e2ffa37d174c0f8a92251ffd3afb31da1958ddad37489800c5b",
+        "unil1-off-dropout-B1-len1":
+            "f861406e1c60fc8f4d028caf77a8ba5d41ce4a4b8d69d7bdc98f9de2feb5c513",
+        "unil1-off-dropout-B1":
+            "0d2a7c3b6a62915d21ecf8cc684eedc6f3f27b83691b6d473e6d1e84b320577d",
+        "unil1-off-dropout-mixed":
+            "5c91fc7ad3a88f7a7895db7849f23cc71017b35babaea86c20db9b7b1add5d16",
+        "unil1-off-dropout-equal":
+            "64d6b2c053f6499226db51fb8e1d32a659f05ab1496dea969de4182a51930140",
+        "bil1-full-dropout-B1-len1":
+            "183c82692e522993f5d32f52cdd4c8ac1886ea4a784ac3b5279e049bebbdd16a",
+        "bil1-full-dropout-B1":
+            "64117cbf8b01fd8f2720b1c12b95d1895c726fbe87ff522a25afc6d07ac838f8",
+        "bil1-full-dropout-mixed":
+            "54abc77d004ce24b1956860094016aac3701a192e3c3d0384340520c55fc4b4e",
+        "bil1-full-dropout-equal":
+            "3d1a7f67138e89e16fb6f9a9211f124cf25e4158e6fd8f4554bac6e948c62097",
+        "bil1-diagonal-dropout-B1-len1":
+            "654431ee62adf51bfabe3c192b263e00ad2258257ce2fbca97abafd663a1e770",
+        "bil1-diagonal-dropout-B1":
+            "b3ed91e7afddee53f2fec7576f7dcb58b21bbd00906923ec4e9064918cf8cf1b",
+        "bil1-diagonal-dropout-mixed":
+            "6ad704fd150b3ff603b0f13759c3de86ac99c3fe1eb1af264d587c15d8017ead",
+        "bil1-diagonal-dropout-equal":
+            "732148138e45a27149bb98e070ffb358e1d0a8230d77e514314ea1caf8504c2b",
+        "bil1-off-dropout-B1-len1":
+            "beed176b3aa7a1c350cc50bcc98926f5f8b10a858e7e7a54b6d58a50a27f0e6e",
+        "bil1-off-dropout-B1":
+            "914d340d1e49b36f0f6324e3d861eb54de0ea5bd617de3079fc0f0b39870a020",
+        "bil1-off-dropout-mixed":
+            "ac61c7fe289ab9ae6270bbd74f0741dd7b68573530bd4c1e35a0a91d31e900c4",
+        "bil1-off-dropout-equal":
+            "41df258075dc0d4e47f3372513192c9f550be816aae4b53fd4992222c32d2b28",
+        "unil2-full-dropout-B1-len1":
+            "2cb6b76745fd8e44fdf031f467463957c725e11bad3b851d72c76c69d7e4a581",
+        "unil2-full-dropout-B1":
+            "b0bf98a404d442de25694cad7f4404d1b64d5b06a67a55f753e4bbefd4ac1e50",
+        "unil2-full-dropout-mixed":
+            "bd1fc7a2f5bad733faeade02f7d474c81dda6080e4db225ad2440226e20cef65",
+        "unil2-full-dropout-equal":
+            "7cae276f31d34792d35c33e14b095c06eaeafaa1b21ef4591b912c0caf88c968",
+        "unil2-diagonal-dropout-B1-len1":
+            "802161e4b00a2574645cd293a71b64aac407842d003ef4d7efa5fe9fecbf200b",
+        "unil2-diagonal-dropout-B1":
+            "d84f6b4fa36712d47b355f56be8ea9893cfa0f615decd57a63e45cdfef424bc3",
+        "unil2-diagonal-dropout-mixed":
+            "2416789fc057efd611920c77799f5547982243d8ed59d1e435fc93171b4c9325",
+        "unil2-diagonal-dropout-equal":
+            "4d911a272ef7c2709bdb39c69899d24226aac01b4237152de55542b8bd58c259",
+        "unil2-off-dropout-B1-len1":
+            "123cd550d28872a4253021a35fba9a330de20f4f19eeca14b6b5c79bf3d4845a",
+        "unil2-off-dropout-B1":
+            "092f21e11b3a237b8c1da1d6795743d6e2f44233ae3f89d57b695bdb8110e496",
+        "unil2-off-dropout-mixed":
+            "c61936f402564c698140337a09fb14c354dc3b043232c0aaac9293f44d032c02",
+        "unil2-off-dropout-equal":
+            "97c86b7b348ee46e653cfda7411cbd1fe3d48468e3e76ebead6226a799d9e569",
+        "bil2-full-dropout-B1-len1":
+            "6b395f4b2eb38caf2007131add776320ac332254cf63da5720b50dce8d153fd5",
+        "bil2-full-dropout-B1":
+            "457362d3d09bc79b3b58a4251b513f5a19dff73244abc9e5baf619a18cb9ad75",
+        "bil2-full-dropout-mixed":
+            "cc90ddf4aad83fded3756e1d0b024b3e9d31a98333791ad0c76f383bb0aadb75",
+        "bil2-full-dropout-equal":
+            "ff1c4c58c1a2458ef5bc172f570abf3bc1fad4e1ac5c3227b8bc9cccee9c4978",
+        "bil2-diagonal-dropout-B1-len1":
+            "046ae60fd05ca11e1846d3f15f9302892586838fd7d2433091a758b7d4e76d72",
+        "bil2-diagonal-dropout-B1":
+            "02ae80cdbeea936e92ffa7f25fc2cefd58f1a535730906d1ff522391b4f677d5",
+        "bil2-diagonal-dropout-mixed":
+            "c4b31e81aaf253104d952d110bfe157eb8969bb2bcfc157f926c4558631ccff6",
+        "bil2-diagonal-dropout-equal":
+            "c079bb0ddd4ca7664a307cc610afce0a4b3dbf0d614848bd17dd0d762eff0588",
+        "bil2-off-dropout-B1-len1":
+            "1dd68e8f9aaffd420c99d3509d8862f67a083779cd219e924df77e551f71e497",
+        "bil2-off-dropout-B1":
+            "b720c7fa775a33eb500b2bc4f8c846006e79eeccc7810b3f5654708b862cec76",
+        "bil2-off-dropout-mixed":
+            "fc41383dd44610e9dd742a91cb8039490d8b31264d3bb4e0b8a06563dca267f4",
+        "bil2-off-dropout-equal":
+            "28a97624248419c35de9b5a29059c8c961bad9cd0b157a0d8624f04e6abdbb4a",
+    }
+
+    @pytest.mark.parametrize("lengths", list(LENGTHS))
+    @pytest.mark.parametrize("variant", PIN_VARIANTS, ids=variant_id)
+    def test_passes_are_pinned(self, variant, lengths):
+        assert pass_digest(variant, LENGTHS[lengths]) \
+            == self.PINNED_PASSES[f"{variant_id(variant)}-{lengths}"]
 
     def test_empty_essay_or_batch_rejected(self):
         model = build_model()
