@@ -150,8 +150,12 @@ def parse_config_text(text: str, base: Config | None = None,
 
 
 def load_config(path, base: Config | None = None) -> Config:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base, source=str(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not valid UTF-8: {exc.reason}") from None
+    return parse_config_text(text, base=base, source=str(path))
 
 
 def serialize_config(cfg: Config) -> str:
@@ -175,61 +179,41 @@ def write_config(path, cfg: Config, header: str = ""):
 
 @dataclass
 class SearchSpace:
-    """Random-search ranges over the tunable hyperparameters.
+    """Seeded random search over the tunable hyperparameters.
 
-    ``alpha_choices`` (when non-empty) pins alpha to a finite set, which
-    the ablation comparison uses; otherwise alpha is drawn uniformly
-    from ``alpha_range``. The learning rate is drawn log-uniformly.
+    Each trial draws, in this order: the learning rate log-uniformly
+    from [1e-8, 1e-2]; alpha uniformly from [0, 1], or from
+    ``alpha_choices`` when it is non-empty (the ablation comparison pins
+    it so); dropout uniformly from [0, 0.7]; then embed_dim 20-200,
+    hidden_dim 20-100, window_size from 5, 7 and 9, n_corruptions
+    10-200 and lstm_dim 5-30, each uniform over its integers (bounds
+    included); and last the trial's seed.
     """
 
     trials: int = 10
     seed: int = 0
-    eta_range: tuple[float, float] = (1e-8, 1e-2)
-    alpha_range: tuple[float, float] = (0.0, 1.0)
     alpha_choices: tuple[float, ...] = ()
-    dropout_range: tuple[float, float] = (0.0, 0.7)
-    embed_dim_range: tuple[int, int] = (20, 200)
-    hidden_dim_range: tuple[int, int] = (20, 100)
-    window_choices: tuple[int, ...] = (5, 7, 9)
-    n_corruptions_range: tuple[int, int] = (10, 200)
-    lstm_dim_range: tuple[int, int] = (5, 30)
 
     def validate(self):
         if self.trials < 1:
             raise ConfigError(f"need at least one trial, got {self.trials}")
-        for name in ("eta_range", "alpha_range", "dropout_range",
-                     "embed_dim_range", "hidden_dim_range",
-                     "n_corruptions_range", "lstm_dim_range"):
-            lo, hi = getattr(self, name)
-            if hi < lo:
-                raise ConfigError(f"{name}: empty range ({lo}, {hi})")
-        if self.eta_range[0] <= 0:
-            raise ConfigError("learning-rate range must be positive")
-        if any(n % 2 == 0 or n < 3 for n in self.window_choices):
-            raise ConfigError("window sizes must be odd and >= 3")
 
     def draw(self, rng, base: Config) -> Config:
         """One trial configuration on top of ``base``."""
-        lo, hi = self.eta_range
-        eta = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        eta = float(np.exp(rng.uniform(np.log(1e-8), np.log(1e-2))))
         if self.alpha_choices:
             alpha = float(self.alpha_choices[rng.integers(len(self.alpha_choices))])
         else:
-            alpha = float(rng.uniform(*self.alpha_range))
+            alpha = float(rng.uniform(0.0, 1.0))
         return dataclasses.replace(
             base,
             learning_rate=eta,
             alpha=alpha,
-            dropout=float(rng.uniform(*self.dropout_range)),
-            embed_dim=int(rng.integers(self.embed_dim_range[0],
-                                       self.embed_dim_range[1] + 1)),
-            hidden_dim=int(rng.integers(self.hidden_dim_range[0],
-                                        self.hidden_dim_range[1] + 1)),
-            window_size=int(self.window_choices[
-                rng.integers(len(self.window_choices))]),
-            n_corruptions=int(rng.integers(self.n_corruptions_range[0],
-                                           self.n_corruptions_range[1] + 1)),
-            lstm_dim=int(rng.integers(self.lstm_dim_range[0],
-                                      self.lstm_dim_range[1] + 1)),
+            dropout=float(rng.uniform(0.0, 0.7)),
+            embed_dim=int(rng.integers(20, 201)),
+            hidden_dim=int(rng.integers(20, 101)),
+            window_size=(5, 7, 9)[rng.integers(3)],
+            n_corruptions=int(rng.integers(10, 201)),
+            lstm_dim=int(rng.integers(5, 31)),
             seed=int(rng.integers(2 ** 31)),
         )

@@ -19,6 +19,7 @@ import math
 import re
 import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -70,8 +71,7 @@ class Vocabulary:
     frequency profiles get identical ids.
     """
 
-    def __init__(self, tokens: list[str], min_count: int = 1):
-        self.min_count = min_count
+    def __init__(self, tokens: list[str]):
         self.id_to_token = [PAD_TOKEN, UNK_TOKEN, BOUNDARY_TOKEN] + list(tokens)
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
@@ -79,9 +79,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
     @property
     def n_words(self) -> int:
@@ -117,7 +114,7 @@ def build_vocabulary(token_sequences, min_count: int = 2) -> Vocabulary:
         counts.update(seq)
     kept = [tok for tok, c in counts.items() if c >= min_count]
     kept.sort(key=lambda tok: (-counts[tok], tok))
-    return Vocabulary(kept, min_count=min_count)
+    return Vocabulary(kept)
 
 
 @dataclass(frozen=True)
@@ -176,19 +173,33 @@ class IngestResult:
     row_errors: list[RowError]
 
 
-def ingest_asap_tsv(path, ranges: dict[int, ScoreRange] | None = None,
-                    encoding: str = "utf-8") -> IngestResult:
-    """Read an ASAP-style TSV into raw essays plus per-set score ranges.
+@contextmanager
+def _open_utf8(path, newline=None):
+    """``open`` for reading UTF-8 text; a byte that does not decode, met
+    anywhere in the ``with`` block, is a :class:`DataError` naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not valid UTF-8: {exc.reason} "
+                        f"({exc.object[exc.start:exc.end]!r})") from None
+
+
+def ingest_asap_tsv(path,
+                    ranges: dict[int, ScoreRange] | None = None) -> IngestResult:
+    """Read a UTF-8 ASAP-style TSV into raw essays plus per-set score ranges.
 
     Rows that fail to parse are reported in ``row_errors`` with their
-    line number; the remaining rows are still ingested. When ``ranges``
-    is not supplied, each set's range is the observed min/max of its
-    scores. A missing required column raises :class:`DataError` naming
-    the column.
+    line number; the remaining rows are still ingested. A row that
+    repeats the ``essay_id`` of an ingested row is reported the same way
+    and the first row is kept. When ``ranges`` is not supplied, each
+    set's range is the observed min/max of its scores. A missing
+    required column raises :class:`DataError` naming the column.
     """
     essays = []
     row_errors = []
-    with open(path, encoding=encoding, newline="") as fh:
+    first_line: dict[int, int] = {}  # essay id -> line of its kept row
+    with _open_utf8(path, newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         header = reader.fieldnames or []
         for col in REQUIRED_COLUMNS:
@@ -215,6 +226,12 @@ def ingest_asap_tsv(path, ranges: dict[int, ScoreRange] | None = None,
             if not tokens:
                 row_errors.append(RowError(lineno, "essay text is empty"))
                 continue
+            if essay_id in first_line:
+                row_errors.append(RowError(
+                    lineno, f"essay_id {essay_id} repeats line "
+                            f"{first_line[essay_id]}; row skipped"))
+                continue
+            first_line[essay_id] = lineno
             essays.append(RawEssay(essay_id, set_id, tokens, raw_score))
 
     if ranges is None:
@@ -257,7 +274,7 @@ def encode_essays(raw_essays: list[RawEssay], vocab: Vocabulary,
 def read_range_table(path) -> dict[int, ScoreRange]:
     """Parse a ``set_id<TAB>min<TAB>max`` score-range table."""
     ranges = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -269,6 +286,8 @@ def read_range_table(path) -> dict[int, ScoreRange]:
                 set_id, lo, hi = int(parts[0]), float(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DataError(f"{path}:{lineno}: bounds must be finite")
             if hi < lo:
                 raise DataError(f"{path}:{lineno}: max < min")
             ranges[set_id] = ScoreRange(lo, hi)
@@ -419,7 +438,7 @@ def write_manifest(path, essay_ids, config_hash: str | None = None):
 
 def read_manifest(path) -> list[int]:
     ids = []
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -448,17 +467,21 @@ class Corpus:
     def subset(self, essay_ids) -> list[Essay]:
         wanted = set(essay_ids)
         found = [e for e in self.essays if e.essay_id in wanted]
+        counts = Counter(e.essay_id for e in found)
+        if len(counts) != len(found):
+            repeated = sorted(k for k, c in counts.items() if c > 1)
+            raise DataError(f"essay ids repeated in corpus: {repeated[:5]}")
         if len(found) != len(wanted):
-            missing = wanted - {e.essay_id for e in found}
+            missing = wanted - counts.keys()
             raise DataError(f"essay ids missing from corpus: {sorted(missing)[:5]}")
         return found
 
 
 def load_corpus(path, min_count: int = 2,
-                ranges: dict[int, ScoreRange] | None = None,
-                encoding: str = "utf-8") -> tuple[Corpus, list[RowError]]:
+                ranges: dict[int, ScoreRange] | None = None
+                ) -> tuple[Corpus, list[RowError]]:
     """Ingest a TSV, build the vocabulary and encode all essays."""
-    result = ingest_asap_tsv(path, ranges=ranges, encoding=encoding)
+    result = ingest_asap_tsv(path, ranges=ranges)
     vocab = build_vocabulary((e.tokens for e in result.essays), min_count=min_count)
     essays = encode_essays(result.essays, vocab, result.ranges)
     return Corpus(essays, vocab, result.ranges), result.row_errors
@@ -467,7 +490,6 @@ def load_corpus(path, min_count: int = 2,
 def save_corpus_cache(path, corpus: Corpus, config_hash: str = ""):
     payload = {
         "config_hash": config_hash,
-        "min_count": corpus.vocab.min_count,
         "vocabulary": corpus.vocab.id_to_token[N_SPECIALS:],
         "ranges": {str(k): [r.lo, r.hi] for k, r in sorted(corpus.ranges.items())},
         "essays": [
@@ -503,15 +525,16 @@ def load_corpus_cache(path) -> tuple[Corpus, str]:
     """Read a :func:`save_corpus_cache` file.
 
     Every token must be an integer id of the cached vocabulary and every
-    score a finite number; anything else is a :class:`DataError`.
+    score a finite number; anything else is a :class:`DataError`. A
+    ``min_count`` key, which older caches carry, is ignored.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open_utf8(path) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"corrupt corpus cache {path}: {exc}") from None
     try:
-        vocab = Vocabulary(payload["vocabulary"], min_count=payload["min_count"])
+        vocab = Vocabulary(payload["vocabulary"])
         ranges = {int(k): ScoreRange(lo, hi)
                   for k, (lo, hi) in payload["ranges"].items()}
         essays = [_cached_essay(d, len(vocab), ranges, path)

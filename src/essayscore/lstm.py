@@ -66,7 +66,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import artifact
 from .corpus import Essay, ScoreRange
@@ -339,11 +338,6 @@ class BatchCache:
     final: np.ndarray        # (B, width) the states the head reads
     y: np.ndarray            # (B,)
 
-    @property
-    def ids(self) -> np.ndarray:
-        """Token ids, essay after essay: the order of ``d_inputs`` rows."""
-        return self.layout.ids
-
 
 def _draw_masks(model: SeqModel, layout: _Layout, rng) -> list:
     """Inverted-dropout masks over packed rows, one per layer.
@@ -385,6 +379,10 @@ def _recur(W_h: np.ndarray, W_p, G: np.ndarray, offsets: np.ndarray,
     with ``keep`` unset only H is kept for every step (C and TC are
     None) and two cell buffers take turns.
     """
+    # imported here, once per pass: scipy.special costs start-up time and
+    # memory that the commands which never run an LSTM would pay
+    from scipy.special import expit
+
     lead, (N, n) = G.shape[:-2], (G.shape[-2], W_h.shape[-1])
     H = np.empty(lead + (N, n))
     C = np.empty(lead + (N, n)) if keep else None
@@ -587,7 +585,7 @@ def backward_batch(model: SeqModel, cache: BatchCache,
     Returns (parameter gradients under their ``named_arrays`` names,
     without the embedding matrix, summed over the batch; gradient with
     respect to each token's word vector, (N, D) essay after essay, in
-    ``cache.ids`` order).
+    ``cache.layout.ids`` order).
     """
     layout = cache.layout
     dy = np.asarray(dy, dtype=float).reshape(-1)
@@ -813,7 +811,7 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
                 # square via numpy so a diverged run overflows to inf
                 sq_sum += float(np.square(e))
             grads, d_inputs = backward_batch(model, cache, 2.0 * err)
-            ids = cache.ids
+            ids = cache.layout.ids
             del cache
             inv = 1.0 / len(batch)
             for g in grads.values():

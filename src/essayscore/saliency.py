@@ -83,11 +83,15 @@ def quality_bins(quality: np.ndarray) -> np.ndarray:
     return np.minimum(ranks * N_BINS // T, N_BINS - 1)
 
 
-def _displayed(y: float, score_range: ScoreRange | None) -> float:
-    """A prediction clamped to [0, 1], unscaled onto the raw scale if given."""
-    predicted = min(max(float(y), 0.0), 1.0)
+def _displayed(y: float, score_range: ScoreRange | None, y_max: float,
+               y_min: float) -> float:
+    """A prediction clamped into [y_min, y_max], the target-space bounds,
+    and mapped from there onto the raw scale of ``score_range`` if given."""
+    bounds = ScoreRange(y_min, y_max)
+    predicted = bounds.clamp(float(y))
     if score_range is not None:
-        predicted = score_range.clamp(score_range.unscale(predicted))
+        predicted = score_range.clamp(
+            score_range.unscale(bounds.scale(predicted)))
     return predicted
 
 
@@ -110,16 +114,13 @@ def quality_map(model: SeqModel, essay: Essay, vocab: Vocabulary,
 
     ``y_max`` and ``y_min`` are the essay set's extreme scores in the
     model's target space; after min-max scaling those are simply 1 and 0.
-    When ``score_range`` is given the displayed prediction is unscaled
-    onto the raw score scale. One forward and one backward pass.
+    The displayed prediction is clamped into [y_min, y_max] and, when
+    ``score_range`` is given, mapped from there onto the raw score scale.
+    One forward and one backward pass: :func:`quality_map_spans` with
+    the whole essay as its one span.
     """
-    if not essay.tokens:
-        raise DataError(f"essay {essay.essay_id} has no tokens")
-    y, cache = forward_essay(model, essay.tokens, training=False)
-    _, d_inputs = backward_batch(model, cache, [1.0])
-    entries = _entries(vocab.decode(essay.tokens),
-                       np.linalg.norm(d_inputs, axis=1), y, y_max, y_min)
-    return QualityMap(essay.essay_id, _displayed(y, score_range), entries)
+    return quality_map_spans(model, essay, vocab, len(essay.tokens),
+                             score_range, y_max, y_min)
 
 
 def quality_map_spans(model: SeqModel, essay: Essay, vocab: Vocabulary,
@@ -131,22 +132,19 @@ def quality_map_spans(model: SeqModel, essay: Essay, vocab: Vocabulary,
     Each span is fed to the model as if it were a whole essay, so the
     gradients reflect the span in isolation; bins are assigned within
     each span. All spans run as one lockstep batch. A span length at or
-    beyond the essay length reduces to :func:`quality_map` exactly. The
-    displayed prediction is still the whole essay's.
+    beyond the essay length gives :func:`quality_map`. The displayed
+    prediction is still the whole essay's.
     """
-    if span_len < 1:
-        raise DataError(f"span length must be >= 1, got {span_len}")
     if not essay.tokens:
         raise DataError(f"essay {essay.essay_id} has no tokens")
-    if span_len >= len(essay.tokens):
-        return quality_map(model, essay, vocab, score_range, y_max, y_min)
-
-    predicted = _displayed(predict_batch(model, [essay.tokens])[0],
-                           score_range)
+    if span_len < 1:
+        raise DataError(f"span length must be >= 1, got {span_len}")
     starts = range(0, len(essay.tokens), span_len)
     spans = [essay.tokens[s:s + span_len] for s in starts]
     y, cache = forward_batch(model, spans)
     _, d_inputs = backward_batch(model, cache, np.ones(len(spans)))
+    whole = y[0] if len(spans) == 1 \
+        else predict_batch(model, [essay.tokens])[0]
     norms = np.linalg.norm(d_inputs, axis=1)
     words = vocab.decode(essay.tokens)
     entries: list[TokenQuality] = []
@@ -154,7 +152,8 @@ def quality_map_spans(model: SeqModel, essay: Essay, vocab: Vocabulary,
         end = s + len(span)
         entries.extend(_entries(words[s:end], norms[s:end], y_span,
                                 y_max, y_min))
-    return QualityMap(essay.essay_id, predicted, entries)
+    return QualityMap(essay.essay_id,
+                      _displayed(whole, score_range, y_max, y_min), entries)
 
 
 def render_ansi(qmap: QualityMap, monochrome: bool = False) -> str:

@@ -143,11 +143,6 @@ class SSWEParams:
         """Names of the non-embedding tensors, in declared order."""
         return ("W_hi", "b_h", "W_oh2", "b_o2", "W_oh1", "b_o1")
 
-    def copy(self) -> "SSWEParams":
-        """Deep copy that keeps each tensor's memory order."""
-        return SSWEParams(*[getattr(self, n).copy(order="K")
-                            for n in ("M",) + self.dense_names()])
-
 
 @dataclass
 class SSWEGradients:

@@ -110,7 +110,7 @@ def test_1_gradients_match_finite_differences():
             _, cache = forward_essay(model, tokens)
             grads, d_inputs = bptt(model, cache, 1.0)
             dense_m = np.zeros_like(model.M)
-            cols, rows = column_gradient(cache.ids, d_inputs)
+            cols, rows = column_gradient(cache.layout.ids, d_inputs)
             dense_m[:, cols] = rows.T
 
             def loss():

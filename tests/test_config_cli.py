@@ -1,5 +1,6 @@
 """Configuration handling and end-to-end command-line runs."""
 
+import hashlib
 import json
 import struct
 
@@ -13,7 +14,7 @@ from essayscore.config import (Config, SearchSpace, config_hash, load_config,
 from essayscore.corpus import Vocabulary, load_corpus_cache, read_manifest
 from essayscore.errors import ConfigError
 from essayscore.lstm import (MODEL_MAGIC, SeqHyper, SeqModel, load_model,
-                             save_model)
+                             predict, save_model)
 from essayscore.sswe import (EMBEDDING_MAGIC, SSWEHyper, SSWEParams,
                              load_embeddings, save_embeddings)
 
@@ -130,12 +131,6 @@ class TestSearchSpace:
         SearchSpace().validate()
         with pytest.raises(ConfigError):
             SearchSpace(trials=0).validate()
-        with pytest.raises(ConfigError):
-            SearchSpace(eta_range=(1e-2, 1e-8)).validate()
-        with pytest.raises(ConfigError):
-            SearchSpace(eta_range=(0.0, 1e-2)).validate()
-        with pytest.raises(ConfigError):
-            SearchSpace(window_choices=(4,)).validate()
 
     def test_draw_respects_ranges(self):
         space = SearchSpace()
@@ -143,14 +138,28 @@ class TestSearchSpace:
         base = Config()
         for _ in range(25):
             cfg = space.draw(rng, base)
-            assert space.eta_range[0] <= cfg.learning_rate <= space.eta_range[1]
+            assert 1e-8 <= cfg.learning_rate <= 1e-2
             assert 0.0 <= cfg.alpha <= 1.0
-            assert space.dropout_range[0] <= cfg.dropout < 1.0
-            assert space.embed_dim_range[0] <= cfg.embed_dim \
-                <= space.embed_dim_range[1]
-            assert cfg.window_size in space.window_choices
+            assert 0.0 <= cfg.dropout <= 0.7
+            assert 20 <= cfg.embed_dim <= 200
+            assert 20 <= cfg.hidden_dim <= 100
+            assert cfg.window_size in (5, 7, 9)
+            assert 10 <= cfg.n_corruptions <= 200
+            assert 5 <= cfg.lstm_dim <= 30
             assert cfg.seed >= 0
             cfg.validate()
+
+    def test_draws_are_pinned(self):
+        # sha256 of 20 draws from seed 3, free and with alpha choices, as
+        # drawn when the ranges were settable fields of SearchSpace
+        h = hashlib.sha256()
+        for choices in ((), (0.1, 1.0)):
+            rng = np.random.default_rng(3)
+            space = SearchSpace(alpha_choices=choices)
+            for _ in range(20):
+                h.update(serialize_config(space.draw(rng, Config())).encode())
+        assert h.hexdigest() == ("fd935f4ab2cac4ab2ffdf0a71bd047ea"
+                                 "6c0e83638205a7c7c085b5d1440a9639")
 
     def test_alpha_choices_pin_the_draw(self):
         space = SearchSpace(alpha_choices=(0.1, 1.0))
@@ -623,6 +632,105 @@ class TestUsageErrors:
         rc = main(["--config", str(tmp_path / "absent.cfg"), "ingest"])
         assert rc == 2
         capsys.readouterr()
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any input file is a typed error that
+    names the file: exit 2 for data, exit 1 for the config."""
+
+    @staticmethod
+    def corrupt(path, old: bytes, new: bytes):
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+
+    @pytest.mark.parametrize("target", ["data", "range_table", "manifest",
+                                        "cache"])
+    def test_data_files_exit_2(self, tmp_path, capsys, target):
+        assert main(["synth", "--profile", "overfit16",
+                     "--out", str(tmp_path / "synth.tsv")]) == 0
+        ranges = tmp_path / "ranges.tsv"
+        ranges.write_text("1\t0\t10\n")
+        cfgpath = write_workspace_config(tmp_path, range_table=ranges)
+        argv = ["--config", str(cfgpath)]
+        command = "ingest"
+        if target == "data":
+            bad = tmp_path / "synth.tsv"
+            self.corrupt(bad, b" the ", b" th\xe9 ")
+        elif target == "range_table":
+            bad = ranges
+            self.corrupt(bad, b"1\t", b"# \xff\n1\t")
+        else:
+            assert main(argv + ["ingest"]) == 0
+            command = "train-embeddings"
+            if target == "manifest":
+                bad = tmp_path / "splits" / "train.ids"
+                self.corrupt(bad, b"\n", b"\n\xff\n")
+            else:
+                bad = tmp_path / "splits" / "corpus.json"
+                self.corrupt(bad, b'"vocabulary": ["', b'"vocabulary": ["\xe9')
+        capsys.readouterr()
+        assert main(argv + [command]) == 2
+        assert f"{bad} is not valid UTF-8" in capsys.readouterr().err
+
+    def test_config_file_exits_1(self, tmp_path, capsys):
+        cfgpath = write_workspace_config(tmp_path)
+        cfgpath.write_bytes(cfgpath.read_bytes() + b"# caf\xe9\n")
+        assert main(["--config", str(cfgpath), "ingest"]) == 1
+        assert f"{cfgpath} is not valid UTF-8" in capsys.readouterr().err
+
+
+class TestRawScoreMode:
+    """With normalize_scores off the scorer regresses raw scores."""
+
+    @pytest.fixture(scope="class")
+    def raw_workspace(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("raw")
+        cfgpath = write_workspace_config(root, normalize_scores="false")
+        argv = ["--config", str(cfgpath)]
+        assert main(["synth", "--profile", "overfit16",
+                     "--out", str(root / "synth.tsv")]) == 0
+        for command in ("ingest", "train-embeddings", "train-scorer"):
+            assert main(argv + [command]) == 0
+        return root, argv
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "span", "--span-len", "5"]],
+                             ids=["essay", "span"])
+    def test_visualize_shows_what_predict_gives(self, raw_workspace, capsys,
+                                                mode):
+        # the displayed score used to be clamped into [0, 1] first, so a
+        # raw prediction of 1.26 showed as the set maximum
+        root, argv = raw_workspace
+        ids = list(range(1, 17))
+        assert main(argv + ["visualize", "--ids", ",".join(map(str, ids)),
+                            "--monochrome"] + mode) == 0
+        capsys.readouterr()
+        rows = (root / "heatmaps" / "index.csv").read_text().splitlines()[2:]
+        shown = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
+        corpus, _ = load_corpus_cache(root / "splits" / "corpus.json")
+        model, _ = load_model(root / "models" / "model.sats")
+        want = predict(model, [corpus.by_id(i) for i in ids], corpus.ranges,
+                       normalized=False)
+        for i, w in zip(ids, want):
+            assert shown[i] == pytest.approx(w, rel=1e-12, abs=0)
+
+
+class TestRepeatedEssayId:
+    def test_ingest_warns_and_keeps_the_first_row(self, tmp_path, capsys):
+        tsv = tmp_path / "synth.tsv"
+        assert main(["synth", "--profile", "overfit16", "--out", str(tsv)]) == 0
+        lines = tsv.read_text().splitlines()
+        eid, set_id = lines[1].split("\t")[:2]
+        tsv.write_text("\n".join(lines + [f"{eid}\t{set_id}\ta copy\t1"])
+                       + "\n")
+        cfgpath = write_workspace_config(tmp_path)
+        capsys.readouterr()
+        assert main(["--config", str(cfgpath), "ingest"]) == 0
+        err = capsys.readouterr().err
+        assert f"line {len(lines) + 1}: essay_id {eid} repeats line 2" in err
+        corpus, _ = load_corpus_cache(tmp_path / "splits" / "corpus.json")
+        assert len(corpus.essays) == 16
+        assert main(["--config", str(cfgpath), "train-embeddings"]) == 0
 
 
 class TestForgedHeaders:

@@ -86,8 +86,8 @@ class TestVocabulary:
 
     def test_build_drops_rare_tokens(self):
         v = build_vocabulary([["a", "a", "b"]], min_count=2)
-        assert "a" in v
-        assert "b" not in v
+        assert "a" in v.token_to_id
+        assert "b" not in v.token_to_id
 
     def test_build_rejects_bad_min_count(self):
         with pytest.raises(ConfigError):
@@ -129,8 +129,10 @@ FIXTURE_TSV = """essay_id\tessay_set\tessay\tdomain1_score
 3\t2\tBeing patience is being understanding .\t3
 """
 
+# the bytes written before the cache dropped its unread "min_count" key,
+# less the ``"min_count": 1, `` it held
 PINNED_CACHE = \
-    "627e694cf715018d4b6274362aca7c54a8116115a9beddcaf58de8c921c715f4"
+    "e339d0f9532edbeb7f19b18531e99d8db29091dce295ba0d668b85f74e08f1c4"
 
 
 class TestIngest:
@@ -191,6 +193,26 @@ class TestIngest:
         result = ingest_asap_tsv(p)
         assert result.essays[0].raw_score == 6.0
 
+    def test_repeated_id_is_a_row_error_and_the_first_row_is_kept(
+            self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text(FIXTURE_TSV + "2\t1\ta later copy\t6\n")
+        result = ingest_asap_tsv(p)
+        assert [(e.essay_id, e.raw_score) for e in result.essays] \
+            == [(1, 8.0), (2, 4.0), (3, 3.0)]
+        assert len(result.row_errors) == 1
+        assert result.row_errors[0].line == 5
+        assert "essay_id 2 repeats line 3" in result.row_errors[0].message
+
+    def test_rejected_row_does_not_claim_its_id(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text("essay_id\tessay_set\tessay\tdomain1_score\n"
+                     "1\t1\tbroken\tN/A\n"
+                     "1\t1\tfine essay\t7\n")
+        result = ingest_asap_tsv(p)
+        assert [(e.essay_id, e.raw_score) for e in result.essays] == [(1, 7.0)]
+        assert [err.line for err in result.row_errors] == [2]
+
     def test_encode_essays_scales_scores(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text(FIXTURE_TSV)
@@ -214,6 +236,47 @@ class TestRangeTable:
         p.write_text("1\t10\t2\n")
         with pytest.raises(DataError):
             read_range_table(p)
+
+    # 1e400 parses as inf; a nan bound passed the max < min check
+    @pytest.mark.parametrize("lo,hi", [("0", "1e400"), ("-inf", "5"),
+                                       ("nan", "5"), ("0", "nan")])
+    def test_rejects_non_finite_bounds(self, tmp_path, lo, hi):
+        p = tmp_path / "ranges.tsv"
+        p.write_text(f"1\t2\t12\n2\t{lo}\t{hi}\n")
+        with pytest.raises(DataError, match=r"ranges\.tsv:2: .*finite"):
+            read_range_table(p)
+
+
+class TestNonUtf8:
+    """A byte that does not decode is a DataError naming the file."""
+
+    def test_tsv(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_bytes(FIXTURE_TSV.encode() + b"4\t1\tcaf\xe9 au lait\t5\n")
+        with pytest.raises(DataError, match="f.tsv is not valid UTF-8"):
+            ingest_asap_tsv(p)
+
+    def test_range_table(self, tmp_path):
+        p = tmp_path / "ranges.tsv"
+        p.write_bytes(b"# r\xe9sum\xe9\n1\t2\t12\n")
+        with pytest.raises(DataError, match="ranges.tsv is not valid UTF-8"):
+            read_range_table(p)
+
+    def test_manifest(self, tmp_path):
+        p = tmp_path / "ids.txt"
+        p.write_bytes(b"1\n\xff2\n")
+        with pytest.raises(DataError, match="ids.txt is not valid UTF-8"):
+            read_manifest(p)
+
+    def test_corpus_cache(self, tmp_path):
+        tsv = tmp_path / "f.tsv"
+        tsv.write_text(FIXTURE_TSV)
+        corpus, _ = load_corpus(tsv, min_count=1)
+        cache = tmp_path / "cache.json"
+        save_corpus_cache(cache, corpus)
+        cache.write_bytes(cache.read_bytes().replace(b'"being"', b'"b\xe9ing"'))
+        with pytest.raises(DataError, match="cache.json is not valid UTF-8"):
+            load_corpus_cache(cache)
 
 
 def _essays(n, set_id=1):
@@ -423,6 +486,20 @@ class TestCorpusCache:
         save_corpus_cache(cache, corpus, config_hash="deadbeef")
         assert hashlib.sha256(cache.read_bytes()).hexdigest() == PINNED_CACHE
 
+    def test_cache_with_min_count_key_still_loads(self, tmp_path):
+        tsv = tmp_path / "f.tsv"
+        tsv.write_text(FIXTURE_TSV)
+        corpus, _ = load_corpus(tsv, min_count=1)
+        cache = tmp_path / "cache.json"
+        save_corpus_cache(cache, corpus, config_hash="deadbeef")
+        cache.write_bytes(cache.read_bytes().replace(
+            b'"vocabulary": ', b'"min_count": 1, "vocabulary": '))
+        loaded, chash = load_corpus_cache(cache)
+        assert chash == "deadbeef"
+        assert loaded.vocab.id_to_token == corpus.vocab.id_to_token
+        assert [(e.essay_id, e.tokens) for e in loaded.essays] \
+            == [(e.essay_id, e.tokens) for e in corpus.essays]
+
     def test_corrupt_cache_rejected(self, tmp_path):
         p = tmp_path / "cache.json"
         p.write_text("{not json")
@@ -439,6 +516,15 @@ class TestCorpusCache:
         assert [e.essay_id for e in corpus.subset([3, 1])] == [1, 3]
         with pytest.raises(DataError):
             corpus.subset([1, 99])
+
+    def test_subset_names_a_repeated_id(self, tmp_path):
+        # a hand-built cache can repeat an id that ingest would not
+        tsv = tmp_path / "f.tsv"
+        tsv.write_text(FIXTURE_TSV)
+        corpus, _ = load_corpus(tsv, min_count=1)
+        corpus.essays.append(corpus.by_id(2))
+        with pytest.raises(DataError, match=r"repeated in corpus: \[2\]"):
+            corpus.subset([1, 2, 3])
 
 
 @given(st.floats(min_value=0.0, max_value=60.0,

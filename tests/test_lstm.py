@@ -235,7 +235,7 @@ def check_gradients(model, token_lists, golds):
     y, cache = batch_pass(model, token_lists)
     grads, d_inputs = backward_batch(model, cache, 2.0 * (y - golds))
     dense_m = np.zeros_like(model.M)
-    cols, rows = column_gradient(cache.ids, d_inputs)
+    cols, rows = column_gradient(cache.layout.ids, d_inputs)
     dense_m[:, cols] = rows.T
     analytic = {"M": dense_m, **grads}
 
@@ -259,7 +259,7 @@ class TestBackward:
             y, cache = forward_essay(model, tokens)
             grads, d_inputs = bptt(model, cache, gold)
             dense_m = np.zeros_like(model.M)
-            cols, rows = column_gradient(cache.ids, d_inputs)
+            cols, rows = column_gradient(cache.layout.ids, d_inputs)
             dense_m[:, cols] = rows.T
             analytic = {"M": dense_m, **grads}
 
@@ -293,7 +293,7 @@ class TestBackward:
         tokens = [3, 4, 5, 4]
         _, cache = forward_essay(model, tokens)
         _, d_inputs = bptt(model, cache, 0.9)
-        cols, rows = column_gradient(cache.ids, d_inputs)
+        cols, rows = column_gradient(cache.layout.ids, d_inputs)
         assert list(cols) == [3, 4, 5]
         # a repeated token accumulates both positions, in order
         assert np.array_equal(rows[1], d_inputs[1] + d_inputs[3])
@@ -786,7 +786,7 @@ class TestTrainingMatchesReference:
                             boost=4.0)
         y, cache = forward_batch(model, [[3, 1, 4], [1, 5, 9, 2, 6]])
         grads, d_inputs = backward_batch(model, cache, 2.0 * (y - 0.5))
-        grads["M"] = column_gradient(cache.ids, d_inputs)
+        grads["M"] = column_gradient(cache.layout.ids, d_inputs)
         per_gate = ref.split_gates(grads, model.lstm_dim)
         # four directions, each with 4 buffers split into 15 gate blocks
         assert len(per_gate) == len(grads) + 4 * (15 - 4)
