@@ -48,18 +48,26 @@ class _Pending:
 
     A command that fails mid-way, even while moving, leaves neither a
     partial primary artifact nor ``.tmp`` debris behind. A final path
-    asked for again keeps its one temp file and its one move.
+    asked for again keeps its one temp file and its one move. Asking for
+    a path creates its directory.
     """
 
-    def __init__(self):
+    def __init__(self, chash: str = ""):
+        self.chash = chash  # the config hash stamped on reports
         self.moves: dict[str, str] = {}  # final path -> temp path
 
     def path_for(self, final) -> str:
+        os.makedirs(os.path.dirname(os.path.abspath(final)), exist_ok=True)
         return self.moves.setdefault(str(final), str(final) + ".tmp")
 
     def write_text(self, final, text: str):
         with open(self.path_for(final), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+    def write_report(self, final, lines):
+        """``lines`` under a ``# config <hash>`` line, one per line."""
+        self.write_text(final, "\n".join([f"# config {self.chash}", *lines])
+                        + "\n")
 
     def __enter__(self):
         return self
@@ -88,25 +96,31 @@ def _resolve_config(args) -> cfgmod.Config:
     return cfg
 
 
-def _load_cache(cfg) -> tuple[corpusmod.Corpus, str]:
+def _stage(args, *split_names):
+    """A stage's config, its hash, the cached corpus and the named splits.
+
+    In raw-score mode each split essay's target is its raw score instead
+    of the scaled one. A missing cache or manifest, or a manifest that
+    lists no essays, is a :class:`DataError`.
+    """
+    cfg = _resolve_config(args)
     path = os.path.join(cfg.splits_dir, CACHE_NAME)
     if not os.path.exists(path):
         raise DataError(f"no corpus cache at {path}; run `ingest` first")
-    return corpusmod.load_corpus_cache(path)
-
-
-def _load_split(cfg, corpus: corpusmod.Corpus, name: str):
-    path = os.path.join(cfg.splits_dir, MANIFEST_NAMES[name])
-    if not os.path.exists(path):
-        raise DataError(f"no {name} manifest at {path}; run `ingest` first")
-    return corpus.subset(corpusmod.read_manifest(path))
-
-
-def _with_targets(essays, cfg):
-    """In raw-score mode, train on the raw value instead of the scaled one."""
-    if cfg.normalize_scores:
-        return essays
-    return [dataclasses.replace(e, scaled_score=e.raw_score) for e in essays]
+    corpus, _ = corpusmod.load_corpus_cache(path)
+    splits = []
+    for name in split_names:
+        path = os.path.join(cfg.splits_dir, MANIFEST_NAMES[name])
+        if not os.path.exists(path):
+            raise DataError(f"no {name} manifest at {path}; run `ingest` first")
+        essays = corpus.subset(corpusmod.read_manifest(path))
+        if not essays:
+            raise DataError(f"{name} manifest {path} lists no essays")
+        if not cfg.normalize_scores:
+            essays = [dataclasses.replace(e, scaled_score=e.raw_score)
+                      for e in essays]
+        splits.append(essays)
+    return cfg, cfgmod.config_hash(cfg), corpus, splits
 
 
 def _pseudo_bounds(cfg, score_range):
@@ -129,7 +143,6 @@ def cmd_ingest(args) -> int:
     if not corpus.essays:
         raise DataError(f"no usable essays in {cfg.data_path}")
 
-    os.makedirs(cfg.splits_dir, exist_ok=True)
     manifest_paths = {name: os.path.join(cfg.splits_dir, fname)
                       for name, fname in MANIFEST_NAMES.items()}
     with _Pending() as pending:
@@ -154,24 +167,19 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
-    cfg = _resolve_config(args)
-    chash = cfgmod.config_hash(cfg)
-    corpus, _ = _load_cache(cfg)
-    train = _with_targets(_load_split(cfg, corpus, "train"), cfg)
+    cfg, chash, corpus, (train,) = _stage(args, "train")
     params, history = sswemod.train_sswe(train, corpus.vocab,
                                          cfg.sswe_hyper())
 
-    os.makedirs(cfg.models_dir, exist_ok=True)
-    os.makedirs(cfg.reports_dir, exist_ok=True)
-    with _Pending() as pending:
+    with _Pending(chash) as pending:
         sswemod.save_embeddings(
             pending.path_for(os.path.join(cfg.models_dir, EMBEDDINGS_NAME)),
             params, corpus.vocab, chash)
-        rows = [f"# config {chash}", "epoch,loss_overall,loss_context,loss_score"]
-        rows += [f"{h.epoch},{h.loss_overall!r},{h.loss_context!r},"
-                 f"{h.loss_score!r}" for h in history]
-        pending.write_text(os.path.join(cfg.reports_dir, "embed_history.csv"),
-                           "\n".join(rows) + "\n")
+        pending.write_report(
+            os.path.join(cfg.reports_dir, "embed_history.csv"),
+            ["epoch,loss_overall,loss_context,loss_score"]
+            + [f"{h.epoch},{h.loss_overall!r},{h.loss_context!r},"
+               f"{h.loss_score!r}" for h in history])
     last = history[-1] if history else None
     tail = (f"; final loss {last.loss_overall:.6f}" if last else "")
     # one window per token
@@ -212,28 +220,22 @@ def _init_scorer(cfg, corpus, embeddings_arg: str):
 
 
 def cmd_train_scorer(args) -> int:
-    cfg = _resolve_config(args)
-    chash = cfgmod.config_hash(cfg)
-    corpus, _ = _load_cache(cfg)
+    cfg, chash, corpus, (train, val) = _stage(args, "train", "val")
     embeddings_arg = args.embeddings or os.path.join(cfg.models_dir,
                                                      EMBEDDINGS_NAME)
-    train = _with_targets(_load_split(cfg, corpus, "train"), cfg)
-    val = _with_targets(_load_split(cfg, corpus, "val"), cfg)
     model = _init_scorer(cfg, corpus, embeddings_arg)
     best, history = lstmmod.train_scorer(model, train, val, corpus.ranges,
                                          cfg.seq_hyper(),
                                          normalized=cfg.normalize_scores)
 
-    os.makedirs(cfg.models_dir, exist_ok=True)
-    os.makedirs(cfg.reports_dir, exist_ok=True)
-    with _Pending() as pending:
+    with _Pending(chash) as pending:
         lstmmod.save_model(
             pending.path_for(os.path.join(cfg.models_dir, MODEL_NAME)),
             best, chash)
-        rows = [f"# config {chash}", "epoch,train_mse,val_rmse"]
-        rows += [f"{h.epoch},{h.train_mse!r},{h.val_rmse!r}" for h in history]
-        pending.write_text(os.path.join(cfg.reports_dir, "scorer_history.csv"),
-                           "\n".join(rows) + "\n")
+        pending.write_report(
+            os.path.join(cfg.reports_dir, "scorer_history.csv"),
+            ["epoch,train_mse,val_rmse"]
+            + [f"{h.epoch},{h.train_mse!r},{h.val_rmse!r}" for h in history])
     if history:
         best_rmse = min(h.val_rmse for h in history)
         print(f"trained scorer for {len(history)} epochs; "
@@ -254,17 +256,13 @@ def _load_scorer(cfg, corpus, model_arg):
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args)
-    chash = cfgmod.config_hash(cfg)
-    corpus, _ = _load_cache(cfg)
+    names = tuple(MANIFEST_NAMES) if args.split == "all" else (args.split,)
+    cfg, chash, corpus, splits = _stage(args, *names)
     model = _load_scorer(cfg, corpus, args.model)
-    splits = MANIFEST_NAMES if args.split == "all" else (args.split,)
     model_name = os.path.basename(args.model or MODEL_NAME)
 
-    os.makedirs(cfg.reports_dir, exist_ok=True)
-    with _Pending() as pending:
-        for name in splits:
-            essays = _load_split(cfg, corpus, name)
+    with _Pending(chash) as pending:
+        for name, essays in zip(names, splits):
             # A split over several essay sets still yields one report
             # row; kappa is computed on the union of their score grids.
             sets = {e.set_id for e in essays}
@@ -275,24 +273,18 @@ def cmd_evaluate(args) -> int:
                                    normalized=cfg.normalize_scores)
             gold = [e.raw_score for e in essays]
             rep = metricsmod.report(pred, gold, score_range)
-            pending.write_text(
+            pending.write_report(
                 os.path.join(cfg.reports_dir, f"metrics_{name}.csv"),
-                f"# config {chash}\n{metricsmod.CSV_HEADER}\n"
-                f"{rep.csv_row(model_name)}\n")
-            pending.write_text(
+                [metricsmod.CSV_HEADER, rep.csv_row(model_name)])
+            pending.write_report(
                 os.path.join(cfg.reports_dir, f"metrics_{name}.txt"),
-                f"# config {chash}\n{name} split, model {model_name}\n"
-                f"{rep.pretty()}\n")
+                [f"{name} split, model {model_name}", rep.pretty()])
             print(f"[{name}]")
             print(rep.pretty())
     return 0
 
 
 def cmd_visualize(args) -> int:
-    cfg = _resolve_config(args)
-    chash = cfgmod.config_hash(cfg)
-    corpus, _ = _load_cache(cfg)
-    model = _load_scorer(cfg, corpus, args.model)
     try:
         ids = [int(tok) for tok in args.ids.split(",") if tok.strip()]
     except ValueError:
@@ -300,10 +292,13 @@ def cmd_visualize(args) -> int:
                           f"got {args.ids!r}") from None
     if not ids:
         raise ConfigError("--ids named no essays")
+    if args.span_len < 1:
+        raise ConfigError(f"--span-len must be >= 1, got {args.span_len}")
+    cfg, chash, corpus, _ = _stage(args)
+    model = _load_scorer(cfg, corpus, args.model)
 
-    os.makedirs(cfg.heatmaps_dir, exist_ok=True)
-    index_rows = [f"# config {chash}", "essay_id,predicted,mean_q"]
-    with _Pending() as pending:
+    index_rows = ["essay_id,predicted,mean_q"]
+    with _Pending(chash) as pending:
         for eid in ids:
             try:
                 essay = corpus.by_id(eid)
@@ -326,8 +321,8 @@ def cmd_visualize(args) -> int:
                 config_hash=chash)
             print(salmod.render_ansi(qmap, monochrome=args.monochrome))
             index_rows.append(f"{eid},{qmap.predicted!r},{qmap.mean_quality!r}")
-        pending.write_text(os.path.join(cfg.heatmaps_dir, "index.csv"),
-                           "\n".join(index_rows) + "\n")
+        pending.write_report(os.path.join(cfg.heatmaps_dir, "index.csv"),
+                             index_rows)
     return 0
 
 
@@ -344,8 +339,6 @@ def _run_trial(cfg, corpus, train, val) -> float:
 
 
 def cmd_search(args) -> int:
-    cfg = _resolve_config(args)
-    chash = cfgmod.config_hash(cfg)
     try:
         choices = tuple(float(a) for a in args.alpha_choices.split(",")) \
             if args.alpha_choices else ()
@@ -355,13 +348,10 @@ def cmd_search(args) -> int:
     space = cfgmod.SearchSpace(trials=args.trials, seed=args.search_seed,
                                alpha_choices=choices)
     space.validate()
-    corpus, _ = _load_cache(cfg)
-    train = _with_targets(_load_split(cfg, corpus, "train"), cfg)
-    val = _with_targets(_load_split(cfg, corpus, "val"), cfg)
+    cfg, chash, corpus, (train, val) = _stage(args, "train", "val")
 
     rng = np.random.default_rng(space.seed)
-    rows = [f"# config {chash}",
-            "trial,alpha,learning_rate,embed_dim,hidden_dim,window_size,"
+    rows = ["trial,alpha,learning_rate,embed_dim,hidden_dim,window_size,"
             "n_corruptions,lstm_dim,dropout,seed,val_rmse"]
     best_cfg = None
     best_rmse = np.inf
@@ -378,10 +368,9 @@ def cmd_search(args) -> int:
             best_rmse = val_rmse
             best_cfg = tcfg
 
-    os.makedirs(cfg.reports_dir, exist_ok=True)
-    with _Pending() as pending:
-        pending.write_text(os.path.join(cfg.reports_dir, "search_trials.csv"),
-                           "\n".join(rows) + "\n")
+    with _Pending(chash) as pending:
+        pending.write_report(os.path.join(cfg.reports_dir, "search_trials.csv"),
+                             rows)
         cfgmod.write_config(
             pending.path_for(os.path.join(cfg.reports_dir, "best_config.cfg")),
             best_cfg, header=f"config {chash}")

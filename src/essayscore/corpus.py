@@ -138,16 +138,6 @@ class ScoreRange:
 
 
 @dataclass
-class RawEssay:
-    """One ingested row before vocabulary encoding."""
-
-    essay_id: int
-    set_id: int
-    tokens: list[str]
-    raw_score: float
-
-
-@dataclass
 class Essay:
     """A scored, tokenized essay with ids from one :class:`Vocabulary`."""
 
@@ -166,13 +156,6 @@ class RowError:
     message: str
 
 
-@dataclass
-class IngestResult:
-    essays: list[RawEssay]
-    ranges: dict[int, ScoreRange]
-    row_errors: list[RowError]
-
-
 @contextmanager
 def _open_utf8(path, newline=None):
     """``open`` for reading UTF-8 text; a byte that does not decode, met
@@ -183,92 +166,6 @@ def _open_utf8(path, newline=None):
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc.reason} "
                         f"({exc.object[exc.start:exc.end]!r})") from None
-
-
-def ingest_asap_tsv(path,
-                    ranges: dict[int, ScoreRange] | None = None) -> IngestResult:
-    """Read a UTF-8 ASAP-style TSV into raw essays plus per-set score ranges.
-
-    Rows that fail to parse are reported in ``row_errors`` with their
-    line number; the remaining rows are still ingested. A row that
-    repeats the ``essay_id`` of an ingested row is reported the same way
-    and the first row is kept. When ``ranges`` is not supplied, each
-    set's range is the observed min/max of its scores. A missing
-    required column raises :class:`DataError` naming the column.
-    """
-    essays = []
-    row_errors = []
-    first_line: dict[int, int] = {}  # essay id -> line of its kept row
-    with _open_utf8(path, newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        header = reader.fieldnames or []
-        for col in REQUIRED_COLUMNS:
-            if col not in header:
-                raise DataError(f"missing required column {col!r} in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                essay_id = int(row["essay_id"])
-                set_id = int(row["essay_set"])
-            except (TypeError, ValueError):
-                row_errors.append(RowError(lineno, "non-integer essay_id or essay_set"))
-                continue
-            try:
-                raw_score = float(row["domain1_score"])
-            except (TypeError, ValueError):
-                row_errors.append(RowError(
-                    lineno, f"non-numeric domain1_score {row['domain1_score']!r}"))
-                continue
-            if not math.isfinite(raw_score):
-                row_errors.append(RowError(lineno, "non-finite domain1_score"))
-                continue
-            text = row["essay"] or ""
-            tokens = tokenize(text)
-            if not tokens:
-                row_errors.append(RowError(lineno, "essay text is empty"))
-                continue
-            if essay_id in first_line:
-                row_errors.append(RowError(
-                    lineno, f"essay_id {essay_id} repeats line "
-                            f"{first_line[essay_id]}; row skipped"))
-                continue
-            first_line[essay_id] = lineno
-            essays.append(RawEssay(essay_id, set_id, tokens, raw_score))
-
-    if ranges is None:
-        ranges = {}
-        for e in essays:
-            r = ranges.get(e.set_id)
-            if r is None:
-                ranges[e.set_id] = ScoreRange(e.raw_score, e.raw_score)
-            else:
-                ranges[e.set_id] = ScoreRange(min(r.lo, e.raw_score),
-                                              max(r.hi, e.raw_score))
-    else:
-        in_range = []
-        for e in essays:
-            r = ranges.get(e.set_id)
-            if r is None:
-                row_errors.append(RowError(0, f"essay {e.essay_id}: set {e.set_id} "
-                                              "missing from score-range table"))
-            elif not (r.lo <= e.raw_score <= r.hi):
-                row_errors.append(RowError(0, f"essay {e.essay_id}: score "
-                                              f"{e.raw_score} outside [{r.lo}, {r.hi}]"))
-            else:
-                in_range.append(e)
-        essays = in_range
-
-    return IngestResult(essays, ranges, row_errors)
-
-
-def encode_essays(raw_essays: list[RawEssay], vocab: Vocabulary,
-                  ranges: dict[int, ScoreRange]) -> list[Essay]:
-    """Encode ingested rows against a vocabulary and scale their scores."""
-    out = []
-    for e in raw_essays:
-        rng = ranges[e.set_id]
-        out.append(Essay(e.essay_id, e.set_id, vocab.encode(e.tokens),
-                         e.raw_score, rng.scale(e.raw_score)))
-    return out
 
 
 def read_range_table(path) -> dict[int, ScoreRange]:
@@ -437,17 +334,23 @@ def write_manifest(path, essay_ids, config_hash: str | None = None):
 
 
 def read_manifest(path) -> list[int]:
-    ids = []
+    """Essay ids of a :func:`write_manifest` file; an id listed twice is
+    a :class:`DataError` naming both lines."""
+    first_line: dict[int, int] = {}  # essay id -> its line
     with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                ids.append(int(line))
+                eid = int(line)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: not an essay id: {line!r}") from None
-    return ids
+            if eid in first_line:
+                raise DataError(f"{path}:{lineno}: essay id {eid} repeats "
+                                f"line {first_line[eid]}")
+            first_line[eid] = lineno
+    return list(first_line)
 
 
 @dataclass
@@ -480,11 +383,80 @@ class Corpus:
 def load_corpus(path, min_count: int = 2,
                 ranges: dict[int, ScoreRange] | None = None
                 ) -> tuple[Corpus, list[RowError]]:
-    """Ingest a TSV, build the vocabulary and encode all essays."""
-    result = ingest_asap_tsv(path, ranges=ranges)
-    vocab = build_vocabulary((e.tokens for e in result.essays), min_count=min_count)
-    essays = encode_essays(result.essays, vocab, result.ranges)
-    return Corpus(essays, vocab, result.ranges), result.row_errors
+    """Read a UTF-8 ASAP-style TSV into an encoded :class:`Corpus`.
+
+    Rows that fail to parse are reported in the returned row errors with
+    their line number; the remaining rows are still ingested. A row that
+    repeats the ``essay_id`` of an ingested row is reported the same way
+    and the first row is kept. When ``ranges`` is not supplied, each
+    set's range is the observed min/max of its scores; otherwise a row
+    outside its set's range is reported (line 0) and dropped. A missing
+    required column raises :class:`DataError` naming the column. The
+    vocabulary is built from the kept rows at ``min_count``.
+    """
+    rows = []  # (essay id, set id, tokens, raw score)
+    row_errors = []
+    first_line: dict[int, int] = {}  # essay id -> line of its kept row
+    with _open_utf8(path, newline="") as fh:
+        reader = csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+        header = reader.fieldnames or []
+        for col in REQUIRED_COLUMNS:
+            if col not in header:
+                raise DataError(f"missing required column {col!r} in {path}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                essay_id = int(row["essay_id"])
+                set_id = int(row["essay_set"])
+            except (TypeError, ValueError):
+                row_errors.append(RowError(lineno, "non-integer essay_id or essay_set"))
+                continue
+            try:
+                raw_score = float(row["domain1_score"])
+            except (TypeError, ValueError):
+                row_errors.append(RowError(
+                    lineno, f"non-numeric domain1_score {row['domain1_score']!r}"))
+                continue
+            if not math.isfinite(raw_score):
+                row_errors.append(RowError(lineno, "non-finite domain1_score"))
+                continue
+            tokens = tokenize(row["essay"] or "")
+            if not tokens:
+                row_errors.append(RowError(lineno, "essay text is empty"))
+                continue
+            if essay_id in first_line:
+                row_errors.append(RowError(
+                    lineno, f"essay_id {essay_id} repeats line "
+                            f"{first_line[essay_id]}; row skipped"))
+                continue
+            first_line[essay_id] = lineno
+            rows.append((essay_id, set_id, tokens, raw_score))
+
+    if ranges is None:
+        ranges = {}
+        for _, set_id, _, score in rows:
+            r = ranges.get(set_id)
+            ranges[set_id] = ScoreRange(score, score) if r is None \
+                else ScoreRange(min(r.lo, score), max(r.hi, score))
+    else:
+        in_range = []
+        for essay_id, set_id, tokens, score in rows:
+            r = ranges.get(set_id)
+            if r is None:
+                row_errors.append(RowError(0, f"essay {essay_id}: set {set_id} "
+                                              "missing from score-range table"))
+            elif not (r.lo <= score <= r.hi):
+                row_errors.append(RowError(0, f"essay {essay_id}: score "
+                                              f"{score} outside [{r.lo}, {r.hi}]"))
+            else:
+                in_range.append((essay_id, set_id, tokens, score))
+        rows = in_range
+
+    vocab = build_vocabulary((tokens for _, _, tokens, _ in rows),
+                             min_count=min_count)
+    essays = [Essay(essay_id, set_id, vocab.encode(tokens), score,
+                    ranges[set_id].scale(score))
+              for essay_id, set_id, tokens, score in rows]
+    return Corpus(essays, vocab, ranges), row_errors
 
 
 def save_corpus_cache(path, corpus: Corpus, config_hash: str = ""):

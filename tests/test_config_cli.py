@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,6 +504,17 @@ class TestVisualizeCommand:
         assert maps.is_dir()
         assert list(maps.iterdir()) == []
 
+    def test_zero_span_length_is_a_usage_error(self, workspace, tmp_path,
+                                               capsys):
+        root, cfgpath = workspace
+        maps = tmp_path / "maps"
+        rc = main(["--config", str(cfgpath), "--heatmaps-dir", str(maps),
+                   "visualize", "--ids", "1", "--mode", "span",
+                   "--span-len", "0"])
+        assert rc == 1
+        assert "--span-len" in capsys.readouterr().err
+        assert not maps.exists()
+
     def test_repeated_id_renders_once(self, workspace, tmp_path, capsys):
         # the second registration of essay_5.html used to move a temp file
         # the first had already moved, failing before index.csv was written
@@ -713,6 +725,99 @@ class TestRawScoreMode:
                        normalized=False)
         for i, w in zip(ids, want):
             assert shown[i] == pytest.approx(w, rel=1e-12, abs=0)
+
+
+class TestSplitManifests:
+    @pytest.mark.parametrize("command", ["ingest", "train-embeddings"])
+    def test_repeated_id_is_a_data_error(self, tmp_path, capsys, command):
+        # the repeat used to collapse into one essay without a word
+        cfgpath = write_workspace_config(tmp_path)
+        assert main(["synth", "--profile", "overfit16",
+                     "--out", str(tmp_path / "synth.tsv")]) == 0
+        assert main(["--config", str(cfgpath), "ingest"]) == 0
+        manifest = tmp_path / "splits" / "train.ids"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + [lines[1]]) + "\n")
+        capsys.readouterr()
+        assert main(["--config", str(cfgpath), command]) == 2
+        err = capsys.readouterr().err
+        assert (f"{manifest}:{len(lines) + 1}: essay id {lines[1]} "
+                f"repeats line 2") in err
+
+    @pytest.mark.parametrize("split", ["val", "all"])
+    def test_empty_split_is_a_data_error(self, tmp_path, split):
+        # five essays split 4/0/1; evaluating the empty validation split
+        # used to end in an uncaught ValueError
+        tsv = tmp_path / "synth.tsv"
+        assert main(["synth", "--profile", "overfit16", "--out", str(tsv)]) == 0
+        lines = tsv.read_text().splitlines()
+        tsv.write_text("\n".join(lines[:1] + lines[-5:]) + "\n")
+        cfgpath = write_workspace_config(tmp_path)
+        assert main(["--config", str(cfgpath), "ingest"]) == 0
+        val = tmp_path / "splits" / "val.ids"
+        assert read_manifest(val) == []
+        corpus, _ = load_corpus_cache(tmp_path / "splits" / "corpus.json")
+        rng = np.random.default_rng(0)
+        M = np.asfortranarray(rng.uniform(-1, 1, (4, len(corpus.vocab))))
+        model = SeqModel.init(M, SeqHyper(lstm_dim=4), rng)
+        (tmp_path / "models").mkdir()
+        save_model(tmp_path / "models" / "model.sats", model)
+        proc = run_limited_cli(["--config", str(cfgpath), "evaluate",
+                                "--split", split])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{val} lists no essays" in proc.stderr
+
+
+class TestPinnedOutputs:
+    # sha256 of every file the stages write, taken before the stages
+    # shared one loader and one report writer
+    PINNED = {
+        "heatmaps/essay_1.html": "0faddc62a6e338b2778f8b3693cd5dcababbe0f4a284b3d5b41ed1e4298a4347",
+        "heatmaps/essay_5.html": "edef256af1ef193bc938e3e21a582ff43343dc433364ef31607fc25755a01394",
+        "heatmaps/index.csv": "8c068beb05bed5f6f915f08c302fd1723542aae9b4f4ec984ec66dc4c09596cf",
+        "models/embeddings.sswe": "6426a0a156fbda5dd7a6fa71e7f3f1f4b24204eabeb0128938db26db870ba934",
+        "models/model.sats": "e867d394179e6a02881267b15f65d062910820539ad375ee6127d7c18db00918",
+        "reports/best_config.cfg": "04817e6546e019ee85c92989dfd92fe81d179d0bcdc2d039c55b10d1b21a0a06",
+        "reports/embed_history.csv": "9aafc46ea896ad5fd2ac2122ae4c7f669dfab1421499f76e6858f9ea20c9f6d0",
+        "reports/metrics_test.csv": "936043150eb370ffdafd9710ad8fd1feb48471af9f4336777b2194dc8ccf3c26",
+        "reports/metrics_test.txt": "661f8dd35289fda5beb9553e13fcef82f76d45e9089409e75c623936d7ed239e",
+        "reports/metrics_train.csv": "28e8b465384eea5604f4ce43b1c9a19fda02a3721f6c3a7bbdaeeed282154ccb",
+        "reports/metrics_train.txt": "0443b20993291870f1218be2117c317ecbfaa6406e45ea4705d3db3b0b6e2450",
+        "reports/metrics_val.csv": "c234932cf7d807603da2841cf2c788d1254d1df67ad7846f5a87023061188271",
+        "reports/metrics_val.txt": "1592eafdd84693a751282d30aa81a192d92d100038800de2db307bb4d73425f9",
+        "reports/scorer_history.csv": "8416101fdefd70655632f72fb0ad8181f4b2a3127ce1f24f38272a0797d4ced9",
+        "reports/search_trials.csv": "453c612b4ce50a30c17ee69df56752cc6b2e8fc8813433523c20e5570b3c493b",
+        "spans/essay_1.html": "6adcd91603f9962413afcaa420e9a2b8cfea405cf6ccfa08eecd15646bfbca48",
+        "spans/essay_5.html": "da1b6ee7d2d00e6ffc91c2e7afd409e660bd00461bfe61ad9f19118f384335ad",
+        "spans/index.csv": "3ef7aa5226697e049f32116ab9c889ba4241095f2639cc20f5ecb0a44d16baf0",
+        "splits/corpus.json": "05fdf3e1d4e9e2fd10ec9f40eb5909811c2e5faf7709b2aa51dcdf750abdcb1a",
+        "splits/test.ids": "7e5b6e8148d4672c0656f4c803d5c62e0655b9298b5e8b9d706eddfedf9306b0",
+        "splits/train.ids": "c03543dc5bceddd5684e04c5bf17c3ba58db041c5088ad14df0b5fdc61dfa6c3",
+        "splits/val.ids": "7d29cf3d788bb3c90e66c9fee63f52c2104f9af885b183bbaedbcfc2d6b648b6",
+        "synth.tsv": "2a74e618aa6b9c047d63c536196ad9675ece4da9fabf4854e325c9dbf7b7b359",
+    }
+
+    def test_every_stage_output(self, tmp_path, monkeypatch, capsys):
+        # relative paths, as the config hash covers the path keys
+        monkeypatch.chdir(tmp_path)
+        Path("pipeline.cfg").write_text(TINY_CFG.format(data="synth.tsv",
+                                                        root="."))
+        argv = ["--config", "pipeline.cfg"]
+        for command in (
+                ["synth", "--profile", "overfit16", "--out", "synth.tsv"],
+                argv + ["ingest"], argv + ["train-embeddings"],
+                argv + ["train-scorer"], argv + ["evaluate", "--split", "all"],
+                argv + ["visualize", "--ids", "1,5"],
+                argv + ["--heatmaps-dir", "spans", "visualize", "--ids", "1,5",
+                        "--mode", "span", "--span-len", "4"],
+                argv + ["search", "--trials", "2", "--search-seed", "3"]):
+            assert main(command) == 0, command
+        capsys.readouterr()
+        written = {p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in Path(".").rglob("*")
+                   if p.is_file() and p.name != "pipeline.cfg"}
+        assert written == self.PINNED
 
 
 class TestRepeatedEssayId:

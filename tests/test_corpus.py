@@ -16,9 +16,7 @@ from essayscore.corpus import (
     Vocabulary,
     build_vocabulary,
     corrupt_window,
-    encode_essays,
     extract_windows,
-    ingest_asap_tsv,
     load_corpus,
     load_corpus_cache,
     read_manifest,
@@ -139,86 +137,87 @@ class TestIngest:
     def test_field_mapping(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text(FIXTURE_TSV)
-        result = ingest_asap_tsv(p)
-        assert len(result.essays) == 3
-        first = result.essays[0]
+        corpus, row_errors = load_corpus(p, min_count=1)
+        assert len(corpus.essays) == 3
+        first = corpus.essays[0]
         assert (first.essay_id, first.set_id, first.raw_score) == (1, 1, 8.0)
-        assert first.tokens[:3] == ["dear", "local", "newspaper"]
-        assert result.row_errors == []
+        assert corpus.vocab.decode(first.tokens[:3]) \
+            == ["dear", "local", "newspaper"]
+        assert row_errors == []
 
     def test_observed_ranges_per_set(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text(FIXTURE_TSV)
-        result = ingest_asap_tsv(p)
-        assert result.ranges[1] == ScoreRange(4.0, 8.0)
-        assert result.ranges[2] == ScoreRange(3.0, 3.0)
+        corpus, _ = load_corpus(p, min_count=1)
+        assert corpus.ranges[1] == ScoreRange(4.0, 8.0)
+        assert corpus.ranges[2] == ScoreRange(3.0, 3.0)
 
     def test_missing_column_named(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text("essay_id\tessay\n1\thello\n")
         with pytest.raises(DataError, match="essay_set"):
-            ingest_asap_tsv(p)
+            load_corpus(p, min_count=1)
 
     def test_bad_score_reported_with_line_number(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text("essay_id\tessay_set\tessay\tdomain1_score\n"
                      "1\t1\tfine essay here\t7\n"
                      "2\t1\tbroken essay\tN/A\n")
-        result = ingest_asap_tsv(p)
-        assert len(result.essays) == 1
-        assert len(result.row_errors) == 1
-        assert result.row_errors[0].line == 3
-        assert "N/A" in result.row_errors[0].message
+        corpus, row_errors = load_corpus(p, min_count=1)
+        assert len(corpus.essays) == 1
+        assert len(row_errors) == 1
+        assert row_errors[0].line == 3
+        assert "N/A" in row_errors[0].message
 
     def test_empty_essay_rejected(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text("essay_id\tessay_set\tessay\tdomain1_score\n"
                      "1\t1\t\t7\n")
-        result = ingest_asap_tsv(p)
-        assert result.essays == []
-        assert result.row_errors[0].line == 2
+        corpus, row_errors = load_corpus(p, min_count=1)
+        assert corpus.essays == []
+        assert row_errors[0].line == 2
 
     def test_supplied_ranges_filter_out_of_range_rows(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text(FIXTURE_TSV)
-        result = ingest_asap_tsv(p, ranges={1: ScoreRange(0, 5),
-                                            2: ScoreRange(0, 5)})
-        assert [e.essay_id for e in result.essays] == [2, 3]
-        assert len(result.row_errors) == 1
+        corpus, row_errors = load_corpus(p, min_count=1,
+                                         ranges={1: ScoreRange(0, 5),
+                                                 2: ScoreRange(0, 5)})
+        assert [e.essay_id for e in corpus.essays] == [2, 3]
+        assert len(row_errors) == 1
 
     def test_extra_columns_ignored(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text("essay_id\tessay_set\tessay\trater1\tdomain1_score\n"
                      "1\t1\tan essay\t9\t6\n")
-        result = ingest_asap_tsv(p)
-        assert result.essays[0].raw_score == 6.0
+        corpus, _ = load_corpus(p, min_count=1)
+        assert corpus.essays[0].raw_score == 6.0
 
     def test_repeated_id_is_a_row_error_and_the_first_row_is_kept(
             self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text(FIXTURE_TSV + "2\t1\ta later copy\t6\n")
-        result = ingest_asap_tsv(p)
-        assert [(e.essay_id, e.raw_score) for e in result.essays] \
+        corpus, row_errors = load_corpus(p, min_count=1)
+        assert [(e.essay_id, e.raw_score) for e in corpus.essays] \
             == [(1, 8.0), (2, 4.0), (3, 3.0)]
-        assert len(result.row_errors) == 1
-        assert result.row_errors[0].line == 5
-        assert "essay_id 2 repeats line 3" in result.row_errors[0].message
+        assert len(row_errors) == 1
+        assert row_errors[0].line == 5
+        assert "essay_id 2 repeats line 3" in row_errors[0].message
 
     def test_rejected_row_does_not_claim_its_id(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text("essay_id\tessay_set\tessay\tdomain1_score\n"
                      "1\t1\tbroken\tN/A\n"
                      "1\t1\tfine essay\t7\n")
-        result = ingest_asap_tsv(p)
-        assert [(e.essay_id, e.raw_score) for e in result.essays] == [(1, 7.0)]
-        assert [err.line for err in result.row_errors] == [2]
+        corpus, row_errors = load_corpus(p, min_count=1)
+        assert [(e.essay_id, e.raw_score) for e in corpus.essays] == [(1, 7.0)]
+        assert [err.line for err in row_errors] == [2]
 
-    def test_encode_essays_scales_scores(self, tmp_path):
+    def test_scores_are_scaled_per_set(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text(FIXTURE_TSV)
-        result = ingest_asap_tsv(p)
-        vocab = build_vocabulary((e.tokens for e in result.essays), min_count=1)
-        essays = encode_essays(result.essays, vocab, result.ranges)
+        corpus, _ = load_corpus(p, min_count=1)
+        essays = corpus.essays
         assert essays[0].scaled_score == 1.0
         assert essays[1].scaled_score == 0.0
         assert essays[2].scaled_score == 0.5
@@ -254,7 +253,7 @@ class TestNonUtf8:
         p = tmp_path / "f.tsv"
         p.write_bytes(FIXTURE_TSV.encode() + b"4\t1\tcaf\xe9 au lait\t5\n")
         with pytest.raises(DataError, match="f.tsv is not valid UTF-8"):
-            ingest_asap_tsv(p)
+            load_corpus(p, min_count=1)
 
     def test_range_table(self, tmp_path):
         p = tmp_path / "ranges.tsv"

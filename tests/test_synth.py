@@ -1,11 +1,12 @@
 """Synthetic corpus profiles: shape, planted structure, determinism."""
 
+import dataclasses
 import os
 import tempfile
 
 import pytest
 
-from essayscore.corpus import ingest_asap_tsv
+from essayscore.corpus import load_corpus
 from essayscore.errors import ConfigError
 from essayscore.synth import (BAND_SCORES, BAND_WORDS, MISSPELL_PAIRS,
                               QUALITY_WORDS, generate, write_tsv)
@@ -15,9 +16,10 @@ def rows_of(profile, seed=0):
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "synth.tsv")
         write_tsv(path, profile, seed)
-        result = ingest_asap_tsv(path)
-    assert result.row_errors == []
-    return result.essays
+        corpus, row_errors = load_corpus(path, min_count=1)
+    assert row_errors == []
+    return [dataclasses.replace(e, tokens=corpus.vocab.decode(e.tokens))
+            for e in corpus.essays]
 
 
 class TestGenerate:
