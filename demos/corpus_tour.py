@@ -5,8 +5,8 @@ A tour of corpus handling: TSV in, splits and training windows out.
 import os
 import tempfile
 
-from essayscore.corpus import (SplitSpec, extract_windows, load_corpus,
-                               split_corpus)
+from essayscore.config import Config
+from essayscore.corpus import extract_windows, load_corpus, split_corpus
 from essayscore.synth import write_tsv
 
 workdir = tempfile.mkdtemp(prefix="essayscore_demo_")
@@ -22,7 +22,7 @@ for set_id, score_range in sorted(corpus.ranges.items()):
     print(f"  set {set_id}: scores in [{score_range.lo}, {score_range.hi}]")
 
 # the split is deterministic in the essay ids, not the row order
-train, val, test = split_corpus(corpus.essays, SplitSpec(seed=0))
+train, val, test = split_corpus(corpus.essays, Config(seed=0))
 print(f"split sizes: train {len(train)}, val {len(val)}, test {len(test)}")
 
 # every token becomes the center of one training window; the windows

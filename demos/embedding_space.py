@@ -13,9 +13,9 @@ import tempfile
 
 import numpy as np
 
+from essayscore.config import Config
 from essayscore.corpus import load_corpus
-from essayscore.sswe import (SSWEHyper, cosine_distance, nearest_neighbors,
-                             train_sswe)
+from essayscore.sswe import cosine_distance, nearest_neighbors, train_sswe
 from essayscore.synth import MISSPELL_PAIRS, write_tsv
 
 workdir = tempfile.mkdtemp(prefix="essayscore_demo_")
@@ -28,10 +28,10 @@ print(f"{len(corpus.essays)} essays, {n_windows} windows")
 
 
 def train(alpha):
-    hyper = SSWEHyper(embed_dim=12, hidden_dim=8, window_size=3,
-                      n_corruptions=8, alpha=alpha, learning_rate=0.01,
-                      epochs=5, seed=0)
-    params, history = train_sswe(corpus.essays, corpus.vocab, hyper)
+    cfg = Config(embed_dim=12, hidden_dim=8, window_size=3,
+                 n_corruptions=8, alpha=alpha, learning_rate=0.01,
+                 embed_epochs=5, seed=0)
+    params, history = train_sswe(corpus.essays, corpus.vocab, cfg)
     print(f"alpha={alpha}: final loss {history[-1].loss_overall:.4f}")
     return params
 

@@ -9,10 +9,11 @@ import tempfile
 
 import numpy as np
 
+from essayscore.config import Config
 from essayscore.corpus import load_corpus
-from essayscore.lstm import SeqHyper, SeqModel, train_scorer
+from essayscore.lstm import SeqModel, train_scorer
 from essayscore.saliency import quality_map, render_ansi, render_html
-from essayscore.sswe import SSWEHyper, train_sswe
+from essayscore.sswe import train_sswe
 from essayscore.synth import write_tsv
 
 workdir = tempfile.mkdtemp(prefix="essayscore_demo_")
@@ -20,15 +21,15 @@ path = os.path.join(workdir, "essays.tsv")
 write_tsv(path, "overfit16", seed=0)
 corpus, _ = load_corpus(path, min_count=1)
 
-params, _ = train_sswe(corpus.essays, corpus.vocab, SSWEHyper(
+params, _ = train_sswe(corpus.essays, corpus.vocab, Config(
     embed_dim=12, hidden_dim=8, window_size=3, n_corruptions=8,
-    alpha=0.1, learning_rate=0.01, epochs=5, seed=0))
-hyper = SeqHyper(lstm_dim=8, layers=1, bidirectional=False, dropout=0.0,
-                 peepholes="full", learning_rate=0.01, epochs=200,
-                 batch_size=4, patience=200, seed=0)
-model = SeqModel.init(params.M.copy(), hyper, np.random.default_rng(0))
+    alpha=0.1, learning_rate=0.01, embed_epochs=5, seed=0))
+cfg = Config(lstm_dim=8, layers=1, bidirectional=False, dropout=0.0,
+             peepholes="full", learning_rate=0.01, epochs=200,
+             batch_size=4, patience=200, seed=0)
+model = SeqModel.init(params.M.copy(), cfg, np.random.default_rng(0))
 model, _ = train_scorer(model, corpus.essays, corpus.essays,
-                        corpus.ranges, hyper)
+                        corpus.ranges, cfg)
 
 # the top-scored essay, token by token
 essay = max(corpus.essays, key=lambda e: e.raw_score)

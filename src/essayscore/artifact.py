@@ -66,10 +66,10 @@ class Reader:
         self._left -= flat.nbytes
         return flat.reshape(shape, order=order)
 
-    def validate(self, hyper):
-        """Validate hyperparameters read from the header."""
+    def validate(self, cfg):
+        """Validate the settings a header describes, as a ``Config``."""
         try:
-            hyper.validate()
+            cfg.validate()
         except ConfigError as exc:
             raise self.error(f"corrupt architecture descriptor: {exc}") from exc
 

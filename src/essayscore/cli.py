@@ -96,6 +96,16 @@ def _resolve_config(args) -> cfgmod.Config:
     return cfg
 
 
+def _split_essays(corpus, name, path):
+    """The essays of a split manifest; an id the corpus lacks is a
+    :class:`DataError` naming the manifest."""
+    ids = corpusmod.read_manifest(path)
+    try:
+        return corpus.subset(ids)
+    except DataError as exc:
+        raise DataError(f"{name} manifest {path}: {exc}") from None
+
+
 def _stage(args, *split_names):
     """A stage's config, its hash, the cached corpus and the named splits.
 
@@ -113,7 +123,7 @@ def _stage(args, *split_names):
         path = os.path.join(cfg.splits_dir, MANIFEST_NAMES[name])
         if not os.path.exists(path):
             raise DataError(f"no {name} manifest at {path}; run `ingest` first")
-        essays = corpus.subset(corpusmod.read_manifest(path))
+        essays = _split_essays(corpus, name, path)
         if not essays:
             raise DataError(f"{name} manifest {path} lists no essays")
         if not cfg.normalize_scores:
@@ -148,11 +158,10 @@ def cmd_ingest(args) -> int:
     with _Pending() as pending:
         if all(os.path.exists(p) for p in manifest_paths.values()):
             print("reusing existing split manifests")
-            sizes = {name: len(corpusmod.read_manifest(p))
+            sizes = {name: len(_split_essays(corpus, name, p))
                      for name, p in manifest_paths.items()}
         else:
-            spec = corpusmod.SplitSpec(ratios=cfg.split_ratios(), seed=cfg.seed)
-            train, val, test = corpusmod.split_corpus(corpus.essays, spec)
+            train, val, test = corpusmod.split_corpus(corpus.essays, cfg)
             for name, essays in (("train", train), ("val", val), ("test", test)):
                 corpusmod.write_manifest(pending.path_for(manifest_paths[name]),
                                          [e.essay_id for e in essays], chash)
@@ -168,8 +177,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train_embeddings(args) -> int:
     cfg, chash, corpus, (train,) = _stage(args, "train")
-    params, history = sswemod.train_sswe(train, corpus.vocab,
-                                         cfg.sswe_hyper())
+    params, history = sswemod.train_sswe(train, corpus.vocab, cfg)
 
     with _Pending(chash) as pending:
         sswemod.save_embeddings(
@@ -216,7 +224,7 @@ def _init_scorer(cfg, corpus, embeddings_arg: str):
                 f"embeddings have dimension {params.embed_dim} but the "
                 f"config's embed_dim is {cfg.embed_dim}")
         M = params.M
-    return lstmmod.SeqModel.init(M, cfg.seq_hyper(), rng)
+    return lstmmod.SeqModel.init(M, cfg, rng)
 
 
 def cmd_train_scorer(args) -> int:
@@ -224,9 +232,7 @@ def cmd_train_scorer(args) -> int:
     embeddings_arg = args.embeddings or os.path.join(cfg.models_dir,
                                                      EMBEDDINGS_NAME)
     model = _init_scorer(cfg, corpus, embeddings_arg)
-    best, history = lstmmod.train_scorer(model, train, val, corpus.ranges,
-                                         cfg.seq_hyper(),
-                                         normalized=cfg.normalize_scores)
+    best, history = lstmmod.train_scorer(model, train, val, corpus.ranges, cfg)
 
     with _Pending(chash) as pending:
         lstmmod.save_model(
@@ -258,6 +264,13 @@ def _load_scorer(cfg, corpus, model_arg):
 def cmd_evaluate(args) -> int:
     names = tuple(MANIFEST_NAMES) if args.split == "all" else (args.split,)
     cfg, chash, corpus, splits = _stage(args, *names)
+    for name, essays in zip(names, splits):
+        # the correlations are undefined when the gold scores never vary
+        if len({e.raw_score for e in essays}) < 2:
+            path = os.path.join(cfg.splits_dir, MANIFEST_NAMES[name])
+            raise DataError(f"{name} split ({path}) has one distinct gold "
+                            f"score, {essays[0].raw_score!r}; the metrics "
+                            f"need at least two")
     model = _load_scorer(cfg, corpus, args.model)
     model_name = os.path.basename(args.model or MODEL_NAME)
 
@@ -327,12 +340,10 @@ def cmd_visualize(args) -> int:
 
 
 def _run_trial(cfg, corpus, train, val) -> float:
-    params, _ = sswemod.train_sswe(train, corpus.vocab, cfg.sswe_hyper())
+    params, _ = sswemod.train_sswe(train, corpus.vocab, cfg)
     rng = np.random.default_rng(cfg.seed)
-    model = lstmmod.SeqModel.init(params.M, cfg.seq_hyper(), rng)
-    _, history = lstmmod.train_scorer(model, train, val, corpus.ranges,
-                                      cfg.seq_hyper(),
-                                      normalized=cfg.normalize_scores)
+    model = lstmmod.SeqModel.init(params.M, cfg, rng)
+    _, history = lstmmod.train_scorer(model, train, val, corpus.ranges, cfg)
     if not history:
         raise ConfigError("search needs a nonzero epoch budget")
     return min(h.val_rmse for h in history)

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+PEEPHOLE_MODES = ("full", "diagonal", "off")
+
 
 @dataclass
 class Config:
@@ -82,32 +84,37 @@ class Config:
                 or self.val_ratio + self.test_ratio >= 1.0:
             raise ConfigError(f"split ratios val={self.val_ratio} "
                               f"test={self.test_ratio} leave no training data")
+        if self.window_size % 2 == 0 or self.window_size < 3:
+            raise ConfigError(f"window size must be odd and >= 3, got {self.window_size}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.n_corruptions < 1:
+            raise ConfigError(f"n_corruptions must be >= 1, got {self.n_corruptions}")
+        if self.embed_dim < 1 or self.hidden_dim < 1:
+            raise ConfigError("embed_dim and hidden_dim must be positive")
         if self.embed_epochs < 0:
             raise ConfigError(f"embed_epochs must be >= 0, got {self.embed_epochs}")
-        self.sswe_hyper().validate()
-        self.seq_hyper().validate()
-
-    def sswe_hyper(self):
-        from .sswe import SSWEHyper
-        return SSWEHyper(embed_dim=self.embed_dim, hidden_dim=self.hidden_dim,
-                         window_size=self.window_size,
-                         n_corruptions=self.n_corruptions, alpha=self.alpha,
-                         learning_rate=self.learning_rate,
-                         epochs=self.embed_epochs, seed=self.seed)
-
-    def seq_hyper(self):
-        from .lstm import SeqHyper
-        return SeqHyper(lstm_dim=self.lstm_dim, layers=self.layers,
-                        bidirectional=self.bidirectional, dropout=self.dropout,
-                        peepholes=self.peepholes,
-                        learning_rate=self.learning_rate, epochs=self.epochs,
-                        batch_size=self.batch_size, patience=self.patience,
-                        rho_rms=self.rho_rms, eps_rms=self.eps_rms,
-                        clip_norm=self.clip_norm, seed=self.seed)
-
-    def split_ratios(self) -> tuple[float, float, float]:
-        return (1.0 - self.val_ratio - self.test_ratio,
-                self.val_ratio, self.test_ratio)
+        if self.lstm_dim < 1:
+            raise ConfigError(f"lstm_dim must be positive, got {self.lstm_dim}")
+        if self.layers not in (1, 2):
+            raise ConfigError(f"layers must be 1 or 2, got {self.layers}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.peepholes not in PEEPHOLE_MODES:
+            raise ConfigError(f"peepholes must be one of {PEEPHOLE_MODES}, "
+                              f"got {self.peepholes!r}")
+        if self.epochs < 0 or self.batch_size < 1 or self.patience < 1:
+            raise ConfigError("epochs must be >= 0, batch_size and patience >= 1")
+        if not 0.0 < self.rho_rms < 1.0:
+            raise ConfigError(f"rho_rms must lie in (0, 1), got {self.rho_rms}")
+        # a zero accumulator plus eps_rms divides a zero gradient: with
+        # eps_rms = 0 every weight without a gradient would become NaN
+        if self.eps_rms <= 0.0:
+            raise ConfigError(f"eps_rms must be a finite number > 0, "
+                              f"got {self.eps_rms}")
+        if self.clip_norm < 0.0:
+            raise ConfigError(f"clip_norm must be a finite number >= 0, "
+                              f"got {self.clip_norm}")
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(Config)}
@@ -197,6 +204,9 @@ class SearchSpace:
     def validate(self):
         if self.trials < 1:
             raise ConfigError(f"need at least one trial, got {self.trials}")
+        for a in self.alpha_choices:
+            if not 0.0 <= a <= 1.0:
+                raise ConfigError(f"--alpha-choices must lie in [0, 1], got {a}")
 
     def draw(self, rng, base: Config) -> Config:
         """One trial configuration on top of ``base``."""

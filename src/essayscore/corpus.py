@@ -26,6 +26,7 @@ from itertools import chain
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import Config
 from .errors import ConfigError, DataError
 
 PAD_TOKEN = "<pad>"
@@ -191,32 +192,22 @@ def read_range_table(path) -> dict[int, ScoreRange]:
     return ranges
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Ratios and seed for the deterministic train/validation/test split."""
-
-    ratios: tuple[float, float, float] = (0.64, 0.16, 0.20)
-    seed: int = 0
-
-
 def _split_key(essay_id: int, seed: int) -> bytes:
     key = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
     return hashlib.blake2b(str(essay_id).encode(), digest_size=8, key=key).digest()
 
 
-def split_corpus(essays: list[Essay], spec: SplitSpec = SplitSpec()):
+def split_corpus(essays: list[Essay], cfg: Config | None = None):
     """Partition essays into (train, validation, test) lists.
 
     The split is stratified by set: each essay set is cut independently
-    at the same ratios, with integer remainders going to train. Bucket
-    membership depends only on the essay ids present in a set and the
-    seed, never on input order.
+    at ``cfg.val_ratio`` and ``cfg.test_ratio`` (default :class:`Config`),
+    with integer remainders going to train. Bucket membership depends
+    only on the essay ids present in a set and ``cfg.seed``, never on
+    input order.
     """
-    if abs(sum(spec.ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios {spec.ratios} do not sum to 1")
-    if not all(math.isfinite(r) and r >= 0 for r in spec.ratios):
-        raise ConfigError(f"split ratios must be finite and non-negative, "
-                          f"got {spec.ratios}")
+    cfg = Config() if cfg is None else cfg
+    cfg.validate()
 
     by_set: dict[int, list[Essay]] = {}
     for e in essays:
@@ -225,11 +216,11 @@ def split_corpus(essays: list[Essay], spec: SplitSpec = SplitSpec()):
     val_ids, test_ids = set(), set()
     for set_id in sorted(by_set):
         members = by_set[set_id]
-        order = sorted(members, key=lambda e: (_split_key(e.essay_id, spec.seed),
+        order = sorted(members, key=lambda e: (_split_key(e.essay_id, cfg.seed),
                                                e.essay_id))
         n = len(order)
-        n_val = int(math.floor(spec.ratios[1] * n + 1e-9))
-        n_test = int(math.floor(spec.ratios[2] * n + 1e-9))
+        n_val = int(math.floor(cfg.val_ratio * n + 1e-9))
+        n_test = int(math.floor(cfg.test_ratio * n + 1e-9))
         test_ids.update(e.essay_id for e in order[:n_test])
         val_ids.update(e.essay_id for e in order[n_test:n_test + n_val])
 

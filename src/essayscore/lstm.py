@@ -62,68 +62,23 @@ a zero gradient leaves a weight unchanged when ``eps_rms > 0``.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import artifact
+from .config import PEEPHOLE_MODES, Config
 from .corpus import Essay, ScoreRange
 from .errors import ConfigError, DataError, NumericalError
 
 MODEL_MAGIC = b"SATS"
 MODEL_VERSION = 1
 
-PEEPHOLE_MODES = ("full", "diagonal", "off")
-
 INIT_SCALE = 0.05
 FORGET_BIAS = 1.0
 
 # essays per lockstep batch at inference, taken in order of length
 PREDICT_CHUNK = 32
-
-
-@dataclass(frozen=True)
-class SeqHyper:
-    """Architecture and training settings for the sequence scorer."""
-
-    lstm_dim: int = 10
-    layers: int = 1
-    bidirectional: bool = False
-    dropout: float = 0.5
-    peepholes: str = "full"
-    learning_rate: float = 1e-7
-    epochs: int = 100
-    batch_size: int = 32
-    patience: int = 25
-    rho_rms: float = 0.9
-    eps_rms: float = 1e-8
-    clip_norm: float = 0.0
-    seed: int = 0
-
-    def validate(self):
-        if self.lstm_dim < 1:
-            raise ConfigError(f"lstm_dim must be positive, got {self.lstm_dim}")
-        if self.layers not in (1, 2):
-            raise ConfigError(f"layers must be 1 or 2, got {self.layers}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.peepholes not in PEEPHOLE_MODES:
-            raise ConfigError(f"peepholes must be one of {PEEPHOLE_MODES}, "
-                              f"got {self.peepholes!r}")
-        if self.epochs < 0 or self.batch_size < 1 or self.patience < 1:
-            raise ConfigError("epochs must be >= 0, batch_size and patience >= 1")
-        if not 0.0 < self.rho_rms < 1.0:
-            raise ConfigError(f"rho_rms must lie in (0, 1), got {self.rho_rms}")
-        # a zero accumulator plus eps_rms divides a zero gradient: with
-        # eps_rms = 0 every weight without a gradient would become NaN
-        if not (math.isfinite(self.eps_rms) and self.eps_rms > 0.0):
-            raise ConfigError(f"eps_rms must be a finite number > 0, "
-                              f"got {self.eps_rms}")
-        # a NaN clip_norm would fail every comparison and turn clipping off
-        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0.0):
-            raise ConfigError(f"clip_norm must be a finite number >= 0, "
-                              f"got {self.clip_norm}")
 
 
 class LSTMLayer:
@@ -187,21 +142,21 @@ class SeqModel:
                               f"layer output width {width}")
 
     @classmethod
-    def init(cls, M: np.ndarray, hyper: SeqHyper, rng) -> "SeqModel":
+    def init(cls, M: np.ndarray, cfg: Config, rng) -> "SeqModel":
         """Fresh model around an embedding matrix (owned, not copied).
 
         With ``rng=None`` every layer and head array is left zero-filled
         (the forget bias at its constant) for a loader to fill in.
         """
-        hyper.validate()
-        K = 2 if hyper.bidirectional else 1
-        width_out = hyper.lstm_dim * K
+        cfg.validate()
+        K = 2 if cfg.bidirectional else 1
+        width_out = cfg.lstm_dim * K
         layers = [LSTMLayer(K, M.shape[0] if l == 0 else width_out,
-                            hyper.lstm_dim, hyper.peepholes, rng)
-                  for l in range(hyper.layers)]
+                            cfg.lstm_dim, cfg.peepholes, rng)
+                  for l in range(cfg.layers)]
         W_yh = np.zeros(width_out) if rng is None else \
             rng.uniform(-INIT_SCALE, INIT_SCALE, size=width_out)
-        return cls(M, layers, W_yh, np.zeros(1), hyper.dropout)
+        return cls(M, layers, W_yh, np.zeros(1), cfg.dropout)
 
     @property
     def bidirectional(self) -> bool:
@@ -691,10 +646,9 @@ class RMSPropState:
     eta: float = 1e-7
 
     @classmethod
-    def for_model(cls, model: SeqModel, hyper: SeqHyper) -> "RMSPropState":
+    def for_model(cls, model: SeqModel, cfg: Config) -> "RMSPropState":
         return cls(acc={n: np.zeros_like(a) for n, a in model.named_arrays()},
-                   rho=hyper.rho_rms, eps=hyper.eps_rms,
-                   eta=hyper.learning_rate)
+                   rho=cfg.rho_rms, eps=cfg.eps_rms, eta=cfg.learning_rate)
 
 
 def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
@@ -767,19 +721,19 @@ class EpochRecord:
 
 
 def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
-                 ranges: dict[int, ScoreRange], hyper: SeqHyper,
-                 normalized: bool = True) -> tuple[SeqModel, list[EpochRecord]]:
+                 ranges: dict[int, ScoreRange],
+                 cfg: Config) -> tuple[SeqModel, list[EpochRecord]]:
     """Mini-batch RMSprop training with best-validation selection.
 
     Shuffling, dropout masks and therefore the whole parameter trajectory
-    are driven by one generator seeded from ``hyper.seed``. Targets are
-    each essay's ``scaled_score`` (which a raw-score pipeline fills with
-    the raw value, flagged by ``normalized=False``). After each epoch the
-    validation RMSE (raw scale) is computed; the best snapshot is kept
-    and training stops early after ``patience`` epochs without
+    are driven by one generator seeded from ``cfg.seed``. Targets are
+    each essay's ``scaled_score`` (which a raw-score pipeline, with
+    ``cfg.normalize_scores`` off, fills with the raw value). After each
+    epoch the validation RMSE (raw scale) is computed; the best snapshot
+    is kept and training stops early after ``patience`` epochs without
     improvement.
     """
-    hyper.validate()
+    cfg.validate()
     if not train:
         raise ConfigError("cannot train on an empty training set")
     if not val:
@@ -788,8 +742,8 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
         if e.set_id not in ranges:
             raise DataError(f"no score range for essay set {e.set_id}")
 
-    rng = np.random.default_rng(hyper.seed)
-    state = RMSPropState.for_model(model, hyper)
+    rng = np.random.default_rng(cfg.seed)
+    state = RMSPropState.for_model(model, cfg)
     val_gold = np.array([e.raw_score for e in val])
     # every epoch that runs either improves on inf or raises, so a snapshot
     # is only needed here when none runs
@@ -799,11 +753,11 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
     order = np.arange(len(train))
     stall = 0
 
-    for epoch in range(hyper.epochs):
+    for epoch in range(cfg.epochs):
         rng.shuffle(order)
         sq_sum = 0.0
-        for start in range(0, len(order), hyper.batch_size):
-            batch = [train[k] for k in order[start:start + hyper.batch_size]]
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [train[k] for k in order[start:start + cfg.batch_size]]
             y, cache = forward_batch(model, [e.tokens for e in batch],
                                      training=True, rng=rng)
             err = y - np.array([e.scaled_score for e in batch])
@@ -820,13 +774,13 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
             del d_inputs
             rows *= inv
             grads["M"] = (cols, rows)
-            if hyper.clip_norm > 0.0:
-                clip_gradients(grads, hyper.clip_norm)
+            if cfg.clip_norm > 0.0:
+                clip_gradients(grads, cfg.clip_norm)
             rmsprop_update(state, dict(model.named_arrays()), grads)
 
         train_mse = sq_sum / len(train)
         val_rmse = float(np.sqrt(np.mean(
-            (predict(model, val, ranges, normalized) - val_gold) ** 2)))
+            (predict(model, val, ranges, cfg.normalize_scores) - val_gold) ** 2)))
         history.append(EpochRecord(epoch, train_mse, val_rmse))
         if not (np.isfinite(train_mse) and np.isfinite(val_rmse)):
             raise NumericalError(f"non-finite loss at epoch {epoch}")
@@ -836,7 +790,7 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
             stall = 0
         else:
             stall += 1
-            if stall >= hyper.patience:
+            if stall >= cfg.patience:
                 break
     return (model.copy() if best is None else best), history
 
@@ -885,12 +839,12 @@ def load_model(path) -> tuple[SeqModel, str]:
         if peep_code >= len(_PEEP_CODES) or bi > 1 or d < 1:
             raise inp.error("corrupt architecture descriptor")
         peepholes = _PEEP_CODES[peep_code]
-        hyper = SeqHyper(lstm_dim=dim, layers=layers, bidirectional=bool(bi),
-                         dropout=dropout, peepholes=peepholes)
-        inp.validate(hyper)
+        cfg = Config(lstm_dim=dim, layers=layers, bidirectional=bool(bi),
+                     dropout=dropout, peepholes=peepholes)
+        inp.validate(cfg)
         # tensors plus the hash length, checked before the model is built
         inp.require(8 * _n_params(v, d, dim, layers, bool(bi), peepholes) + 4)
-        model = SeqModel.init(inp.tensor((d, v), "F"), hyper, rng=None)
+        model = SeqModel.init(inp.tensor((d, v), "F"), cfg, rng=None)
         for name, arr in model.named_arrays():
             if name != "M":
                 arr[...] = inp.tensor(arr.shape)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifact
+from .config import Config
 from .corpus import (N_SPECIALS, Essay, Vocabulary, corrupt_window,
                      extract_windows)
 from .errors import ConfigError, DataError, NumericalError
@@ -57,32 +58,6 @@ def htanh(x):
 def htanh_grad_mask(preact):
     """1 where hard tanh is identity, 0 in the flat regions and at the kinks."""
     return (np.abs(preact) < 1.0).astype(float)
-
-
-@dataclass(frozen=True)
-class SSWEHyper:
-    """Embedding-training hyperparameters."""
-
-    embed_dim: int = 200
-    hidden_dim: int = 100
-    window_size: int = 9
-    n_corruptions: int = 200
-    alpha: float = 0.1
-    learning_rate: float = 1e-7
-    epochs: int = 1
-    seed: int = 0
-
-    def validate(self):
-        if self.window_size % 2 == 0 or self.window_size < 3:
-            raise ConfigError(f"window size must be odd and >= 3, got {self.window_size}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.n_corruptions < 1:
-            raise ConfigError(f"n_corruptions must be >= 1, got {self.n_corruptions}")
-        if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise ConfigError("embed_dim and hidden_dim must be positive")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
 class SSWEParams:
@@ -108,10 +83,10 @@ class SSWEParams:
         self.b_o1 = b_o1
 
     @classmethod
-    def init(cls, vocab_size: int, hyper: SSWEHyper, rng) -> "SSWEParams":
+    def init(cls, vocab_size: int, cfg: Config, rng) -> "SSWEParams":
         """Uniform [-0.05, 0.05] weights, zero biases."""
-        hyper.validate()
-        d, h, n = hyper.embed_dim, hyper.hidden_dim, hyper.window_size
+        cfg.validate()
+        d, h, n = cfg.embed_dim, cfg.hidden_dim, cfg.window_size
         u = lambda *shape: rng.uniform(-0.05, 0.05, size=shape)
         return cls(
             M=np.asfortranarray(u(d, vocab_size)),
@@ -317,11 +292,11 @@ class EpochLosses:
 
 
 def train_sswe(essays: list[Essay], vocab: Vocabulary,
-               hyper: SSWEHyper) -> tuple[SSWEParams, list[EpochLosses]]:
+               cfg: Config) -> tuple[SSWEParams, list[EpochLosses]]:
     """Per-sample SGD over the shuffled windows of ``essays``.
 
     Every token of every essay centers one window of
-    ``hyper.window_size`` ids, padded with boundary ids at the essay's
+    ``cfg.window_size`` ids, padded with boundary ids at the essay's
     edges, whose gold score is the essay's ``scaled_score``; the windows
     are rows of one id stream (:func:`extract_windows`). Corruptions are
     redrawn at every visit from the seeded generator, so a fixed seed
@@ -330,8 +305,8 @@ def train_sswe(essays: list[Essay], vocab: Vocabulary,
     :class:`DataError`, and essays without a token are a
     :class:`ConfigError`.
     """
-    hyper.validate()
-    windows = extract_windows(essays, hyper.window_size)
+    cfg.validate()
+    windows = extract_windows(essays, cfg.window_size)
     if not len(windows):
         raise ConfigError("cannot train embeddings on an empty window set")
     if windows.stream.min() < 0 or windows.stream.max() >= len(vocab):
@@ -341,21 +316,21 @@ def train_sswe(essays: list[Essay], vocab: Vocabulary,
     # scoring and serving paths should not pay
     from scipy.linalg.blas import dgemm, dger
 
-    rng = np.random.default_rng(hyper.seed)
-    params = SSWEParams.init(len(vocab), hyper, rng)
-    eta = hyper.learning_rate
+    rng = np.random.default_rng(cfg.seed)
+    params = SSWEParams.init(len(vocab), cfg, rng)
+    eta = cfg.learning_rate
     history = []
     view, starts, scores = windows.view, windows.starts, windows.scores
-    half = hyper.window_size // 2
+    half = cfg.window_size // 2
     order = np.arange(len(windows))
-    for epoch in range(hyper.epochs):
+    for epoch in range(cfg.embed_epochs):
         rng.shuffle(order)
         tot_all = tot_ctx = tot_sc = 0.0
         for idx in order:
             ids = view[starts[idx]]
-            centers = corrupt_window(ids[half], hyper.n_corruptions, rng,
+            centers = corrupt_window(ids[half], cfg.n_corruptions, rng,
                                      vocab)
-            grads = backward(params, ids, centers, scores[idx], hyper.alpha)
+            grads = backward(params, ids, centers, scores[idx], cfg.alpha)
             tot_all += grads.loss_overall
             tot_ctx += grads.loss_context
             tot_sc += grads.loss_score
@@ -455,7 +430,7 @@ def load_embeddings(path) -> tuple[SSWEParams, Vocabulary, str]:
     with artifact.reading(path, EMBEDDING_MAGIC, EMBEDDING_VERSION,
                           "embedding file") as inp:
         v, d, n, h = inp.header("4I")
-        inp.validate(SSWEHyper(embed_dim=d, hidden_dim=h, window_size=n))
+        inp.validate(Config(embed_dim=d, hidden_dim=h, window_size=n))
         shapes = {"M": (d, v), "W_hi": (h, n * d), "b_h": (h,), "W_oh2": (h,),
                   "b_o2": (1,), "W_oh1": (h,), "b_o1": (1,)}
         # token length prefixes, tensors and the hash length

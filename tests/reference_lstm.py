@@ -328,13 +328,13 @@ def dense_rmsprop_update(state: RMSPropState, arrays, grads):
         arrays[name] -= state.eta * g / np.sqrt(acc + state.eps)
 
 
-def train_epoch(model: SeqModel, train, hyper, rng, state):
+def train_epoch(model: SeqModel, train, cfg, rng, state):
     """One epoch of the per-essay training loop.
 
     Shuffles ``train`` with ``rng``, sums per-essay gradients per
     minibatch, scatters input gradients densely into ``M`` with
     ``np.add.at`` and takes one dense RMSprop step per batch. With
-    ``hyper.clip_norm > 0`` the batch gradient is first scaled down to
+    ``cfg.clip_norm > 0`` the batch gradient is first scaled down to
     that global norm, the norm summed gate block by gate block. Returns
     (squared-error sum, number of clipped steps).
     """
@@ -342,8 +342,8 @@ def train_epoch(model: SeqModel, train, hyper, rng, state):
     rng.shuffle(order)
     sq_sum = 0.0
     clipped = 0
-    for start in range(0, len(order), hyper.batch_size):
-        batch = order[start:start + hyper.batch_size]
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start:start + cfg.batch_size]
         total: dict[str, np.ndarray] = {}
         m_grad = np.zeros_like(model.M)
         for idx in batch:
@@ -364,12 +364,12 @@ def train_epoch(model: SeqModel, train, hyper, rng, state):
             g *= inv
         m_grad *= inv
         total["M"] = m_grad
-        if hyper.clip_norm > 0.0:
+        if cfg.clip_norm > 0.0:
             blocks = split_gates(total, model.lstm_dim).values()
             norm = sum(float((g * g).sum()) for g in blocks) ** 0.5
-            if norm > hyper.clip_norm:
+            if norm > cfg.clip_norm:
                 clipped += 1
                 for g in total.values():
-                    g *= hyper.clip_norm / norm
+                    g *= cfg.clip_norm / norm
         dense_rmsprop_update(state, dict(model.named_arrays()), total)
     return sq_sum, clipped

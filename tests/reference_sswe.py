@@ -183,32 +183,32 @@ def reference_backward(params, context, corruptions, gold_score, alpha):
     return m_cols, dense, loss_overall(alpha, l_ctx, l_sc)
 
 
-def reference_train(essays, vocab, hyper):
+def reference_train(essays, vocab, cfg):
     """Per-sample SGD on a C-ordered M with a per-column update loop,
     over the windows of :func:`essay_windows`.
 
     Returns the parameters and the loss of every visited window.
     """
-    windows = essay_windows(essays, hyper.window_size)
-    c = hyper.window_size // 2
-    rng = np.random.default_rng(hyper.seed)
-    params = SSWEParams.init(len(vocab), hyper, rng)
+    windows = essay_windows(essays, cfg.window_size)
+    c = cfg.window_size // 2
+    rng = np.random.default_rng(cfg.seed)
+    params = SSWEParams.init(len(vocab), cfg, rng)
     params.M = np.ascontiguousarray(params.M)
     order = np.arange(len(windows))
     losses = []
-    for _ in range(hyper.epochs):
+    for _ in range(cfg.embed_epochs):
         rng.shuffle(order)
         for idx in order:
             context, score = windows[idx]
             corruptions = [context[:c] + (int(w),) + context[c + 1:]
                            for w in corrupt_window(context[c],
-                                                   hyper.n_corruptions,
+                                                   cfg.n_corruptions,
                                                    rng, vocab)]
             m_cols, dense, loss = reference_backward(
-                params, context, corruptions, score, hyper.alpha)
+                params, context, corruptions, score, cfg.alpha)
             losses.append(loss)
             for name in params.dense_names():
-                getattr(params, name)[...] -= hyper.learning_rate * dense[name]
+                getattr(params, name)[...] -= cfg.learning_rate * dense[name]
             for col, g in m_cols.items():
-                params.M[:, col] -= hyper.learning_rate * g
+                params.M[:, col] -= cfg.learning_rate * g
     return params, losses

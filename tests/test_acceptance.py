@@ -19,16 +19,17 @@ from conftest import finite_difference, max_relative_error
 from reference_lstm import direction, gate
 from reference_sswe import dense_gradients, predict_window_score, sample_loss
 from essayscore.cli import main
-from essayscore.corpus import (ScoreRange, SplitSpec, Vocabulary,
+from essayscore.config import Config
+from essayscore.corpus import (ScoreRange, Vocabulary,
                                corrupt_window, load_corpus, read_manifest,
                                split_corpus)
-from essayscore.lstm import (SeqHyper, SeqModel, bptt, column_gradient,
+from essayscore.lstm import (SeqModel, bptt, column_gradient,
                              forward_essay, load_model, predict, save_model,
                              train_scorer)
 from essayscore.metrics import (pearson_r, quadratic_weighted_kappa, rmse,
                                 spearman_rho)
 from essayscore.saliency import quality_map
-from essayscore.sswe import (SSWEHyper, SSWEParams, backward,
+from essayscore.sswe import (SSWEParams, backward,
                              cosine_distance, load_embeddings,
                              save_embeddings, train_sswe)
 from essayscore.synth import MISSPELL_PAIRS, write_tsv
@@ -48,15 +49,15 @@ def train_overfit(path):
     corpus, errors = load_corpus(path, min_count=1)
     assert errors == []
     started = time.perf_counter()
-    params, _ = train_sswe(corpus.essays, corpus.vocab, SSWEHyper(
+    params, _ = train_sswe(corpus.essays, corpus.vocab, Config(
         embed_dim=12, hidden_dim=8, window_size=3, n_corruptions=8,
-        alpha=0.1, learning_rate=0.01, epochs=5, seed=0))
-    hyper = SeqHyper(lstm_dim=8, layers=1, bidirectional=False, dropout=0.0,
-                     peepholes="full", learning_rate=0.01, epochs=200,
-                     batch_size=4, patience=200, seed=0)
-    model = SeqModel.init(params.M.copy(), hyper, np.random.default_rng(0))
+        alpha=0.1, learning_rate=0.01, embed_epochs=5, seed=0))
+    cfg = Config(lstm_dim=8, layers=1, bidirectional=False, dropout=0.0,
+                 peepholes="full", learning_rate=0.01, epochs=200,
+                 batch_size=4, patience=200, seed=0)
+    model = SeqModel.init(params.M.copy(), cfg, np.random.default_rng(0))
     model, _ = train_scorer(model, corpus.essays, corpus.essays,
-                            corpus.ranges, hyper)
+                            corpus.ranges, cfg)
     return corpus, model, time.perf_counter() - started
 
 
@@ -73,8 +74,8 @@ def test_1_gradients_match_finite_differences():
     vocab = Vocabulary([f"w{k}" for k in range(9)])
     ids = (4, 8, 6)
     for alpha in (0.0, 0.1, 0.5, 1.0):
-        p = SSWEParams.init(12, SSWEHyper(embed_dim=6, hidden_dim=7,
-                                          window_size=3),
+        p = SSWEParams.init(12, Config(embed_dim=6, hidden_dim=7,
+                                       window_size=3),
                             np.random.default_rng(3))
         corruptions = corrupt_window(ids[1], 6, np.random.default_rng(0),
                                      vocab)
@@ -92,12 +93,12 @@ def test_1_gradients_match_finite_differences():
     tokens = [4, 2, 7, 2, 0, 5, 8, 1, 3, 6, 2, 4]
     for bidirectional in (False, True):
         for layers in (1, 2):
-            hyper = SeqHyper(lstm_dim=3, layers=layers,
-                             bidirectional=bidirectional, dropout=0.0,
-                             peepholes="off")
+            cfg = Config(lstm_dim=3, layers=layers,
+                         bidirectional=bidirectional, dropout=0.0,
+                         peepholes="off")
             rng = np.random.default_rng(9)
             M = rng.uniform(-1.0, 1.0, size=(4, 9))
-            model = SeqModel.init(M, hyper, rng)
+            model = SeqModel.init(M, cfg, rng)
             for name, arr in model.named_arrays():
                 if name != "M":
                     arr *= 8.0
@@ -138,9 +139,9 @@ def test_3_misspellings_separate_under_score_weight(tmp_path):
     corpus, errors = load_corpus(tmp_path / "misspell.tsv", min_count=1)
     assert errors == []
     def mean_pair_distance(alpha, seed):
-        params, _ = train_sswe(corpus.essays, corpus.vocab, SSWEHyper(
+        params, _ = train_sswe(corpus.essays, corpus.vocab, Config(
             embed_dim=12, hidden_dim=8, window_size=3, n_corruptions=8,
-            alpha=alpha, learning_rate=0.01, epochs=5, seed=seed))
+            alpha=alpha, learning_rate=0.01, embed_epochs=5, seed=seed))
         return float(np.mean([cosine_distance(params, corpus.vocab, a, b)
                               for a, b in MISSPELL_PAIRS]))
 
@@ -152,20 +153,20 @@ def test_4_score_weight_beats_context_only_on_held_out(tmp_path):
     write_tsv(tmp_path / "ablation.tsv", "ablation", seed=0)
     corpus, errors = load_corpus(tmp_path / "ablation.tsv", min_count=2)
     assert errors == []
-    train, val, test = split_corpus(corpus.essays, SplitSpec(seed=0))
+    train, val, test = split_corpus(corpus.essays, Config(seed=0))
     held = val + test
     gold = np.array([e.raw_score for e in held], dtype=float)
 
     def held_out_rho(alpha, seed):
-        params, _ = train_sswe(train, corpus.vocab, SSWEHyper(
+        params, _ = train_sswe(train, corpus.vocab, Config(
             embed_dim=12, hidden_dim=8, window_size=3, n_corruptions=8,
-            alpha=alpha, learning_rate=0.01, epochs=5, seed=seed))
-        hyper = SeqHyper(lstm_dim=8, layers=1, bidirectional=False,
-                         dropout=0.0, peepholes="full", learning_rate=0.003,
-                         epochs=60, batch_size=4, patience=60, seed=seed)
-        model = SeqModel.init(params.M.copy(), hyper,
+            alpha=alpha, learning_rate=0.01, embed_epochs=5, seed=seed))
+        cfg = Config(lstm_dim=8, layers=1, bidirectional=False,
+                     dropout=0.0, peepholes="full", learning_rate=0.003,
+                     epochs=60, batch_size=4, patience=60, seed=seed)
+        model = SeqModel.init(params.M.copy(), cfg,
                               np.random.default_rng(seed))
-        model, _ = train_scorer(model, train, val, corpus.ranges, hyper)
+        model, _ = train_scorer(model, train, val, corpus.ranges, cfg)
         return spearman_rho(predict(model, held, corpus.ranges), gold)
 
     # within this budget the score-weighted start converges at every

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 
+from essayscore.config import Config
 from essayscore.corpus import Vocabulary
 from essayscore.errors import ModelFormatError
-from essayscore.lstm import SeqHyper, SeqModel, load_model, save_model
-from essayscore.sswe import (SSWEHyper, SSWEParams, load_embeddings,
-                             save_embeddings)
+from essayscore.lstm import SeqModel, load_model, save_model
+from essayscore.sswe import SSWEParams, load_embeddings, save_embeddings
 
 from conftest import run_limited
 
@@ -24,8 +24,8 @@ FLIP_MASKS = (0x01, 0x80, 0xFF)
 def _embedding_file(path: Path):
     """A seeded ``.sswe``; returns its header length and its u32 fields."""
     vocab = Vocabulary(["alpha", "beta", "naïve"])
-    hyper = SSWEHyper(embed_dim=3, hidden_dim=4, window_size=3)
-    params = SSWEParams.init(len(vocab), hyper, np.random.default_rng(7))
+    cfg = Config(embed_dim=3, hidden_dim=4, window_size=3)
+    params = SSWEParams.init(len(vocab), cfg, np.random.default_rng(7))
     save_embeddings(path, params, vocab, config_hash=CHASH)
     # the five header words, each token's length prefix, the hash length
     u32 = [4 + 4 * k for k in range(5)]
@@ -40,10 +40,10 @@ def _embedding_file(path: Path):
 def _model_file(path: Path):
     """A seeded ``.sats``; returns its header length, u32 and f64 fields."""
     rng = np.random.default_rng(7)
-    hyper = SeqHyper(lstm_dim=3, layers=2, bidirectional=True,
-                     peepholes="full", dropout=0.25)
+    cfg = Config(lstm_dim=3, layers=2, bidirectional=True,
+                 peepholes="full", dropout=0.25)
     model = SeqModel.init(np.asfortranarray(rng.uniform(size=(4, 11))),
-                          hyper, rng)
+                          cfg, rng)
     save_model(path, model, config_hash=CHASH)
     u32 = [4 + 4 * k for k in range(7)]
     u32.append(path.stat().st_size - 4 - len(CHASH))

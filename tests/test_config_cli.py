@@ -14,9 +14,9 @@ from essayscore.config import (Config, SearchSpace, config_hash, load_config,
                                write_config)
 from essayscore.corpus import Vocabulary, load_corpus_cache, read_manifest
 from essayscore.errors import ConfigError
-from essayscore.lstm import (MODEL_MAGIC, SeqHyper, SeqModel, load_model,
+from essayscore.lstm import (MODEL_MAGIC, SeqModel, load_model,
                              predict, save_model)
-from essayscore.sswe import (EMBEDDING_MAGIC, SSWEHyper, SSWEParams,
+from essayscore.sswe import (EMBEDDING_MAGIC, SSWEParams,
                              load_embeddings, save_embeddings)
 
 from conftest import run_limited_cli
@@ -110,6 +110,52 @@ class TestConfigParsing:
                 cfg.validate()
 
 
+# Every check of Config.validate with its message.
+_RANGE = "epochs must be >= 0, batch_size and patience >= 1"
+VALIDATION_TABLE = [
+    # NaN passes every range comparison, so the float fields go first
+    (dict(alpha=float("nan")), "alpha must be finite, got nan"),
+    (dict(val_ratio=float("nan")), "val_ratio must be finite, got nan"),
+    (dict(eps_rms=float("inf")), "eps_rms must be finite, got inf"),
+    (dict(clip_norm=float("nan")), "clip_norm must be finite, got nan"),
+    (dict(clip_norm=float("inf")), "clip_norm must be finite, got inf"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(min_count=0), "min_count must be >= 1, got 0"),
+    (dict(val_ratio=0.5, test_ratio=0.5),
+     "split ratios val=0.5 test=0.5 leave no training data"),
+    (dict(val_ratio=-0.1, test_ratio=-0.1),
+     "split ratios val=-0.1 test=-0.1 leave no training data"),
+    (dict(window_size=4), "window size must be odd and >= 3, got 4"),
+    (dict(window_size=1), "window size must be odd and >= 3, got 1"),
+    (dict(alpha=1.5), "alpha must lie in [0, 1], got 1.5"),
+    (dict(n_corruptions=0), "n_corruptions must be >= 1, got 0"),
+    (dict(embed_dim=0), "embed_dim and hidden_dim must be positive"),
+    (dict(hidden_dim=0), "embed_dim and hidden_dim must be positive"),
+    (dict(embed_epochs=-1), "embed_epochs must be >= 0, got -1"),
+    (dict(lstm_dim=0), "lstm_dim must be positive, got 0"),
+    (dict(layers=3), "layers must be 1 or 2, got 3"),
+    (dict(dropout=1.0), "dropout must lie in [0, 1), got 1.0"),
+    (dict(peepholes="sideways"), "peepholes must be one of ('full', "
+     "'diagonal', 'off'), got 'sideways'"),
+    (dict(epochs=-1), _RANGE),
+    (dict(batch_size=0), _RANGE),
+    (dict(patience=0), _RANGE),
+    (dict(rho_rms=1.0), "rho_rms must lie in (0, 1), got 1.0"),
+    (dict(eps_rms=0.0), "eps_rms must be a finite number > 0, got 0.0"),
+    (dict(clip_norm=-1.0), "clip_norm must be a finite number >= 0, got -1.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "settings,message", VALIDATION_TABLE,
+    ids=["-".join(f"{k}={v}" for k, v in s.items())
+         for s, _ in VALIDATION_TABLE])
+def test_validation_table(settings, message):
+    with pytest.raises(ConfigError) as exc:
+        Config(**settings).validate()
+    assert str(exc.value) == message
+
+
 class TestConfigHash:
     def test_stable_and_well_formed(self):
         cfg = Config(seed=2)
@@ -132,6 +178,12 @@ class TestSearchSpace:
         SearchSpace().validate()
         with pytest.raises(ConfigError):
             SearchSpace(trials=0).validate()
+
+    @pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan")])
+    def test_alpha_choices_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ConfigError, match="--alpha-choices must lie in "
+                                              r"\[0, 1\]"):
+            SearchSpace(alpha_choices=(0.5, alpha)).validate()
 
     def test_draw_respects_ranges(self):
         space = SearchSpace()
@@ -275,6 +327,27 @@ class TestIngestCommand:
         # min_count 999 would leave only the special tokens
         assert len(corpus.vocab) > 3
 
+    def test_reused_manifest_with_unknown_id_is_a_data_error(self, tmp_path,
+                                                             capsys):
+        # ingest used to accept it and report its length as the split's
+        # size; train-embeddings then failed on the missing id
+        assert main(["synth", "--profile", "overfit16",
+                     "--out", str(tmp_path / "synth.tsv")]) == 0
+        cfgpath = write_workspace_config(tmp_path)
+        assert main(["--config", str(cfgpath), "ingest"]) == 0
+        manifest = tmp_path / "splits" / "train.ids"
+        manifest.write_text(manifest.read_text() + "99\n")
+        cache = tmp_path / "splits" / "corpus.json"
+        cache.unlink()
+        capsys.readouterr()
+        assert main(["--config", str(cfgpath), "ingest"]) == 2
+        out, err = capsys.readouterr()
+        assert f"train manifest {manifest}" in err
+        assert "essay ids missing from corpus: [99]" in err
+        assert "splits:" not in out
+        assert not cache.exists()
+        assert not list((tmp_path / "splits").glob("*.tmp"))
+
     def test_config_via_environment(self, tmp_path, monkeypatch):
         assert main(["synth", "--profile", "overfit16",
                      "--out", str(tmp_path / "synth.tsv")]) == 0
@@ -315,9 +388,9 @@ class TestTrainCommands:
                                                   capsys):
         root, cfgpath = workspace
         vocab = Vocabulary(["a", "b", "c"])
-        hyper = SSWEHyper(embed_dim=8, hidden_dim=6, window_size=3,
-                          n_corruptions=5)
-        params = SSWEParams.init(len(vocab), hyper, np.random.default_rng(0))
+        cfg = Config(embed_dim=8, hidden_dim=6, window_size=3,
+                     n_corruptions=5)
+        params = SSWEParams.init(len(vocab), cfg, np.random.default_rng(0))
         alien = tmp_path / "alien.sswe"
         save_embeddings(alien, params, vocab)
         rc = main(["--config", str(cfgpath), "train-scorer",
@@ -338,9 +411,9 @@ class TestTrainCommands:
         words[0], words[1] = words[1], words[0]
         vocab = Vocabulary(words)
         assert len(vocab) == len(corpus.vocab)
-        hyper = SSWEHyper(embed_dim=8, hidden_dim=6, window_size=3,
-                          n_corruptions=5)
-        params = SSWEParams.init(len(vocab), hyper, np.random.default_rng(0))
+        cfg = Config(embed_dim=8, hidden_dim=6, window_size=3,
+                     n_corruptions=5)
+        params = SSWEParams.init(len(vocab), cfg, np.random.default_rng(0))
         alien = tmp_path / "alien.sswe"
         save_embeddings(alien, params, vocab)
         model_bytes = (root / "models" / "model.sats").read_bytes()
@@ -359,8 +432,8 @@ class TestTrainCommands:
         # name a dimension it does not have
         root, cfgpath = workspace
         _, vocab, _ = load_embeddings(root / "models" / "embeddings.sswe")
-        hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3)
-        params = SSWEParams.init(len(vocab), hyper, np.random.default_rng(0))
+        cfg = Config(embed_dim=5, hidden_dim=6, window_size=3)
+        params = SSWEParams.init(len(vocab), cfg, np.random.default_rng(0))
         narrow = tmp_path / "narrow.sswe"
         save_embeddings(narrow, params, vocab)
         model_bytes = (root / "models" / "model.sats").read_bytes()
@@ -419,6 +492,30 @@ class TestEvaluateCommand:
         capsys.readouterr()
         assert (root / "reports" / "metrics_val.csv").read_bytes() == old
         assert not list((root / "reports").glob("*.tmp"))
+
+    def test_constant_gold_scores_are_a_data_error(self, tmp_path):
+        # the first five overfit16 essays all score 0; evaluating their
+        # 4-essay train split used to exit 3 as a numerical failure
+        tsv = tmp_path / "synth.tsv"
+        assert main(["synth", "--profile", "overfit16", "--out", str(tsv)]) == 0
+        tsv.write_text("\n".join(tsv.read_text().splitlines()[:6]) + "\n")
+        cfgpath = write_workspace_config(tmp_path)
+        assert main(["--config", str(cfgpath), "ingest"]) == 0
+        corpus, _ = load_corpus_cache(tmp_path / "splits" / "corpus.json")
+        assert {e.raw_score for e in corpus.essays} == {0.0}
+        rng = np.random.default_rng(0)
+        M = np.asfortranarray(rng.uniform(-1, 1, (4, len(corpus.vocab))))
+        (tmp_path / "models").mkdir()
+        save_model(tmp_path / "models" / "model.sats",
+                   SeqModel.init(M, Config(lstm_dim=4), rng))
+        proc = run_limited_cli(["--config", str(cfgpath), "evaluate",
+                                "--split", "train"])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        manifest = tmp_path / "splits" / "train.ids"
+        assert f"train split ({manifest}) has one distinct gold score" \
+            in proc.stderr
+        assert not (tmp_path / "reports").exists()
 
     def test_missing_model_is_a_data_error(self, tmp_path, capsys):
         cfgpath = write_workspace_config(tmp_path)
@@ -556,6 +653,22 @@ class TestSearchCommand:
         rc = main(["--config", str(cfgpath), "search", "--trials", "0"])
         assert rc == 1
         capsys.readouterr()
+
+    # whether 1.5 was caught used to depend on the draw: seed 2 failed
+    # after training a trial, seed 3 never drew it and exited 0
+    @pytest.mark.parametrize("search_seed", ["2", "3"])
+    def test_alpha_choice_outside_unit_interval_runs_no_trial(
+            self, workspace, capsys, search_seed):
+        root, cfgpath = workspace
+        trials = root / "reports" / "search_trials.csv"
+        before = trials.read_bytes() if trials.exists() else None
+        rc = main(["--config", str(cfgpath), "search", "--trials", "4",
+                   "--search-seed", search_seed, "--alpha-choices", "0.5,1.5"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert "--alpha-choices must lie in [0, 1], got 1.5" in err
+        assert "trial" not in out
+        assert (trials.read_bytes() if trials.exists() else None) == before
 
 
 class TestUsageErrors:
@@ -759,7 +872,7 @@ class TestSplitManifests:
         corpus, _ = load_corpus_cache(tmp_path / "splits" / "corpus.json")
         rng = np.random.default_rng(0)
         M = np.asfortranarray(rng.uniform(-1, 1, (4, len(corpus.vocab))))
-        model = SeqModel.init(M, SeqHyper(lstm_dim=4), rng)
+        model = SeqModel.init(M, Config(lstm_dim=4), rng)
         (tmp_path / "models").mkdir()
         save_model(tmp_path / "models" / "model.sats", model)
         proc = run_limited_cli(["--config", str(cfgpath), "evaluate",
@@ -905,7 +1018,7 @@ class TestForgedHeaders:
         root, cfgpath = workspace
         model, _ = load_model(root / "models" / "model.sats")
         empty = SeqModel.init(np.zeros((0, model.vocab_size), order="F"),
-                              SeqHyper(lstm_dim=4), np.random.default_rng(0))
+                              Config(lstm_dim=4), np.random.default_rng(0))
         forged = tmp_path / "zero.sats"
         save_model(forged, empty)
         rc = main(["--config", str(cfgpath), "evaluate",

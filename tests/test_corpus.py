@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from essayscore.config import Config
 from essayscore.corpus import (
     BOUNDARY_ID,
     N_SPECIALS,
@@ -12,7 +13,6 @@ from essayscore.corpus import (
     UNK_ID,
     Corpus,
     ScoreRange,
-    SplitSpec,
     Vocabulary,
     build_vocabulary,
     corrupt_window,
@@ -301,14 +301,14 @@ class TestSplit:
         assert len(train) == 7 - len(val) - len(test)
 
     def test_same_seed_same_split(self):
-        a = split_corpus(_essays(50), SplitSpec(seed=3))
-        b = split_corpus(_essays(50), SplitSpec(seed=3))
+        a = split_corpus(_essays(50), Config(seed=3))
+        b = split_corpus(_essays(50), Config(seed=3))
         assert [[e.essay_id for e in part] for part in a] == \
             [[e.essay_id for e in part] for part in b]
 
     def test_different_seed_different_split(self):
-        a = split_corpus(_essays(100), SplitSpec(seed=0))
-        b = split_corpus(_essays(100), SplitSpec(seed=1))
+        a = split_corpus(_essays(100), Config(seed=0))
+        b = split_corpus(_essays(100), Config(seed=1))
         assert {e.essay_id for e in a[2]} != {e.essay_id for e in b[2]}
 
     def test_order_insensitive(self):
@@ -327,14 +327,13 @@ class TestSplit:
             assert by_set[1] == by_set[2]
 
     def test_bad_ratios_rejected(self):
-        with pytest.raises(ConfigError):
-            split_corpus(_essays(10), SplitSpec(ratios=(0.5, 0.2, 0.2)))
-        with pytest.raises(ConfigError):
-            split_corpus(_essays(10), SplitSpec(ratios=(1.2, -0.1, -0.1)))
-        # NaN fails the sum check's comparison, so it needs its own
+        with pytest.raises(ConfigError, match="leave no training data"):
+            split_corpus(_essays(10), Config(val_ratio=0.5, test_ratio=0.5))
+        with pytest.raises(ConfigError, match="leave no training data"):
+            split_corpus(_essays(10), Config(val_ratio=-0.1, test_ratio=0.2))
+        # NaN fails every range comparison, so it needs its own check
         with pytest.raises(ConfigError, match="finite"):
-            split_corpus(_essays(10), SplitSpec(ratios=(0.8, float("nan"),
-                                                        0.2)))
+            split_corpus(_essays(10), Config(val_ratio=float("nan")))
 
     def test_output_preserves_input_order(self):
         essays = _essays(30)
@@ -548,7 +547,7 @@ def test_tokenize_never_emits_empty_tokens(texts):
        st.integers(min_value=0, max_value=2 ** 40))
 def test_split_is_always_a_partition(ids, seed):
     essays = [make_essay([3, 4], essay_id=i) for i in ids]
-    train, val, test = split_corpus(essays, SplitSpec(seed=seed))
+    train, val, test = split_corpus(essays, Config(seed=seed))
     combined = sorted(e.essay_id for part in (train, val, test) for e in part)
     assert combined == sorted(ids)
     n = len(ids)

@@ -7,11 +7,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from essayscore.config import Config
 from essayscore.corpus import ScoreRange
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
 from essayscore.lstm import (FORGET_BIAS, LSTMLayer,
-                             RMSPropState, SeqHyper, SeqModel, _n_params,
+                             RMSPropState, SeqModel, _n_params,
                              backward_batch, bptt, clip_gradients,
                              column_gradient, forward_batch, forward_essay,
                              load_model, predict, predict_batch,
@@ -28,10 +29,10 @@ def build_model(vocab=9, embed_dim=3, seed=0, boost=3.0, mscale=0.5, **kw):
     kw.setdefault("lstm_dim", 3)
     kw.setdefault("dropout", 0.0)
     kw.setdefault("peepholes", "off")
-    hyper = SeqHyper(**kw)
+    cfg = Config(**kw)
     rng = np.random.default_rng(seed)
     M = rng.uniform(-mscale, mscale, size=(embed_dim, vocab))
-    model = SeqModel.init(M, hyper, rng)
+    model = SeqModel.init(M, cfg, rng)
     for name, arr in model.named_arrays():
         if name != "M":
             arr *= boost
@@ -559,7 +560,7 @@ class TestCopy:
 class TestOptimizer:
     def test_state_covers_every_array(self):
         model = build_model(bidirectional=True, layers=2, peepholes="full")
-        state = RMSPropState.for_model(model, SeqHyper())
+        state = RMSPropState.for_model(model, Config())
         names = [n for n, _ in model.named_arrays()]
         assert sorted(state.acc) == sorted(names)
         assert all(np.all(a == 0.0) for a in state.acc.values())
@@ -653,8 +654,8 @@ class TestTraining:
         train, val, ranges = toy_corpus()
         model = build_model(vocab=9, seed=20)
         before = {n: a.copy() for n, a in model.named_arrays()}
-        hyper = SeqHyper(lstm_dim=3, dropout=0.0, peepholes="off", epochs=0)
-        best, history = train_scorer(model, train, val, ranges, hyper)
+        cfg = Config(lstm_dim=3, dropout=0.0, peepholes="off", epochs=0)
+        best, history = train_scorer(model, train, val, ranges, cfg)
         assert history == []
         for name, arr in best.named_arrays():
             assert np.array_equal(arr, before[name])
@@ -663,22 +664,22 @@ class TestTraining:
         train, val, ranges = toy_corpus()
         model = build_model(vocab=9, seed=21)
         before = {n: a.copy() for n, a in model.named_arrays()}
-        hyper = SeqHyper(lstm_dim=3, dropout=0.0, peepholes="off", epochs=3,
-                         learning_rate=0.0, batch_size=4)
-        best, history = train_scorer(model, train, val, ranges, hyper)
+        cfg = Config(lstm_dim=3, dropout=0.0, peepholes="off", epochs=3,
+                     learning_rate=0.0, batch_size=4)
+        best, history = train_scorer(model, train, val, ranges, cfg)
         assert len(history) == 3
         for name, arr in best.named_arrays():
             assert np.array_equal(arr, before[name])
 
     def test_training_is_deterministic(self):
         train, val, ranges = toy_corpus()
-        hyper = SeqHyper(lstm_dim=4, dropout=0.4, peepholes="full",
-                         learning_rate=0.01, epochs=5, batch_size=4, seed=5)
+        cfg = Config(lstm_dim=4, dropout=0.4, peepholes="full",
+                     learning_rate=0.01, epochs=5, batch_size=4, seed=5)
         runs = []
         for _ in range(2):
             model = build_model(vocab=9, seed=22, lstm_dim=4, dropout=0.4,
                                 peepholes="full")
-            runs.append(train_scorer(model, train, val, ranges, hyper))
+            runs.append(train_scorer(model, train, val, ranges, cfg))
         (best_a, hist_a), (best_b, hist_b) = runs
         for (name, a), (_, b) in zip(best_a.named_arrays(),
                                      best_b.named_arrays()):
@@ -689,52 +690,54 @@ class TestTraining:
         train, val, ranges = toy_corpus()
         model = build_model(vocab=9, embed_dim=6, seed=23, lstm_dim=6,
                             boost=1.0)
-        hyper = SeqHyper(lstm_dim=6, dropout=0.0, peepholes="off",
-                         learning_rate=0.01, epochs=40, batch_size=4, seed=1)
-        _, history = train_scorer(model, train, val, ranges, hyper)
+        cfg = Config(lstm_dim=6, dropout=0.0, peepholes="off",
+                     learning_rate=0.01, epochs=40, batch_size=4, seed=1)
+        _, history = train_scorer(model, train, val, ranges, cfg)
         assert history[-1].train_mse < 0.5 * history[0].train_mse
         assert min(h.val_rmse for h in history) < history[0].val_rmse
 
     def test_patience_stops_training_early(self):
         train, val, ranges = toy_corpus()
         model = build_model(vocab=9, seed=24)
-        hyper = SeqHyper(lstm_dim=3, dropout=0.0, peepholes="off",
-                         learning_rate=0.0, epochs=50, patience=2,
-                         batch_size=4)
-        _, history = train_scorer(model, train, val, ranges, hyper)
+        cfg = Config(lstm_dim=3, dropout=0.0, peepholes="off",
+                     learning_rate=0.0, epochs=50, patience=2,
+                     batch_size=4)
+        _, history = train_scorer(model, train, val, ranges, cfg)
         assert len(history) == 3
 
     def test_empty_sets_rejected(self):
         train, val, ranges = toy_corpus()
         model = build_model(vocab=9)
-        hyper = SeqHyper(lstm_dim=3, dropout=0.0)
+        cfg = Config(lstm_dim=3, dropout=0.0)
         with pytest.raises(ConfigError):
-            train_scorer(model, [], val, ranges, hyper)
+            train_scorer(model, [], val, ranges, cfg)
         with pytest.raises(ConfigError):
-            train_scorer(model, train, [], ranges, hyper)
+            train_scorer(model, train, [], ranges, cfg)
 
     @pytest.mark.parametrize("clip_norm", [-1.0, float("nan"), float("inf")])
     def test_clip_norm_must_be_finite_and_non_negative(self, clip_norm):
+        train, val, ranges = toy_corpus()
+        cfg = Config(lstm_dim=3, dropout=0.0, clip_norm=clip_norm)
         with pytest.raises(ConfigError, match="clip_norm"):
-            SeqHyper(clip_norm=clip_norm).validate()
+            train_scorer(build_model(vocab=9), train, val, ranges, cfg)
 
     def test_unknown_essay_set_rejected(self):
         train, val, ranges = toy_corpus()
         stray = make_essay([1, 2], essay_id=99, set_id=4, raw=2.0)
         model = build_model(vocab=9)
-        hyper = SeqHyper(lstm_dim=3, dropout=0.0)
+        cfg = Config(lstm_dim=3, dropout=0.0)
         with pytest.raises(DataError):
-            train_scorer(model, train + [stray], val, ranges, hyper)
+            train_scorer(model, train + [stray], val, ranges, cfg)
 
     def test_non_finite_loss_raises(self):
         train, val, ranges = toy_corpus()
         model = build_model(vocab=9, seed=25)
         model.b_y[0] = np.nan
-        hyper = SeqHyper(lstm_dim=3, dropout=0.0, peepholes="off", epochs=2,
-                         batch_size=4)
+        cfg = Config(lstm_dim=3, dropout=0.0, peepholes="off", epochs=2,
+                     batch_size=4)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericalError):
-                train_scorer(model, train, val, ranges, hyper)
+                train_scorer(model, train, val, ranges, cfg)
 
 
 def mixed_corpus(vocab_used=12):
@@ -753,18 +756,18 @@ class TestTrainingMatchesReference:
     def epoch_against_reference(clip_norm):
         """One epoch of both loops; returns the reference's clipped steps."""
         train, val, ranges = mixed_corpus()
-        hyper = SeqHyper(lstm_dim=3, layers=2, bidirectional=True,
-                         peepholes="full", dropout=0.5, learning_rate=0.01,
-                         epochs=1, batch_size=3, seed=4, clip_norm=clip_norm)
+        cfg = Config(lstm_dim=3, layers=2, bidirectional=True,
+                     peepholes="full", dropout=0.5, learning_rate=0.01,
+                     epochs=1, batch_size=3, seed=4, clip_norm=clip_norm)
         model = build_model(vocab=16, embed_dim=4, seed=33, lstm_dim=3,
                             layers=2, bidirectional=True, peepholes="full",
                             dropout=0.5, boost=2.0)
         oracle = model.copy()
-        best, history = train_scorer(model, train, val, ranges, hyper)
+        best, history = train_scorer(model, train, val, ranges, cfg)
 
-        rng = np.random.default_rng(hyper.seed)
-        state = RMSPropState.for_model(oracle, hyper)
-        sq_sum, clipped = ref.train_epoch(oracle, train, hyper, rng, state)
+        rng = np.random.default_rng(cfg.seed)
+        state = RMSPropState.for_model(oracle, cfg)
+        sq_sum, clipped = ref.train_epoch(oracle, train, cfg, rng, state)
         assert history[0].train_mse == pytest.approx(sq_sum / len(train),
                                                      rel=1e-10)
         for (name, a), (_, b) in zip(best.named_arrays(),
@@ -800,13 +803,13 @@ class TestTrainingMatchesReference:
 
     def test_untouched_columns_are_bitwise_unchanged(self):
         train, val, ranges = mixed_corpus(vocab_used=12)
-        hyper = SeqHyper(lstm_dim=3, dropout=0.3, peepholes="full",
-                         learning_rate=0.05, epochs=3, batch_size=3, seed=2)
+        cfg = Config(lstm_dim=3, dropout=0.3, peepholes="full",
+                     learning_rate=0.05, epochs=3, batch_size=3, seed=2)
         model = build_model(vocab=16, embed_dim=4, seed=34, lstm_dim=3,
                             dropout=0.3, peepholes="full")
         model.M = np.asfortranarray(model.M)
         before = model.M.copy(order="F")
-        best, _ = train_scorer(model, train, val, ranges, hyper)
+        best, _ = train_scorer(model, train, val, ranges, cfg)
         touched = sorted({t for e in train for t in e.tokens})
         untouched = [c for c in range(16) if c not in touched]
         assert untouched and touched
@@ -920,7 +923,7 @@ class TestPersistence:
     def test_seeded_model_bytes_are_pinned(self, tmp_path, arch, digest):
         rng = np.random.default_rng(2024)
         M = rng.uniform(-0.05, 0.05, size=(4, 11))
-        model = SeqModel.init(M, SeqHyper(lstm_dim=3, **arch), rng)
+        model = SeqModel.init(M, Config(lstm_dim=3, **arch), rng)
         path = tmp_path / "m.sats"
         save_model(path, model, config_hash="0123abcd4567ef89")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -930,13 +933,13 @@ class TestPersistence:
         # RMSprop accumulator per gate, so it pins the optimizer's
         # arithmetic as well as the file layout
         train, val, ranges = mixed_corpus()
-        hyper = SeqHyper(lstm_dim=3, layers=2, bidirectional=True,
-                         peepholes="full", dropout=0.5, learning_rate=0.01,
-                         epochs=1, batch_size=3, seed=4, clip_norm=0.0)
+        cfg = Config(lstm_dim=3, layers=2, bidirectional=True,
+                     peepholes="full", dropout=0.5, learning_rate=0.01,
+                     epochs=1, batch_size=3, seed=4, clip_norm=0.0)
         rng = np.random.default_rng(2024)
         M = rng.uniform(-0.05, 0.05, size=(4, 16))
-        best, history = train_scorer(SeqModel.init(M, hyper, rng), train,
-                                     val, ranges, hyper)
+        best, history = train_scorer(SeqModel.init(M, cfg, rng), train,
+                                     val, ranges, cfg)
         assert len(history) == 1
         path = tmp_path / "m.sats"
         save_model(path, best, config_hash="0123abcd4567ef89")
@@ -948,7 +951,7 @@ class TestPersistence:
     def test_seeded_model_resaves_identically(self, tmp_path, arch):
         rng = np.random.default_rng(2024)
         M = rng.uniform(-0.05, 0.05, size=(4, 11))
-        model = SeqModel.init(M, SeqHyper(lstm_dim=3, **arch), rng)
+        model = SeqModel.init(M, Config(lstm_dim=3, **arch), rng)
         path, again = tmp_path / "m.sats", tmp_path / "again.sats"
         save_model(path, model, config_hash="0123abcd4567ef89")
         loaded, tag = load_model(path)
@@ -989,8 +992,8 @@ class TestPersistence:
             load_model(path)
 
     def test_zero_embed_dim_rejected(self, tmp_path):
-        model = SeqModel.init(np.zeros((0, 6), order="F"), SeqHyper(lstm_dim=3),
-                              np.random.default_rng(0))
+        model = SeqModel.init(np.zeros((0, 6), order="F"),
+                              Config(lstm_dim=3), np.random.default_rng(0))
         path = tmp_path / "model.sats"
         save_model(path, model)
         with pytest.raises(ModelFormatError, match="corrupt architecture"):

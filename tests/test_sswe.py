@@ -9,12 +9,12 @@ import pytest
 
 import essayscore
 import essayscore.sswe as sswemod
+from essayscore.config import Config
 from essayscore.corpus import ScoreRange, Vocabulary, corrupt_window
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
 from essayscore.sswe import (
     EpochLosses,
-    SSWEHyper,
     SSWEParams,
     backward,
     cosine_distance,
@@ -27,7 +27,7 @@ from essayscore.sswe import (
     train_sswe,
 )
 
-from essayscore.lstm import SeqHyper, SeqModel, train_scorer
+from essayscore.lstm import SeqModel, train_scorer
 
 from conftest import finite_difference, max_relative_error, make_essay
 from reference_sswe import (dense_gradients, embed_window, forward,
@@ -46,23 +46,22 @@ class TestHtanh:
 
 
 class TestHyper:
+    # every check and its message is in test_config_cli's validation
+    # table; these check that the network's constructor applies them
     def test_defaults_validate(self):
-        SSWEHyper().validate()
+        p = SSWEParams.init(5, Config(), np.random.default_rng(0))
+        assert (p.embed_dim, p.hidden_dim, p.window_size) == (200, 100, 9)
 
     def test_rejections(self):
-        with pytest.raises(ConfigError):
-            SSWEHyper(window_size=4).validate()
-        with pytest.raises(ConfigError):
-            SSWEHyper(alpha=1.5).validate()
-        with pytest.raises(ConfigError):
-            SSWEHyper(n_corruptions=0).validate()
-        with pytest.raises(ConfigError):
-            SSWEHyper(embed_dim=0).validate()
+        for bad in (dict(window_size=4), dict(alpha=1.5),
+                    dict(n_corruptions=0), dict(embed_dim=0)):
+            with pytest.raises(ConfigError):
+                SSWEParams.init(5, Config(**bad), np.random.default_rng(0))
 
 
 def small_params(seed=0, d=4, h=5, n=3, v=12):
-    hyper = SSWEHyper(embed_dim=d, hidden_dim=h, window_size=n)
-    return SSWEParams.init(v, hyper, np.random.default_rng(seed))
+    cfg = Config(embed_dim=d, hidden_dim=h, window_size=n)
+    return SSWEParams.init(v, cfg, np.random.default_rng(seed))
 
 
 class TestParams:
@@ -102,8 +101,8 @@ class TestForward:
 
     def test_hand_computed_tiny_network(self):
         # one hidden unit, identity-ish weights small enough to stay linear
-        hyper = SSWEHyper(embed_dim=1, hidden_dim=1, window_size=3)
-        p = SSWEParams.init(4, hyper, np.random.default_rng(0))
+        cfg = Config(embed_dim=1, hidden_dim=1, window_size=3)
+        p = SSWEParams.init(4, cfg, np.random.default_rng(0))
         p.M[...] = np.array([[0.1, 0.2, 0.3, 0.4]])
         p.W_hi[...] = np.array([[1.0, 2.0, 3.0]])
         p.b_h[...] = 0.05
@@ -241,29 +240,30 @@ def training_essays(vocab, n_essays=6):
 class TestTraining:
     def test_loss_decreases(self):
         vocab = Vocabulary([f"w{k}" for k in range(10)])
-        hyper = SSWEHyper(embed_dim=6, hidden_dim=8, window_size=3,
-                          n_corruptions=5, alpha=0.1, learning_rate=0.05,
-                          epochs=8, seed=0)
-        _, history = train_sswe(training_essays(vocab), vocab, hyper)
+        cfg = Config(embed_dim=6, hidden_dim=8, window_size=3,
+                     n_corruptions=5, alpha=0.1, learning_rate=0.05,
+                     embed_epochs=8, seed=0)
+        _, history = train_sswe(training_essays(vocab), vocab, cfg)
         assert history[-1].loss_overall < history[0].loss_overall
 
     def test_deterministic_given_seed(self):
         vocab = Vocabulary([f"w{k}" for k in range(10)])
-        hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3,
-                          n_corruptions=4, learning_rate=0.01, epochs=3,
-                          seed=11)
-        a, ha = train_sswe(training_essays(vocab), vocab, hyper)
-        b, hb = train_sswe(training_essays(vocab), vocab, hyper)
+        cfg = Config(embed_dim=5, hidden_dim=6, window_size=3,
+                     n_corruptions=4, learning_rate=0.01, embed_epochs=3,
+                     seed=11)
+        a, ha = train_sswe(training_essays(vocab), vocab, cfg)
+        b, hb = train_sswe(training_essays(vocab), vocab, cfg)
         assert all(np.array_equal(getattr(a, n), getattr(b, n))
                    for n in ("M",) + a.dense_names())
         assert ha == hb
 
     def test_zero_rate_keeps_initialization(self):
         vocab = Vocabulary([f"w{k}" for k in range(10)])
-        hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3,
-                          n_corruptions=4, learning_rate=0.0, epochs=2, seed=2)
-        params, history = train_sswe(training_essays(vocab), vocab, hyper)
-        init = SSWEParams.init(len(vocab), hyper, np.random.default_rng(2))
+        cfg = Config(embed_dim=5, hidden_dim=6, window_size=3,
+                     n_corruptions=4, learning_rate=0.0, embed_epochs=2,
+                     seed=2)
+        params, history = train_sswe(training_essays(vocab), vocab, cfg)
+        init = SSWEParams.init(len(vocab), cfg, np.random.default_rng(2))
         assert all(np.array_equal(getattr(params, n), getattr(init, n))
                    for n in ("M",) + params.dense_names())
         assert len(history) == 2
@@ -272,11 +272,11 @@ class TestTraining:
         # b_o2 cancels from every margin 1 - f_t + f_c, so its gradient
         # is exactly 0 and training must not move it by rounding residue
         vocab = Vocabulary([f"w{k}" for k in range(10)])
-        hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3,
-                          n_corruptions=7, alpha=0.6, learning_rate=0.05,
-                          epochs=3, seed=3)
-        params, _ = train_sswe(training_essays(vocab), vocab, hyper)
-        init = SSWEParams.init(len(vocab), hyper, np.random.default_rng(3))
+        cfg = Config(embed_dim=5, hidden_dim=6, window_size=3,
+                     n_corruptions=7, alpha=0.6, learning_rate=0.05,
+                     embed_epochs=3, seed=3)
+        params, _ = train_sswe(training_essays(vocab), vocab, cfg)
+        init = SSWEParams.init(len(vocab), cfg, np.random.default_rng(3))
         assert not np.array_equal(params.W_oh2, init.W_oh2)
         assert params.b_o2.tobytes() == init.b_o2.tobytes()
 
@@ -286,11 +286,11 @@ class TestTraining:
         bad = -1 if where == "negative" else len(vocab)
         essays = training_essays(vocab)
         essays[1].tokens[2] = bad
-        hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3,
-                          n_corruptions=4, learning_rate=0.01, epochs=1)
+        cfg = Config(embed_dim=5, hidden_dim=6, window_size=3,
+                     n_corruptions=4, learning_rate=0.01, embed_epochs=1)
         with pytest.raises(DataError, match="window id out of range for "
                                             f"vocabulary of {len(vocab)}"):
-            train_sswe(essays, vocab, hyper)
+            train_sswe(essays, vocab, cfg)
 
     def test_empty_windows_rejected(self):
         # no essays, or essays without tokens: their stream of boundary
@@ -299,19 +299,19 @@ class TestTraining:
         vocab = Vocabulary(["a"])
         for n_empty in (0, 1, 3):
             essays = [make_essay([], essay_id=k) for k in range(n_empty)]
-            for hyper in (SSWEHyper(), SSWEHyper(window_size=3)):
+            for cfg in (Config(), Config(window_size=3)):
                 with pytest.raises(ConfigError, match="cannot train "
                                    "embeddings on an empty window set"):
-                    train_sswe(essays, vocab, hyper)
+                    train_sswe(essays, vocab, cfg)
 
     def test_divergence_raises_numerical_error(self):
         vocab = Vocabulary([f"w{k}" for k in range(10)])
-        hyper = SSWEHyper(embed_dim=5, hidden_dim=6, window_size=3,
-                          n_corruptions=4, learning_rate=1e12, epochs=30,
-                          seed=0)
+        cfg = Config(embed_dim=5, hidden_dim=6, window_size=3,
+                     n_corruptions=4, learning_rate=1e12, embed_epochs=30,
+                     seed=0)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NumericalError):
-                train_sswe(training_essays(vocab), vocab, hyper)
+                train_sswe(training_essays(vocab), vocab, cfg)
 
 
 def test_package_import_leaves_scipy_linalg_unloaded():
@@ -355,9 +355,9 @@ def parity_essays():
     return vocab, essays
 
 
-def assert_matches_reference(essays, vocab, hyper):
-    got, history = train_sswe(essays, vocab, hyper)
-    want, losses = reference_train(essays, vocab, hyper)
+def assert_matches_reference(essays, vocab, cfg):
+    got, history = train_sswe(essays, vocab, cfg)
+    want, losses = reference_train(essays, vocab, cfg)
     assert got.M.flags.f_contiguous
     # the factored step rounds differently from the dense one; the
     # reference's b_o2 is pure rounding residue around its exact 0
@@ -377,10 +377,10 @@ class TestReferenceParity:
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_training_matches_dict_accumulation(self, alpha):
         vocab, essays = parity_essays()
-        hyper = SSWEHyper(embed_dim=4, hidden_dim=5, window_size=5,
-                          n_corruptions=12, alpha=alpha, learning_rate=0.2,
-                          epochs=3, seed=5)
-        assert_matches_reference(essays, vocab, hyper)
+        cfg = Config(embed_dim=4, hidden_dim=5, window_size=5,
+                     n_corruptions=12, alpha=alpha, learning_rate=0.2,
+                     embed_epochs=3, seed=5)
+        assert_matches_reference(essays, vocab, cfg)
 
     def test_saturated_training_matches_dict_accumulation(self,
                                                           monkeypatch):
@@ -389,8 +389,8 @@ class TestReferenceParity:
         # inactive path
         init = SSWEParams.init.__func__
 
-        def scaled_init(cls, vocab_size, hyper, rng):
-            params = init(cls, vocab_size, hyper, rng)
+        def scaled_init(cls, vocab_size, cfg, rng):
+            params = init(cls, vocab_size, cfg, rng)
             params.W_hi *= 25.0
             params.W_oh2 *= 30.0
             return params
@@ -405,10 +405,10 @@ class TestReferenceParity:
         monkeypatch.setattr(SSWEParams, "init", classmethod(scaled_init))
         monkeypatch.setattr(sswemod, "backward", recording_backward)
         vocab, essays = parity_essays()
-        hyper = SSWEHyper(embed_dim=4, hidden_dim=5, window_size=5,
-                          n_corruptions=12, alpha=0.5, learning_rate=0.2,
-                          epochs=3, seed=5)
-        assert_matches_reference(essays, vocab, hyper)
+        cfg = Config(embed_dim=4, hidden_dim=5, window_size=5,
+                     n_corruptions=12, alpha=0.5, learning_rate=0.2,
+                     embed_epochs=3, seed=5)
+        assert_matches_reference(essays, vocab, cfg)
 
         shared = sum(np.count_nonzero(g.weights) for *_, g in seen)
         partial = sum(g.partial.size for *_, g in seen)
@@ -423,8 +423,8 @@ class TestReferenceParity:
 class TestNeighbors:
     def test_cosine_ordering_and_exclusion(self):
         vocab = Vocabulary(["a", "b", "c", "d"])
-        hyper = SSWEHyper(embed_dim=2, hidden_dim=2, window_size=3)
-        p = SSWEParams.init(len(vocab), hyper, np.random.default_rng(0))
+        cfg = Config(embed_dim=2, hidden_dim=2, window_size=3)
+        p = SSWEParams.init(len(vocab), cfg, np.random.default_rng(0))
         p.M[...] = 0.0
         p.M[:, vocab.id_of("a")] = [1.0, 0.0]
         p.M[:, vocab.id_of("b")] = [1.0, 0.1]
@@ -439,8 +439,8 @@ class TestNeighbors:
 
     def test_distance_consistency(self):
         vocab = Vocabulary(["a", "b"])
-        hyper = SSWEHyper(embed_dim=3, hidden_dim=2, window_size=3)
-        p = SSWEParams.init(len(vocab), hyper, np.random.default_rng(1))
+        cfg = Config(embed_dim=3, hidden_dim=2, window_size=3)
+        p = SSWEParams.init(len(vocab), cfg, np.random.default_rng(1))
         d_ab = cosine_distance(p, vocab, "a", "b")
         d_ba = cosine_distance(p, vocab, "b", "a")
         assert d_ab == pytest.approx(d_ba)
@@ -450,8 +450,8 @@ class TestNeighbors:
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         vocab = Vocabulary(["alpha", "beta", "gamma"])
-        hyper = SSWEHyper(embed_dim=3, hidden_dim=4, window_size=3)
-        p = SSWEParams.init(len(vocab), hyper, np.random.default_rng(9))
+        cfg = Config(embed_dim=3, hidden_dim=4, window_size=3)
+        p = SSWEParams.init(len(vocab), cfg, np.random.default_rng(9))
         path = tmp_path / "emb.sswe"
         save_embeddings(path, p, vocab, config_hash="cafe01")
         q, loaded_vocab, chash = load_embeddings(path)
@@ -463,8 +463,8 @@ class TestPersistence:
     def test_loaded_matrix_is_word_major_and_resaves_identically(self,
                                                                  tmp_path):
         vocab = Vocabulary(["alpha", "beta", "gamma"])
-        hyper = SSWEHyper(embed_dim=3, hidden_dim=4, window_size=3)
-        p = SSWEParams.init(len(vocab), hyper, np.random.default_rng(8))
+        cfg = Config(embed_dim=3, hidden_dim=4, window_size=3)
+        p = SSWEParams.init(len(vocab), cfg, np.random.default_rng(8))
         path = tmp_path / "emb.sswe"
         save_embeddings(path, p, vocab, config_hash="beef")
         q, loaded_vocab, chash = load_embeddings(path)
@@ -481,15 +481,15 @@ class TestPersistence:
         ranges = {1: ScoreRange(0, 10)}
         essays = [make_essay(rng.integers(0, 12, size=7 + k), essay_id=k,
                              raw=float(k % 11)) for k in range(6)]
-        hyper = SeqHyper(lstm_dim=3, layers=2, bidirectional=True,
-                         dropout=0.3, peepholes="full", learning_rate=0.01,
-                         epochs=3, batch_size=4, patience=3, seed=2)
+        cfg = Config(lstm_dim=3, layers=2, bidirectional=True,
+                     dropout=0.3, peepholes="full", learning_rate=0.01,
+                     epochs=3, batch_size=4, patience=3, seed=2)
         results = []
         for layout in (np.asfortranarray, np.ascontiguousarray):
-            model = SeqModel.init(layout(M.copy()), hyper,
+            model = SeqModel.init(layout(M.copy()), cfg,
                                   np.random.default_rng(1))
             results.append(train_scorer(model, essays[:4], essays[4:],
-                                        ranges, hyper))
+                                        ranges, cfg))
         (a, ha), (b, hb) = results
         assert ha == hb
         for (name, x), (_, y) in zip(a.named_arrays(), b.named_arrays()):
@@ -503,8 +503,8 @@ class TestPersistence:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         vocab = Vocabulary(["alpha", "beta"])
-        hyper = SSWEHyper(embed_dim=3, hidden_dim=4, window_size=3)
-        p = SSWEParams.init(len(vocab), hyper, np.random.default_rng(4))
+        cfg = Config(embed_dim=3, hidden_dim=4, window_size=3)
+        p = SSWEParams.init(len(vocab), cfg, np.random.default_rng(4))
         path = tmp_path / "emb.sswe"
         save_embeddings(path, p, vocab)
         path.write_bytes(path.read_bytes() + b"x")
@@ -540,12 +540,12 @@ class TestPersistence:
          "a60d8bb1cd3d11bafb624a00a566948996f26ebd906c070eccf6e2766014bb50"),
     ]
 
-    @pytest.mark.parametrize("words,hyper,chash,digest", PINNED,
+    @pytest.mark.parametrize("words,dims,chash,digest", PINNED,
                              ids=["ascii", "non-ascii", "specials-only"])
-    def test_seeded_embedding_bytes_are_pinned(self, tmp_path, words, hyper,
+    def test_seeded_embedding_bytes_are_pinned(self, tmp_path, words, dims,
                                                chash, digest):
         vocab = Vocabulary(words)
-        p = SSWEParams.init(len(vocab), SSWEHyper(**hyper),
+        p = SSWEParams.init(len(vocab), Config(**dims),
                             np.random.default_rng(2024))
         path, again = tmp_path / "e.sswe", tmp_path / "again.sswe"
         save_embeddings(path, p, vocab, config_hash=chash)
@@ -563,10 +563,10 @@ class TestPersistence:
         essays = [make_essay([3, 4, 3, 5, 6, 3, 7], essay_id=0, raw=2.0),
                   make_essay([8, 1, 8], essay_id=1, raw=7.0),
                   make_essay([4, 4, 5, 6, 7, 8, 3, 4], essay_id=2, raw=9.0)]
-        hyper = SSWEHyper(embed_dim=4, hidden_dim=5, window_size=5,
-                          n_corruptions=6, alpha=0.1, learning_rate=0.05,
-                          epochs=1, seed=7)
-        params, history = train_sswe(essays, vocab, hyper)
+        cfg = Config(embed_dim=4, hidden_dim=5, window_size=5,
+                     n_corruptions=6, alpha=0.1, learning_rate=0.05,
+                     embed_epochs=1, seed=7)
+        params, history = train_sswe(essays, vocab, cfg)
         assert history == [EpochLosses(0, 0.30596652434412214,
                                        1.0000195024606482,
                                        0.22884952677561912)]
@@ -577,8 +577,8 @@ class TestPersistence:
 
     def test_truncation(self, tmp_path):
         vocab = Vocabulary(["alpha", "beta"])
-        hyper = SSWEHyper(embed_dim=3, hidden_dim=4, window_size=3)
-        p = SSWEParams.init(len(vocab), hyper, np.random.default_rng(0))
+        cfg = Config(embed_dim=3, hidden_dim=4, window_size=3)
+        p = SSWEParams.init(len(vocab), cfg, np.random.default_rng(0))
         path = tmp_path / "emb.sswe"
         save_embeddings(path, p, vocab)
         raw = path.read_bytes()
