@@ -89,9 +89,13 @@ class Writer:
         self._fh.write(struct.pack("<" + fmt, *values))
 
     def text(self, value: str):
-        raw = value.encode("utf-8")
-        self.header("I", len(raw))
-        self._fh.write(raw)
+        self.texts((value,))
+
+    def texts(self, values):
+        """Text fields one after another, written in one call."""
+        pack = struct.Struct("<I").pack
+        raws = (value.encode("utf-8") for value in values)
+        self._fh.write(b"".join(pack(len(raw)) + raw for raw in raws))
 
     def tensor(self, arr, order: str = "C"):
         # F order is arr.T in C order, written from its own memory

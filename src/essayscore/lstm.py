@@ -30,16 +30,20 @@ with ``diagonal`` and ``off`` modes available (a diagonal peephole
 multiplies elementwise).
 
 Lockstep batches. B essays run together, each from its own first step;
-one step advances every essay still running, and the two directions of
-a bidirectional layer advance together on a leading axis; a
-one-direction layer has no such axis and runs on 2-D arrays. Per step
-there is one ``h @ W_h^T`` and one peephole product (``c_t @ W_p^T``
-gives the output gate's term at t and the input and forget gates' terms
-at t + 1). A step is a dozen numpy calls on a few rows, so numpy's cost
-per call, not the arithmetic, sets its time: the loops write every
-product into a buffer allocated once per pass, index no direction axis
-when there is one direction, and re-slice the running state only when
-an essay ends.
+one step advances every essay still running, and the K directions of a
+layer (two when bidirectional) advance together. Per step there is one
+``h @ W_h^T`` and one peephole product (``c_t @ W_p^T`` gives the output
+gate's term at t and the input and forget gates' terms at t + 1). A step
+is a dozen numpy calls on a few rows, so numpy's cost per call, not the
+arithmetic, sets its time, and a call on a strided view costs about
+twice one on a contiguous array. So the nonlinearities and cell products
+of a step each run on one contiguous block: activations are (N, K, .)
+arrays, a row per token with the directions side by side, and step t is
+rows ``s:e`` of them; the gates of a step are a (4, m, K, H) block
+(gate, essay, direction, unit), which the step's first add writes. The
+loops write every product into a buffer allocated once per pass and
+re-slice the running state only when an essay ends or, going back,
+starts.
 Activations are stored packed, without padding: essays are ranked by
 length, longest first, so the essays running at step t are a prefix of
 those running at t - 1, and step t occupies the next ``counts[t]`` rows
@@ -264,10 +268,11 @@ class _Layout:
 class _LayerCache:
     """Activations of one layer's K directions, each in its own time order.
 
-    Arrays are (K, N, .) over packed rows, for K = 1 a view of the step
-    loops' (N, .) arrays: ``G`` holds the gates i, f,
-    c (candidate), o after their nonlinearities, ``C`` the cell state,
-    ``TC`` its tanh and ``H`` the hidden state.
+    ``C`` (the cell state), ``TC`` (its tanh) and ``H`` (the hidden
+    state) are (N, K, H) over packed rows; ``G`` holds the gates i, f,
+    c (candidate), o after their nonlinearities as (4, N, K, H) planes,
+    each gate's rows in the layout of ``C``. These are the arrays the
+    step loops write, in the form the backward loop reads.
     """
 
     G: np.ndarray
@@ -311,147 +316,151 @@ def _draw_masks(model: SeqModel, layout: _Layout, rng) -> list:
     return masks
 
 
-def _steps_form(bi: bool, *arrays):
-    """The arrays as the step loops take them: a layer's stacked buffers or
-    activations as they are when it is bidirectional, one direction's 2-D
-    views (no copy) when it is not. None stays None."""
-    return arrays if bi else tuple(None if a is None else a[0] for a in arrays)
-
-
 def _recur(W_h: np.ndarray, W_p, G: np.ndarray, offsets: np.ndarray,
            keep: bool):
-    """Run a layer over the lockstep steps of a packed batch.
+    """Run a layer's K directions over the lockstep steps of a packed batch.
 
-    ``G`` holds the input projections plus biases, (N, 4H) for one
-    direction or (2, N, 4H) for two, and is overwritten with the gate
-    activations; ``W_h`` and ``W_p`` carry the same leading axis, or
-    none (:func:`_steps_form`). A step is a dozen numpy calls on a few
-    rows, and their per-call overhead is its cost, so the loop makes
-    each call count: one direction runs on 2-D arrays with no direction
-    axis to index, the running prefixes of the state are re-sliced only
-    when an essay ends, and every product is written into a buffer
-    allocated once per pass. Returns (C, TC, H) in the layout of ``G``;
-    with ``keep`` unset only H is kept for every step (C and TC are
-    None) and two cell buffers take turns.
+    ``G`` (N, K, 4H) holds the input projections plus biases and is left
+    as it is; ``W_h`` and ``W_p`` are the layer's stacked buffers. The
+    step's first add writes ``G`` rows plus ``h @ W_h^T`` into a
+    (4, m, K, H) block (gate, essay, direction, unit), and the state is
+    step t's rows ``s:e`` of (N, K, .) arrays, so each nonlinearity and
+    cell product is one call on contiguous memory; only that add and the
+    peephole adds read through transposed views. The running essays are
+    a prefix of the last step's, so the state is re-sliced, still
+    contiguous, only when an essay ends. Returns (gates, C, TC, H): the
+    gates as (4, N, K, H) planes, each step's block copied in once it is
+    done, and C, TC and H as (N, K, H). With ``keep`` unset only H is
+    kept for every step (the gates, C and TC are None): the gates stay
+    in the one reused block and two cell buffers take turns.
     """
     # imported here, once per pass: scipy.special costs start-up time and
     # memory that the commands which never run an LSTM would pay
     from scipy.special import expit
 
-    lead, (N, n) = G.shape[:-2], (G.shape[-2], W_h.shape[-1])
-    H = np.empty(lead + (N, n))
-    C = np.empty(lead + (N, n)) if keep else None
-    TC = np.empty(lead + (N, n)) if keep else None
-    W_hT = W_h.swapaxes(-1, -2)
-    full = W_p is not None and W_p.ndim == W_h.ndim
+    N, K, n = G.shape[0], G.shape[1], W_h.shape[-1]
+    H = np.empty((N, K, n))
+    C, TC, P = ((np.empty((N, K, n)), np.empty((N, K, n)),
+                 np.empty((4, N, K, n))) if keep else (None, None, None))
+    G4 = G.reshape(N, K, 4, n).transpose(2, 0, 1, 3)
+    W_hT = W_h.swapaxes(1, 2)
+    peep, full = W_p is not None, W_p is not None and W_p.ndim == 3
     if full:
-        W_pT = W_p.swapaxes(-1, -2)
-    elif W_p is not None:
-        # (..., 1, 3, H): one row per gate, broadcast over the essays
-        W_p3 = W_p.reshape(W_p.shape[:-1] + (1, 3, n))
+        W_pT = W_p.swapaxes(1, 2)
+    elif peep:
+        # (3, 1, K, H): one row per gate and direction, broadcast over essays
+        W_p3 = W_p.reshape(K, 3, n).transpose(1, 0, 2)[:, None]
     offsets = offsets.tolist()
     B = offsets[1]
-
-    def buffer(width):
-        return np.empty(lead + (B, width))
-
-    h, c = np.zeros(lead + (B, n)), np.zeros(lead + (B, n))
-    hw, fc = buffer(4 * n), buffer(n)
-    q = buffer(3 * n) if W_p is not None else None
-    cells = None if keep else (buffer(n), buffer(n))
-    tc = None if keep else buffer(n)
+    h, c = np.zeros((B, K, n)), np.zeros((B, K, n))
+    hw_all, fc_all = np.empty((B, K, 4 * n)), np.empty((B, K, n))
+    q_all = np.empty((B, K, 3 * n) if full else (3, B, K, n))
+    block = np.empty(4 * B * K * n)
+    cells = None if keep else (np.empty((B, K, n)), np.empty((B, K, n)))
+    tc = None if keep else np.empty((B, K, n))
     m = 0
     for t, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
         if e - s != m:
             # the essays still running are a prefix of the last step's
             m = e - s
-            h, c, hw, fc = (x[..., :m, :] for x in (h, c, hw, fc))
-            if q is not None:
-                q = q[..., :m, :]
-                q_if, q_o = q[..., :2 * n], q[..., 2 * n:]
-                q3 = q.reshape(q.shape[:-1] + (3, n))
+            h, c, hw, fc = h[:m], c[:m], hw_all[:m], fc_all[:m]
+            hwT = hw.swapaxes(0, 1)
+            hw4 = hw.reshape(m, K, 4, n).transpose(2, 0, 1, 3)
+            a = block[:4 * m * K * n].reshape(4, m, K, n)
+            a_if, a_i, a_f, a_u, a_o = a[:2], a[0], a[1], a[2], a[3]
+            if full:
+                q = q_all[:m]
+                qT = q.swapaxes(0, 1)
+                q4 = q.reshape(m, K, 3, n).transpose(2, 0, 1, 3)
+            elif peep:
+                q4 = q_all[:, :m]
+            if peep:
+                q_if, q_o = q4[:2], q4[2]
             if not keep:
-                cells = tuple(x[..., :m, :] for x in cells)
-                tc = tc[..., :m, :]
-        a = G[..., s:e, :]
-        a_if, a_u, a_o = a[..., :2 * n], a[..., 2 * n:3 * n], a[..., 3 * n:]
-        a += np.matmul(h, W_hT, out=hw)
-        if t and q is not None:
+                cells = (cells[0][:m], cells[1][:m])
+                tc = tc[:m]
+        np.matmul(h.swapaxes(0, 1), W_hT, out=hwT)
+        np.add(G4[:, s:e], hw4, out=a)
+        if t and peep:
             # the input and forget gates peep at the last step's cell
             a_if += q_if
         expit(a_if, out=a_if)
         np.tanh(a_u, out=a_u)
-        c_new = np.multiply(a[..., :n], a_u,
-                            out=C[..., s:e, :] if keep else cells[t & 1])
-        c_new += np.multiply(a[..., n:2 * n], c, out=fc)
+        c_new = np.multiply(a_i, a_u, out=C[s:e] if keep else cells[t & 1])
+        c_new += np.multiply(a_f, c, out=fc)
         c = c_new
         if full:
-            np.matmul(c, W_pT, out=q)
-        elif q is not None:
-            np.multiply(c[..., None, :], W_p3, out=q3)
-        if q is not None:
+            np.matmul(c.swapaxes(0, 1), W_pT, out=qT)
+        elif peep:
+            np.multiply(c, W_p3, out=q4)
+        if peep:
             a_o += q_o
         expit(a_o, out=a_o)
-        tc_new = np.tanh(c, out=TC[..., s:e, :] if keep else tc)
-        h = np.multiply(a_o, tc_new, out=H[..., s:e, :])
-    return C, TC, H
+        tc_new = np.tanh(c, out=TC[s:e] if keep else tc)
+        h = np.multiply(a_o, tc_new, out=H[s:e])
+        if keep:
+            P[:, s:e] = a
+    return P, C, TC, H
 
 
-def _recur_backward(W_h: np.ndarray, W_p, G: np.ndarray, C: np.ndarray,
+def _recur_backward(W_h: np.ndarray, W_p, P: np.ndarray, C: np.ndarray,
                     TC: np.ndarray, dH: np.ndarray, layout: _Layout):
     """Gradient at the gate pre-activations from dL/dH.
 
-    Every array is in the form :func:`_recur` takes and returns, with or
-    without the leading direction axis; the result is (..., N, 4H). As
-    in the forward loop, the running gradients are re-sliced only when
-    an essay starts (going back in time) and each product is written
-    into a buffer allocated once per pass.
+    Takes the gate planes, C and TC as :func:`_recur` returns them and
+    dH as (N, K, H); the result is (N, K, 4H). The per-row factors are
+    computed once, over all steps, from the contiguous gate planes. The
+    gradients carried back from step t + 1 live in contiguous (m, K, H)
+    buffers: going back in time essays only start, so the running ones
+    are a prefix of a zeroed (B, K, H) buffer and an essay's rows stay
+    zero until its last step is reached.
     """
-    lead, (N, n) = dH.shape[:-2], dH.shape[-2:]
+    N, K, n = dH.shape
     offsets = layout.offsets.tolist()
     B = offsets[1]
-    I, F, U, O = (G[..., k * n:(k + 1) * n] for k in range(4))
-    C_prev = np.zeros(lead + (N, n))
-    C_prev[..., B:, :] = C[..., layout.prev, :]
+    I, F, U, O = P
+    C_prev = np.zeros((N, K, n))
+    C_prev[B:] = C[layout.prev]
     # per-row factors, vectorised over all steps: dA = factor * (dh or dc)
     k_o = TC * O * (1.0 - O)
     k_c = O * (1.0 - TC * TC)
     k_ifu = np.stack((U * I * (1.0 - I), C_prev * F * (1.0 - F),
-                      I * (1.0 - U * U)), axis=-2)
+                      I * (1.0 - U * U)))
     del C_prev
-    dA = np.empty(lead + (N, 4 * n))
-    dA_ifu = dA.reshape(lead + (N, 4, n))[..., :3, :]
-    full = W_p is not None and W_p.ndim == W_h.ndim
+    dA = np.empty((N, K, 4 * n))
+    dA4 = dA.reshape(N, K, 4, n).transpose(2, 0, 1, 3)
+    dA_ifu, dA_i, dA_f, dA_o = dA4[:3], dA4[0], dA4[1], dA4[3]
+    dAT = dA.swapaxes(0, 1)
+    full = W_p is not None and W_p.ndim == 3
     if full:
-        W_p_if, W_p_o = W_p[..., :2 * n, :], W_p[..., 2 * n:, :]
+        W_p_if, W_p_o = W_p[:, :2 * n, :], W_p[:, 2 * n:, :]
     elif W_p is not None:
-        w_i, w_f, w_o = (W_p[..., None, k * n:(k + 1) * n] for k in range(3))
-    # the gradients flowing into step t from step t + 1, accumulated in
-    # place; an essay's rows stay zero until its last step is reached
-    dh_next, dc_next, prods = (np.zeros(lead + (B, n)) for _ in range(3))
+        w_i, w_f, w_o = (W_p[:, k * n:(k + 1) * n] for k in range(3))
+    dh_all, dc_all, prod_all = (np.zeros((B, K, n)) for _ in range(3))
     m = 0
     for s, e in zip(offsets[-2::-1], offsets[:0:-1]):
         if e - s != m:
             m = e - s
-            dh, dc, prod = (x[..., :m, :] for x in (dh_next, dc_next, prods))
-            dc3 = dc[..., None, :]
-        dh += dH[..., s:e, :]
-        da_o = np.multiply(dh, k_o[..., s:e, :], out=dA[..., s:e, 3 * n:])
-        dc += np.multiply(dh, k_c[..., s:e, :], out=prod)
+            dh, dc, prod = dh_all[:m], dc_all[:m], prod_all[:m]
+            dhT, prodT = dh.swapaxes(0, 1), prod.swapaxes(0, 1)
+        dh += dH[s:e]
+        da_o = np.multiply(dh, k_o[s:e], out=dA_o[s:e])
+        dc += np.multiply(dh, k_c[s:e], out=prod)
+        a = dAT[:, s:e]
         if full:
-            dc += np.matmul(da_o, W_p_o, out=prod)
+            np.matmul(a[..., 3 * n:], W_p_o, out=prodT)
+            dc += prod
         elif W_p is not None:
             dc += np.multiply(da_o, w_o, out=prod)
-        np.multiply(dc3, k_ifu[..., s:e, :, :],
-                    out=dA_ifu[..., s:e, :, :])
-        a = dA[..., s:e, :]
-        np.matmul(a, W_h, out=dh)
-        dc *= F[..., s:e, :]
+        np.multiply(dc, k_ifu[:, s:e], out=dA_ifu[:, s:e])
+        np.matmul(a, W_h, out=dhT)
+        dc *= F[s:e]
         if full:
-            dc += np.matmul(a[..., :2 * n], W_p_if, out=prod)
+            np.matmul(a[..., :2 * n], W_p_if, out=prodT)
+            dc += prod
         elif W_p is not None:
-            dc += np.multiply(a[..., :n], w_i, out=prod)
-            dc += np.multiply(a[..., n:2 * n], w_f, out=prod)
+            dc += np.multiply(dA_i[s:e], w_i, out=prod)
+            dc += np.multiply(dA_f[s:e], w_f, out=prod)
     return dA
 
 
@@ -461,10 +470,10 @@ def _layer_grads(layer: LSTMLayer, cache: _LayerCache, dA: np.ndarray,
     n = layer.dim
     B = layout.offsets[1]
     out = []
-    for k in range(dA.shape[0]):
-        a, C = dA[k], cache.C[k]
+    for k in range(dA.shape[1]):
+        a, C = dA[:, k], cache.C[:, k]
         a_later = a[B:]  # rows of steps >= 1, whose previous step is ``prev``
-        g = {"W_h": a_later.T @ cache.H[k, layout.prev], "b": a.sum(axis=0)}
+        g = {"W_h": a_later.T @ cache.H[layout.prev, k], "b": a.sum(axis=0)}
         C_prev = C[layout.prev]
         if layer.peepholes == "full":
             g["W_p"] = np.concatenate((a_later[:, :2 * n].T @ C_prev,
@@ -485,26 +494,22 @@ def _run(model: SeqModel, layout: _Layout, masks=None, keep: bool = True):
     packed_ids = np.empty_like(layout.ids)
     packed_ids[layout.row] = layout.ids
     seq = model.M.T[packed_ids]
+    N = seq.shape[0]
     inputs, layers = [], []
     for l, layer in enumerate(model.layers):
         proj = seq @ layer.W_x.reshape(-1, layer.in_dim).T
         proj += layer.b.reshape(-1)
+        G = proj.reshape(N, -1, 4 * n)
         if bi:
-            G = np.empty((2, seq.shape[0], 4 * n))
-            G[0] = proj[:, :4 * n]
-            G[1] = proj[layout.rev, 4 * n:]
-        else:
-            G = proj  # one direction's projection is its G, no copy
-        del proj
-        C, TC, H = _recur(*_steps_form(bi, layer.W_h, layer.W_p), G,
-                          layout.offsets, keep)
+            # the backward direction's rows in its own time order
+            G[:, 1] = proj[layout.rev, 4 * n:]
+        P, C, TC, H = _recur(layer.W_h, layer.W_p, G, layout.offsets, keep)
         if keep:
             inputs.append(seq)
-            # the cache keeps the direction axis: (K, N, .) views
-            layers.append(_LayerCache(*(x if bi else x[None]
-                                        for x in (G, C, TC, H))))
-        del G, C, TC
-        seq = np.concatenate((H[0], H[1, layout.rev]), axis=1) if bi else H
+            layers.append(_LayerCache(P, C, TC, H))
+        del G, proj, P, C, TC
+        seq = np.concatenate((H[:, 0], H[layout.rev, 1]), axis=1) if bi \
+            else H.reshape(N, n)
         if masks is not None:
             seq = seq * masks[l]
     final = np.concatenate((seq[layout.last, :n], seq[layout.first, n:]),
@@ -556,13 +561,14 @@ def backward_batch(model: SeqModel, cache: BatchCache,
         if cache.masks is not None:
             d_out *= cache.masks[l]
         layer, lc = model.layers[l], cache.layers[l]
-        dH = np.stack((d_out[:, :n], d_out[layout.rev, n:])) if bi else d_out
-        dA = _recur_backward(*_steps_form(bi, layer.W_h, layer.W_p, lc.G,
-                                          lc.C, lc.TC), dH, layout)
-        dir_grads = _layer_grads(layer, lc, dA if bi else dA[None], layout)
-        if bi:
-            # both directions' gate gradients in essay time, side by side
-            dA = np.concatenate((dA[0], dA[1, layout.rev]), axis=1)
+        dH = np.stack((d_out[:, :n], d_out[layout.rev, n:]), axis=1) if bi \
+            else d_out.reshape(-1, 1, n)
+        dA = _recur_backward(layer.W_h, layer.W_p, lc.G, lc.C, lc.TC, dH,
+                             layout)
+        dir_grads = _layer_grads(layer, lc, dA, layout)
+        # both directions' gate gradients in essay time, side by side
+        dA = np.concatenate((dA[:, 0], dA[layout.rev, 1]), axis=1) if bi \
+            else dA.reshape(-1, 4 * n)
         d_W_x = dA.T @ cache.inputs[l]
         d_out = dA @ layer.W_x.reshape(-1, layer.in_dim)
         for k, (prefix, g) in enumerate(zip(("fwd", "bwd"), dir_grads)):
@@ -731,7 +737,8 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
     ``cfg.normalize_scores`` off, fills with the raw value). After each
     epoch the validation RMSE (raw scale) is computed; the best snapshot
     is kept and training stops early after ``patience`` epochs without
-    improvement.
+    improvement. When the best epoch is the last of ``cfg.epochs``, the
+    snapshot returned is ``model`` itself, not a copy.
     """
     cfg.validate()
     if not train:
@@ -786,7 +793,8 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
             raise NumericalError(f"non-finite loss at epoch {epoch}")
         if val_rmse < best_rmse:
             best_rmse = val_rmse
-            best = model.copy()
+            # after the last epoch nothing changes the model any more
+            best = model if epoch == cfg.epochs - 1 else model.copy()
             stall = 0
         else:
             stall += 1

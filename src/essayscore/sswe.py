@@ -413,8 +413,7 @@ def save_embeddings(path, params: SSWEParams, vocab: Vocabulary,
     with artifact.writing(path, EMBEDDING_MAGIC, EMBEDDING_VERSION) as out:
         out.header("4I", params.vocab_size, params.embed_dim,
                    params.window_size, params.hidden_dim)
-        for token in vocab.id_to_token:
-            out.text(token)
+        out.texts(vocab.id_to_token)
         out.tensor(params.M, "F")
         for name in params.dense_names():
             out.tensor(getattr(params, name))

@@ -11,7 +11,7 @@ from essayscore.config import Config
 from essayscore.corpus import ScoreRange
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
-from essayscore.lstm import (FORGET_BIAS, LSTMLayer,
+from essayscore.lstm import (FORGET_BIAS, PREDICT_CHUNK, LSTMLayer,
                              RMSPropState, SeqModel, _n_params,
                              backward_batch, bptt, clip_gradients,
                              column_gradient, forward_batch, forward_essay,
@@ -114,16 +114,15 @@ class TestStep:
             c = np.zeros(layer.dim)
             for t in range(len(tokens)):
                 h, c = lstm_step(layer, seq[t], h, c)
-                # (direction, step, unit): one essay's rows are its steps
-                assert np.allclose(cache.layers[0].H[0, t], h, rtol=1e-12)
-                assert np.allclose(cache.layers[0].C[0, t], c, rtol=1e-12)
+                # (step, direction, unit): one essay's rows are its steps
+                assert np.allclose(cache.layers[0].H[t, 0], h, rtol=1e-12)
+                assert np.allclose(cache.layers[0].C[t, 0], c, rtol=1e-12)
 
     def test_gate_activations_stay_in_range(self):
         model = build_model(seed=3, peepholes="full", boost=8.0)
         _, cache = forward_essay(model, [2, 5, 1, 8, 0, 6, 3])
         d = cache.layers[0]
-        n = model.lstm_dim
-        I, F, U, O = (d.G[..., k * n:(k + 1) * n] for k in range(4))
+        I, F, U, O = d.G  # (gate, step, direction, unit)
         for gate in (I, F, O):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
         assert np.all(np.abs(U) < 1.0)
@@ -332,8 +331,11 @@ def normwise_error(a, b):
         float(np.max(np.abs(a)))
 
 
+# "ragged": the running count changes at most steps, and two pairs of
+# essays end on the same step
 LENGTHS = {"B1-len1": (1,), "B1": (9,), "mixed": (1, 5, 9, 3),
-           "equal": (4, 4)}
+           "equal": (4, 4),
+           "ragged": (6, 13, 1, 9, 4, 11, 6, 2, 8, 12, 3, 9)}
 
 # every architecture of VARIANTS, with dropout on
 PIN_VARIANTS = [dict(v, dropout=0.5) for v in VARIANTS if "dropout" not in v]
@@ -402,7 +404,8 @@ class TestBatchMatchesReference:
 
     # sha256 of y, d_inputs, every gradient in parameter order and
     # predict_batch on the same essays, computed before the step loops
-    # took one-direction layers as 2-D arrays: the passes must not move a bit
+    # took one-direction layers as 2-D arrays ("ragged": before they took
+    # gate-major blocks): the passes must not move a bit
     PINNED_PASSES = {
         "unil1-full-dropout-B1-len1":
             "129e45384cf9882cace53832ec435436e68c953941b837044c6170663af684c6",
@@ -412,6 +415,8 @@ class TestBatchMatchesReference:
             "9e5484a8825560f19e5aea8d72487bae4101d931a003c37af708c4d9d45f4e1a",
         "unil1-full-dropout-equal":
             "f05555e8a5d6a268cfb6550ebc985837ceefb282014e9e77ad05727938c30c79",
+        "unil1-full-dropout-ragged":
+            "60b4e607a63a8d755309e01fb05e9662f1d044765aff0323d48e7f86b7f2cdde",
         "unil1-diagonal-dropout-B1-len1":
             "ce06ca1d7b609ce150c88abe819d627f564abd3e7e06f47f3ebe203fcda7ff94",
         "unil1-diagonal-dropout-B1":
@@ -420,6 +425,8 @@ class TestBatchMatchesReference:
             "79e990acda4330b7ab33cc836d783a06c0b1aacf73e9d942e5b4d7693a04e41a",
         "unil1-diagonal-dropout-equal":
             "f8f9a0ff90c76e2ffa37d174c0f8a92251ffd3afb31da1958ddad37489800c5b",
+        "unil1-diagonal-dropout-ragged":
+            "981500482d342e56ed301a890074666646de253cb7f8d47ee1c2d8660c8cfced",
         "unil1-off-dropout-B1-len1":
             "f861406e1c60fc8f4d028caf77a8ba5d41ce4a4b8d69d7bdc98f9de2feb5c513",
         "unil1-off-dropout-B1":
@@ -428,6 +435,8 @@ class TestBatchMatchesReference:
             "5c91fc7ad3a88f7a7895db7849f23cc71017b35babaea86c20db9b7b1add5d16",
         "unil1-off-dropout-equal":
             "64d6b2c053f6499226db51fb8e1d32a659f05ab1496dea969de4182a51930140",
+        "unil1-off-dropout-ragged":
+            "bb9ff73cbae60f1657cd559305b3e33907ad9e6b7e5f8fa37bec5d17e3a4aba4",
         "bil1-full-dropout-B1-len1":
             "183c82692e522993f5d32f52cdd4c8ac1886ea4a784ac3b5279e049bebbdd16a",
         "bil1-full-dropout-B1":
@@ -436,6 +445,8 @@ class TestBatchMatchesReference:
             "54abc77d004ce24b1956860094016aac3701a192e3c3d0384340520c55fc4b4e",
         "bil1-full-dropout-equal":
             "3d1a7f67138e89e16fb6f9a9211f124cf25e4158e6fd8f4554bac6e948c62097",
+        "bil1-full-dropout-ragged":
+            "70a339cd20a60c209293ce3853c9ace277f36d38da684b8273ecb4e87d72cf92",
         "bil1-diagonal-dropout-B1-len1":
             "654431ee62adf51bfabe3c192b263e00ad2258257ce2fbca97abafd663a1e770",
         "bil1-diagonal-dropout-B1":
@@ -444,6 +455,8 @@ class TestBatchMatchesReference:
             "6ad704fd150b3ff603b0f13759c3de86ac99c3fe1eb1af264d587c15d8017ead",
         "bil1-diagonal-dropout-equal":
             "732148138e45a27149bb98e070ffb358e1d0a8230d77e514314ea1caf8504c2b",
+        "bil1-diagonal-dropout-ragged":
+            "f67376482f5cf5beefa24c78b6b8367eaf15d0ba729530c64856f6a07a9dbd3c",
         "bil1-off-dropout-B1-len1":
             "beed176b3aa7a1c350cc50bcc98926f5f8b10a858e7e7a54b6d58a50a27f0e6e",
         "bil1-off-dropout-B1":
@@ -452,6 +465,8 @@ class TestBatchMatchesReference:
             "ac61c7fe289ab9ae6270bbd74f0741dd7b68573530bd4c1e35a0a91d31e900c4",
         "bil1-off-dropout-equal":
             "41df258075dc0d4e47f3372513192c9f550be816aae4b53fd4992222c32d2b28",
+        "bil1-off-dropout-ragged":
+            "a84dba66e185fa6d7e674237ae9ebd3f2cc16fe334581b1210c78f6b74ebf6fc",
         "unil2-full-dropout-B1-len1":
             "2cb6b76745fd8e44fdf031f467463957c725e11bad3b851d72c76c69d7e4a581",
         "unil2-full-dropout-B1":
@@ -460,6 +475,8 @@ class TestBatchMatchesReference:
             "bd1fc7a2f5bad733faeade02f7d474c81dda6080e4db225ad2440226e20cef65",
         "unil2-full-dropout-equal":
             "7cae276f31d34792d35c33e14b095c06eaeafaa1b21ef4591b912c0caf88c968",
+        "unil2-full-dropout-ragged":
+            "d119594582249d7905c5322ccf2af6865d67543a82704271bd4bf740b1eb8492",
         "unil2-diagonal-dropout-B1-len1":
             "802161e4b00a2574645cd293a71b64aac407842d003ef4d7efa5fe9fecbf200b",
         "unil2-diagonal-dropout-B1":
@@ -468,6 +485,8 @@ class TestBatchMatchesReference:
             "2416789fc057efd611920c77799f5547982243d8ed59d1e435fc93171b4c9325",
         "unil2-diagonal-dropout-equal":
             "4d911a272ef7c2709bdb39c69899d24226aac01b4237152de55542b8bd58c259",
+        "unil2-diagonal-dropout-ragged":
+            "19f9a089d4cbc444be36be19eea86c4b8b046d7ea8057593dbb170e3337bdf1f",
         "unil2-off-dropout-B1-len1":
             "123cd550d28872a4253021a35fba9a330de20f4f19eeca14b6b5c79bf3d4845a",
         "unil2-off-dropout-B1":
@@ -476,6 +495,8 @@ class TestBatchMatchesReference:
             "c61936f402564c698140337a09fb14c354dc3b043232c0aaac9293f44d032c02",
         "unil2-off-dropout-equal":
             "97c86b7b348ee46e653cfda7411cbd1fe3d48468e3e76ebead6226a799d9e569",
+        "unil2-off-dropout-ragged":
+            "2204ce327f1e3a34e0b49f5de680fc71dc0d2f4a0aa52778a4e49990e246e297",
         "bil2-full-dropout-B1-len1":
             "6b395f4b2eb38caf2007131add776320ac332254cf63da5720b50dce8d153fd5",
         "bil2-full-dropout-B1":
@@ -484,6 +505,8 @@ class TestBatchMatchesReference:
             "cc90ddf4aad83fded3756e1d0b024b3e9d31a98333791ad0c76f383bb0aadb75",
         "bil2-full-dropout-equal":
             "ff1c4c58c1a2458ef5bc172f570abf3bc1fad4e1ac5c3227b8bc9cccee9c4978",
+        "bil2-full-dropout-ragged":
+            "52347dadbfe8647ea8495bf91f0f1e03477452ea4f2d567ebd59b0c718a965f5",
         "bil2-diagonal-dropout-B1-len1":
             "046ae60fd05ca11e1846d3f15f9302892586838fd7d2433091a758b7d4e76d72",
         "bil2-diagonal-dropout-B1":
@@ -492,6 +515,8 @@ class TestBatchMatchesReference:
             "c4b31e81aaf253104d952d110bfe157eb8969bb2bcfc157f926c4558631ccff6",
         "bil2-diagonal-dropout-equal":
             "c079bb0ddd4ca7664a307cc610afce0a4b3dbf0d614848bd17dd0d762eff0588",
+        "bil2-diagonal-dropout-ragged":
+            "58bb43bf3dbdb293104d500d35720dcfb921e82585ab4dae563bf45977116c20",
         "bil2-off-dropout-B1-len1":
             "1dd68e8f9aaffd420c99d3509d8862f67a083779cd219e924df77e551f71e497",
         "bil2-off-dropout-B1":
@@ -500,6 +525,8 @@ class TestBatchMatchesReference:
             "fc41383dd44610e9dd742a91cb8039490d8b31264d3bb4e0b8a06563dca267f4",
         "bil2-off-dropout-equal":
             "28a97624248419c35de9b5a29059c8c961bad9cd0b157a0d8624f04e6abdbb4a",
+        "bil2-off-dropout-ragged":
+            "b185a319055225819dc455506422e36455e2ef2cd9b68d5574078310d38ac4df",
     }
 
     @pytest.mark.parametrize("lengths", list(LENGTHS))
@@ -507,6 +534,18 @@ class TestBatchMatchesReference:
     def test_passes_are_pinned(self, variant, lengths):
         assert pass_digest(variant, LENGTHS[lengths]) \
             == self.PINNED_PASSES[f"{variant_id(variant)}-{lengths}"]
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=variant_id)
+    def test_predict_batch_over_several_chunks(self, variant):
+        model, _, _ = batch_case(variant, ())
+        rng = np.random.default_rng(12)
+        lengths = np.concatenate(([1, 1, 1], rng.integers(1, 16, size=37)))
+        rng.shuffle(lengths)
+        assert lengths.size > PREDICT_CHUNK
+        token_lists = [list(rng.integers(0, 14, size=L)) for L in lengths]
+        got = predict_batch(model, token_lists)
+        want = [ref.forward_essay(model, tokens)[0] for tokens in token_lists]
+        assert normwise_error(got, np.array(want)) <= 1e-12
 
     def test_empty_essay_or_batch_rejected(self):
         model = build_model()
