@@ -203,9 +203,8 @@ def _init_scorer(cfg, corpus, embeddings_arg: str):
     if embeddings_arg == "learned":
         # word-major like a loaded embedding matrix: training reads and
         # steps whole columns
-        M = np.asfortranarray(rng.uniform(
-            -lstmmod.INIT_SCALE, lstmmod.INIT_SCALE,
-            size=(cfg.embed_dim, len(corpus.vocab))))
+        M = sswemod.uniform_columns(rng, lstmmod.INIT_SCALE, cfg.embed_dim,
+                                    len(corpus.vocab))
     else:
         params, vocab, _ = sswemod.load_embeddings(embeddings_arg)
         if len(vocab) != len(corpus.vocab):

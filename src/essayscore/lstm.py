@@ -60,7 +60,10 @@ The first layer reads only the embedding rows of the batch's tokens
 one row per token, essay after essay. Training sums those into the
 columns the batch touched and RMSprop updates ``M`` on those columns
 only, decaying the rest of its accumulator: bitwise the dense rule, as
-a zero gradient leaves a weight unchanged when ``eps_rms > 0``.
+a zero gradient leaves a weight unchanged when ``eps_rms > 0``. A
+training step holds each token-by-embedding (N, D) array once: the
+forward pass keeps the first layer's token ids, and the backward pass
+gathers their rows of ``M`` again, which costs less than keeping them.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ FORGET_BIAS = 1.0
 
 # essays per lockstep batch at inference, taken in order of length
 PREDICT_CHUNK = 32
+# features summed per np.bincount call in column_gradient
+COLUMN_BLOCK = 32
 
 
 class LSTMLayer:
@@ -285,10 +290,12 @@ class _LayerCache:
 class BatchCache:
     """Everything the backward pass reuses from one lockstep forward pass.
 
-    ``inputs[l]`` is layer l's input over packed rows in essay time: the
-    embedding rows of the tokens for l = 0, the previous layer's output
-    after dropout (backward direction realigned) above it. ``masks[l]``
-    is layer l's dropout mask over packed rows, or None.
+    ``inputs[l]`` is layer l's input over packed rows in essay time: for
+    l = 0 the token ids, whose embedding rows :func:`backward_batch`
+    reads from ``model.M`` again, so ``M`` must not change between the
+    two passes; above it the previous layer's output after dropout
+    (backward direction realigned). ``masks[l]`` is layer l's dropout
+    mask over packed rows, or None.
     """
 
     layout: _Layout
@@ -498,6 +505,10 @@ def _run(model: SeqModel, layout: _Layout, masks=None, keep: bool = True):
     inputs, layers = [], []
     for l, layer in enumerate(model.layers):
         proj = seq @ layer.W_x.reshape(-1, layer.in_dim).T
+        if keep:
+            # layer 0's rows are gathered from M again by the backward pass
+            inputs.append(seq if l else packed_ids)
+        del seq
         proj += layer.b.reshape(-1)
         G = proj.reshape(N, -1, 4 * n)
         if bi:
@@ -505,7 +516,6 @@ def _run(model: SeqModel, layout: _Layout, masks=None, keep: bool = True):
             G[:, 1] = proj[layout.rev, 4 * n:]
         P, C, TC, H = _recur(layer.W_h, layer.W_p, G, layout.offsets, keep)
         if keep:
-            inputs.append(seq)
             layers.append(_LayerCache(P, C, TC, H))
         del G, proj, P, C, TC
         seq = np.concatenate((H[:, 0], H[layout.rev, 1]), axis=1) if bi \
@@ -545,7 +555,10 @@ def backward_batch(model: SeqModel, cache: BatchCache,
     Returns (parameter gradients under their ``named_arrays`` names,
     without the embedding matrix, summed over the batch; gradient with
     respect to each token's word vector, (N, D) essay after essay, in
-    ``cache.layout.ids`` order).
+    ``cache.layout.ids`` order). Layer 0's input rows are gathered from
+    ``model.M`` again for its ``W_x`` gradient and dropped before the
+    input gradients are computed, straight in token order, from the gate
+    gradients gathered into that order: one (N, D) array at a time.
     """
     layout = cache.layout
     dy = np.asarray(dy, dtype=float).reshape(-1)
@@ -569,12 +582,18 @@ def backward_batch(model: SeqModel, cache: BatchCache,
         # both directions' gate gradients in essay time, side by side
         dA = np.concatenate((dA[:, 0], dA[layout.rev, 1]), axis=1) if bi \
             else dA.reshape(-1, 4 * n)
-        d_W_x = dA.T @ cache.inputs[l]
+        if l:
+            d_W_x = dA.T @ cache.inputs[l]
+        else:
+            # layer 0's input rows, gathered from M again and dropped; the
+            # word vectors' gradients come out in token order
+            d_W_x = dA.T @ model.M.T[cache.inputs[0]]
+            dA = dA[layout.row]
         d_out = dA @ layer.W_x.reshape(-1, layer.in_dim)
         for k, (prefix, g) in enumerate(zip(("fwd", "bwd"), dir_grads)):
             g["W_x"] = d_W_x[4 * n * k:4 * n * (k + 1)]
             grads.update((f"{prefix}{l}.{name}", a) for name, a in g.items())
-    return grads, d_out[layout.row]
+    return grads, d_out
 
 
 def forward_essay(model: SeqModel, tokens, training: bool = False,
@@ -674,12 +693,24 @@ def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
         if g is None:
             continue
         if isinstance(g, tuple):
-            cols, rows = g
-            g = rows.T
-            sub = acc[:, cols]
-            sub += (1.0 - state.rho) * g * g
-            acc[:, cols] = sub
-            arrays[name][:, cols] -= state.eta * g / np.sqrt(sub + state.eps)
+            # the listed columns as rows of the transposed arrays, stepped
+            # through two (U, D) buffers: the same operations in the same
+            # order as the dense branch below
+            cols, g = g
+            acc_t, p_t = acc.T, arrays[name].T
+            sub = acc_t[cols]
+            buf = np.multiply(1.0 - state.rho, g)
+            buf *= g
+            sub += buf
+            acc_t[cols] = sub
+            np.add(sub, state.eps, out=buf)
+            np.sqrt(buf, out=buf)
+            np.multiply(state.eta, g, out=sub)
+            np.divide(sub, buf, out=buf)
+            # "raise" mode would fill a copy of ``out``; every col is valid
+            np.take(p_t, cols, axis=0, out=sub, mode="clip")
+            sub -= buf
+            p_t[cols] = sub
         else:
             acc += (1.0 - state.rho) * g * g
             arrays[name] -= state.eta * g / np.sqrt(acc + state.eps)
@@ -708,15 +739,24 @@ def column_gradient(ids: np.ndarray, d_inputs: np.ndarray):
     Returns ``(cols, rows)``: the distinct ids in ascending order and one
     summed row per id. Repeats are added in token order starting from
     0.0, as a dense ``np.add.at`` into the matrix's columns would add
-    them: ``np.bincount`` over the flat (column, feature) index does
-    exactly that.
+    them: ``np.bincount`` over a flat (column, feature) index does
+    exactly that. It runs on ``COLUMN_BLOCK`` features at a time, so the
+    index and the weights it reads stay O(N), not (N, D).
     """
     cols, inverse = np.unique(ids, return_inverse=True)
-    D = d_inputs.shape[1]
-    flat = (inverse.reshape(-1, 1) * D + np.arange(D)).reshape(-1)
-    rows = np.bincount(flat, weights=d_inputs.reshape(-1),
-                       minlength=cols.size * D)
-    return cols, rows.reshape(cols.size, D)
+    U, D = cols.size, d_inputs.shape[1]
+    rows = np.empty((U, D))
+    width = 0
+    for j in range(0, D, COLUMN_BLOCK):
+        part = d_inputs[:, j:j + COLUMN_BLOCK]
+        if part.shape[1] != width:
+            width = part.shape[1]
+            flat = (inverse.reshape(-1, 1) * width
+                    + np.arange(width)).reshape(-1)
+        rows[:, j:j + width] = np.bincount(
+            flat, weights=part.reshape(-1),
+            minlength=U * width).reshape(U, width)
+    return cols, rows
 
 
 @dataclass

@@ -60,6 +60,18 @@ def htanh_grad_mask(preact):
     return (np.abs(preact) < 1.0).astype(float)
 
 
+def uniform_columns(rng, scale: float, d: int, v: int) -> np.ndarray:
+    """``rng.uniform(-scale, scale, size=(d, v))``, Fortran-ordered.
+
+    Drawn 16 rows at a time straight into the result, the generator's
+    stream in the same order, so no second (d, v) array is ever held.
+    """
+    M = np.empty((d, v), order="F")
+    for i in range(0, d, 16):
+        M[i:i + 16] = rng.uniform(-scale, scale, size=(min(16, d - i), v))
+    return M
+
+
 class SSWEParams:
     """All learnable tensors of the dual-head window network.
 
@@ -89,7 +101,7 @@ class SSWEParams:
         d, h, n = cfg.embed_dim, cfg.hidden_dim, cfg.window_size
         u = lambda *shape: rng.uniform(-0.05, 0.05, size=shape)
         return cls(
-            M=np.asfortranarray(u(d, vocab_size)),
+            M=uniform_columns(rng, 0.05, d, vocab_size),
             W_hi=u(h, n * d),
             b_h=np.zeros(h),
             W_oh2=u(h),

@@ -3,6 +3,7 @@
 import math
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from essayscore.config import Config
 from essayscore.corpus import ScoreRange
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
-from essayscore.lstm import (FORGET_BIAS, PREDICT_CHUNK, LSTMLayer,
-                             RMSPropState, SeqModel, _n_params,
+from essayscore.lstm import (COLUMN_BLOCK, FORGET_BIAS, PREDICT_CHUNK,
+                             LSTMLayer, RMSPropState, SeqModel, _n_params,
                              backward_batch, bptt, clip_gradients,
                              column_gradient, forward_batch, forward_essay,
                              load_model, predict, predict_batch,
@@ -310,6 +311,33 @@ class TestBackward:
         cols, rows = column_gradient(ids, d_inputs)
         assert list(cols) == sorted(set(ids.tolist()))
         assert rows.tobytes() == np.ascontiguousarray(dense[:, cols].T).tobytes()
+
+        # a 5-word vocabulary in long runs of one id, over several blocks
+        # of features (the last one narrower), with -0.0 rows: id 4 has
+        # nothing else, so its sum is 0.0 + -0.0 + ... = +0.0
+        D = 2 * COLUMN_BLOCK + 7
+        ids = np.repeat(rng.integers(0, 4, size=30), rng.integers(1, 12, 30))
+        ids[[3, 50, 51, 52]] = 4
+        d_inputs = rng.normal(size=(ids.size, D)) * 10.0 ** rng.integers(
+            -8, 8, size=(ids.size, 1))
+        d_inputs[ids == 4] = -0.0
+        d_inputs[rng.integers(0, ids.size, size=20)] = -0.0
+        dense = np.zeros((D, 5))
+        np.add.at(dense.T, ids, d_inputs)
+        want = np.ascontiguousarray(dense.T)
+        cols, rows = column_gradient(ids, d_inputs)
+        assert list(cols) == [0, 1, 2, 3, 4]
+        assert rows.tobytes() == want.tobytes()
+        assert not np.signbit(rows[4]).any()
+        # the data tells the order apart: a sum that restarts from each
+        # id's first row, or runs backwards, gives other bits
+        order = np.argsort(ids, kind="stable")
+        restarted = np.add.reduceat(
+            d_inputs[order], np.searchsorted(ids[order], cols), axis=0)
+        assert restarted.tobytes() != want.tobytes()
+        backwards = np.zeros((D, 5))
+        np.add.at(backwards.T, ids[::-1], d_inputs[::-1])
+        assert np.ascontiguousarray(backwards.T).tobytes() != want.tobytes()
 
     def test_dropout_mask_is_respected(self):
         # with a saved mask, gradients of masked-out units must vanish
@@ -672,6 +700,70 @@ class TestOptimizer:
         assert returned == pytest.approx(norm)
         total = sum(float((g * g).sum()) for g in grads.values())
         assert math.sqrt(total) == pytest.approx(norm / 2)
+
+
+def traced_peak(fn, *args):
+    """Bytes ``fn`` allocates at its peak above what was live before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestTrainingStepMemory:
+    """One training step holds each (N, D) token-by-embedding array once.
+
+    A fixed batch at the paper's embedding width D = 200 with a narrow
+    layer, so one (N, D) array outweighs all of a layer's gate arrays.
+    """
+
+    D = 200
+
+    def batch(self):
+        model = build_model(vocab=60, embed_dim=self.D, seed=21,
+                            bidirectional=True, layers=2, peepholes="full",
+                            dropout=0.5)
+        rng = np.random.default_rng(4)
+        token_lists = [list(rng.integers(0, 60, size=L))
+                       for L in rng.integers(20, 60, size=12)]
+        y, cache = forward_batch(model, token_lists, training=True,
+                                 rng=np.random.default_rng(5))
+        return model, cache, y
+
+    def test_backward_holds_one_token_by_embedding_array(self):
+        model, cache, y = self.batch()
+        N = cache.layout.ids.size
+        gates = 8 * N * 2 * 4 * model.lstm_dim  # one (N, K, 4H) array
+        peak = traced_peak(backward_batch, model, cache, 1.0 - y)
+        # the (N, D) input gradients it returns plus the gate arrays
+        assert peak < 8 * N * self.D + 4 * gates
+
+    def test_column_gradient_holds_one_column_by_embedding_array(self):
+        model, cache, y = self.batch()
+        _, d_inputs = backward_batch(model, cache, 1.0 - y)
+        ids = cache.layout.ids
+        N, U = ids.size, np.unique(ids).size
+        peak = traced_peak(column_gradient, ids, d_inputs)
+        # the (U, D) sums it returns, plus an index and weights per block
+        assert peak < 8 * U * self.D + 8 * N * 3 * COLUMN_BLOCK
+
+    def test_rmsprop_column_step_holds_two_column_buffers(self):
+        rng = np.random.default_rng(9)
+        V, U = 80, 60
+        cols = np.sort(rng.choice(V, size=U, replace=False))
+        rows = rng.normal(size=(U, self.D))
+        M = np.asfortranarray(rng.normal(size=(self.D, V)))
+        state = RMSPropState(acc={"M": np.zeros_like(M)}, eta=0.01)
+        peak = traced_peak(rmsprop_update, state, {"M": M},
+                           {"M": (cols, rows)})
+        assert peak < 8 * U * self.D * 2.5
 
 
 def toy_corpus():
