@@ -390,37 +390,40 @@ def load_corpus(path, min_count: int = 2,
     first_line: dict[int, int] = {}  # essay id -> line of its kept row
     with _open_utf8(path, newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        header = reader.fieldnames or []
-        for col in REQUIRED_COLUMNS:
-            if col not in header:
-                raise DataError(f"missing required column {col!r} in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                essay_id = int(row["essay_id"])
-                set_id = int(row["essay_set"])
-            except (TypeError, ValueError):
-                row_errors.append(RowError(lineno, "non-integer essay_id or essay_set"))
-                continue
-            try:
-                raw_score = float(row["domain1_score"])
-            except (TypeError, ValueError):
-                row_errors.append(RowError(
-                    lineno, f"non-numeric domain1_score {row['domain1_score']!r}"))
-                continue
-            if not math.isfinite(raw_score):
-                row_errors.append(RowError(lineno, "non-finite domain1_score"))
-                continue
-            tokens = tokenize(row["essay"] or "")
-            if not tokens:
-                row_errors.append(RowError(lineno, "essay text is empty"))
-                continue
-            if essay_id in first_line:
-                row_errors.append(RowError(
-                    lineno, f"essay_id {essay_id} repeats line "
-                            f"{first_line[essay_id]}; row skipped"))
-                continue
-            first_line[essay_id] = lineno
-            rows.append((essay_id, set_id, tokens, raw_score))
+        try:
+            header = reader.fieldnames or []
+            for col in REQUIRED_COLUMNS:
+                if col not in header:
+                    raise DataError(f"missing required column {col!r} in {path}")
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    essay_id = int(row["essay_id"])
+                    set_id = int(row["essay_set"])
+                except (TypeError, ValueError):
+                    row_errors.append(RowError(lineno, "non-integer essay_id or essay_set"))
+                    continue
+                try:
+                    raw_score = float(row["domain1_score"])
+                except (TypeError, ValueError):
+                    row_errors.append(RowError(
+                        lineno, f"non-numeric domain1_score {row['domain1_score']!r}"))
+                    continue
+                if not math.isfinite(raw_score):
+                    row_errors.append(RowError(lineno, "non-finite domain1_score"))
+                    continue
+                tokens = tokenize(row["essay"] or "")
+                if not tokens:
+                    row_errors.append(RowError(lineno, "essay text is empty"))
+                    continue
+                if essay_id in first_line:
+                    row_errors.append(RowError(
+                        lineno, f"essay_id {essay_id} repeats line "
+                                f"{first_line[essay_id]}; row skipped"))
+                    continue
+                first_line[essay_id] = lineno
+                rows.append((essay_id, set_id, tokens, raw_score))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DataError(f"{path}:{reader.reader.line_num}: {exc}") from None
 
     if ranges is None:
         ranges = {}

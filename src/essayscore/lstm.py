@@ -55,15 +55,18 @@ length, and backpropagation through an essay starts from zero after its
 last step. One essay is the batch B = 1 (:func:`forward_essay`,
 :func:`bptt`).
 
-The first layer reads only the embedding rows of the batch's tokens
-(no padded embedding tensor is built), and its input gradients come back
-one row per token, essay after essay. Training sums those into the
-columns the batch touched and RMSprop updates ``M`` on those columns
-only, decaying the rest of its accumulator: bitwise the dense rule, as
-a zero gradient leaves a weight unchanged when ``eps_rms > 0``. A
-training step holds each token-by-embedding (N, D) array once: the
-forward pass keeps the first layer's token ids, and the backward pass
-gathers their rows of ``M`` again, which costs less than keeping them.
+The embedding side works per distinct word: a batch's U distinct ids
+(``_Layout.cols``) are projected by the first layer's ``W_x`` once, and
+the (U, 4KH) result is gathered into the token rows. Going back, that
+layer's gate gradients are summed per distinct word in token order; the
+sums times the rows of ``M`` give its ``W_x`` gradient, and the sums
+times ``W_x`` give the (U, D) column gradients that training steps
+(:func:`backward_columns`), so a training step builds no (N, D) array.
+Only per-token input gradients (:func:`backward_batch`, for saliency)
+project each token's gate gradients. RMSprop steps ``M`` on the touched
+columns only, ``COLUMN_BLOCK`` at a time so that a block's buffers stay
+in cache, and decays the rest of its accumulator: bitwise the dense
+rule, as a zero gradient leaves a weight unchanged when ``eps_rms > 0``.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ FORGET_BIAS = 1.0
 
 # essays per lockstep batch at inference, taken in order of length
 PREDICT_CHUNK = 32
-# features summed per np.bincount call in column_gradient
-COLUMN_BLOCK = 32
+# columns of M per block of the RMSprop column step: the block's two
+# buffers stay in cache
+COLUMN_BLOCK = 128
 
 
 class LSTMLayer:
@@ -229,6 +233,8 @@ class _Layout:
     """
 
     ids: np.ndarray      # (N,) token ids, essay after essay
+    cols: np.ndarray     # (U,) the distinct ids, ascending
+    inverse: np.ndarray  # (N,) index into ``cols`` of each id in ``ids``
     lengths: np.ndarray  # (B,)
     offsets: np.ndarray  # (T + 1,)
     row: np.ndarray      # (N,) packed row of each token, in ``ids`` order
@@ -243,13 +249,14 @@ class _Layout:
         if not token_lists:
             raise DataError("cannot score an empty batch")
         seqs = [np.asarray(list(tokens), dtype=int) for tokens in token_lists]
-        for ids in seqs:
-            if ids.size == 0:
-                raise DataError("cannot score an empty essay")
-            if ids.min() < 0 or ids.max() >= model.vocab_size:
-                raise DataError(f"token id out of range for vocabulary of "
-                                f"{model.vocab_size}")
         lengths = np.array([ids.size for ids in seqs])
+        if not lengths.all():
+            raise DataError("cannot score an empty essay")
+        ids = np.concatenate(seqs)
+        cols, inverse = np.unique(ids, return_inverse=True)
+        if cols[0] < 0 or cols[-1] >= model.vocab_size:
+            raise DataError(f"token id out of range for vocabulary of "
+                            f"{model.vocab_size}")
         B = lengths.size
         rank = np.empty(B, dtype=int)
         rank[np.argsort(-lengths, kind="stable")] = np.arange(B)
@@ -264,8 +271,8 @@ class _Layout:
         later = pos > 0
         prev = np.empty(col.size - B, dtype=int)
         prev[row[later] - B] = offsets[pos[later] - 1] + rank[col[later]]
-        return cls(ids=np.concatenate(seqs), lengths=lengths, offsets=offsets,
-                   row=row, rev=rev, prev=prev, first=rank,
+        return cls(ids=ids, cols=cols, inverse=inverse, lengths=lengths,
+                   offsets=offsets, row=row, rev=rev, prev=prev, first=rank,
                    last=offsets[lengths - 1] + rank)
 
 
@@ -290,12 +297,11 @@ class _LayerCache:
 class BatchCache:
     """Everything the backward pass reuses from one lockstep forward pass.
 
-    ``inputs[l]`` is layer l's input over packed rows in essay time: for
-    l = 0 the token ids, whose embedding rows :func:`backward_batch`
-    reads from ``model.M`` again, so ``M`` must not change between the
-    two passes; above it the previous layer's output after dropout
-    (backward direction realigned). ``masks[l]`` is layer l's dropout
-    mask over packed rows, or None.
+    ``inputs[l]`` is layer l's input over packed rows in essay time, the
+    previous layer's output after dropout (backward direction
+    realigned); None for l = 0, whose rows the backward pass reads from
+    ``model.M`` again, so ``M`` must not change between the two passes.
+    ``masks[l]`` is layer l's dropout mask over packed rows, or None.
     """
 
     layout: _Layout
@@ -498,16 +504,16 @@ def _run(model: SeqModel, layout: _Layout, masks=None, keep: bool = True):
     """Forward pass of a lockstep batch; returns (y, BatchCache or None)."""
     bi = model.bidirectional
     n = model.lstm_dim
-    packed_ids = np.empty_like(layout.ids)
-    packed_ids[layout.row] = layout.ids
-    seq = model.M.T[packed_ids]
-    N = seq.shape[0]
-    inputs, layers = [], []
+    N = layout.ids.size
+    at = np.empty_like(layout.inverse)  # each packed row's index into cols
+    at[layout.row] = layout.inverse
+    inputs, layers, seq = [], [], None
     for l, layer in enumerate(model.layers):
-        proj = seq @ layer.W_x.reshape(-1, layer.in_dim).T
+        W_x = layer.W_x.reshape(-1, layer.in_dim)
+        # layer 0 projects each distinct word once, then gathers the rows
+        proj = seq @ W_x.T if l else (model.M.T[layout.cols] @ W_x.T)[at]
         if keep:
-            # layer 0's rows are gathered from M again by the backward pass
-            inputs.append(seq if l else packed_ids)
+            inputs.append(seq)
         del seq
         proj += layer.b.reshape(-1)
         G = proj.reshape(N, -1, 4 * n)
@@ -548,17 +554,12 @@ def forward_batch(model: SeqModel, token_lists, training: bool = False,
     return _run(model, layout, masks)
 
 
-def backward_batch(model: SeqModel, cache: BatchCache,
-                   dy) -> tuple[dict, np.ndarray]:
-    """Backpropagate per-essay output gradients ``dy`` (B,) through the stack.
+def _backward(model: SeqModel, cache: BatchCache, dy):
+    """The backward pass; returns (parameter gradients without ``M``,
+    layer 0's gate gradients (N, 4KH) in ``layout.ids`` order, their
+    sums (U, 4KH) per ``layout.cols`` entry).
 
-    Returns (parameter gradients under their ``named_arrays`` names,
-    without the embedding matrix, summed over the batch; gradient with
-    respect to each token's word vector, (N, D) essay after essay, in
-    ``cache.layout.ids`` order). Layer 0's input rows are gathered from
-    ``model.M`` again for its ``W_x`` gradient and dropped before the
-    input gradients are computed, straight in token order, from the gate
-    gradients gathered into that order: one (N, D) array at a time.
+    The sums run in token order from 0.0, as ``np.add.at`` adds.
     """
     layout = cache.layout
     dy = np.asarray(dy, dtype=float).reshape(-1)
@@ -579,21 +580,45 @@ def backward_batch(model: SeqModel, cache: BatchCache,
         dA = _recur_backward(layer.W_h, layer.W_p, lc.G, lc.C, lc.TC, dH,
                              layout)
         dir_grads = _layer_grads(layer, lc, dA, layout)
-        # both directions' gate gradients in essay time, side by side
-        dA = np.concatenate((dA[:, 0], dA[layout.rev, 1]), axis=1) if bi \
-            else dA.reshape(-1, 4 * n)
+        # both directions' gate gradients side by side: in essay time
+        # above layer 0, in token order at it
+        rows = layout.row if l == 0 else slice(None)
+        dA = np.concatenate((dA[rows, 0], dA[layout.rev[rows], 1]), axis=1) \
+            if bi else dA.reshape(-1, 4 * n)[rows]
         if l:
             d_W_x = dA.T @ cache.inputs[l]
+            d_out = dA @ layer.W_x.reshape(-1, layer.in_dim)
         else:
-            # layer 0's input rows, gathered from M again and dropped; the
-            # word vectors' gradients come out in token order
-            d_W_x = dA.T @ model.M.T[cache.inputs[0]]
-            dA = dA[layout.row]
-        d_out = dA @ layer.W_x.reshape(-1, layer.in_dim)
+            U, width = layout.cols.size, dA.shape[1]
+            sums = np.bincount(
+                (layout.inverse[:, None] * width + np.arange(width)).ravel(),
+                weights=dA.ravel(), minlength=U * width).reshape(U, width)
+            d_W_x = sums.T @ model.M.T[layout.cols]
         for k, (prefix, g) in enumerate(zip(("fwd", "bwd"), dir_grads)):
             g["W_x"] = d_W_x[4 * n * k:4 * n * (k + 1)]
             grads.update((f"{prefix}{l}.{name}", a) for name, a in g.items())
-    return grads, d_out
+    return grads, dA, sums
+
+
+def backward_batch(model: SeqModel, cache: BatchCache,
+                   dy) -> tuple[dict, np.ndarray]:
+    """Backpropagate per-essay output gradients ``dy`` (B,) through the stack.
+
+    Returns (parameter gradients under their ``named_arrays`` names,
+    without ``M``, summed over the batch; the gradient of each token's
+    word vector, (N, D), in ``cache.layout.ids`` order).
+    """
+    grads, dA, _ = _backward(model, cache, dy)
+    return grads, dA @ model.layers[0].W_x.reshape(-1, model.embed_dim)
+
+
+def backward_columns(model: SeqModel, cache: BatchCache,
+                     dy) -> tuple[dict, tuple]:
+    """:func:`backward_batch` with ``M``'s gradient as ``(cols, rows)``:
+    the batch's distinct ids, ascending, and one summed row for each."""
+    grads, _, sums = _backward(model, cache, dy)
+    rows = sums @ model.layers[0].W_x.reshape(-1, model.embed_dim)
+    return grads, (cache.layout.cols, rows)
 
 
 def forward_essay(model: SeqModel, tokens, training: bool = False,
@@ -612,9 +637,7 @@ def bptt(model: SeqModel, cache: BatchCache,
     """Exact gradients of (y - gold)^2 through the whole stack.
 
     Returns (named parameter gradients without the embedding matrix,
-    gradient with respect to each timestep's input word vector). The
-    caller scatters the latter into embedding columns; saliency reads it
-    per position.
+    gradient with respect to each timestep's input word vector).
     """
     return backward_batch(model, cache, 2.0 * (cache.y - gold))
 
@@ -694,23 +717,27 @@ def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
             continue
         if isinstance(g, tuple):
             # the listed columns as rows of the transposed arrays, stepped
-            # through two (U, D) buffers: the same operations in the same
-            # order as the dense branch below
+            # COLUMN_BLOCK at a time through two buffers that stay in cache:
+            # the same operations in the same order as the dense branch below
             cols, g = g
             acc_t, p_t = acc.T, arrays[name].T
-            sub = acc_t[cols]
-            buf = np.multiply(1.0 - state.rho, g)
-            buf *= g
-            sub += buf
-            acc_t[cols] = sub
-            np.add(sub, state.eps, out=buf)
-            np.sqrt(buf, out=buf)
-            np.multiply(state.eta, g, out=sub)
-            np.divide(sub, buf, out=buf)
-            # "raise" mode would fill a copy of ``out``; every col is valid
-            np.take(p_t, cols, axis=0, out=sub, mode="clip")
-            sub -= buf
-            p_t[cols] = sub
+            bufs = np.empty((2, min(COLUMN_BLOCK, cols.size), g.shape[1]))
+            for j in range(0, cols.size, COLUMN_BLOCK):
+                c, r = cols[j:j + COLUMN_BLOCK], g[j:j + COLUMN_BLOCK]
+                sub, buf = bufs[:, :c.size]
+                # "raise" mode would fill a copy of ``out``; every col is valid
+                np.take(acc_t, c, axis=0, out=sub, mode="clip")
+                np.multiply(1.0 - state.rho, r, out=buf)
+                buf *= r
+                sub += buf
+                acc_t[c] = sub
+                np.add(sub, state.eps, out=buf)
+                np.sqrt(buf, out=buf)
+                np.multiply(state.eta, r, out=sub)
+                np.divide(sub, buf, out=buf)
+                np.take(p_t, c, axis=0, out=sub, mode="clip")
+                sub -= buf
+                p_t[c] = sub
         else:
             acc += (1.0 - state.rho) * g * g
             arrays[name] -= state.eta * g / np.sqrt(acc + state.eps)
@@ -731,32 +758,6 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
         for g in dense:
             g *= scale
     return norm
-
-
-def column_gradient(ids: np.ndarray, d_inputs: np.ndarray):
-    """Sum per-token input gradients into embedding columns.
-
-    Returns ``(cols, rows)``: the distinct ids in ascending order and one
-    summed row per id. Repeats are added in token order starting from
-    0.0, as a dense ``np.add.at`` into the matrix's columns would add
-    them: ``np.bincount`` over a flat (column, feature) index does
-    exactly that. It runs on ``COLUMN_BLOCK`` features at a time, so the
-    index and the weights it reads stay O(N), not (N, D).
-    """
-    cols, inverse = np.unique(ids, return_inverse=True)
-    U, D = cols.size, d_inputs.shape[1]
-    rows = np.empty((U, D))
-    width = 0
-    for j in range(0, D, COLUMN_BLOCK):
-        part = d_inputs[:, j:j + COLUMN_BLOCK]
-        if part.shape[1] != width:
-            width = part.shape[1]
-            flat = (inverse.reshape(-1, 1) * width
-                    + np.arange(width)).reshape(-1)
-        rows[:, j:j + width] = np.bincount(
-            flat, weights=part.reshape(-1),
-            minlength=U * width).reshape(U, width)
-    return cols, rows
 
 
 @dataclass
@@ -811,15 +812,11 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
             for e in err:
                 # square via numpy so a diverged run overflows to inf
                 sq_sum += float(np.square(e))
-            grads, d_inputs = backward_batch(model, cache, 2.0 * err)
-            ids = cache.layout.ids
+            grads, (cols, rows) = backward_columns(model, cache, 2.0 * err)
             del cache
             inv = 1.0 / len(batch)
-            for g in grads.values():
+            for g in (*grads.values(), rows):
                 g *= inv
-            cols, rows = column_gradient(ids, d_inputs)
-            del d_inputs
-            rows *= inv
             grads["M"] = (cols, rows)
             if cfg.clip_norm > 0.0:
                 clip_gradients(grads, cfg.clip_norm)

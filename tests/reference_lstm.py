@@ -22,7 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import expit
 
-from essayscore.lstm import RMSPropState, SeqModel
+from essayscore.lstm import (RMSPropState, SeqModel, _backward,
+                             backward_batch)
 
 
 # each fused buffer's row blocks, in order, by the gate equations' names
@@ -315,6 +316,33 @@ def scatter_embedding_grad(tokens, d_inputs) -> dict[int, np.ndarray]:
         else:
             acc += d_inputs[t]
     return cols
+
+
+def dense_embedding_grad(M: np.ndarray, ids, d_inputs) -> np.ndarray:
+    """Per-token input gradients added into a dense gradient of ``M``,
+    in token order, from 0.0."""
+    dense = np.zeros_like(M)
+    np.add.at(dense.T, ids, d_inputs)
+    return dense
+
+
+def per_token_columns(model: SeqModel, cache, dy):
+    """The batched scorer's earlier route to its embedding-side gradients.
+
+    Returns (cols, rows, layer 0's ``W_x`` gradient with the directions
+    stacked, (K * 4H, D)): ``backward_batch``'s per-token input gradients
+    added per column with ``np.add.at``, and layer 0's gate gradients
+    times the rows of ``M`` gathered once per token, in the packed row
+    order the forward pass runs in (``dA.T @ M.T[ids]``).
+    """
+    layout = cache.layout
+    _, d_inputs = backward_batch(model, cache, dy)
+    _, dA, _ = _backward(model, cache, dy)
+    cols = np.unique(layout.ids)
+    rows = dense_embedding_grad(model.M, layout.ids, d_inputs)[:, cols].T
+    packed_dA, packed_ids = np.empty_like(dA), np.empty_like(layout.ids)
+    packed_dA[layout.row], packed_ids[layout.row] = dA, layout.ids
+    return cols, rows, packed_dA.T @ model.M.T[packed_ids]
 
 
 def dense_rmsprop_update(state: RMSPropState, arrays, grads):

@@ -16,16 +16,15 @@ import pytest
 import scipy.stats
 
 from conftest import finite_difference, max_relative_error
-from reference_lstm import direction, gate
+from reference_lstm import dense_embedding_grad, direction, gate
 from reference_sswe import dense_gradients, predict_window_score, sample_loss
 from essayscore.cli import main
 from essayscore.config import Config
 from essayscore.corpus import (ScoreRange, Vocabulary,
                                corrupt_window, load_corpus, read_manifest,
                                split_corpus)
-from essayscore.lstm import (SeqModel, bptt, column_gradient,
-                             forward_essay, load_model, predict, save_model,
-                             train_scorer)
+from essayscore.lstm import (SeqModel, bptt, forward_essay, load_model,
+                             predict, save_model, train_scorer)
 from essayscore.metrics import (pearson_r, quadratic_weighted_kappa, rmse,
                                 spearman_rho)
 from essayscore.saliency import quality_map
@@ -110,9 +109,7 @@ def test_1_gradients_match_finite_differences():
 
             _, cache = forward_essay(model, tokens)
             grads, d_inputs = bptt(model, cache, 1.0)
-            dense_m = np.zeros_like(model.M)
-            cols, rows = column_gradient(cache.layout.ids, d_inputs)
-            dense_m[:, cols] = rows.T
+            dense_m = dense_embedding_grad(model.M, tokens, d_inputs)
 
             def loss():
                 y, _ = forward_essay(model, tokens)

@@ -340,6 +340,24 @@ class TestIngestCommand:
         assert not cache.exists()
         assert not list((tmp_path / "splits").glob("*.tmp"))
 
+    def test_oversized_field_is_a_data_error(self, tmp_path):
+        # a field over the csv module's limit (131,072 characters by
+        # default) used to end in an uncaught csv.Error and exit 1
+        tsv = tmp_path / "synth.tsv"
+        assert main(["synth", "--profile", "overfit16", "--out", str(tsv)]) == 0
+        lines = tsv.read_text().splitlines()
+        header = lines[0].split("\t")
+        row = dict(zip(header, lines[1].split("\t")))
+        row.update(essay_id="999", essay="word " * 30000)
+        tsv.write_text("\n".join(lines + ["\t".join(row[c] for c in header)])
+                       + "\n")
+        cfgpath = write_workspace_config(tmp_path)
+        proc = run_limited_cli(["--config", str(cfgpath), "ingest"])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{tsv}:{len(lines) + 1}: field larger than field limit" \
+            in proc.stderr
+
     def test_config_via_environment(self, tmp_path, monkeypatch):
         assert main(["synth", "--profile", "overfit16",
                      "--out", str(tmp_path / "synth.tsv")]) == 0
@@ -882,7 +900,7 @@ class TestPinnedOutputs:
         "heatmaps/essay_5.html": "edef256af1ef193bc938e3e21a582ff43343dc433364ef31607fc25755a01394",
         "heatmaps/index.csv": "8c068beb05bed5f6f915f08c302fd1723542aae9b4f4ec984ec66dc4c09596cf",
         "models/embeddings.sswe": "6426a0a156fbda5dd7a6fa71e7f3f1f4b24204eabeb0128938db26db870ba934",
-        "models/model.sats": "e867d394179e6a02881267b15f65d062910820539ad375ee6127d7c18db00918",
+        "models/model.sats": "03b82fcfc83617684d2eec36c3ca9099a9523e4261938d329bbb3246503a4b4c",
         "reports/best_config.cfg": "04817e6546e019ee85c92989dfd92fe81d179d0bcdc2d039c55b10d1b21a0a06",
         "reports/embed_history.csv": "9aafc46ea896ad5fd2ac2122ae4c7f669dfab1421499f76e6858f9ea20c9f6d0",
         "reports/metrics_test.csv": "936043150eb370ffdafd9710ad8fd1feb48471af9f4336777b2194dc8ccf3c26",

@@ -13,9 +13,10 @@ from essayscore.corpus import ScoreRange
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
 from essayscore.lstm import (COLUMN_BLOCK, FORGET_BIAS, PREDICT_CHUNK,
-                             LSTMLayer, RMSPropState, SeqModel, _n_params,
-                             backward_batch, bptt, clip_gradients,
-                             column_gradient, forward_batch, forward_essay,
+                             LSTMLayer, RMSPropState, SeqModel, _backward,
+                             _n_params, backward_batch, backward_columns,
+                             bptt, clip_gradients, forward_batch,
+                             forward_essay,
                              load_model, predict, predict_batch,
                              rmsprop_update,
                              save_model, train_scorer)
@@ -231,22 +232,29 @@ def batch_pass(model, token_lists):
 
 
 def check_gradients(model, token_lists, golds):
-    """Batched gradients of sum_b (y_b - gold_b)^2 against central differences."""
+    """Batched gradients of sum_b (y_b - gold_b)^2 against central differences.
+
+    Both routes to ``M``'s gradient are checked: the training step's
+    column sums and ``backward_batch``'s per-token rows, added per column.
+    """
     golds = np.asarray(golds)
     y, cache = batch_pass(model, token_lists)
-    grads, d_inputs = backward_batch(model, cache, 2.0 * (y - golds))
+    dy = 2.0 * (y - golds)
+    grads, (cols, rows) = backward_columns(model, cache, dy)
     dense_m = np.zeros_like(model.M)
-    cols, rows = column_gradient(cache.layout.ids, d_inputs)
     dense_m[:, cols] = rows.T
-    analytic = {"M": dense_m, **grads}
+    _, d_inputs = backward_batch(model, cache, dy)
 
     def loss():
         y, _ = batch_pass(model, token_lists)
         return float(np.sum((y - golds) ** 2))
 
     numeric = finite_difference(loss, dict(model.named_arrays()))
-    assert analytic.keys() == numeric.keys()
-    assert max_relative_error(analytic, numeric, floor=1e-6) <= 1e-4
+    for m_grad in (dense_m, ref.dense_embedding_grad(model.M, cache.layout.ids,
+                                                     d_inputs)):
+        analytic = {"M": m_grad, **grads}
+        assert analytic.keys() == numeric.keys()
+        assert max_relative_error(analytic, numeric, floor=1e-6) <= 1e-4
 
 
 class TestBackward:
@@ -259,10 +267,8 @@ class TestBackward:
             # bptt of forward_essay, the one-essay entry points
             y, cache = forward_essay(model, tokens)
             grads, d_inputs = bptt(model, cache, gold)
-            dense_m = np.zeros_like(model.M)
-            cols, rows = column_gradient(cache.layout.ids, d_inputs)
-            dense_m[:, cols] = rows.T
-            analytic = {"M": dense_m, **grads}
+            analytic = {"M": ref.dense_embedding_grad(model.M, tokens,
+                                                      d_inputs), **grads}
 
             def loss():
                 y, _ = forward_essay(model, tokens)
@@ -293,51 +299,37 @@ class TestBackward:
         model = build_model(vocab=9, seed=11)
         tokens = [3, 4, 5, 4]
         _, cache = forward_essay(model, tokens)
+        dy = 2.0 * (cache.y - 0.9)
+        _, (cols, rows) = backward_columns(model, cache, dy)
         _, d_inputs = bptt(model, cache, 0.9)
-        cols, rows = column_gradient(cache.layout.ids, d_inputs)
         assert list(cols) == [3, 4, 5]
-        # a repeated token accumulates both positions, in order
-        assert np.array_equal(rows[1], d_inputs[1] + d_inputs[3])
-        assert np.array_equal(rows[0], d_inputs[0])
+        # a repeated token accumulates both positions
+        assert np.allclose(rows[1], d_inputs[1] + d_inputs[3],
+                           rtol=1e-12, atol=0)
+        assert np.allclose(rows[0], d_inputs[0], rtol=1e-12, atol=0)
 
-    def test_column_gradient_is_bitwise_the_dense_scatter(self):
-        # many repeats of each id: the sums depend on the addition order
+    def test_column_sums_are_bitwise_the_dense_scatter(self):
+        # a 5-word vocabulary in long runs of one id, with a one-token
+        # essay: each distinct word's sum of layer 0's gate gradients
+        # depends on the addition order
+        model = build_model(vocab=5, embed_dim=4, seed=12, lstm_dim=3,
+                            bidirectional=True, peepholes="full")
         rng = np.random.default_rng(12)
-        ids = rng.integers(0, 6, size=40)
-        d_inputs = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(
-            -8, 8, size=(40, 1))
-        dense = np.zeros((3, 9))
-        np.add.at(dense.T, ids, d_inputs)
-        cols, rows = column_gradient(ids, d_inputs)
-        assert list(cols) == sorted(set(ids.tolist()))
-        assert rows.tobytes() == np.ascontiguousarray(dense[:, cols].T).tobytes()
-
-        # a 5-word vocabulary in long runs of one id, over several blocks
-        # of features (the last one narrower), with -0.0 rows: id 4 has
-        # nothing else, so its sum is 0.0 + -0.0 + ... = +0.0
-        D = 2 * COLUMN_BLOCK + 7
-        ids = np.repeat(rng.integers(0, 4, size=30), rng.integers(1, 12, 30))
-        ids[[3, 50, 51, 52]] = 4
-        d_inputs = rng.normal(size=(ids.size, D)) * 10.0 ** rng.integers(
-            -8, 8, size=(ids.size, 1))
-        d_inputs[ids == 4] = -0.0
-        d_inputs[rng.integers(0, ids.size, size=20)] = -0.0
-        dense = np.zeros((D, 5))
-        np.add.at(dense.T, ids, d_inputs)
-        want = np.ascontiguousarray(dense.T)
-        cols, rows = column_gradient(ids, d_inputs)
+        token_lists = [list(np.repeat(rng.integers(0, 4, size=L),
+                                      rng.integers(1, 6, size=L)))
+                       for L in (9, 14, 3)] + [[4]]
+        y, cache = forward_batch(model, token_lists)
+        _, dA, sums = _backward(model, cache, 1.0 - y)
+        ids, cols = cache.layout.ids, cache.layout.cols
         assert list(cols) == [0, 1, 2, 3, 4]
-        assert rows.tobytes() == want.tobytes()
-        assert not np.signbit(rows[4]).any()
-        # the data tells the order apart: a sum that restarts from each
-        # id's first row, or runs backwards, gives other bits
-        order = np.argsort(ids, kind="stable")
-        restarted = np.add.reduceat(
-            d_inputs[order], np.searchsorted(ids[order], cols), axis=0)
-        assert restarted.tobytes() != want.tobytes()
-        backwards = np.zeros((D, 5))
-        np.add.at(backwards.T, ids[::-1], d_inputs[::-1])
-        assert np.ascontiguousarray(backwards.T).tobytes() != want.tobytes()
+        dense = np.zeros((5, dA.shape[1]))
+        np.add.at(dense, ids, dA)
+        assert sums.tobytes() == dense.tobytes()
+        # the data tells the order apart: a sum that runs backwards gives
+        # other bits
+        backwards = np.zeros_like(dense)
+        np.add.at(backwards, ids[::-1], dA[::-1])
+        assert backwards.tobytes() != dense.tobytes()
 
     def test_dropout_mask_is_respected(self):
         # with a saved mask, gradients of masked-out units must vanish
@@ -431,130 +423,130 @@ class TestBatchMatchesReference:
             assert normwise_error(grads[name], g) <= 1e-12, name
 
     # sha256 of y, d_inputs, every gradient in parameter order and
-    # predict_batch on the same essays, computed before the step loops
-    # took one-direction layers as 2-D arrays ("ragged": before they took
-    # gate-major blocks): the passes must not move a bit
+    # predict_batch on the same essays: the passes must not move a bit.
+    # Retaken when layer 0's W_x gradient came to be summed per distinct
+    # word (the one output that changed; every other one hashed the same)
     PINNED_PASSES = {
         "unil1-full-dropout-B1-len1":
             "129e45384cf9882cace53832ec435436e68c953941b837044c6170663af684c6",
         "unil1-full-dropout-B1":
-            "45816d81fd49d3fe9d21a4053d4af3ec484771c7a057700d4ed394b376a1675e",
+            "e9406f041d0dbc0ff64c6607e5f999a9af498476e999330ba49a8a4c1e2ea5b8",
         "unil1-full-dropout-mixed":
-            "9e5484a8825560f19e5aea8d72487bae4101d931a003c37af708c4d9d45f4e1a",
+            "6b74c8980c7d275c72b23542ec2f9c196c0c4bda95c81b384e518cdca86e8292",
         "unil1-full-dropout-equal":
-            "f05555e8a5d6a268cfb6550ebc985837ceefb282014e9e77ad05727938c30c79",
+            "bdd494957dd8b112ac0aa4e7947e27f01809c990e402ae9f6acc3f2bcc97e947",
         "unil1-full-dropout-ragged":
-            "60b4e607a63a8d755309e01fb05e9662f1d044765aff0323d48e7f86b7f2cdde",
+            "229dbd48387b6e950aefbe1b9b4cd3091af623d39f674ed7cb15b70a47e7ecc3",
         "unil1-diagonal-dropout-B1-len1":
             "ce06ca1d7b609ce150c88abe819d627f564abd3e7e06f47f3ebe203fcda7ff94",
         "unil1-diagonal-dropout-B1":
-            "8cac617daa8167324939469a2e939cd031270c609481f715e7879479a07c9ed1",
+            "95292cbe028a229c6c6c30e3ff130b877b2f0e6137bd5f63f0cb6e286ff3b789",
         "unil1-diagonal-dropout-mixed":
-            "79e990acda4330b7ab33cc836d783a06c0b1aacf73e9d942e5b4d7693a04e41a",
+            "6d10eb40eb35083dff915e7d4d6bac7ba8d89e711c803065f618a9dbe10d439c",
         "unil1-diagonal-dropout-equal":
-            "f8f9a0ff90c76e2ffa37d174c0f8a92251ffd3afb31da1958ddad37489800c5b",
+            "c8041d81c9eec2124a4c20136f6a5b60783d921ba3930164ed8c0e9ce5d07cb6",
         "unil1-diagonal-dropout-ragged":
-            "981500482d342e56ed301a890074666646de253cb7f8d47ee1c2d8660c8cfced",
+            "5469903f9a81693e58501fe9631bf8c2afb6239d430a6582680284665095441b",
         "unil1-off-dropout-B1-len1":
             "f861406e1c60fc8f4d028caf77a8ba5d41ce4a4b8d69d7bdc98f9de2feb5c513",
         "unil1-off-dropout-B1":
-            "0d2a7c3b6a62915d21ecf8cc684eedc6f3f27b83691b6d473e6d1e84b320577d",
+            "ad4b4d1c29bf58fd0d7e00e213edd75adf1c2c6127f855e8cec7deb9c6e826ac",
         "unil1-off-dropout-mixed":
-            "5c91fc7ad3a88f7a7895db7849f23cc71017b35babaea86c20db9b7b1add5d16",
+            "6e7bc731144988bf14d07254db9842484722eb7aa96a6876d30787149f098395",
         "unil1-off-dropout-equal":
-            "64d6b2c053f6499226db51fb8e1d32a659f05ab1496dea969de4182a51930140",
+            "340ad0f1eb750664374b01a126aa023a7bf5d8ee1f60fab5cd630f00a7acbf83",
         "unil1-off-dropout-ragged":
-            "bb9ff73cbae60f1657cd559305b3e33907ad9e6b7e5f8fa37bec5d17e3a4aba4",
+            "5d2aac1c315350088477d06f38beb2b957def769580dbb7827dac479a1b1814d",
         "bil1-full-dropout-B1-len1":
             "183c82692e522993f5d32f52cdd4c8ac1886ea4a784ac3b5279e049bebbdd16a",
         "bil1-full-dropout-B1":
-            "64117cbf8b01fd8f2720b1c12b95d1895c726fbe87ff522a25afc6d07ac838f8",
+            "cc95cbdfdcbf9b2ff0e40bb04e3789241bf1f802309f068d4850b4d7cad387c1",
         "bil1-full-dropout-mixed":
-            "54abc77d004ce24b1956860094016aac3701a192e3c3d0384340520c55fc4b4e",
+            "e5828453788da1ddd11e9532b96ca2106a57397c638b394db30d63d905da0f9a",
         "bil1-full-dropout-equal":
-            "3d1a7f67138e89e16fb6f9a9211f124cf25e4158e6fd8f4554bac6e948c62097",
+            "2606a6b303abfe5d615275fb96a8da12d3870c67c18d5225d6481bd02206c76d",
         "bil1-full-dropout-ragged":
-            "70a339cd20a60c209293ce3853c9ace277f36d38da684b8273ecb4e87d72cf92",
+            "7e7146ef09ff661f8a1999caa8ab1458c5bf1733a3190f5c4d60c514d01bee1c",
         "bil1-diagonal-dropout-B1-len1":
             "654431ee62adf51bfabe3c192b263e00ad2258257ce2fbca97abafd663a1e770",
         "bil1-diagonal-dropout-B1":
-            "b3ed91e7afddee53f2fec7576f7dcb58b21bbd00906923ec4e9064918cf8cf1b",
+            "749ea297e4bee1555b1852eac796ae6ffb2a3f7238e0920f9e8a05b883807ad9",
         "bil1-diagonal-dropout-mixed":
-            "6ad704fd150b3ff603b0f13759c3de86ac99c3fe1eb1af264d587c15d8017ead",
+            "c6ba8fceb2bbce76e8280f76a25b749506c39303337129250f276d3ac2d746b9",
         "bil1-diagonal-dropout-equal":
-            "732148138e45a27149bb98e070ffb358e1d0a8230d77e514314ea1caf8504c2b",
+            "345537c10851fe8742f7e60b0448b193cc81fa82ecd0093df1ab96add6df1e1a",
         "bil1-diagonal-dropout-ragged":
-            "f67376482f5cf5beefa24c78b6b8367eaf15d0ba729530c64856f6a07a9dbd3c",
+            "2f9bb5a6e7c3aeada3551149c75c2681ed0921863dfa4ddc5fc223ddb30b8b0f",
         "bil1-off-dropout-B1-len1":
             "beed176b3aa7a1c350cc50bcc98926f5f8b10a858e7e7a54b6d58a50a27f0e6e",
         "bil1-off-dropout-B1":
-            "914d340d1e49b36f0f6324e3d861eb54de0ea5bd617de3079fc0f0b39870a020",
+            "349ba56df26aecfcb22dc1f00ed28f1cbf0246d4e5602e2315787079d7e3d5b1",
         "bil1-off-dropout-mixed":
-            "ac61c7fe289ab9ae6270bbd74f0741dd7b68573530bd4c1e35a0a91d31e900c4",
+            "8a29b8f0710f51b185b931165748ffb8b51e0377afe54083580191706ae5ebbe",
         "bil1-off-dropout-equal":
-            "41df258075dc0d4e47f3372513192c9f550be816aae4b53fd4992222c32d2b28",
+            "e24453707f050764b8167b5e88731fdefaa179a67708e60a93ed6959311039dc",
         "bil1-off-dropout-ragged":
-            "a84dba66e185fa6d7e674237ae9ebd3f2cc16fe334581b1210c78f6b74ebf6fc",
+            "8cf77238a2e1f46f3aa7d909230dc6d8770e871f17c3e23f5cf2f90da27219ef",
         "unil2-full-dropout-B1-len1":
             "2cb6b76745fd8e44fdf031f467463957c725e11bad3b851d72c76c69d7e4a581",
         "unil2-full-dropout-B1":
-            "b0bf98a404d442de25694cad7f4404d1b64d5b06a67a55f753e4bbefd4ac1e50",
+            "a96cc3cfb5aa4a9740926116a5bec693891cbac9cc41b0020d01cf1ea4b999fa",
         "unil2-full-dropout-mixed":
-            "bd1fc7a2f5bad733faeade02f7d474c81dda6080e4db225ad2440226e20cef65",
+            "22b6c7c3e58a3e205917c37ec6304e4c64c99978a0cd70404fe52dd51a0dcbc9",
         "unil2-full-dropout-equal":
-            "7cae276f31d34792d35c33e14b095c06eaeafaa1b21ef4591b912c0caf88c968",
+            "ba4fea746207d662f7f7a43e1962f1b01ad2befb44992f76379d70eed4f3f32d",
         "unil2-full-dropout-ragged":
-            "d119594582249d7905c5322ccf2af6865d67543a82704271bd4bf740b1eb8492",
+            "b6d17d8946f5a55b74211ce1b2cc8d75767acfbc6a07dcfb0b2aa39168c0c360",
         "unil2-diagonal-dropout-B1-len1":
             "802161e4b00a2574645cd293a71b64aac407842d003ef4d7efa5fe9fecbf200b",
         "unil2-diagonal-dropout-B1":
-            "d84f6b4fa36712d47b355f56be8ea9893cfa0f615decd57a63e45cdfef424bc3",
+            "ac34932cedb55fe1fd19f75fbcf7f7c9b2d901edeb4c19d2d87a07104e5e822a",
         "unil2-diagonal-dropout-mixed":
-            "2416789fc057efd611920c77799f5547982243d8ed59d1e435fc93171b4c9325",
+            "58bee6e3460b9bcaec7b66f1f094f2ba9a0c89331acb86859565207935df5be1",
         "unil2-diagonal-dropout-equal":
-            "4d911a272ef7c2709bdb39c69899d24226aac01b4237152de55542b8bd58c259",
+            "59438ec7f3779018898781b920f0e6ba3d9519d5805a5b3444fa0880f13ecb2c",
         "unil2-diagonal-dropout-ragged":
-            "19f9a089d4cbc444be36be19eea86c4b8b046d7ea8057593dbb170e3337bdf1f",
+            "b383f54e4f48f8aafd99e5d4ada4ef55f02722d24bb02138f96d59729634af95",
         "unil2-off-dropout-B1-len1":
             "123cd550d28872a4253021a35fba9a330de20f4f19eeca14b6b5c79bf3d4845a",
         "unil2-off-dropout-B1":
-            "092f21e11b3a237b8c1da1d6795743d6e2f44233ae3f89d57b695bdb8110e496",
+            "bb0b75a6043b2f1ad09ee36f421bc9839a47de72d71b7ff57506b7c567d29faf",
         "unil2-off-dropout-mixed":
-            "c61936f402564c698140337a09fb14c354dc3b043232c0aaac9293f44d032c02",
+            "49d9c4865d1202c0f8a3b2ac427fbf56f0a68412e2e7a08029bc94a4fcfcc204",
         "unil2-off-dropout-equal":
-            "97c86b7b348ee46e653cfda7411cbd1fe3d48468e3e76ebead6226a799d9e569",
+            "de76b19f212717439e51d639156e264f212d582da6ffa7c90c5adb1583cc666b",
         "unil2-off-dropout-ragged":
-            "2204ce327f1e3a34e0b49f5de680fc71dc0d2f4a0aa52778a4e49990e246e297",
+            "9a57a57d4829b7391663b0e1f9033650ad8d002bb2d904b63956197aa641925c",
         "bil2-full-dropout-B1-len1":
             "6b395f4b2eb38caf2007131add776320ac332254cf63da5720b50dce8d153fd5",
         "bil2-full-dropout-B1":
-            "457362d3d09bc79b3b58a4251b513f5a19dff73244abc9e5baf619a18cb9ad75",
+            "057823912e4b6079a47f97c0771c0111a4b0b3a48f46f69e6732710805231294",
         "bil2-full-dropout-mixed":
-            "cc90ddf4aad83fded3756e1d0b024b3e9d31a98333791ad0c76f383bb0aadb75",
+            "3ff780d6f4989a387ad47fa00b8ab3cc272af57ea5897a81ffe341c255242ece",
         "bil2-full-dropout-equal":
-            "ff1c4c58c1a2458ef5bc172f570abf3bc1fad4e1ac5c3227b8bc9cccee9c4978",
+            "46147ebc52519b2e1499fb8c6fdf2a8b953cda7242a84bd17028c2082c8df360",
         "bil2-full-dropout-ragged":
-            "52347dadbfe8647ea8495bf91f0f1e03477452ea4f2d567ebd59b0c718a965f5",
+            "ab2855d8c9862be9cbf7a12eed1d57587737039b7cf70101db8f525f4c35f8a5",
         "bil2-diagonal-dropout-B1-len1":
             "046ae60fd05ca11e1846d3f15f9302892586838fd7d2433091a758b7d4e76d72",
         "bil2-diagonal-dropout-B1":
-            "02ae80cdbeea936e92ffa7f25fc2cefd58f1a535730906d1ff522391b4f677d5",
+            "80095581e54af50c0bb6b37404f28c4ca8bbca839133054aea7ccc6f31343fc5",
         "bil2-diagonal-dropout-mixed":
-            "c4b31e81aaf253104d952d110bfe157eb8969bb2bcfc157f926c4558631ccff6",
+            "b62ef176a7db31d66def64f01257646bf73f7a312cb2ebd3aea803c4d76675e2",
         "bil2-diagonal-dropout-equal":
-            "c079bb0ddd4ca7664a307cc610afce0a4b3dbf0d614848bd17dd0d762eff0588",
+            "65aabf51b0e09e237f8191dc0f37993916882a73e099bddbd89b322cca7fa1ab",
         "bil2-diagonal-dropout-ragged":
-            "58bb43bf3dbdb293104d500d35720dcfb921e82585ab4dae563bf45977116c20",
+            "19a47aaec86fe75ae63d08e1f978a9aaf21a99f0d2e6ae47fcdf2bb5be46555d",
         "bil2-off-dropout-B1-len1":
             "1dd68e8f9aaffd420c99d3509d8862f67a083779cd219e924df77e551f71e497",
         "bil2-off-dropout-B1":
-            "b720c7fa775a33eb500b2bc4f8c846006e79eeccc7810b3f5654708b862cec76",
+            "f3e1d6b33c401de3435b80bae26708d20560b94d978d3835e4f7447b42c2a5cf",
         "bil2-off-dropout-mixed":
-            "fc41383dd44610e9dd742a91cb8039490d8b31264d3bb4e0b8a06563dca267f4",
+            "36e152cd92274a976a07778c87a1fd95c2727c7341ef30ea86d9a16bfe0d985f",
         "bil2-off-dropout-equal":
-            "28a97624248419c35de9b5a29059c8c961bad9cd0b157a0d8624f04e6abdbb4a",
+            "6b04ef2d999d126143580fd69ddc644d0a2b8eb7bb43130edfccc74066262f63",
         "bil2-off-dropout-ragged":
-            "b185a319055225819dc455506422e36455e2ef2cd9b68d5574078310d38ac4df",
+            "aad26d0f2c2967595981dd723cfac78a92cb68b64d61489c0002ca61cdc70471",
     }
 
     @pytest.mark.parametrize("lengths", list(LENGTHS))
@@ -562,6 +554,31 @@ class TestBatchMatchesReference:
     def test_passes_are_pinned(self, variant, lengths):
         assert pass_digest(variant, LENGTHS[lengths]) \
             == self.PINNED_PASSES[f"{variant_id(variant)}-{lengths}"]
+
+    @pytest.mark.parametrize("lengths", list(LENGTHS.values()),
+                             ids=list(LENGTHS))
+    @pytest.mark.parametrize("variant", VARIANTS, ids=variant_id)
+    def test_column_sums_match_the_per_token_route(self, variant, lengths):
+        # the training step sums layer 0's gate gradients per distinct word
+        # before projecting them; that is a reordering of the per-token
+        # route's sums, equal within rounding
+        model, token_lists, golds = batch_case(variant, lengths)
+        y, cache = forward_batch(model, token_lists,
+                                 training=model.dropout > 0.0,
+                                 rng=np.random.default_rng(21))
+        dy = 2.0 * (y - golds)
+        grads, (cols, rows) = backward_columns(model, cache, dy)
+        want_cols, want_rows, want_W_x = ref.per_token_columns(model, cache,
+                                                               dy)
+        assert cols.tobytes() == want_cols.tobytes()
+        assert normwise_error(rows, want_rows) <= 1e-12
+        prefixes = ("fwd", "bwd") if model.bidirectional else ("fwd",)
+        W_x = np.concatenate([grads[f"{p}0.W_x"] for p in prefixes])
+        assert normwise_error(W_x, want_W_x) <= 1e-12
+        # backward_batch returns the same gradients
+        same, _ = backward_batch(model, cache, dy)
+        assert all(same[name].tobytes() == g.tobytes()
+                   for name, g in grads.items())
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=variant_id)
     def test_predict_batch_over_several_chunks(self, variant):
@@ -673,18 +690,28 @@ class TestOptimizer:
         g_w = rng.normal(size=3)
         dense = np.zeros_like(M)
         dense[:, cols] = rows.T
+        # more columns than two blocks of the column step, the last narrower
+        V, U = 3 * COLUMN_BLOCK, 2 * COLUMN_BLOCK + 17
+        W = np.asfortranarray(rng.normal(size=(3, V)))
+        acc_W = np.asfortranarray(rng.uniform(0.0, 0.1, size=(3, V)))
+        cols_W = np.sort(rng.choice(V, size=U, replace=False))
+        rows_W = rng.normal(size=(U, 3))
+        dense_W = np.zeros_like(W)
+        dense_W[:, cols_W] = rows_W.T
 
-        got = {"M": M.copy(order="F"), "w": w.copy()}
-        want = {"M": M.copy(order="F"), "w": w.copy()}
-        state = RMSPropState(acc={"M": acc.copy(order="F"),
-                                  "w": np.zeros(3)}, eta=0.01)
-        ref_state = RMSPropState(acc={"M": acc.copy(order="F"),
-                                      "w": np.zeros(3)}, eta=0.01)
+        got = {"M": M.copy(order="F"), "w": w.copy(), "W": W.copy(order="F")}
+        want = {"M": M.copy(order="F"), "w": w.copy(),
+                "W": W.copy(order="F")}
+        state, ref_state = (
+            RMSPropState(acc={"M": acc.copy(order="F"), "w": np.zeros(3),
+                              "W": acc_W.copy(order="F")}, eta=0.01)
+            for _ in range(2))
         for _ in range(3):
-            rmsprop_update(state, got, {"M": (cols, rows), "w": g_w})
+            rmsprop_update(state, got, {"M": (cols, rows), "w": g_w,
+                                        "W": (cols_W, rows_W)})
             ref.dense_rmsprop_update(ref_state, want,
-                                     {"M": dense, "w": g_w})
-        for name in ("M", "w"):
+                                     {"M": dense, "w": g_w, "W": dense_W})
+        for name in ("M", "w", "W"):
             assert got[name].tobytes() == want[name].tobytes(), name
             assert state.acc[name].tobytes() \
                 == ref_state.acc[name].tobytes(), name
@@ -745,14 +772,16 @@ class TestTrainingStepMemory:
         # the (N, D) input gradients it returns plus the gate arrays
         assert peak < 8 * N * self.D + 4 * gates
 
-    def test_column_gradient_holds_one_column_by_embedding_array(self):
+    def test_training_step_holds_no_token_by_embedding_array(self):
         model, cache, y = self.batch()
-        _, d_inputs = backward_batch(model, cache, 1.0 - y)
-        ids = cache.layout.ids
-        N, U = ids.size, np.unique(ids).size
-        peak = traced_peak(column_gradient, ids, d_inputs)
-        # the (U, D) sums it returns, plus an index and weights per block
-        assert peak < 8 * U * self.D + 8 * N * 3 * COLUMN_BLOCK
+        N, U = cache.layout.ids.size, cache.layout.cols.size
+        gates = 8 * N * 2 * 4 * model.lstm_dim  # one (N, K, 4H) array
+        peak = traced_peak(backward_columns, model, cache, 1.0 - y)
+        # the gate arrays, plus the (U, D) rows it returns and the rows
+        # of M it gathers: not one (N, D) array
+        bound = 4 * gates + 2 * 8 * U * self.D
+        assert bound < 8 * N * self.D
+        assert peak < bound
 
     def test_rmsprop_column_step_holds_two_column_buffers(self):
         rng = np.random.default_rng(9)
@@ -919,8 +948,8 @@ class TestTrainingMatchesReference:
                             layers=2, bidirectional=True, peepholes="full",
                             boost=4.0)
         y, cache = forward_batch(model, [[3, 1, 4], [1, 5, 9, 2, 6]])
-        grads, d_inputs = backward_batch(model, cache, 2.0 * (y - 0.5))
-        grads["M"] = column_gradient(cache.layout.ids, d_inputs)
+        grads, columns = backward_columns(model, cache, 2.0 * (y - 0.5))
+        grads["M"] = columns
         per_gate = ref.split_gates(grads, model.lstm_dim)
         # four directions, each with 4 buffers split into 15 gate blocks
         assert len(per_gate) == len(grads) + 4 * (15 - 4)
@@ -1060,9 +1089,9 @@ class TestPersistence:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_trained_model_bytes_are_pinned(self, tmp_path):
-        # one seeded epoch with dropout; the digest was computed with one
-        # RMSprop accumulator per gate, so it pins the optimizer's
-        # arithmetic as well as the file layout
+        # one seeded epoch with dropout; it pins the optimizer's arithmetic
+        # and the embedding gradient's route (gate gradients summed per
+        # distinct word) as well as the file layout
         train, val, ranges = mixed_corpus()
         cfg = Config(lstm_dim=3, layers=2, bidirectional=True,
                      peepholes="full", dropout=0.5, learning_rate=0.01,
@@ -1075,7 +1104,7 @@ class TestPersistence:
         path = tmp_path / "m.sats"
         save_model(path, best, config_hash="0123abcd4567ef89")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "d458d1a2ba3d6ac6c54064b4a8b35c72ad0702a8bb349feb4b5b53643f9c0651"
+            "9e5fa74b372119ca4ffb2d1115cdd7bf340c845cf30d45bb9bf63efc2ae62a46"
 
     @pytest.mark.parametrize("arch", [arch for arch, _ in PINNED],
                              ids=["bi2-full", "uni1-diag", "bi1-off"])
