@@ -59,20 +59,26 @@ The embedding side works per distinct word: a batch's U distinct ids
 (``_Layout.cols``) are projected by the first layer's ``W_x`` once, and
 the (U, 4KH) result is gathered into the token rows. Going back, that
 layer's gate gradients are summed per distinct word in token order; the
-sums times the rows of ``M`` give its ``W_x`` gradient, and the sums
-times ``W_x`` give the (U, D) column gradients that training steps
-(:func:`backward_columns`), so a training step builds no (N, D) array.
-Only per-token input gradients (:func:`backward_batch`, for saliency)
-project each token's gate gradients. RMSprop steps ``M`` on the touched
-columns only, ``COLUMN_BLOCK`` at a time so that a block's buffers stay
-in cache, and decays the rest of its accumulator: bitwise the dense
-rule, as a zero gradient leaves a weight unchanged when ``eps_rms > 0``.
+sums times the rows of ``M`` give its ``W_x`` gradient, and ``M``'s own
+gradient reaches the optimizer as those (U, 4KH) sums
+(:class:`ColumnGrad`, from :func:`backward_columns`). The column step
+forms the rows, the sums times ``W_x``, a block of columns at a time. So
+a training step builds no (N, D) array, and the gradient of ``M`` no
+(U, D) one: the one (U, D) array left is the rows of ``M`` that the
+``W_x`` gradient reads, gathered and freed within the backward pass. Only
+per-token input gradients (:func:`backward_batch`, and
+:func:`backward_inputs` for saliency) project each token's gate
+gradients. RMSprop steps ``M`` on the touched columns only and decays
+the rest of its accumulator: bitwise the dense rule, as a zero gradient
+leaves a weight unchanged when ``eps_rms > 0``. An accumulator no step
+has written yet is still zero, so its decay is skipped; allocated by
+``np.zeros``, its pages are not even mapped until a step writes them.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,9 +95,13 @@ FORGET_BIAS = 1.0
 
 # essays per lockstep batch at inference, taken in order of length
 PREDICT_CHUNK = 32
-# columns of M per block of the RMSprop column step: the block's two
+# columns of M per block of the RMSprop column step: the block's
 # buffers stay in cache
 COLUMN_BLOCK = 128
+# OpenBLAS multiplies products of at most this many multiply-adds with
+# its small-matrix kernels, which on some shapes round otherwise than its
+# blocked kernels (see ColumnGrad)
+BLAS_SMALL = 100 ** 3
 
 
 class LSTMLayer:
@@ -315,18 +325,23 @@ class BatchCache:
 def _draw_masks(model: SeqModel, layout: _Layout, rng) -> list:
     """Inverted-dropout masks over packed rows, one per layer.
 
-    Drawn essay by essay and layer by layer with shape (L, width), so the
-    generator's stream does not depend on how essays are batched.
+    The generator's stream runs essay by essay and layer by layer, an
+    (L, width) block each, so it does not depend on how essays are
+    batched. One draw covers the batch; each packed row of each layer
+    then picks its row of the draw.
     """
     keep = 1.0 - model.dropout
     width = model.lstm_dim * (2 if model.bidirectional else 1)
+    n_layers, lengths = model.n_layers, layout.lengths
     N = layout.ids.size
-    masks = [np.empty((N, width)) for _ in range(model.n_layers)]
-    for b, L in enumerate(layout.lengths):
-        rows = layout.offsets[:L] + layout.first[b]
-        for mask in masks:
-            mask[rows] = (rng.random((L, width)) < keep) / keep
-    return masks
+    kept = rng.random((n_layers * N, width)) < keep
+    # essay b's block for layer l starts at draw row n_layers * s_b + l * L_b
+    starts = np.cumsum(lengths) - lengths
+    at = np.arange(N) + np.repeat(starts * (n_layers - 1), lengths)
+    rows = np.empty((n_layers, N), dtype=int)
+    for l in range(n_layers):
+        rows[l, layout.row] = at + np.repeat(l * lengths, lengths)
+    return list(kept[rows] / keep)
 
 
 def _recur(W_h: np.ndarray, W_p, G: np.ndarray, offsets: np.ndarray,
@@ -554,18 +569,23 @@ def forward_batch(model: SeqModel, token_lists, training: bool = False,
     return _run(model, layout, masks)
 
 
-def _backward(model: SeqModel, cache: BatchCache, dy):
+def _backward(model: SeqModel, cache: BatchCache, dy, params: bool = True):
     """The backward pass; returns (parameter gradients without ``M``,
     layer 0's gate gradients (N, 4KH) in ``layout.ids`` order, their
     sums (U, 4KH) per ``layout.cols`` entry).
 
-    The sums run in token order from 0.0, as ``np.add.at`` adds.
+    The sums run in token order from 0.0, as ``np.add.at`` adds. With
+    ``params`` unset only the gate gradients are worked out: the
+    parameter gradients come back empty and the sums as None.
     """
     layout = cache.layout
     dy = np.asarray(dy, dtype=float).reshape(-1)
     bi = model.bidirectional
     n = model.lstm_dim
-    grads = {"head.W_yh": dy @ cache.final, "head.b_y": np.array([dy.sum()])}
+    grads, sums = {}, None
+    if params:
+        grads.update({"head.W_yh": dy @ cache.final,
+                      "head.b_y": np.array([dy.sum()])})
     d_final = dy[:, None] * model.W_yh
     d_out = np.zeros((layout.ids.size, d_final.shape[1]))
     d_out[layout.last, :n] = d_final[:, :n]
@@ -579,16 +599,16 @@ def _backward(model: SeqModel, cache: BatchCache, dy):
             else d_out.reshape(-1, 1, n)
         dA = _recur_backward(layer.W_h, layer.W_p, lc.G, lc.C, lc.TC, dH,
                              layout)
-        dir_grads = _layer_grads(layer, lc, dA, layout)
+        dir_grads = _layer_grads(layer, lc, dA, layout) if params else ()
         # both directions' gate gradients side by side: in essay time
         # above layer 0, in token order at it
         rows = layout.row if l == 0 else slice(None)
         dA = np.concatenate((dA[rows, 0], dA[layout.rev[rows], 1]), axis=1) \
             if bi else dA.reshape(-1, 4 * n)[rows]
         if l:
-            d_W_x = dA.T @ cache.inputs[l]
+            d_W_x = dA.T @ cache.inputs[l] if params else None
             d_out = dA @ layer.W_x.reshape(-1, layer.in_dim)
-        else:
+        elif params:
             U, width = layout.cols.size, dA.shape[1]
             sums = np.bincount(
                 (layout.inverse[:, None] * width + np.arange(width)).ravel(),
@@ -612,13 +632,77 @@ def backward_batch(model: SeqModel, cache: BatchCache,
     return grads, dA @ model.layers[0].W_x.reshape(-1, model.embed_dim)
 
 
+def backward_inputs(model: SeqModel, cache: BatchCache, dy) -> np.ndarray:
+    """The input gradients of :func:`backward_batch` alone, bit for bit:
+    no parameter gradient is worked out."""
+    _, dA, _ = _backward(model, cache, dy, params=False)
+    return dA @ model.layers[0].W_x.reshape(-1, model.embed_dim)
+
+
+class ColumnGrad:
+    """``M``'s gradient on the columns a batch touched, as gate sums.
+
+    Column ``cols[j]`` of the gradient is ``sums[j] @ W`` (layer 0's gate
+    gradients summed per distinct word, times a copy of its stacked
+    ``W_x``), multiplied by each recorded factor in turn: ``g *= s``
+    records ``s``, as scaling a batch gradient or clipping it does.
+    :meth:`blocks` forms those rows a block of columns at a time, so the
+    (U, D) gradient is never held whole.
+
+    Each block's product rounds as the same rows of the one product
+    ``sums @ W`` do. Blocks start at multiples of ``COLUMN_BLOCK``, so
+    BLAS's row tiles line up with the whole product's. BLAS also picks
+    its kernel by a product's size, and kernels round differently: when
+    the whole product is above ``BLAS_SMALL`` multiply-adds every block
+    is too, taking as many ``COLUMN_BLOCK`` rows as that needs, and no
+    block is one row, which BLAS multiplies as a matrix-vector product
+    (with D = 1 the whole product is one, and is one block).
+    """
+
+    def __init__(self, cols: np.ndarray, sums: np.ndarray, W: np.ndarray):
+        self.cols = cols
+        self.sums = sums
+        self.W = W
+        self.factors: list[float] = []
+        U, per_row = cols.size, W.size
+        step = COLUMN_BLOCK
+        if W.shape[1] == 1:
+            # a matrix-vector product, which BLAS threads split at their
+            # own rows: one block, of U numbers
+            step = U
+        elif U * per_row > BLAS_SMALL:
+            step *= -(-(BLAS_SMALL + 1) // (COLUMN_BLOCK * per_row))
+        bounds = list(range(0, U, step))
+        tail = U - bounds[-1]
+        if len(bounds) > 1 and (tail == 1 or tail * per_row <= BLAS_SMALL
+                                < U * per_row):
+            bounds.pop()  # the last block joins the one before it
+        self.bounds = bounds + [U]
+        self.height = max(np.diff(self.bounds))  # rows of the largest block
+
+    def __imul__(self, factor: float) -> "ColumnGrad":
+        self.factors.append(factor)
+        return self
+
+    def blocks(self):
+        """Yield (cols, rows) block by block; ``rows`` is one buffer,
+        overwritten by the next block."""
+        buf = np.empty((self.height, self.W.shape[1]))
+        for j, k in zip(self.bounds[:-1], self.bounds[1:]):
+            rows = np.matmul(self.sums[j:k], self.W, out=buf[:k - j])
+            for factor in self.factors:
+                rows *= factor
+            yield self.cols[j:k], rows
+
+
 def backward_columns(model: SeqModel, cache: BatchCache,
-                     dy) -> tuple[dict, tuple]:
-    """:func:`backward_batch` with ``M``'s gradient as ``(cols, rows)``:
-    the batch's distinct ids, ascending, and one summed row for each."""
+                     dy) -> tuple[dict, ColumnGrad]:
+    """:func:`backward_batch` with ``M``'s gradient as a
+    :class:`ColumnGrad` over the batch's distinct ids, ascending."""
     grads, _, sums = _backward(model, cache, dy)
-    rows = sums @ model.layers[0].W_x.reshape(-1, model.embed_dim)
-    return grads, (cache.layout.cols, rows)
+    # a copy: the optimizer may step W_x before it reaches M
+    W = model.layers[0].W_x.reshape(-1, model.embed_dim).copy()
+    return grads, ColumnGrad(cache.layout.cols, sums, W)
 
 
 def forward_essay(model: SeqModel, tokens, training: bool = False,
@@ -686,17 +770,27 @@ def predict(model: SeqModel, essays: list[Essay],
 
 @dataclass
 class RMSPropState:
-    """Running mean-square accumulators, one per named parameter array."""
+    """Running mean-square accumulators, one per named parameter array.
+
+    ``fresh`` names the accumulators no step has written yet: they are
+    still zero, so their decay is skipped.
+    """
 
     acc: dict[str, np.ndarray]
     rho: float = 0.9
     eps: float = 1e-8
     eta: float = 1e-7
+    fresh: set[str] = field(default_factory=set)
 
     @classmethod
     def for_model(cls, model: SeqModel, cfg: Config) -> "RMSPropState":
-        return cls(acc={n: np.zeros_like(a) for n, a in model.named_arrays()},
-                   rho=cfg.rho_rms, eps=cfg.eps_rms, eta=cfg.learning_rate)
+        # np.zeros in the array's own order: M's accumulator keeps its
+        # columns contiguous, and its pages stay unmapped until written
+        acc = {n: np.zeros(a.shape, order="F" if a.flags.f_contiguous
+                           and not a.flags.c_contiguous else "C")
+               for n, a in model.named_arrays()}
+        return cls(acc=acc, rho=cfg.rho_rms, eps=cfg.eps_rms,
+                   eta=cfg.learning_rate, fresh=set(acc))
 
 
 def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
@@ -704,26 +798,28 @@ def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
     """In-place step: acc <- rho*acc + (1-rho)*g^2; p <- p - eta*g/sqrt(acc+eps).
 
     Arrays without a gradient entry still have their accumulator decayed
-    (zero gradient), matching the element-wise rule. A gradient given as
-    ``(cols, rows)`` covers only those columns of a 2-D array, ``rows``
-    holding one row per column; every other column has a zero gradient,
-    which leaves its weights unchanged (``eps > 0``), so only the listed
-    columns are stepped. The result is bitwise the dense rule's.
+    (zero gradient), matching the element-wise rule. A :class:`ColumnGrad`
+    covers only its columns of a 2-D array; every other column has a
+    zero gradient, which leaves its weights unchanged (``eps > 0``), so
+    only the listed columns are stepped. The result is bitwise the dense
+    rule's.
     """
     for name, acc in state.acc.items():
         g = grads.get(name)
-        acc *= state.rho
+        if name not in state.fresh:
+            acc *= state.rho
+        elif g is not None:
+            # until this first write it is all zeros, which decay to zeros
+            state.fresh.discard(name)
         if g is None:
             continue
-        if isinstance(g, tuple):
+        if isinstance(g, ColumnGrad):
             # the listed columns as rows of the transposed arrays, stepped
-            # COLUMN_BLOCK at a time through two buffers that stay in cache:
-            # the same operations in the same order as the dense branch below
-            cols, g = g
+            # a block at a time through buffers that stay in cache: the
+            # same operations in the same order as the dense branch below
             acc_t, p_t = acc.T, arrays[name].T
-            bufs = np.empty((2, min(COLUMN_BLOCK, cols.size), g.shape[1]))
-            for j in range(0, cols.size, COLUMN_BLOCK):
-                c, r = cols[j:j + COLUMN_BLOCK], g[j:j + COLUMN_BLOCK]
+            bufs = np.empty((2, g.height, g.W.shape[1]))
+            for c, r in g.blocks():
                 sub, buf = bufs[:, :c.size]
                 # "raise" mode would fill a copy of ``out``; every col is valid
                 np.take(acc_t, c, axis=0, out=sub, mode="clip")
@@ -746,16 +842,20 @@ def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
 def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale all gradients down to a global L2 norm; returns the norm found.
 
-    A ``(cols, rows)`` entry counts through its rows.
+    A :class:`ColumnGrad` counts block by block, through the rows its
+    step will form.
     """
-    dense = [g[1] if isinstance(g, tuple) else g for g in grads.values()]
     total = 0.0
-    for g in dense:
-        total += float((g * g).sum())
+    for g in grads.values():
+        if isinstance(g, ColumnGrad):
+            for _, r in g.blocks():
+                total += float((r * r).sum())
+        else:
+            total += float((g * g).sum())
     norm = total ** 0.5
     if max_norm > 0.0 and norm > max_norm:
         scale = max_norm / norm
-        for g in dense:
+        for g in grads.values():
             g *= scale
     return norm
 
@@ -812,12 +912,12 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
             for e in err:
                 # square via numpy so a diverged run overflows to inf
                 sq_sum += float(np.square(e))
-            grads, (cols, rows) = backward_columns(model, cache, 2.0 * err)
+            grads, m_grad = backward_columns(model, cache, 2.0 * err)
+            grads["M"] = m_grad
             del cache
             inv = 1.0 / len(batch)
-            for g in (*grads.values(), rows):
+            for g in grads.values():
                 g *= inv
-            grads["M"] = (cols, rows)
             if cfg.clip_norm > 0.0:
                 clip_gradients(grads, cfg.clip_norm)
             rmsprop_update(state, dict(model.named_arrays()), grads)

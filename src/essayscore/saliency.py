@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import Essay, ScoreRange, Vocabulary
 from .errors import DataError
-from .lstm import (SeqModel, backward_batch, bptt, forward_batch,
+from .lstm import (SeqModel, backward_inputs, bptt, forward_batch,
                    forward_essay, predict_batch)
 
 # Octile color scales, worst to best: 4 reds then 4 greens.
@@ -142,7 +142,7 @@ def quality_map_spans(model: SeqModel, essay: Essay, vocab: Vocabulary,
     starts = range(0, len(essay.tokens), span_len)
     spans = [essay.tokens[s:s + span_len] for s in starts]
     y, cache = forward_batch(model, spans)
-    _, d_inputs = backward_batch(model, cache, np.ones(len(spans)))
+    d_inputs = backward_inputs(model, cache, np.ones(len(spans)))
     whole = y[0] if len(spans) == 1 \
         else predict_batch(model, [essay.tokens])[0]
     norms = np.linalg.norm(d_inputs, axis=1)

@@ -63,12 +63,19 @@ def htanh_grad_mask(preact):
 def uniform_columns(rng, scale: float, d: int, v: int) -> np.ndarray:
     """``rng.uniform(-scale, scale, size=(d, v))``, Fortran-ordered.
 
-    Drawn 16 rows at a time straight into the result, the generator's
+    Drawn 16 rows at a time into one reused buffer, the generator's
     stream in the same order, so no second (d, v) array is ever held.
+    ``u * (2 * scale) - scale`` is ``uniform``'s own arithmetic, bit for
+    bit: ``low + (high - low) * u``, and ``high - low`` is exact.
     """
     M = np.empty((d, v), order="F")
+    buf = np.empty((min(16, d), v))
     for i in range(0, d, 16):
-        M[i:i + 16] = rng.uniform(-scale, scale, size=(min(16, d - i), v))
+        rows = buf[:min(16, d - i)]
+        rng.random(out=rows)
+        rows *= 2 * scale
+        rows -= scale
+        M[i:i + 16] = rows
     return M
 
 

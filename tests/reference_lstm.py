@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import expit
 
-from essayscore.lstm import (RMSPropState, SeqModel, _backward,
+from essayscore.lstm import (ColumnGrad, RMSPropState, SeqModel, _backward,
                              backward_batch)
 
 
@@ -343,6 +343,11 @@ def per_token_columns(model: SeqModel, cache, dy):
     packed_dA, packed_ids = np.empty_like(dA), np.empty_like(layout.ids)
     packed_dA[layout.row], packed_ids[layout.row] = dA, layout.ids
     return cols, rows, packed_dA.T @ model.M.T[packed_ids]
+
+
+def column_rows(g: ColumnGrad) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, rows) of a column gradient, its blocks' rows held whole."""
+    return g.cols, np.concatenate([rows.copy() for _, rows in g.blocks()])
 
 
 def dense_rmsprop_update(state: RMSPropState, arrays, grads):

@@ -3,7 +3,6 @@
 import math
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +12,9 @@ from essayscore.corpus import ScoreRange
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
 from essayscore.lstm import (COLUMN_BLOCK, FORGET_BIAS, PREDICT_CHUNK,
-                             LSTMLayer, RMSPropState, SeqModel, _backward,
-                             _n_params, backward_batch, backward_columns,
+                             ColumnGrad, LSTMLayer, RMSPropState, SeqModel,
+                             _backward, _n_params, backward_batch,
+                             backward_columns, backward_inputs,
                              bptt, clip_gradients, forward_batch,
                              forward_essay,
                              load_model, predict, predict_batch,
@@ -22,7 +22,8 @@ from essayscore.lstm import (COLUMN_BLOCK, FORGET_BIAS, PREDICT_CHUNK,
                              save_model, train_scorer)
 
 import reference_lstm as ref
-from conftest import finite_difference, make_essay, max_relative_error
+from conftest import (finite_difference, make_essay, max_relative_error,
+                      traced_peak)
 from reference_lstm import lstm_step
 
 
@@ -240,7 +241,8 @@ def check_gradients(model, token_lists, golds):
     golds = np.asarray(golds)
     y, cache = batch_pass(model, token_lists)
     dy = 2.0 * (y - golds)
-    grads, (cols, rows) = backward_columns(model, cache, dy)
+    grads, m_grad = backward_columns(model, cache, dy)
+    cols, rows = ref.column_rows(m_grad)
     dense_m = np.zeros_like(model.M)
     dense_m[:, cols] = rows.T
     _, d_inputs = backward_batch(model, cache, dy)
@@ -300,7 +302,8 @@ class TestBackward:
         tokens = [3, 4, 5, 4]
         _, cache = forward_essay(model, tokens)
         dy = 2.0 * (cache.y - 0.9)
-        _, (cols, rows) = backward_columns(model, cache, dy)
+        _, m_grad = backward_columns(model, cache, dy)
+        cols, rows = ref.column_rows(m_grad)
         _, d_inputs = bptt(model, cache, 0.9)
         assert list(cols) == [3, 4, 5]
         # a repeated token accumulates both positions
@@ -567,7 +570,8 @@ class TestBatchMatchesReference:
                                  training=model.dropout > 0.0,
                                  rng=np.random.default_rng(21))
         dy = 2.0 * (y - golds)
-        grads, (cols, rows) = backward_columns(model, cache, dy)
+        grads, m_grad = backward_columns(model, cache, dy)
+        cols, rows = ref.column_rows(m_grad)
         want_cols, want_rows, want_W_x = ref.per_token_columns(model, cache,
                                                                dy)
         assert cols.tobytes() == want_cols.tobytes()
@@ -575,10 +579,13 @@ class TestBatchMatchesReference:
         prefixes = ("fwd", "bwd") if model.bidirectional else ("fwd",)
         W_x = np.concatenate([grads[f"{p}0.W_x"] for p in prefixes])
         assert normwise_error(W_x, want_W_x) <= 1e-12
-        # backward_batch returns the same gradients
-        same, _ = backward_batch(model, cache, dy)
+        # backward_batch returns the same gradients, and backward_inputs
+        # its input gradients
+        same, d_inputs = backward_batch(model, cache, dy)
         assert all(same[name].tobytes() == g.tobytes()
                    for name, g in grads.items())
+        assert backward_inputs(model, cache, dy).tobytes() \
+            == d_inputs.tobytes()
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=variant_id)
     def test_predict_batch_over_several_chunks(self, variant):
@@ -678,43 +685,73 @@ class TestOptimizer:
         assert np.array_equal(a, b)
 
     def test_column_step_is_bitwise_the_dense_rule(self):
+        # a state from for_model over several steps: M's accumulator stays
+        # unwritten until the second step, one array has no gradient until
+        # the third and one never has one
         rng = np.random.default_rng(17)
-        M = np.asfortranarray(rng.normal(size=(4, 12)))
-        M[0, 5] = -0.0
-        acc = np.asfortranarray(rng.uniform(0.0, 0.1, size=(4, 12)))
-        acc[:, 7] = 0.0  # a column that was never touched
-        cols = np.array([1, 4, 5, 9])
-        rows = rng.normal(size=(4, 4))
-        rows[2, 1] = 0.0
-        w = rng.normal(size=3)
-        g_w = rng.normal(size=3)
-        dense = np.zeros_like(M)
-        dense[:, cols] = rows.T
-        # more columns than two blocks of the column step, the last narrower
-        V, U = 3 * COLUMN_BLOCK, 2 * COLUMN_BLOCK + 17
-        W = np.asfortranarray(rng.normal(size=(3, V)))
-        acc_W = np.asfortranarray(rng.uniform(0.0, 0.1, size=(3, V)))
-        cols_W = np.sort(rng.choice(V, size=U, replace=False))
-        rows_W = rng.normal(size=(U, 3))
-        dense_W = np.zeros_like(W)
-        dense_W[:, cols_W] = rows_W.T
-
-        got = {"M": M.copy(order="F"), "w": w.copy(), "W": W.copy(order="F")}
-        want = {"M": M.copy(order="F"), "w": w.copy(),
-                "W": W.copy(order="F")}
-        state, ref_state = (
-            RMSPropState(acc={"M": acc.copy(order="F"), "w": np.zeros(3),
-                              "W": acc_W.copy(order="F")}, eta=0.01)
-            for _ in range(2))
-        for _ in range(3):
-            rmsprop_update(state, got, {"M": (cols, rows), "w": g_w,
-                                        "W": (cols_W, rows_W)})
-            ref.dense_rmsprop_update(ref_state, want,
-                                     {"M": dense, "w": g_w, "W": dense_W})
-        for name in ("M", "w", "W"):
-            assert got[name].tobytes() == want[name].tobytes(), name
+        V = 3 * COLUMN_BLOCK
+        model = build_model(vocab=V, embed_dim=4, seed=17)
+        model.M = np.asfortranarray(model.M)
+        model.M[0, 5] = -0.0
+        oracle = model.copy()
+        cfg = Config(learning_rate=0.01)
+        state, ref_state = (RMSPropState.for_model(m, cfg)
+                            for m in (model, oracle))
+        assert state.acc["M"].flags.f_contiguous
+        width = model.layers[0].W_x.shape[1]
+        # no M gradient; a few columns; two blocks and a row, in blocks
+        # with no single row; one whole block; every column
+        for step, U in enumerate((0, 3, 2 * COLUMN_BLOCK + 1, COLUMN_BLOCK,
+                                  V)):
+            grads = {name: rng.normal(size=a.shape)
+                     for name, a in model.named_arrays()
+                     if name not in ("M", "head.b_y")
+                     and not (name == "fwd0.b" and step < 2)}
+            dense = {name: g.copy() for name, g in grads.items()}
+            if U:
+                cols = np.sort(rng.choice(V, size=U, replace=False))
+                sums = rng.normal(size=(U, width))
+                sums[U // 2] = 0.0  # a touched column with a zero gradient
+                grads["M"] = ColumnGrad(cols, sums,
+                                        rng.normal(size=(width, 4)))
+                grads["M"] *= 0.5
+                grads["M"] *= 0.75
+                dense["M"] = np.zeros_like(model.M)
+                dense["M"][:, cols] = ref.column_rows(grads["M"])[1].T
+            rmsprop_update(state, dict(model.named_arrays()), grads)
+            ref.dense_rmsprop_update(ref_state, dict(oracle.named_arrays()),
+                                     dense)
+        assert state.fresh == {"head.b_y"}
+        for (name, got), (_, want) in zip(model.named_arrays(),
+                                          oracle.named_arrays()):
+            assert got.tobytes() == want.tobytes(), name
             assert state.acc[name].tobytes() \
                 == ref_state.acc[name].tobytes(), name
+
+    @pytest.mark.parametrize("U,width,D", [
+        (1, 12, 200), (2, 12, 200), (COLUMN_BLOCK + 1, 12, 200),
+        (3 * COLUMN_BLOCK + 1, 40, 200), (6300, 80, 200), (300, 24, 3),
+        (1576, 24, 12), (5014, 24, 12), (6300, 40, 4), (6300, 40, 1)])
+    def test_column_blocks_are_the_rows_of_one_product(self, U, width, D):
+        # bit for bit, scaled by every factor in turn: a lone last row, a
+        # whole product past BLAS's small-matrix size with blocks that
+        # would be under it, row tiles that must line up, and D = 1
+        rng = np.random.default_rng(U + width + D)
+        cols = np.arange(U) * 2
+        sums, W = rng.normal(size=(U, width)), rng.normal(size=(width, D))
+        m_grad = ColumnGrad(cols, sums, W)
+        m_grad *= 0.25
+        m_grad *= 3.0
+        blocks = [(c.copy(), r.copy()) for c, r in m_grad.blocks()]
+        assert all(c[0] % (2 * COLUMN_BLOCK) == 0 for c, _ in blocks)
+        assert min(c.size for c, _ in blocks) > 1 or U == 1
+        assert np.concatenate([c for c, _ in blocks]).tobytes() \
+            == cols.tobytes()
+        want = sums @ W
+        want *= 0.25
+        want *= 3.0
+        assert np.concatenate([r for _, r in blocks]).tobytes() \
+            == want.tobytes()
 
     def test_clip_rescales_to_global_norm(self):
         g1 = np.full((2, 2), 3.0)
@@ -729,70 +766,84 @@ class TestOptimizer:
         assert math.sqrt(total) == pytest.approx(norm / 2)
 
 
-def traced_peak(fn, *args):
-    """Bytes ``fn`` allocates at its peak above what was live before it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 class TestTrainingStepMemory:
     """One training step holds each (N, D) token-by-embedding array once.
 
     A fixed batch at the paper's embedding width D = 200 with a narrow
-    layer, so one (N, D) array outweighs all of a layer's gate arrays.
+    layer, so one (N, D) array outweighs all of a layer's gate arrays,
+    and with more distinct words than three column blocks hold. ``M`` is
+    column-major, as trained and loaded models hold it.
     """
 
     D = 200
 
     def batch(self):
-        model = build_model(vocab=60, embed_dim=self.D, seed=21,
-                            bidirectional=True, layers=2, peepholes="full",
-                            dropout=0.5)
+        model = build_model(vocab=450, embed_dim=self.D, seed=21,
+                            lstm_dim=5, bidirectional=True, layers=2,
+                            peepholes="full", dropout=0.5)
+        model.M = np.asfortranarray(model.M)
         rng = np.random.default_rng(4)
-        token_lists = [list(rng.integers(0, 60, size=L))
-                       for L in rng.integers(20, 60, size=12)]
+        token_lists = [list(rng.integers(0, 450, size=L))
+                       for L in rng.integers(200, 300, size=12)]
         y, cache = forward_batch(model, token_lists, training=True,
                                  rng=np.random.default_rng(5))
-        return model, cache, y
+        N, U = cache.layout.ids.size, cache.layout.cols.size
+        assert U > 3 * COLUMN_BLOCK
+        gates = 8 * N * 2 * 4 * model.lstm_dim  # one (N, K, 4H) array
+        return model, cache, y, gates
 
     def test_backward_holds_one_token_by_embedding_array(self):
-        model, cache, y = self.batch()
+        model, cache, y, gates = self.batch()
         N = cache.layout.ids.size
-        gates = 8 * N * 2 * 4 * model.lstm_dim  # one (N, K, 4H) array
         peak = traced_peak(backward_batch, model, cache, 1.0 - y)
         # the (N, D) input gradients it returns plus the gate arrays
         assert peak < 8 * N * self.D + 4 * gates
 
+    def test_input_gradients_alone_hold_no_parameter_gradient(self):
+        model, cache, y, gates = self.batch()
+        N = cache.layout.ids.size
+        peak = traced_peak(backward_inputs, model, cache, 1.0 - y)
+        # the (N, D) input gradients it returns and the one gate array
+        # they are projected from
+        assert peak < 8 * N * self.D + 1.25 * gates
+
     def test_training_step_holds_no_token_by_embedding_array(self):
-        model, cache, y = self.batch()
+        model, cache, y, gates = self.batch()
         N, U = cache.layout.ids.size, cache.layout.cols.size
-        gates = 8 * N * 2 * 4 * model.lstm_dim  # one (N, K, 4H) array
-        peak = traced_peak(backward_columns, model, cache, 1.0 - y)
-        # the gate arrays, plus the (U, D) rows it returns and the rows
-        # of M it gathers: not one (N, D) array
-        bound = 4 * gates + 2 * 8 * U * self.D
+        state = RMSPropState.for_model(model, Config(learning_rate=0.01))
+        arrays = dict(model.named_arrays())
+
+        def step():
+            grads, m_grad = backward_columns(model, cache, 1.0 - y)
+            grads["M"] = m_grad
+            rmsprop_update(state, arrays, grads)
+
+        peak = traced_peak(step)
+        # the gate arrays, plus the rows of M that layer 0's W_x gradient
+        # reads: M's own gradient adds no (U, D) array, and there is not
+        # one (N, D) array
+        bound = 4 * gates + 8 * U * self.D
         assert bound < 8 * N * self.D
         assert peak < bound
 
-    def test_rmsprop_column_step_holds_two_column_buffers(self):
+    def test_column_step_holds_three_column_blocks(self):
         rng = np.random.default_rng(9)
-        V, U = 80, 60
+        V, U, width = 800, 4 * COLUMN_BLOCK + 17, 40
         cols = np.sort(rng.choice(V, size=U, replace=False))
-        rows = rng.normal(size=(U, self.D))
+        m_grad = ColumnGrad(cols, rng.normal(size=(U, width)),
+                            rng.normal(size=(width, self.D)))
         M = np.asfortranarray(rng.normal(size=(self.D, V)))
         state = RMSPropState(acc={"M": np.zeros_like(M)}, eta=0.01)
-        peak = traced_peak(rmsprop_update, state, {"M": M},
-                           {"M": (cols, rows)})
-        assert peak < 8 * U * self.D * 2.5
+
+        def step():
+            clip_gradients({"M": m_grad}, 1.0)
+            rmsprop_update(state, {"M": M}, {"M": m_grad})
+
+        peak = traced_peak(step)
+        # the largest block's rows and the step's two buffers of its size
+        bound = 3.25 * 8 * m_grad.height * self.D
+        assert bound < 8 * U * self.D
+        assert peak < bound
 
 
 def toy_corpus():
@@ -956,8 +1007,8 @@ class TestTrainingMatchesReference:
         fused_norm = clip_gradients(grads, 0.0)
         assert fused_norm == pytest.approx(clip_gradients(per_gate, 0.0),
                                            rel=1e-12)
-        squares = [float(x) ** 2 for g in per_gate.values()
-                   for x in (g[1] if isinstance(g, tuple) else g).ravel()]
+        per_gate["M"] = ref.column_rows(columns)[1]
+        squares = [float(x) ** 2 for g in per_gate.values() for x in g.ravel()]
         assert fused_norm == pytest.approx(math.fsum(squares) ** 0.5,
                                            rel=1e-12)
 
