@@ -1,6 +1,11 @@
 """Corpus handling: tokenization, vocabulary, TSV ingestion, splits and
 training windows.
 
+A corpus keeps its token ids in one int32 array, essay after essay; each
+:class:`Essay`'s ``tokens`` is a view into it, from :func:`load_corpus`
+and from :func:`load_corpus_cache` alike. Functions that take essays
+also accept token ids as a list of ints, as a library caller builds them.
+
 The training windows of a list of essays are the rows of one sliding
 view over a single boundary-padded int32 id stream (:class:`Windows`),
 so building them copies each token once and makes no object per window.
@@ -12,6 +17,7 @@ competition: a header row with at least ``essay_id``, ``essay_set``,
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import json
@@ -20,8 +26,8 @@ import re
 import struct
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,8 +45,11 @@ BOUNDARY_ID = 2
 
 N_SPECIALS = 3
 
-_PLACEHOLDER_RE = re.compile(r"@[A-Z]+[0-9]*")
-_TOKEN_RE = re.compile(r"@[A-Z]+[0-9]*|[A-Za-z0-9]+|\S")
+# a word cannot start with "@" nor a placeholder with a word character,
+# so the order of the first two alternatives changes no match (words,
+# far more common, are tried first); a token that starts with "@" is a
+# placeholder or a lone "@"
+_TOKEN_RE = re.compile(r"[A-Za-z0-9]+|@[A-Z]+[0-9]*|\S")
 
 REQUIRED_COLUMNS = ("essay_id", "essay_set", "essay", "domain1_score")
 
@@ -53,14 +62,8 @@ def tokenize(text: str) -> list[str]:
     ``@CAPS3`` are kept verbatim, case intact. Empty text gives an empty
     list.
     """
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        tok = match.group()
-        if tok[0] == "@" and _PLACEHOLDER_RE.fullmatch(tok):
-            tokens.append(tok)
-        else:
-            tokens.append(tok.lower())
-    return tokens
+    return [tok if tok[0] == "@" else tok.lower()
+            for tok in _TOKEN_RE.findall(text)]
 
 
 class Vocabulary:
@@ -74,7 +77,8 @@ class Vocabulary:
 
     def __init__(self, tokens: list[str]):
         self.id_to_token = [PAD_TOKEN, UNK_TOKEN, BOUNDARY_TOKEN] + list(tokens)
-        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        self.token_to_id = dict(zip(self.id_to_token,
+                                    range(len(self.id_to_token))))
         if len(self.token_to_id) != len(self.id_to_token):
             raise DataError("duplicate tokens in vocabulary")
 
@@ -91,8 +95,10 @@ class Vocabulary:
         get = self.token_to_id.get
         return [get(tok, UNK_ID) for tok in tokens]
 
-    def decode(self, ids: list[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
+    def decode(self, ids) -> list[str]:
+        """The tokens of an int array or a list of ids."""
+        return list(map(self.id_to_token.__getitem__,
+                        np.asarray(ids).tolist()))
 
     def id_of(self, token: str) -> int:
         try:
@@ -110,11 +116,10 @@ def build_vocabulary(token_sequences, min_count: int = 2) -> Vocabulary:
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    counts = Counter()
-    for seq in token_sequences:
-        counts.update(seq)
-    kept = [tok for tok, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda tok: (-counts[tok], tok))
+    counts = Counter(chain.from_iterable(token_sequences))
+    kept = sorted(tok for tok, c in counts.items() if c >= min_count)
+    # a stable sort keeps the lexicographic order among equal counts
+    kept.sort(key=counts.__getitem__, reverse=True)
     return Vocabulary(kept)
 
 
@@ -140,11 +145,15 @@ class ScoreRange:
 
 @dataclass
 class Essay:
-    """A scored, tokenized essay with ids from one :class:`Vocabulary`."""
+    """A scored, tokenized essay with ids from one :class:`Vocabulary`.
+
+    ``tokens`` is an int32 view into its corpus's token array (a list of
+    ints works too).
+    """
 
     essay_id: int
     set_id: int
-    tokens: list[int]
+    tokens: np.ndarray
     raw_score: float
     scaled_score: float
 
@@ -238,10 +247,11 @@ class Windows:
     ``stream`` holds every essay's ids in order as one int32 array, with
     ``(n - 1) // 2`` ``BOUNDARY_ID``s before the first essay, between
     every two essays and after the last, so each essay's edges are
-    padded by the boundaries it shares with its neighbors. ``view`` is
-    the ``(len(stream) - n + 1, n)`` sliding-window view of the stream,
-    which copies nothing. Window ``k`` is ``view[starts[k]]``, centered
-    at ``n // 2`` on one token, and ``scores[k]`` is its essay's
+    padded by the boundaries it shares with its neighbors; it is a copy,
+    where the essays' tokens are int32 views into their corpus's array.
+    ``view`` is the ``(len(stream) - n + 1, n)`` sliding-window view of
+    the stream, which copies nothing. Window ``k`` is ``view[starts[k]]``,
+    centered at ``n // 2`` on one token, and ``scores[k]`` is its essay's
     ``scaled_score``. Windows run essay after essay, token after token.
     """
 
@@ -267,14 +277,20 @@ def extract_windows(essays: list[Essay], n: int) -> Windows:
     lengths = np.fromiter((len(e.tokens) for e in essays), dtype=np.intp,
                           count=len(essays))
     total = int(lengths.sum())
-    pad = [BOUNDARY_ID] * half
-    pieces = chain.from_iterable((e.tokens, pad) for e in essays)
+    pad = np.full(half, BOUNDARY_ID, dtype=np.int32)
+    pieces = [pad]
+    for e in essays:
+        pieces += (e.tokens, pad)
+    # int64 first, so a list's id outside the int32 range is seen, not
+    # wrapped; an empty list is a float array, which the cast accepts
     try:
-        stream = np.fromiter(chain(pad, chain.from_iterable(pieces)),
-                             dtype=np.int32,
-                             count=total + half * (len(essays) + 1))
+        stream = np.concatenate(pieces, dtype=np.int64, casting="unsafe")
     except OverflowError:
         raise DataError("token id out of the int32 range") from None
+    int32 = np.iinfo(np.int32)
+    if stream.min() < int32.min or stream.max() > int32.max:
+        raise DataError("token id out of the int32 range")
+    stream = stream.astype(np.int32)
     # essay k's tokens sit k + 1 paddings into the stream, so token j's
     # window starts at half * k plus the tokens before it
     starts = np.arange(total)
@@ -383,7 +399,9 @@ def load_corpus(path, min_count: int = 2,
     set's range is the observed min/max of its scores; otherwise a row
     outside its set's range is reported (line 0) and dropped. A missing
     required column raises :class:`DataError` naming the column. The
-    vocabulary is built from the kept rows at ``min_count``.
+    vocabulary is built from the kept rows at ``min_count``, and the kept
+    rows' ids are encoded into one int32 array that every essay's
+    ``tokens`` views.
     """
     rows = []  # (essay id, set id, tokens, raw score)
     row_errors = []
@@ -447,22 +465,44 @@ def load_corpus(path, min_count: int = 2,
 
     vocab = build_vocabulary((tokens for _, _, tokens, _ in rows),
                              min_count=min_count)
-    essays = [Essay(essay_id, set_id, vocab.encode(tokens), score,
-                    ranges[set_id].scale(score))
-              for essay_id, set_id, tokens, score in rows]
+    ids, sets, token_lists, scores = zip(*rows) if rows else ((),) * 4
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64,
+                          count=len(rows))
+    # Vocabulary.encode over every kept token, into int32 directly
+    tokens = np.fromiter(map(vocab.token_to_id.get,
+                             chain.from_iterable(token_lists), repeat(UNK_ID)),
+                         dtype=np.int32, count=int(lengths.sum()))
+    essays = _flat_essays(ids, sets, scores, lengths, tokens, ranges)
     return Corpus(essays, vocab, ranges), row_errors
 
 
+def _flat_essays(ids, sets, scores, lengths, tokens: np.ndarray,
+                 ranges: dict[int, ScoreRange]) -> list[Essay]:
+    """Essays whose tokens are consecutive views into ``tokens``, the
+    k-th ``lengths[k]`` long."""
+    ends = np.cumsum(lengths).tolist()
+    return [Essay(essay_id, set_id, tokens[start:end], score,
+                  ranges[set_id].scale(score))
+            for essay_id, set_id, score, start, end
+            in zip(ids, sets, scores, [0] + ends[:-1], ends)]
+
+
 def save_corpus_cache(path, corpus: Corpus, config_hash: str = ""):
+    """Write ``corpus`` as JSON: the vocabulary, the ranges, per-essay
+    ``ids``, ``sets``, ``scores`` and ``lengths``, and every essay's
+    tokens in order as one base64 field of little-endian int32."""
+    essays = corpus.essays
+    tokens = np.concatenate([np.empty(0, dtype=np.int32)]
+                            + [e.tokens for e in essays]).astype("<i4", copy=False)
     payload = {
         "config_hash": config_hash,
         "vocabulary": corpus.vocab.id_to_token[N_SPECIALS:],
         "ranges": {str(k): [r.lo, r.hi] for k, r in sorted(corpus.ranges.items())},
-        "essays": [
-            {"id": e.essay_id, "set": e.set_id, "score": e.raw_score,
-             "tokens": e.tokens}
-            for e in corpus.essays
-        ],
+        "ids": [e.essay_id for e in essays],
+        "sets": [e.set_id for e in essays],
+        "scores": [e.raw_score for e in essays],
+        "lengths": [len(e.tokens) for e in essays],
+        "tokens": base64.b64encode(tokens.tobytes()).decode("ascii"),
     }
     # one dumps call runs the C encoder; json.dump streams through the
     # pure-Python one, for the same bytes
@@ -470,41 +510,111 @@ def save_corpus_cache(path, corpus: Corpus, config_hash: str = ""):
         fh.write(json.dumps(payload))
 
 
-def _cached_essay(d: dict, n_vocab: int, ranges: dict, path) -> Essay:
-    """One essay of a corpus cache, its tokens and score checked."""
-    tokens = list(d["tokens"])
-    if tokens and (set(map(type, tokens)) != {int}
-                   or min(tokens) < 0 or max(tokens) >= n_vocab):
-        bad = next(t for t in tokens
-                   if type(t) is not int or not 0 <= t < n_vocab)
-        raise DataError(f"corrupt corpus cache {path}: essay {d['id']} has "
-                        f"token {bad!r}, not an id in [0, {n_vocab})")
-    score = d["score"]
-    if type(score) not in (int, float) or not math.isfinite(score):
-        raise DataError(f"corrupt corpus cache {path}: essay {d['id']} has "
-                        f"score {score!r}, not a finite number")
-    return Essay(d["id"], d["set"], tokens, score,
-                 ranges[d["set"]].scale(score))
+def _finite_number(x) -> bool:
+    """Whether ``x``, read from JSON, is an int or float that is finite
+    as a float; a bool is not a number here."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def load_corpus_cache(path) -> tuple[Corpus, str]:
     """Read a :func:`save_corpus_cache` file.
 
-    Every token must be an integer id of the cached vocabulary and every
-    score a finite number; anything else is a :class:`DataError`. A
-    ``min_count`` key, which older caches carry, is ignored.
+    Every token must be an id of the cached vocabulary, every score a
+    finite number, every essay id and set an integer and every set one
+    of the cached ranges; the lengths must be non-negative and sum to the
+    token count. Anything else, or a cache in the older per-essay format,
+    is a :class:`DataError` naming the file.
     """
     try:
         with _open_utf8(path) as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError is a ValueError, as is an integer of more digits
+    # than int() converts; deep nesting exhausts the decoder's recursion
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"corrupt corpus cache {path}: {exc}") from None
+
+    def corrupt(message: str) -> DataError:
+        return DataError(f"corrupt corpus cache {path}: {message}")
+
+    if not isinstance(payload, dict):
+        raise corrupt("not a JSON object")
+    if "essays" in payload:
+        raise DataError(f"corpus cache {path} is in an older format; "
+                        "re-run `ingest`")
     try:
-        vocab = Vocabulary(payload["vocabulary"])
-        ranges = {int(k): ScoreRange(lo, hi)
-                  for k, (lo, hi) in payload["ranges"].items()}
-        essays = [_cached_essay(d, len(vocab), ranges, path)
-                  for d in payload["essays"]]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"corrupt corpus cache {path}: missing field {exc}") from None
+        vocabulary, range_items, ids, sets, scores, lengths, field = (
+            payload[k] for k in ("vocabulary", "ranges", "ids", "sets",
+                                 "scores", "lengths", "tokens"))
+    except KeyError as exc:
+        raise corrupt(f"missing field {exc}") from None
+
+    if not (isinstance(vocabulary, list)
+            and set(map(type, vocabulary)) <= {str}):
+        raise corrupt("the vocabulary is not a list of strings")
+    try:
+        vocab = Vocabulary(vocabulary)
+    except DataError as exc:
+        raise corrupt(str(exc)) from None
+    if not isinstance(range_items, dict):
+        raise corrupt("the ranges are not an object")
+    ranges = {}
+    for key, bounds in range_items.items():
+        if not (re.fullmatch(r"-?[0-9]+", key) and isinstance(bounds, list)
+                and len(bounds) == 2 and all(map(_finite_number, bounds))
+                and bounds[0] <= bounds[1]):
+            raise corrupt(f"range {key!r}: {bounds!r} is not a finite "
+                          "[min, max] of an integer set")
+        ranges[int(key)] = ScoreRange(*bounds)
+
+    columns = (ids, sets, scores, lengths)
+    if not all(isinstance(c, list) for c in columns) \
+            or len(set(map(len, columns))) != 1:
+        raise corrupt("ids, sets, scores and lengths are not lists of "
+                      "one length")
+    for name, column in (("essay ids", ids), ("sets", sets),
+                         ("lengths", lengths)):
+        if not set(map(type, column)) <= {int}:
+            bad = next(x for x in column if type(x) is not int)
+            raise corrupt(f"{name} must be integers, found {bad!r}")
+
+    if not isinstance(field, str):
+        raise corrupt("the token field is not a base64 string")
+    try:
+        raw = base64.b64decode(field, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise corrupt(f"the token field is not base64: {exc}") from None
+    if len(raw) % 4:
+        raise corrupt(f"the token field holds {len(raw)} bytes, not a "
+                      "whole number of int32 ids")
+    tokens = np.frombuffer(raw, dtype="<i4").astype(np.int32, copy=False)
+    if lengths and min(lengths) < 0:
+        k = lengths.index(min(lengths))
+        raise corrupt(f"essay {ids[k]} has length {lengths[k]}")
+    if sum(lengths) != tokens.size:
+        raise corrupt(f"the lengths sum to {sum(lengths)}, but the token "
+                      f"field holds {tokens.size} tokens")
+    n_vocab = len(vocab)
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= n_vocab):
+        at = np.flatnonzero((tokens < 0) | (tokens >= n_vocab))[0]
+        k = np.searchsorted(np.cumsum(lengths), at, side="right")
+        raise corrupt(f"essay {ids[k]} has token {int(tokens[at])!r}, not "
+                      f"an id in [0, {n_vocab})")
+    try:
+        finite = set(map(type, scores)) <= {int, float} \
+            and bool(np.isfinite(np.array(scores, dtype=float)).all())
+    except OverflowError:
+        finite = False
+    if not finite:
+        k = next(k for k, s in enumerate(scores) if not _finite_number(s))
+        raise corrupt(f"essay {ids[k]} has score {scores[k]!r}, not a "
+                      "finite number")
+    missing = set(sets) - ranges.keys()
+    if missing:
+        k = next(k for k, s in enumerate(sets) if s in missing)
+        raise corrupt(f"essay {ids[k]} is in set {sets[k]}, which has no "
+                      "cached range")
+    essays = _flat_essays(ids, sets, scores, lengths, tokens, ranges)
     return Corpus(essays, vocab, ranges), payload.get("config_hash", "")

@@ -258,7 +258,7 @@ class _Layout:
         """Validate a batch of essays and lay it out."""
         if not token_lists:
             raise DataError("cannot score an empty batch")
-        seqs = [np.asarray(list(tokens), dtype=int) for tokens in token_lists]
+        seqs = [np.asarray(tokens, dtype=np.intp) for tokens in token_lists]
         lengths = np.array([ids.size for ids in seqs])
         if not lengths.all():
             raise DataError("cannot score an empty essay")

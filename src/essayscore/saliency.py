@@ -135,7 +135,7 @@ def quality_map_spans(model: SeqModel, essay: Essay, vocab: Vocabulary,
     beyond the essay length gives :func:`quality_map`. The displayed
     prediction is still the whole essay's.
     """
-    if not essay.tokens:
+    if len(essay.tokens) == 0:
         raise DataError(f"essay {essay.essay_id} has no tokens")
     if span_len < 1:
         raise DataError(f"span length must be >= 1, got {span_len}")

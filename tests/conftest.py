@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,6 +21,15 @@ def tiny_vocab():
 def make_essay(tokens, essay_id=1, set_id=1, raw=5.0,
                score_range=ScoreRange(0, 10)):
     return Essay(essay_id, set_id, list(tokens), raw, score_range.scale(raw))
+
+
+def as_views(essays):
+    """The essays with their tokens as int32 views into one array, as a
+    loaded corpus holds them."""
+    flat = np.array([t for e in essays for t in e.tokens], dtype=np.int32)
+    ends = np.cumsum([len(e.tokens) for e in essays]).tolist()
+    return [dataclasses.replace(e, tokens=flat[end - len(e.tokens):end])
+            for e, end in zip(essays, ends)]
 
 
 def finite_difference(fn, arrays, step=1e-5):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from essayscore.sswe import (EMBEDDING_MAGIC, SSWEParams,
                              load_embeddings, save_embeddings)
 
 from conftest import run_limited_cli
+from test_corpus import (CACHE_MUTATIONS, decode_tokens, encode_tokens,
+                         saved_cache, write_mutated)
 
 
 class TestConfigParsing:
@@ -732,12 +735,13 @@ class TestUsageErrors:
         assert model.read_bytes() == before
 
     # a hand-edited cache used to train with a float token truncated to
-    # an id, or fail on a string score as a "missing field"
+    # an id, or fail on a string score as a "missing field"; the token
+    # field now holds int32 ids alone, so an out-of-range id is what a
+    # bad token can be
     @pytest.mark.parametrize("command", [
         ["train-embeddings"], ["train-scorer", "--embeddings", "learned"]],
         ids=["embeddings", "scorer"])
     @pytest.mark.parametrize("field,value,message", [
-        ("tokens", 3.7, "not an id"), ("tokens", True, "not an id"),
         ("tokens", -1, "not an id"), ("tokens", "vocab", "not an id"),
         ("score", "7", "not a finite number"),
         ("score", float("nan"), "not a finite number"),
@@ -750,18 +754,45 @@ class TestUsageErrors:
         assert main(["--config", str(cfgpath), "ingest"]) == 0
         cache = tmp_path / "splits" / "corpus.json"
         payload = json.loads(cache.read_text())
-        essay = payload["essays"][0]
+        essay_id = payload["ids"][-1]
         if value == "vocab":
             value = len(payload["vocabulary"]) + 3  # one past the last id
         if field == "tokens":
-            essay["tokens"][0] = value
+            # the first token of the last essay
+            tokens = decode_tokens(payload["tokens"])
+            tokens[sum(payload["lengths"][:-1])] = value
+            payload["tokens"] = encode_tokens(tokens)
         else:
-            essay["score"] = value
+            payload["scores"][-1] = value
         cache.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["--config", str(cfgpath)] + command) == 2
         err = capsys.readouterr().err
-        assert f"essay {essay['id']} has" in err and message in err
+        assert f"essay {essay_id} has" in err and message in err
+
+    def test_every_cache_mutation_exits_2(self, tmp_path, capsys):
+        cfgpath = write_workspace_config(tmp_path)
+        assert main(["synth", "--profile", "overfit16",
+                     "--out", str(tmp_path / "synth.tsv")]) == 0
+        assert main(["--config", str(cfgpath), "ingest"]) == 0
+        cache = tmp_path / "splits" / "corpus.json"
+        for name, (edit, message) in CACHE_MUTATIONS.items():
+            saved_cache(tmp_path)
+            write_mutated(tmp_path / "cache.json", edit)
+            cache.write_bytes((tmp_path / "cache.json").read_bytes())
+            capsys.readouterr()
+            assert main(["--config", str(cfgpath), "train-embeddings"]) == 2
+            err = capsys.readouterr().err
+            assert str(cache) in err and re.search(message, err), name
+        # and as a process: one line on stderr, no traceback
+        saved_cache(tmp_path)
+        write_mutated(tmp_path / "cache.json",
+                      CACHE_MUTATIONS["old nested format"][0])
+        cache.write_bytes((tmp_path / "cache.json").read_bytes())
+        proc = run_limited_cli(["--config", str(cfgpath), "train-scorer"])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "older format; re-run `ingest`" in proc.stderr
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.cfg"), "ingest"])
@@ -894,7 +925,8 @@ class TestSplitManifests:
 
 class TestPinnedOutputs:
     # sha256 of every file the stages write, taken before the stages
-    # shared one loader and one report writer
+    # shared one loader and one report writer; splits/corpus.json since
+    # the cache holds its tokens as one int32 field
     PINNED = {
         "heatmaps/essay_1.html": "0faddc62a6e338b2778f8b3693cd5dcababbe0f4a284b3d5b41ed1e4298a4347",
         "heatmaps/essay_5.html": "edef256af1ef193bc938e3e21a582ff43343dc433364ef31607fc25755a01394",
@@ -914,7 +946,7 @@ class TestPinnedOutputs:
         "spans/essay_1.html": "6adcd91603f9962413afcaa420e9a2b8cfea405cf6ccfa08eecd15646bfbca48",
         "spans/essay_5.html": "da1b6ee7d2d00e6ffc91c2e7afd409e660bd00461bfe61ad9f19118f384335ad",
         "spans/index.csv": "3ef7aa5226697e049f32116ab9c889ba4241095f2639cc20f5ecb0a44d16baf0",
-        "splits/corpus.json": "05fdf3e1d4e9e2fd10ec9f40eb5909811c2e5faf7709b2aa51dcdf750abdcb1a",
+        "splits/corpus.json": "e8f3f3ba399dbc5970588853ad5906e4a57d24e87eec6f22164c10de6f925f27",
         "splits/test.ids": "7e5b6e8148d4672c0656f4c803d5c62e0655b9298b5e8b9d706eddfedf9306b0",
         "splits/train.ids": "c03543dc5bceddd5684e04c5bf17c3ba58db041c5088ad14df0b5fdc61dfa6c3",
         "splits/val.ids": "7d29cf3d788bb3c90e66c9fee63f52c2104f9af885b183bbaedbcfc2d6b648b6",

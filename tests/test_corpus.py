@@ -1,4 +1,7 @@
+import base64
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -28,8 +31,25 @@ from essayscore.corpus import (
 )
 from essayscore.errors import ConfigError, DataError
 
-from conftest import make_essay
+import reference_corpus
+from conftest import as_views, make_essay
 from reference_sswe import essay_windows
+
+# pieces of fuzzed essay text: placeholders and look-alikes, lone and
+# doubled "@", letters whose lowercase differs in length or script,
+# digits, punctuation, and whitespace of several kinds
+TEXT_PIECES = ["@CAPS3", "@Caps", "@CAPS", "@NUM12x", "@@", "@", "@1",
+               "\u0130", "\u0130stanbul", "\u00df", "\u00c9T\u00c9", "\u01c5",
+               "\u212a", "\u03a9mega", "\ufb01", "\u00e9", "x", "Word", "ABC",
+               "mIxEd", "42", "7b", "b7", ",", ".", "!", "'", "_", "-", "\u2014",
+               " ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\x0b"]
+
+
+def fuzz_texts(seed: int, n: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return ["".join(TEXT_PIECES[i] for i in
+                    rng.integers(len(TEXT_PIECES), size=rng.integers(0, 40)))
+            for _ in range(n)]
 
 
 class TestTokenize:
@@ -58,6 +78,10 @@ class TestTokenize:
     def test_numbers_are_words(self):
         assert tokenize("in 1984 I was") == ["in", "1984", "i", "was"]
 
+    def test_matches_the_finditer_reference(self):
+        for text in fuzz_texts(18, 4000) + [FIXTURE_TSV]:
+            assert tokenize(text) == reference_corpus.tokenize(text), text
+
 
 class TestVocabulary:
     def test_specials_occupy_first_ids(self):
@@ -72,6 +96,13 @@ class TestVocabulary:
     def test_decode_round_trip(self, tiny_vocab):
         ids = tiny_vocab.encode(["the", "cat", "sat"])
         assert tiny_vocab.decode(ids) == ["the", "cat", "sat"]
+
+    def test_decode_takes_a_list_or_an_int32_view(self, tiny_vocab):
+        ids = [3, 1, 12, 0, 4, 2]
+        view = np.array([9] + ids, dtype=np.int32)[1:]
+        assert tiny_vocab.decode(view) == tiny_vocab.decode(ids)
+        assert all(type(tok) is str for tok in tiny_vocab.decode(view))
+        assert tiny_vocab.decode(view[:0]) == tiny_vocab.decode([]) == []
 
     def test_id_of_unknown_raises(self, tiny_vocab):
         with pytest.raises(KeyError):
@@ -90,6 +121,21 @@ class TestVocabulary:
     def test_build_rejects_bad_min_count(self):
         with pytest.raises(ConfigError):
             build_vocabulary([], min_count=0)
+
+    @pytest.mark.parametrize("min_count", [1, 3])
+    def test_build_matches_the_tuple_key_sort(self, min_count):
+        # about 200 distinct tokens in 11,000, so most counts are shared
+        # by several tokens
+        seqs = [tokenize(text) for text in fuzz_texts(min_count, 600)]
+        want = reference_corpus.vocabulary_order(seqs, min_count)
+        counts = {}
+        for seq in seqs:
+            for tok in seq:
+                counts[tok] = counts.get(tok, 0) + 1
+        assert len(want) > 50
+        assert len(set(counts[tok] for tok in want)) < len(want) / 2
+        got = build_vocabulary(seqs, min_count=min_count)
+        assert got.id_to_token[N_SPECIALS:] == want
 
     def test_build_is_deterministic(self):
         seqs = [["x", "y", "z", "y"], ["z", "z", "x"]]
@@ -127,10 +173,10 @@ FIXTURE_TSV = """essay_id\tessay_set\tessay\tdomain1_score
 3\t2\tBeing patience is being understanding .\t3
 """
 
-# the bytes written before the cache dropped its unread "min_count" key,
-# less the ``"min_count": 1, `` it held
+# the bytes of FIXTURE_TSV's cache in the flat format: per-essay ids,
+# sets, scores and lengths, and one base64 field of little-endian int32
 PINNED_CACHE = \
-    "e339d0f9532edbeb7f19b18531e99d8db29091dce295ba0d668b85f74e08f1c4"
+    "cf447a8d32860112135c8a989a1d6a604ca03a9688a15ce34a34b8b631aed65e"
 
 
 class TestIngest:
@@ -144,6 +190,21 @@ class TestIngest:
         assert corpus.vocab.decode(first.tokens[:3]) \
             == ["dear", "local", "newspaper"]
         assert row_errors == []
+
+    def test_tokens_are_int32_views_of_one_array(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text(FIXTURE_TSV)
+        corpus, _ = load_corpus(p, min_count=2)
+        flat = corpus.essays[0].tokens.base
+        assert flat.dtype == np.int32 and flat.size == 27
+        assert all(e.tokens.dtype == np.int32 and e.tokens.base is flat
+                   for e in corpus.essays)
+        assert np.concatenate([e.tokens for e in corpus.essays]).tolist() \
+            == flat.tolist()
+        tokens = [tokenize(line.split("\t")[2])
+                  for line in FIXTURE_TSV.splitlines()[1:]]
+        assert [e.tokens.tolist() for e in corpus.essays] \
+            == [corpus.vocab.encode(t) for t in tokens]
 
     def test_observed_ranges_per_set(self, tmp_path):
         p = tmp_path / "f.tsv"
@@ -408,6 +469,19 @@ class TestWindows:
         e = make_essay([10, 11], raw=8.0)
         assert extract_windows([e], 3).scores.tolist() == [0.8, 0.8]
 
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_lists_and_int32_views_give_one_stream(self, n):
+        rng = np.random.default_rng(n)
+        essays = [make_essay(rng.integers(3, 500, size=int(L)).tolist(),
+                             essay_id=k, raw=float(k % 11))
+                  for k, L in enumerate([5, 0, 1, 40, 7, 0, 12])]
+        want = extract_windows(essays, n)
+        got = extract_windows(as_views(essays), n)
+        assert got.stream.dtype == want.stream.dtype == np.int32
+        for name in ("stream", "view", "starts", "scores"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
 
 class TestCorruption:
     def test_only_center_differs(self, tiny_vocab):
@@ -461,48 +535,199 @@ class TestManifests:
             read_manifest(p)
 
 
+def saved_cache(tmp_path):
+    tsv = tmp_path / "f.tsv"
+    tsv.write_text(FIXTURE_TSV)
+    corpus, _ = load_corpus(tsv, min_count=1)
+    cache = tmp_path / "cache.json"
+    save_corpus_cache(cache, corpus, config_hash="deadbeef")
+    return corpus, cache
+
+
+def encode_tokens(ids) -> str:
+    return base64.b64encode(np.asarray(ids, dtype="<i4").tobytes()).decode()
+
+
+def decode_tokens(field: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(field), dtype="<i4").copy()
+
+
+def _set_token(payload, at, value):
+    tokens = decode_tokens(payload["tokens"])
+    tokens[at] = value
+    payload["tokens"] = encode_tokens(tokens)
+
+
+def _nested(payload):
+    """The per-essay layout caches had before the token field."""
+    tokens = decode_tokens(payload.pop("tokens")).tolist()
+    essays, start = [], 0
+    for eid, set_id, score, n in zip(*(payload.pop(k) for k in
+                                       ("ids", "sets", "scores", "lengths"))):
+        essays.append({"id": eid, "set": set_id, "score": score,
+                       "tokens": tokens[start:start + n]})
+        start += n
+    payload["essays"] = essays
+
+
+# edits of a saved cache's payload, each with a regex its DataError must
+# match after the file's name; FIXTURE_TSV's cache has essays 1, 2 and 3
+# of 13, 8 and 6 tokens and a vocabulary of 27 entries
+CACHE_MUTATIONS = {
+    "invalid base64": (lambda p: p.update(tokens=p["tokens"][:-4] + "!!!!"),
+                       "not base64"),
+    "non-ascii token field": (lambda p: p.update(tokens="\u00e9" * 4),
+                              "not base64"),
+    "token field of 5 bytes": (
+        lambda p: p.update(tokens=base64.b64encode(b"\0" * 5).decode()),
+        "5 bytes, not a whole number of int32 ids"),
+    "token field not a string": (lambda p: p.update(tokens=[3, 4]),
+                                 "not a base64 string"),
+    "lengths short of the tokens": (
+        lambda p: p["lengths"].__setitem__(2, 5),
+        "lengths sum to 26, but the token field holds 27 tokens"),
+    "lengths past the tokens": (
+        lambda p: p["lengths"].__setitem__(0, 14),
+        "lengths sum to 28, but the token field holds 27 tokens"),
+    "negative length": (
+        lambda p: p.update(lengths=[-1, 22, 6]), "essay 1 has length -1"),
+    "id equal to the vocabulary size": (
+        lambda p: _set_token(p, 21, 27),
+        r"essay 3 has token 27, not an id in \[0, 27\)"),
+    "negative id": (lambda p: _set_token(p, 20, -5),
+                    r"essay 2 has token -5, not an id in \[0, 27\)"),
+    "nan score": (lambda p: p["scores"].__setitem__(1, float("nan")),
+                  "essay 2 has score nan, not a finite number"),
+    "inf score": (lambda p: p["scores"].__setitem__(0, float("inf")),
+                  "essay 1 has score inf, not a finite number"),
+    "string score": (lambda p: p["scores"].__setitem__(2, "7"),
+                     "essay 3 has score '7', not a finite number"),
+    "bool score": (lambda p: p["scores"].__setitem__(2, True),
+                   "essay 3 has score True, not a finite number"),
+    "huge int score": (lambda p: p["scores"].__setitem__(0, 10 ** 400),
+                       "essay 1 has score 1000"),
+    "set missing from the ranges": (
+        lambda p: p["sets"].__setitem__(1, 9),
+        "essay 2 is in set 9, which has no cached range"),
+    "fractional essay id": (lambda p: p["ids"].__setitem__(1, 2.5),
+                            "essay ids must be integers, found 2.5"),
+    "string essay id": (lambda p: p["ids"].__setitem__(0, "1"),
+                        "essay ids must be integers, found '1'"),
+    "bool set": (lambda p: p["sets"].__setitem__(0, True),
+                 "sets must be integers, found True"),
+    "fractional length": (lambda p: p["lengths"].__setitem__(0, 13.0),
+                          "lengths must be integers, found 13.0"),
+    "columns of two lengths": (lambda p: p["scores"].pop(),
+                               "not lists of one length"),
+    "missing lengths": (lambda p: p.pop("lengths"),
+                        "missing field 'lengths'"),
+    "range not a pair": (lambda p: p["ranges"].update({"2": [3.0]}),
+                         r"range '2': \[3.0\] is not a finite"),
+    "range of a non-integer set": (
+        lambda p: p["ranges"].update({"x": [0, 1]}), "range 'x'"),
+    "range with max below min": (
+        lambda p: p["ranges"].update({"1": [8.0, 4.0]}), "range '1'"),
+    "duplicate vocabulary entry": (
+        lambda p: p["vocabulary"].append("being"), "duplicate tokens"),
+    "vocabulary entry not a string": (
+        lambda p: p["vocabulary"].append(7), "not a list of strings"),
+    "old nested format": (_nested, "older format; re-run `ingest`"),
+}
+
+
+def write_mutated(cache, edit):
+    payload = json.loads(cache.read_text())
+    edit(payload)
+    cache.write_text(json.dumps(payload))
+
+
 class TestCorpusCache:
     def test_round_trip(self, tmp_path):
-        tsv = tmp_path / "f.tsv"
-        tsv.write_text(FIXTURE_TSV)
-        corpus, _ = load_corpus(tsv, min_count=1)
-        cache = tmp_path / "cache.json"
-        save_corpus_cache(cache, corpus, config_hash="deadbeef")
+        corpus, cache = saved_cache(tmp_path)
         loaded, chash = load_corpus_cache(cache)
         assert chash == "deadbeef"
         assert loaded.vocab.id_to_token == corpus.vocab.id_to_token
         assert loaded.ranges == corpus.ranges
-        assert [(e.essay_id, e.tokens, e.scaled_score) for e in loaded.essays] \
-            == [(e.essay_id, e.tokens, e.scaled_score) for e in corpus.essays]
+        assert [(e.essay_id, e.set_id, e.tokens.tolist(), e.raw_score,
+                 e.scaled_score) for e in loaded.essays] \
+            == [(e.essay_id, e.set_id, e.tokens.tolist(), e.raw_score,
+                 e.scaled_score) for e in corpus.essays]
+        flat = loaded.essays[0].tokens.base
+        assert all(e.tokens.dtype == np.int32 and e.tokens.base is flat
+                   for e in loaded.essays)
+
+    def test_round_trip_of_list_tokens_and_no_essays(self, tmp_path):
+        vocab = Vocabulary(["a", "b"])
+        ranges = {1: ScoreRange(0, 10), 4: ScoreRange(2, 2)}
+        essays = [make_essay([3, 4, 3], essay_id=7, raw=2.5),
+                  make_essay([], essay_id=8, set_id=4, raw=2,
+                             score_range=ranges[4]),
+                  make_essay([0, 1, 2, 4], essay_id=9, raw=10)]
+        cache = tmp_path / "cache.json"
+        for kept in (essays, []):
+            save_corpus_cache(cache, Corpus(kept, vocab, ranges))
+            loaded, chash = load_corpus_cache(cache)
+            assert chash == ""
+            assert [(e.essay_id, e.set_id, e.tokens.tolist(), e.raw_score,
+                     e.scaled_score) for e in loaded.essays] \
+                == [(e.essay_id, e.set_id, e.tokens, e.raw_score,
+                     e.scaled_score) for e in kept]
 
     def test_cache_bytes_are_pinned(self, tmp_path):
-        # sha256 computed when the cache was written by json.dump
-        tsv = tmp_path / "f.tsv"
-        tsv.write_text(FIXTURE_TSV)
-        corpus, _ = load_corpus(tsv, min_count=1)
-        cache = tmp_path / "cache.json"
-        save_corpus_cache(cache, corpus, config_hash="deadbeef")
+        _, cache = saved_cache(tmp_path)
         assert hashlib.sha256(cache.read_bytes()).hexdigest() == PINNED_CACHE
 
-    def test_cache_with_min_count_key_still_loads(self, tmp_path):
-        tsv = tmp_path / "f.tsv"
-        tsv.write_text(FIXTURE_TSV)
-        corpus, _ = load_corpus(tsv, min_count=1)
-        cache = tmp_path / "cache.json"
-        save_corpus_cache(cache, corpus, config_hash="deadbeef")
-        cache.write_bytes(cache.read_bytes().replace(
-            b'"vocabulary": ', b'"min_count": 1, "vocabulary": '))
-        loaded, chash = load_corpus_cache(cache)
-        assert chash == "deadbeef"
-        assert loaded.vocab.id_to_token == corpus.vocab.id_to_token
-        assert [(e.essay_id, e.tokens) for e in loaded.essays] \
-            == [(e.essay_id, e.tokens) for e in corpus.essays]
+    def test_old_format_cache_asks_for_a_reingest(self, tmp_path):
+        # what an older cache holds, with the "min_count" key some carried
+        _, cache = saved_cache(tmp_path)
+        write_mutated(cache, lambda p: (_nested(p), p.update(min_count=1)))
+        with pytest.raises(DataError, match=f"corpus cache {cache} is in an "
+                                            "older format; re-run `ingest`"):
+            load_corpus_cache(cache)
 
     def test_corrupt_cache_rejected(self, tmp_path):
         p = tmp_path / "cache.json"
-        p.write_text("{not json")
-        with pytest.raises(DataError):
-            load_corpus_cache(p)
+        # an integer past int()'s digit limit, and nesting past the
+        # decoder's recursion limit, both used to escape as tracebacks
+        for text in ("{not json", "[1, 2]", "7",
+                     '{"ids": [' + "9" * 5000 + "]}", "[" * 100_000):
+            p.write_text(text)
+            with pytest.raises(DataError, match=f"corrupt corpus cache {p}"):
+                load_corpus_cache(p)
+
+    @pytest.mark.parametrize("name", list(CACHE_MUTATIONS))
+    def test_mutation_is_a_data_error_naming_the_file(self, tmp_path, name):
+        _, cache = saved_cache(tmp_path)
+        edit, message = CACHE_MUTATIONS[name]
+        write_mutated(cache, edit)
+        with pytest.raises(DataError) as exc:
+            load_corpus_cache(cache)
+        assert str(cache) in str(exc.value)
+        assert re.search(message, str(exc.value)), str(exc.value)
+
+    def test_byte_flips_and_truncations(self, tmp_path):
+        # a flip can leave a valid cache (a digit of a score, a letter of
+        # a word); whatever it leaves loads or is a DataError naming the
+        # file, and every truncation is one
+        _, cache = saved_cache(tmp_path)
+        good = cache.read_bytes()
+        rng = np.random.default_rng(18)
+        loaded = 0
+        for _ in range(400):
+            data = bytearray(good)
+            for at in rng.integers(len(data), size=rng.integers(1, 4)):
+                data[at] ^= int(rng.integers(1, 256))
+            cache.write_bytes(bytes(data))
+            try:
+                load_corpus_cache(cache)
+                loaded += 1
+            except DataError as exc:
+                assert str(cache) in str(exc)
+        assert 0 < loaded < 400
+        for cut in rng.integers(len(good), size=100):
+            cache.write_bytes(good[:cut])
+            with pytest.raises(DataError, match=str(cache)):
+                load_corpus_cache(cache)
 
     def test_by_id_and_subset(self, tmp_path):
         tsv = tmp_path / "f.tsv"

@@ -22,8 +22,8 @@ from essayscore.lstm import (COLUMN_BLOCK, FORGET_BIAS, PREDICT_CHUNK,
                              save_model, train_scorer)
 
 import reference_lstm as ref
-from conftest import (finite_difference, make_essay, max_relative_error,
-                      traced_peak)
+from conftest import (as_views, finite_difference, make_essay,
+                      max_relative_error, traced_peak)
 from reference_lstm import lstm_step
 
 
@@ -1063,6 +1063,20 @@ class TestPredict:
             want = self.ranges[1].clamp(
                 self.ranges[1].unscale(min(max(y, 0.0), 1.0)))
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_token_lists_and_int32_views_agree(self):
+        model = build_model(vocab=9, seed=36, bidirectional=True, layers=2,
+                            peepholes="full", boost=4.0)
+        rng = np.random.default_rng(11)
+        essays = [make_essay(rng.integers(0, 9, size=int(L)).tolist(),
+                             essay_id=k, raw=float(k % 11))
+                  for k, L in enumerate(rng.integers(1, 30, size=14))]
+        views = as_views(essays)
+        y_list, _ = forward_batch(model, [e.tokens for e in essays])
+        y_view, _ = forward_batch(model, [e.tokens for e in views])
+        assert y_view.tobytes() == y_list.tobytes()
+        assert predict(model, views, self.ranges).tobytes() \
+            == predict(model, essays, self.ranges).tobytes()
 
     def test_unknown_set_rejected(self):
         stray = [make_essay([1], essay_id=2, set_id=3, raw=1.0)]

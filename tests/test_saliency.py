@@ -14,7 +14,8 @@ from essayscore.saliency import (ANSI_SCALE, HEX_SCALE, QualityMap,
                                  quality_map, quality_map_spans, render_ansi,
                                  render_html)
 
-from conftest import finite_difference, make_essay, max_relative_error
+from conftest import (as_views, finite_difference, make_essay,
+                      max_relative_error)
 from test_lstm import build_model
 
 
@@ -243,6 +244,21 @@ class TestSpans:
             for field in ("mag_max", "mag_min", "quality"):
                 assert getattr(e, field) == pytest.approx(getattr(x, field),
                                                           rel=1e-12)
+
+    @pytest.mark.parametrize("span_len", [3, 7, 40])
+    def test_token_list_and_int32_view_agree(self, span_len):
+        model = build_model(vocab=8, seed=59, boost=5.0, layers=2,
+                            bidirectional=True)
+        tokens = np.random.default_rng(span_len).integers(0, 8, 20).tolist()
+        essay = make_essay(tokens, essay_id=4, raw=6.0)
+        view, = as_views([make_essay([5]), essay])[1:]
+        got = quality_map_spans(model, view, words_vocab(), span_len)
+        want = quality_map_spans(model, essay, words_vocab(), span_len)
+        assert got.tokens() == want.tokens()
+        assert got.predicted == want.predicted
+        mags = [np.array([(e.mag_max, e.mag_min, e.quality)
+                          for e in q.entries]) for q in (got, want)]
+        assert mags[0].tobytes() == mags[1].tobytes()
 
     def test_bins_are_assigned_within_each_tile(self):
         model = build_model(vocab=11, seed=58, boost=5.0)
