@@ -157,6 +157,16 @@ class Essay:
     raw_score: float
     scaled_score: float
 
+    def __eq__(self, other):
+        # tokens by value: the generated method would compare them inside
+        # a tuple, which raises for an array of more than one element
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.essay_id, self.set_id, self.raw_score,
+                 self.scaled_score) == (other.essay_id, other.set_id,
+                                        other.raw_score, other.scaled_score)
+                and np.array_equal(self.tokens, other.tokens))
+
 
 @dataclass(frozen=True)
 class RowError:

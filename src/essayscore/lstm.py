@@ -43,7 +43,10 @@ rows ``s:e`` of them; the gates of a step are a (4, m, K, H) block
 (gate, essay, direction, unit), which the step's first add writes. The
 loops write every product into a buffer allocated once per pass and
 re-slice the running state only when an essay ends or, going back,
-starts.
+starts. They bind their ufuncs to locals once per pass, pass ``out``
+positionally and write each in-place add or multiply as that ufunc with
+``out`` set, because at these sizes parsing the ``out=`` keyword and
+looking up ``np.<ufunc>`` are a visible share of a call.
 Activations are stored packed, without padding: essays are ranked by
 length, longest first, so the essays running at step t are a prefix of
 those running at t - 1, and step t occupies the next ``counts[t]`` rows
@@ -365,6 +368,7 @@ def _recur(W_h: np.ndarray, W_p, G: np.ndarray, offsets: np.ndarray,
     # imported here, once per pass: scipy.special costs start-up time and
     # memory that the commands which never run an LSTM would pay
     from scipy.special import expit
+    matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
 
     N, K, n = G.shape[0], G.shape[1], W_h.shape[-1]
     H = np.empty((N, K, n))
@@ -407,25 +411,25 @@ def _recur(W_h: np.ndarray, W_p, G: np.ndarray, offsets: np.ndarray,
             if not keep:
                 cells = (cells[0][:m], cells[1][:m])
                 tc = tc[:m]
-        np.matmul(h.swapaxes(0, 1), W_hT, out=hwT)
-        np.add(G4[:, s:e], hw4, out=a)
+        matmul(h.swapaxes(0, 1), W_hT, hwT)
+        add(G4[:, s:e], hw4, a)
         if t and peep:
             # the input and forget gates peep at the last step's cell
-            a_if += q_if
-        expit(a_if, out=a_if)
-        np.tanh(a_u, out=a_u)
-        c_new = np.multiply(a_i, a_u, out=C[s:e] if keep else cells[t & 1])
-        c_new += np.multiply(a_f, c, out=fc)
+            add(a_if, q_if, a_if)
+        expit(a_if, a_if)
+        tanh(a_u, a_u)
+        c_new = multiply(a_i, a_u, C[s:e] if keep else cells[t & 1])
+        add(c_new, multiply(a_f, c, fc), c_new)
         c = c_new
         if full:
-            np.matmul(c.swapaxes(0, 1), W_pT, out=qT)
+            matmul(c.swapaxes(0, 1), W_pT, qT)
         elif peep:
-            np.multiply(c, W_p3, out=q4)
+            multiply(c, W_p3, q4)
         if peep:
-            a_o += q_o
-        expit(a_o, out=a_o)
-        tc_new = np.tanh(c, out=TC[s:e] if keep else tc)
-        h = np.multiply(a_o, tc_new, out=H[s:e])
+            add(a_o, q_o, a_o)
+        expit(a_o, a_o)
+        tc_new = tanh(c, TC[s:e] if keep else tc)
+        h = multiply(a_o, tc_new, H[s:e])
         if keep:
             P[:, s:e] = a
     return P, C, TC, H
@@ -465,30 +469,31 @@ def _recur_backward(W_h: np.ndarray, W_p, P: np.ndarray, C: np.ndarray,
     elif W_p is not None:
         w_i, w_f, w_o = (W_p[:, k * n:(k + 1) * n] for k in range(3))
     dh_all, dc_all, prod_all = (np.zeros((B, K, n)) for _ in range(3))
+    matmul, add, multiply = np.matmul, np.add, np.multiply
     m = 0
     for s, e in zip(offsets[-2::-1], offsets[:0:-1]):
         if e - s != m:
             m = e - s
             dh, dc, prod = dh_all[:m], dc_all[:m], prod_all[:m]
             dhT, prodT = dh.swapaxes(0, 1), prod.swapaxes(0, 1)
-        dh += dH[s:e]
-        da_o = np.multiply(dh, k_o[s:e], out=dA_o[s:e])
-        dc += np.multiply(dh, k_c[s:e], out=prod)
+        add(dh, dH[s:e], dh)
+        da_o = multiply(dh, k_o[s:e], dA_o[s:e])
+        add(dc, multiply(dh, k_c[s:e], prod), dc)
         a = dAT[:, s:e]
         if full:
-            np.matmul(a[..., 3 * n:], W_p_o, out=prodT)
-            dc += prod
+            matmul(a[..., 3 * n:], W_p_o, prodT)
+            add(dc, prod, dc)
         elif W_p is not None:
-            dc += np.multiply(da_o, w_o, out=prod)
-        np.multiply(dc, k_ifu[:, s:e], out=dA_ifu[:, s:e])
-        np.matmul(a, W_h, out=dhT)
-        dc *= F[s:e]
+            add(dc, multiply(da_o, w_o, prod), dc)
+        multiply(dc, k_ifu[:, s:e], dA_ifu[:, s:e])
+        matmul(a, W_h, dhT)
+        multiply(dc, F[s:e], dc)
         if full:
-            np.matmul(a[..., :2 * n], W_p_if, out=prodT)
-            dc += prod
+            matmul(a[..., :2 * n], W_p_if, prodT)
+            add(dc, prod, dc)
         elif W_p is not None:
-            dc += np.multiply(dA_i[s:e], w_i, out=prod)
-            dc += np.multiply(dA_f[s:e], w_f, out=prod)
+            add(dc, multiply(dA_i[s:e], w_i, prod), dc)
+            add(dc, multiply(dA_f[s:e], w_f, prod), dc)
     return dA
 
 

@@ -487,6 +487,27 @@ class TestEvaluateCommand:
             assert (root / "reports" / f"metrics_{name}.csv").exists()
             assert (root / "reports" / f"metrics_{name}.txt").exists()
 
+    def test_calls_in_one_process_share_no_parsed_state(self, workspace,
+                                                        capsys):
+        # main builds its parser once per process: a flag given to one
+        # call must not reach the next
+        root, cfgpath = workspace
+        argv = ["--config", str(cfgpath)]
+        stamp = root / "reports" / "metrics_test.csv"
+        assert main(argv + ["evaluate", "--split", "all"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["evaluate"]) == 0
+        out = capsys.readouterr().out
+        assert "[test]" in out and "[train]" not in out
+        plain = stamp.read_text().splitlines()[0]
+        # the file sets epochs = 2; the config hash stamped on a report
+        # shows which value a call ran with
+        assert main(argv + ["--epochs", "3", "evaluate"]) == 0
+        assert stamp.read_text().splitlines()[0] != plain
+        assert main(argv + ["evaluate"]) == 0
+        assert stamp.read_text().splitlines()[0] == plain
+        capsys.readouterr()
+
     def test_numerical_failure_keeps_old_report(self, workspace, tmp_path,
                                                 capsys):
         root, cfgpath = workspace

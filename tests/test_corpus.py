@@ -144,6 +144,27 @@ class TestVocabulary:
         assert a.id_to_token == b.id_to_token
 
 
+class TestEssayEquality:
+    def test_equal_essays_of_views(self):
+        a, b = as_views([make_essay([4, 5]), make_essay([4, 5])])
+        assert a == b and not a != b
+
+    def test_different_tokens_or_fields(self):
+        a, b, c = as_views([make_essay([4, 5]), make_essay([4, 6]),
+                            make_essay([4, 5, 6])])
+        assert a != b and a != c
+        assert a != make_essay([4, 5], essay_id=2)
+        assert a != make_essay([4, 5], raw=6.0)
+        assert a != "not an essay"
+
+    def test_a_list_against_a_view(self):
+        listed = make_essay([4, 5, 6])
+        (viewed,) = as_views([listed])
+        assert isinstance(viewed.tokens, np.ndarray)
+        assert listed == viewed and viewed == listed
+        assert listed != as_views([make_essay([4, 5, 7])])[0]
+
+
 class TestScoreRange:
     def test_scale_endpoints(self):
         r = ScoreRange(2, 12)

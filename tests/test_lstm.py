@@ -13,7 +13,8 @@ from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
 from essayscore.lstm import (COLUMN_BLOCK, FORGET_BIAS, PREDICT_CHUNK,
                              ColumnGrad, LSTMLayer, RMSPropState, SeqModel,
-                             _backward, _n_params, backward_batch,
+                             _backward, _Layout, _n_params, _recur,
+                             backward_batch,
                              backward_columns, backward_inputs,
                              bptt, clip_gradients, forward_batch,
                              forward_essay,
@@ -557,6 +558,27 @@ class TestBatchMatchesReference:
     def test_passes_are_pinned(self, variant, lengths):
         assert pass_digest(variant, LENGTHS[lengths]) \
             == self.PINNED_PASSES[f"{variant_id(variant)}-{lengths}"]
+
+    @pytest.mark.parametrize("lengths", list(LENGTHS))
+    @pytest.mark.parametrize("variant", PIN_VARIANTS, ids=variant_id)
+    def test_recur_gives_the_same_H_with_and_without_keep(self, variant,
+                                                          lengths):
+        # the two branches of the step loop: with keep each step writes
+        # its C and TC rows and copies its gate block out, without it two
+        # cell buffers take turns and the gates stay in one block
+        model, token_lists, _ = batch_case(variant, LENGTHS[lengths])
+        layout = _Layout.of(model, token_lists)
+        rng = np.random.default_rng(5)
+        for layer in model.layers:
+            G = rng.uniform(-2.0, 2.0, size=(layout.ids.size,
+                                             layer.W_h.shape[0],
+                                             4 * layer.dim))
+            before = G.tobytes()
+            kept = _recur(layer.W_h, layer.W_p, G, layout.offsets, True)
+            bare = _recur(layer.W_h, layer.W_p, G, layout.offsets, False)
+            assert bare[:3] == (None, None, None)
+            assert kept[3].tobytes() == bare[3].tobytes()
+            assert G.tobytes() == before
 
     @pytest.mark.parametrize("lengths", list(LENGTHS.values()),
                              ids=list(LENGTHS))
