@@ -1,125 +1,11 @@
-"""Essay scoring with score-specific word embeddings and LSTM regression."""
+"""Essay scoring with score-specific word embeddings and LSTM regression.
 
-from .config import Config, SearchSpace, config_hash, load_config
-from .corpus import (
-    BOUNDARY_ID,
-    BOUNDARY_TOKEN,
-    Corpus,
-    Essay,
-    PAD_ID,
-    PAD_TOKEN,
-    ScoreRange,
-    UNK_ID,
-    UNK_TOKEN,
-    Vocabulary,
-    build_vocabulary,
-    corrupt_window,
-    extract_windows,
-    load_corpus,
-    split_corpus,
-    tokenize,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    EssayScoreError,
-    ModelFormatError,
-    NumericalError,
-)
-from .lstm import (
-    LSTMLayer,
-    RMSPropState,
-    SeqModel,
-    bptt,
-    forward_essay,
-    load_model,
-    predict,
-    rmsprop_update,
-    save_model,
-    train_scorer,
-)
-from .metrics import (
-    MetricsReport,
-    pearson_r,
-    quadratic_weighted_kappa,
-    report,
-    rmse,
-    spearman_rho,
-)
-from .saliency import (
-    QualityMap,
-    input_gradients,
-    quality_map,
-    quality_map_spans,
-    render_ansi,
-    render_html,
-)
-from .sswe import (
-    SSWEParams,
-    load_embeddings,
-    nearest_neighbors,
-    save_embeddings,
-    train_sswe,
-)
-from .synth import MISSPELL_PAIRS, PROFILES, generate, write_tsv
+Each name is imported from its module: ``corpus`` (TSV ingest,
+vocabulary, splits and windows), ``sswe`` (score-specific word
+embeddings), ``lstm`` (the peephole LSTM scorer), ``saliency`` (token
+quality maps), ``metrics``, ``config``, ``errors``, ``artifact`` (the
+tensor file container), ``synth`` (synthetic corpora) and ``cli``.
+Importing the package itself loads none of them.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOUNDARY_ID",
-    "BOUNDARY_TOKEN",
-    "Config",
-    "ConfigError",
-    "Corpus",
-    "DataError",
-    "Essay",
-    "EssayScoreError",
-    "LSTMLayer",
-    "MISSPELL_PAIRS",
-    "MetricsReport",
-    "ModelFormatError",
-    "NumericalError",
-    "PAD_ID",
-    "PAD_TOKEN",
-    "PROFILES",
-    "QualityMap",
-    "RMSPropState",
-    "SSWEParams",
-    "ScoreRange",
-    "SearchSpace",
-    "SeqModel",
-    "UNK_ID",
-    "UNK_TOKEN",
-    "Vocabulary",
-    "bptt",
-    "build_vocabulary",
-    "config_hash",
-    "corrupt_window",
-    "extract_windows",
-    "forward_essay",
-    "generate",
-    "input_gradients",
-    "load_config",
-    "load_corpus",
-    "load_embeddings",
-    "load_model",
-    "nearest_neighbors",
-    "pearson_r",
-    "predict",
-    "quadratic_weighted_kappa",
-    "quality_map",
-    "quality_map_spans",
-    "render_ansi",
-    "render_html",
-    "report",
-    "rmse",
-    "rmsprop_update",
-    "save_embeddings",
-    "save_model",
-    "spearman_rho",
-    "split_corpus",
-    "tokenize",
-    "train_scorer",
-    "train_sswe",
-    "write_tsv",
-]

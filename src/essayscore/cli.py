@@ -319,14 +319,11 @@ def cmd_visualize(args) -> int:
                 raise DataError(f"essay id {eid} not in corpus") from None
             score_range = corpus.ranges[essay.set_id]
             y_max, y_min = _pseudo_bounds(cfg, score_range)
-            if args.mode == "span":
-                qmap = salmod.quality_map_spans(
-                    model, essay, corpus.vocab, args.span_len,
-                    score_range=score_range, y_max=y_max, y_min=y_min)
-            else:
-                qmap = salmod.quality_map(
-                    model, essay, corpus.vocab,
-                    score_range=score_range, y_max=y_max, y_min=y_min)
+            span_len = args.span_len if args.mode == "span" \
+                else len(essay.tokens)
+            qmap = salmod.quality_map_spans(
+                model, essay, corpus.vocab, span_len,
+                score_range=score_range, y_max=y_max, y_min=y_min)
             salmod.render_html(
                 qmap,
                 pending.path_for(os.path.join(cfg.heatmaps_dir,

@@ -55,8 +55,7 @@ reversed span, laid out the same way; one gather index per batch
 (``rev``, the row of the same essay at step L - 1 - t) maps between the
 two time orders, both ways. Each essay's final state is read at its own
 length, and backpropagation through an essay starts from zero after its
-last step. One essay is the batch B = 1 (:func:`forward_essay`,
-:func:`bptt`).
+last step. One essay is the batch B = 1 (:func:`forward_essay`).
 
 The embedding side works per distinct word: a batch's U distinct ids
 (``_Layout.cols``) are projected by the first layer's ``W_x`` once, and
@@ -69,13 +68,13 @@ forms the rows, the sums times ``W_x``, a block of columns at a time. So
 a training step builds no (N, D) array, and the gradient of ``M`` no
 (U, D) one: the one (U, D) array left is the rows of ``M`` that the
 ``W_x`` gradient reads, gathered and freed within the backward pass. Only
-per-token input gradients (:func:`backward_batch`, and
-:func:`backward_inputs` for saliency) project each token's gate
-gradients. RMSprop steps ``M`` on the touched columns only and decays
-the rest of its accumulator: bitwise the dense rule, as a zero gradient
-leaves a weight unchanged when ``eps_rms > 0``. An accumulator no step
-has written yet is still zero, so its decay is skipped; allocated by
-``np.zeros``, its pages are not even mapped until a step writes them.
+per-token input gradients (:func:`bptt`, and :func:`backward_inputs`
+for saliency) project each token's gate gradients. RMSprop steps ``M``
+on the touched columns only and decays the rest of its accumulator:
+bitwise the dense rule, as a zero gradient leaves a weight unchanged
+when ``eps_rms > 0``. An accumulator no step has written yet is still
+zero, so its decay is skipped; allocated by ``np.zeros``, its pages are
+not even mapped until a step writes them.
 """
 
 from __future__ import annotations
@@ -562,7 +561,8 @@ def forward_batch(model: SeqModel, token_lists, training: bool = False,
     """Run B essays through the stack in lockstep.
 
     Returns the unclamped scaled scores (B,) read off each essay's final
-    states, plus the activation cache for :func:`backward_batch`. With
+    states, plus the activation cache for :func:`bptt`,
+    :func:`backward_columns` and :func:`backward_inputs`. With
     ``training`` set, inverted-dropout masks are drawn from ``rng``
     essay by essay and applied to each layer's output sequence.
     """
@@ -625,21 +625,11 @@ def _backward(model: SeqModel, cache: BatchCache, dy, params: bool = True):
     return grads, dA, sums
 
 
-def backward_batch(model: SeqModel, cache: BatchCache,
-                   dy) -> tuple[dict, np.ndarray]:
-    """Backpropagate per-essay output gradients ``dy`` (B,) through the stack.
-
-    Returns (parameter gradients under their ``named_arrays`` names,
-    without ``M``, summed over the batch; the gradient of each token's
-    word vector, (N, D), in ``cache.layout.ids`` order).
-    """
-    grads, dA, _ = _backward(model, cache, dy)
-    return grads, dA @ model.layers[0].W_x.reshape(-1, model.embed_dim)
-
-
 def backward_inputs(model: SeqModel, cache: BatchCache, dy) -> np.ndarray:
-    """The input gradients of :func:`backward_batch` alone, bit for bit:
-    no parameter gradient is worked out."""
+    """The gradient of each token's word vector, (N, D), in
+    ``cache.layout.ids`` order, from per-essay output gradients ``dy``
+    (B,): the input gradients of :func:`bptt` alone, bit for bit. No
+    parameter gradient is worked out."""
     _, dA, _ = _backward(model, cache, dy, params=False)
     return dA @ model.layers[0].W_x.reshape(-1, model.embed_dim)
 
@@ -702,8 +692,10 @@ class ColumnGrad:
 
 def backward_columns(model: SeqModel, cache: BatchCache,
                      dy) -> tuple[dict, ColumnGrad]:
-    """:func:`backward_batch` with ``M``'s gradient as a
-    :class:`ColumnGrad` over the batch's distinct ids, ascending."""
+    """Backpropagate per-essay output gradients ``dy`` (B,) through the
+    stack: the parameter gradients under their ``named_arrays`` names,
+    summed over the batch, with ``M``'s as a :class:`ColumnGrad` over
+    the batch's distinct ids, ascending."""
     grads, _, sums = _backward(model, cache, dy)
     # a copy: the optimizer may step W_x before it reaches M
     W = model.layers[0].W_x.reshape(-1, model.embed_dim).copy()
@@ -722,21 +714,24 @@ def forward_essay(model: SeqModel, tokens, training: bool = False,
 
 
 def bptt(model: SeqModel, cache: BatchCache,
-         gold: float) -> tuple[dict, np.ndarray]:
-    """Exact gradients of (y - gold)^2 through the whole stack.
+         gold: float | np.ndarray) -> tuple[dict, np.ndarray]:
+    """Exact gradients of sum_b (y_b - gold_b)^2 through the whole stack.
 
-    Returns (named parameter gradients without the embedding matrix,
-    gradient with respect to each timestep's input word vector).
+    ``gold`` is one score or one per essay of the batch, (B,). Returns
+    (named parameter gradients without the embedding matrix, summed over
+    the batch; the gradient of each token's word vector, (N, D), in
+    ``cache.layout.ids`` order).
     """
-    return backward_batch(model, cache, 2.0 * (cache.y - gold))
+    grads, dA, _ = _backward(model, cache, 2.0 * (cache.y - gold))
+    return grads, dA @ model.layers[0].W_x.reshape(-1, model.embed_dim)
 
 
 def predict_batch(model: SeqModel, token_lists) -> np.ndarray:
     """Unclamped scaled scores of many essays, in input order.
 
     Essays run in lockstep chunks of ``PREDICT_CHUNK`` taken in order of
-    length, so that little of a chunk is padding; no gate activations
-    are kept.
+    length: essays of similar length end together, so a chunk runs few
+    lockstep steps with few essays. No gate activations are kept.
     """
     token_lists = list(token_lists)
     order = np.argsort([len(t) for t in token_lists], kind="stable")

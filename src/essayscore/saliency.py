@@ -25,8 +25,7 @@ import numpy as np
 
 from .corpus import Essay, ScoreRange, Vocabulary
 from .errors import DataError
-from .lstm import (SeqModel, backward_inputs, bptt, forward_batch,
-                   forward_essay, predict_batch)
+from .lstm import SeqModel, backward_inputs, forward_batch, predict_batch
 
 # Octile color scales, worst to best: 4 reds then 4 greens.
 ANSI_SCALE = (52, 88, 124, 167, 150, 77, 28, 22)
@@ -38,13 +37,12 @@ N_BINS = 8
 def input_gradients(model: SeqModel, tokens, pseudo_score: float) -> np.ndarray:
     """Gradient of (y - pseudo_score)^2 at each position's word vector.
 
-    One forward and one backward pass; no parameter is touched. Repeated
-    tokens get separate per-position rows. The prediction enters the loss
-    unclamped.
+    One forward and one backward pass, which works out no parameter
+    gradient; no parameter is touched. Repeated tokens get separate
+    per-position rows. The prediction enters the loss unclamped.
     """
-    y, cache = forward_essay(model, tokens, training=False)
-    _, d_inputs = bptt(model, cache, pseudo_score)
-    return d_inputs
+    y, cache = forward_batch(model, [tokens])
+    return backward_inputs(model, cache, 2.0 * (y - pseudo_score))
 
 
 @dataclass(frozen=True)

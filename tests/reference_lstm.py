@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from essayscore.lstm import (ColumnGrad, RMSPropState, SeqModel, _backward,
-                             backward_batch)
+                             backward_inputs)
 
 
 # each fused buffer's row blocks, in order, by the gate equations' names
@@ -330,13 +330,13 @@ def per_token_columns(model: SeqModel, cache, dy):
     """The batched scorer's earlier route to its embedding-side gradients.
 
     Returns (cols, rows, layer 0's ``W_x`` gradient with the directions
-    stacked, (K * 4H, D)): ``backward_batch``'s per-token input gradients
+    stacked, (K * 4H, D)): ``backward_inputs``'s per-token input gradients
     added per column with ``np.add.at``, and layer 0's gate gradients
     times the rows of ``M`` gathered once per token, in the packed row
     order the forward pass runs in (``dA.T @ M.T[ids]``).
     """
     layout = cache.layout
-    _, d_inputs = backward_batch(model, cache, dy)
+    d_inputs = backward_inputs(model, cache, dy)
     _, dA, _ = _backward(model, cache, dy)
     cols = np.unique(layout.ids)
     rows = dense_embedding_grad(model.M, layout.ids, d_inputs)[:, cols].T

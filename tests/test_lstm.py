@@ -14,7 +14,6 @@ from essayscore.errors import (ConfigError, DataError, ModelFormatError,
 from essayscore.lstm import (COLUMN_BLOCK, FORGET_BIAS, PREDICT_CHUNK,
                              ColumnGrad, LSTMLayer, RMSPropState, SeqModel,
                              _backward, _Layout, _n_params, _recur,
-                             backward_batch,
                              backward_columns, backward_inputs,
                              bptt, clip_gradients, forward_batch,
                              forward_essay,
@@ -237,7 +236,7 @@ def check_gradients(model, token_lists, golds):
     """Batched gradients of sum_b (y_b - gold_b)^2 against central differences.
 
     Both routes to ``M``'s gradient are checked: the training step's
-    column sums and ``backward_batch``'s per-token rows, added per column.
+    column sums and ``backward_inputs``'s per-token rows, added per column.
     """
     golds = np.asarray(golds)
     y, cache = batch_pass(model, token_lists)
@@ -246,7 +245,7 @@ def check_gradients(model, token_lists, golds):
     cols, rows = ref.column_rows(m_grad)
     dense_m = np.zeros_like(model.M)
     dense_m[:, cols] = rows.T
-    _, d_inputs = backward_batch(model, cache, dy)
+    d_inputs = backward_inputs(model, cache, dy)
 
     def loss():
         y, _ = batch_pass(model, token_lists)
@@ -380,7 +379,7 @@ def batch_passes(model, token_lists, golds):
     y, cache = forward_batch(model, token_lists,
                              training=model.dropout > 0.0,
                              rng=np.random.default_rng(21))
-    grads, d_inputs = backward_batch(model, cache, 2.0 * (y - golds))
+    grads, d_inputs = bptt(model, cache, golds)
     return y, cache, grads, d_inputs
 
 
@@ -601,9 +600,9 @@ class TestBatchMatchesReference:
         prefixes = ("fwd", "bwd") if model.bidirectional else ("fwd",)
         W_x = np.concatenate([grads[f"{p}0.W_x"] for p in prefixes])
         assert normwise_error(W_x, want_W_x) <= 1e-12
-        # backward_batch returns the same gradients, and backward_inputs
-        # its input gradients
-        same, d_inputs = backward_batch(model, cache, dy)
+        # bptt returns the same gradients, and backward_inputs its input
+        # gradients
+        same, d_inputs = bptt(model, cache, golds)
         assert all(same[name].tobytes() == g.tobytes()
                    for name, g in grads.items())
         assert backward_inputs(model, cache, dy).tobytes() \
@@ -817,7 +816,7 @@ class TestTrainingStepMemory:
     def test_backward_holds_one_token_by_embedding_array(self):
         model, cache, y, gates = self.batch()
         N = cache.layout.ids.size
-        peak = traced_peak(backward_batch, model, cache, 1.0 - y)
+        peak = traced_peak(bptt, model, cache, y + 0.5)
         # the (N, D) input gradients it returns plus the gate arrays
         assert peak < 8 * N * self.D + 4 * gates
 

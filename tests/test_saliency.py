@@ -8,7 +8,8 @@ import pytest
 
 from essayscore.corpus import ScoreRange, Vocabulary
 from essayscore.errors import DataError
-from essayscore.lstm import forward_essay
+import essayscore.lstm as lstmmod
+from essayscore.lstm import bptt, forward_essay
 from essayscore.saliency import (ANSI_SCALE, HEX_SCALE, QualityMap,
                                  TokenQuality, input_gradients, quality_bins,
                                  quality_map, quality_map_spans, render_ansi,
@@ -64,6 +65,22 @@ class TestInputGradients:
         tokens = [2, 3, 4]
         y, _ = forward_essay(model, tokens)
         assert np.all(input_gradients(model, tokens, y) == 0.0)
+
+    def test_works_out_no_parameter_gradient(self, monkeypatch):
+        # the input gradients of bptt, bit for bit, from a backward pass
+        # that never reaches the parameter gradients
+        model = build_model(vocab=8, seed=52, boost=5.0, lstm_dim=3,
+                            layers=2, bidirectional=True, peepholes="full")
+        tokens = [2, 7, 7, 1, 5]
+        _, cache = forward_essay(model, tokens)
+        want = bptt(model, cache, 0.25)[1]
+
+        def no_parameter_gradients(*args):
+            raise AssertionError("parameter gradients worked out")
+
+        monkeypatch.setattr(lstmmod, "_layer_grads", no_parameter_gradients)
+        assert input_gradients(model, tokens, 0.25).tobytes() \
+            == want.tobytes()
 
     def test_model_is_left_untouched(self):
         model = build_model(vocab=11, seed=53, bidirectional=True,

@@ -314,15 +314,37 @@ class TestTraining:
                 train_sswe(training_essays(vocab), vocab, cfg)
 
 
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports this package."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(essayscore.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_package_import_leaves_scipy_linalg_unloaded():
     # train_sswe imports scipy.linalg itself, so that scoring and serving
     # do not pay its memory
-    code = ("import sys, essayscore, essayscore.cli; "
-            "sys.exit('scipy.linalg' in sys.modules)")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(essayscore.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = run_python("import sys, essayscore, essayscore.cli; "
+                     "sys.exit('scipy.linalg' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+
+
+def test_package_import_loads_no_module():
+    # names are imported from their modules: the package root holds only
+    # __version__, so importing it loads no submodule and not numpy
+    run = run_python("import sys, essayscore; "
+                     "sys.exit(' '.join(sorted(m for m in sys.modules "
+                     "if m.startswith('essayscore.') or m == 'numpy')) "
+                     "or None)")
+    assert run.returncode == 0, run.stderr
+
+
+def test_corpus_import_loads_no_model_module():
+    run = run_python("import sys, essayscore.corpus; "
+                     "sys.exit(' '.join(m for m in ('essayscore.lstm', "
+                     "'essayscore.saliency', 'essayscore.sswe') "
+                     "if m in sys.modules) or None)")
     assert run.returncode == 0, run.stderr
 
 
@@ -330,14 +352,10 @@ def test_import_and_synth_leave_scipy_special_unloaded(tmp_path):
     # the LSTM step loop imports scipy.special itself, so that commands
     # which run no LSTM (ingest, train-embeddings, synth) start without it
     out = tmp_path / "s.tsv"
-    code = ("import sys, essayscore, essayscore.cli; "
-            f"essayscore.cli.main(['synth', '--profile', 'overfit16', "
-            f"'--out', {str(out)!r}]); "
-            "sys.exit('scipy.special' in sys.modules)")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(essayscore.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = run_python("import sys, essayscore, essayscore.cli; "
+                     f"essayscore.cli.main(['synth', '--profile', "
+                     f"'overfit16', '--out', {str(out)!r}]); "
+                     "sys.exit('scipy.special' in sys.modules)")
     assert run.returncode == 0, run.stderr
     assert out.exists()
 
