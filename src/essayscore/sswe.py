@@ -30,6 +30,16 @@ embedding row, scaled by each one's count (0 when its hinge is
 inactive), and one outer product in the center block. Only the active
 corruptions that saturate a unit need products of their own (see
 :class:`SSWEGradients`).
+
+Most windows need no corruption hidden layer at all. A corruption's
+pre-activation is ``z_c = z_t + W_center @ delta_k``, ``delta_k`` its
+center vector minus the target's, so by Cauchy-Schwarz no ``|z_c|``
+reaches 1 while ``max|z_t| + max_k |delta_k| * max_h |W_center[h]|`` is
+below 1. Then the corruption side is linear in ``delta``: each margin is
+``1 + delta_k @ (W_oh2 @ W_center)``, and the ``W_oh2`` gradient is
+``alpha / E * W_center @ (weights @ delta)``, so :func:`backward` builds
+no ``(U, H)`` array. A window the bound does not clear takes the full
+corruption product.
 """
 
 from __future__ import annotations
@@ -157,6 +167,8 @@ class SSWEGradients:
       corruptions that saturate a unit are ``centers[partial]``: row
       ``1 + j`` of ``dz`` and of ``rows`` is the hidden gradient and the
       embedding row of ``centers[partial[j]]``, over all its draws.
+      ``partial`` is empty when no corruption saturates a unit, as
+      :func:`backward`'s bound often proves.
       ``rows`` is ``dz @ W_center``, ``W_center`` the center block of
       ``W_hi``.
 
@@ -215,6 +227,16 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     center are one corrupted window weighted by its count, and every
     corruption without a saturated unit shares one hidden gradient, so
     only the saturating ones need embedding rows of their own.
+
+    The corruption side takes one of two paths, chosen per window from
+    the weights and the window alone. When ``max|z_t| + sqrt(max_k
+    |delta_k|^2 * max_h |W_center[h]|^2)`` is below ``1 - 1e-9``, with
+    ``delta_k`` a center's vector minus the target's, no corruption can
+    saturate a unit: the margins and the ``W_oh2`` gradient come from
+    matrix-vector products, ``partial`` is empty, and no ``(U, H)``
+    product is formed. Otherwise the corruptions' hidden layer is
+    computed in full, ``delta @ W_center.T``. The two paths agree within
+    rounding; they associate the sums differently.
     """
     rows_of = params.M.T          # (V, D), one C-ordered row per word
     W_hi = params.W_hi
@@ -242,15 +264,26 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     f_t = float(params.W_oh2 @ i_t + params.b_o2[0])
     f_ss = float(params.W_oh1 @ i_t + params.b_o1[0])
 
-    # one row per distinct center: (U, D) center differences, (U, H) hiddens
+    # one row per distinct center: (U, D) center differences
     delta = rows_of[centers]
     delta -= x_t[c]
-    z_c = delta @ W_center.T
-    z_c += z_t
-    i_c = htanh(z_c)
-    f_c = i_c @ params.W_oh2 + params.b_o2[0]
-
-    margins = 1.0 - f_t + f_c
+    # |z_c[k, h]| <= |z_t[h]| + |delta_k| |W_center[h]| (Cauchy-Schwarz);
+    # below 1 by more than rounding, no corruption saturates a unit, so
+    # the corruption side is linear in delta and needs no (U, H) array
+    linear = np.abs(z_t).max() + math.sqrt(
+        np.einsum("ij,ij->i", delta, delta).max()
+        * np.einsum("ij,ij->i", W_center, W_center).max()) < 1.0 - 1e-9
+    if linear:
+        # i_c = z_c = z_t + delta @ W_center.T and i_t = z_t, so f_c - f_t
+        # is delta's share alone
+        margins = delta @ (params.W_oh2 @ W_center)
+        margins += 1.0
+    else:
+        z_c = delta @ W_center.T
+        z_c += z_t
+        i_c = htanh(z_c)
+        f_c = i_c @ params.W_oh2 + params.b_o2[0]
+        margins = 1.0 - f_t + f_c
     active = margins > 0.0
     weights = np.where(active, counts, 0.0)
     l_ctx = float(counts @ np.maximum(0.0, margins)) / n_corrupt
@@ -258,16 +291,22 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     l_sc = float(np.square(np.float64(f_ss - gold_score)))
     l_all = loss_overall(alpha, l_ctx, l_sc)
 
-    df_t = -alpha * weights.sum() / n_corrupt
+    total = weights.sum()
+    df_t = -alpha * total / n_corrupt
     df_ss = (1.0 - alpha) * 2.0 * (f_ss - gold_score)
     dz_t = (df_t * params.W_oh2 + df_ss * params.W_oh1) * htanh_grad_mask(z_t)
-    d_W_oh2 = df_t * i_t + (alpha / n_corrupt * weights) @ i_c
+    inputs = (weights @ delta)[None]
+    if linear:
+        # df_t * i_t + alpha / E * weights @ i_c, whose z_t terms cancel
+        d_W_oh2 = alpha / n_corrupt * (W_center @ inputs[0])
+    else:
+        d_W_oh2 = df_t * i_t + (alpha / n_corrupt * weights) @ i_c
+        saturated = np.abs(z_c) >= 1.0
 
     # the hidden gradient of one draw of an active corruption is
     # shared * htanh'(z_c), which is shared itself unless a unit saturates
     shared = alpha / n_corrupt * params.W_oh2
-    saturated = np.abs(z_c) >= 1.0
-    if saturated.any():
+    if not linear and saturated.any():
         partial = np.flatnonzero(active & saturated.any(axis=1))
         dz_p = ~saturated[partial] * shared
         dz_p *= weights[partial, None]
@@ -278,8 +317,7 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     else:
         partial = np.empty(0, dtype=np.intp)
         dz = shared[None]
-        inputs = (weights @ delta)[None]
-        u = dz_t + weights.sum() * shared
+        u = dz_t + total * shared
     dense = {
         "b_h": u,
         "W_oh2": d_W_oh2,
@@ -365,9 +403,12 @@ def train_sswe(essays: list[Essay], vocab: Vocabulary,
                 # so that no operand is copied
                 params.W_hi[:, grads.center] -= dgemm(
                     eta, grads.inputs.T, grads.dz.T, trans_b=1).T
-                for name, g in grads.dense.items():
-                    g *= eta
-                    getattr(params, name)[...] -= g
+                # b_o2's gradient is always 0, so it takes no step
+                dense = grads.dense
+                params.b_h -= eta * dense["b_h"]
+                params.W_oh2 -= eta * dense["W_oh2"]
+                params.W_oh1 -= eta * dense["W_oh1"]
+                params.b_o1 -= eta * dense["b_o1"]
                 # every gradient was taken before these writes, so the
                 # centers' and the context's columns may overlap
                 step = np.zeros((len(grads.centers), params.embed_dim))

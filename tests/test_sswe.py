@@ -231,6 +231,188 @@ class TestBackward:
         assert grads.loss_score == pytest.approx(sc)
 
 
+def bound_of(params, ids, centers):
+    """The Cauchy-Schwarz bound on |z_c| that decides backward's path."""
+    d, c = params.embed_dim, len(ids) // 2
+    W_center = params.W_hi[:, c * d:(c + 1) * d]
+    x_t = params.M.T[ids]
+    z_t = params.W_hi @ x_t.reshape(-1) + params.b_h
+    delta = params.M.T[np.unique(centers)] - x_t[c]
+    return float(np.abs(z_t).max()) + float(np.sqrt(
+        np.max(np.sum(delta ** 2, axis=1))
+        * np.max(np.sum(W_center ** 2, axis=1))))
+
+
+def full_product(params, ids, centers, gold, alpha):
+    """Every field backward returns, from the (U, H) corruption product.
+
+    Also the corruptions' pre-activations ``z_c`` and their margins.
+    """
+    p = params
+    n, d = len(ids), p.embed_dim
+    c = n // 2
+    W_center = p.W_hi[:, c * d:(c + 1) * d]
+    x_t = p.M.T[ids]
+    z_t = p.W_hi @ x_t.reshape(-1) + p.b_h
+    i_t = htanh(z_t)
+    f_t = p.W_oh2 @ i_t + p.b_o2[0]
+    f_ss = p.W_oh1 @ i_t + p.b_o1[0]
+    uniq, counts = np.unique(centers, return_counts=True)
+    delta = p.M.T[uniq] - x_t[c]
+    z_c = delta @ W_center.T + z_t
+    i_c = htanh(z_c)
+    margins = 1.0 - f_t + (i_c @ p.W_oh2 + p.b_o2[0])
+    weights = np.where(margins > 0.0, counts, 0.0)
+    e = len(centers)
+    l_ctx = counts @ np.maximum(0.0, margins) / e
+    l_sc = (f_ss - gold) ** 2
+    df_t = -alpha * weights.sum() / e
+    df_ss = (1.0 - alpha) * 2.0 * (f_ss - gold)
+    dz_t = (df_t * p.W_oh2 + df_ss * p.W_oh1) * htanh_grad_mask(z_t)
+    shared = alpha / e * p.W_oh2
+    u = dz_t + weights.sum() * shared
+    ctx_rows = (u @ p.W_hi).reshape(n, d)
+    ctx_rows[c] = dz_t @ W_center
+    return dict(
+        z_c=z_c, margins=margins, centers=uniq, weights=weights,
+        inputs=(weights @ delta)[None], rows=(shared @ W_center)[None],
+        ctx_rows=ctx_rows, b_h=u,
+        W_oh2=df_t * i_t + alpha / e * weights @ i_c, b_o2=np.zeros(1),
+        W_oh1=df_ss * i_t, b_o1=np.array([df_ss]),
+        losses=np.array([alpha * l_ctx + (1.0 - alpha) * l_sc, l_ctx, l_sc]))
+
+
+def assert_matches_full_product(grads, want):
+    assert np.array_equal(grads.centers, want["centers"])
+    assert np.array_equal(grads.weights, want["weights"])
+    assert grads.partial.size == 0
+    got = dict(inputs=grads.inputs, rows=grads.rows, ctx_rows=grads.ctx_rows,
+               losses=np.array([grads.loss_overall, grads.loss_context,
+                                grads.loss_score]), **grads.dense)
+    for name, a in got.items():
+        b = want[name]
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+
+@pytest.fixture
+def corruption_products(monkeypatch):
+    """A list that gains an entry each time backward computes the
+    corruptions' hidden layer: hard tanh over a 2-D array."""
+    seen = []
+
+    def recording_htanh(x):
+        if np.ndim(x) == 2:
+            seen.append(x.shape)
+        return htanh(x)
+
+    monkeypatch.setattr(sswemod, "htanh", recording_htanh)
+    return seen
+
+
+def bound_window(seed, w_hi_scale=1.0, w_oh2_scale=1.0):
+    """Seeded parameters (D 20, H 10, window 5, V 34), a window and 50
+    corruption centers drawn for it."""
+    vocab = Vocabulary([f"w{k}" for k in range(30)])
+    cfg = Config(embed_dim=20, hidden_dim=10, window_size=5)
+    rng = np.random.default_rng(seed)
+    p = SSWEParams.init(len(vocab), cfg, rng)
+    p.W_hi *= w_hi_scale
+    p.W_oh2 *= w_oh2_scale
+    ids = rng.integers(0, len(vocab), size=5)
+    return p, ids, corrupt_window(ids[2], 50, rng, vocab)
+
+
+def gradient_digest(g):
+    """sha256 over the bytes, dtype and shape of every field of ``g``."""
+    h = hashlib.sha256()
+    for a in (g.ids, g.ctx_rows, g.centers, g.weights, g.partial, g.dz,
+              g.rows, g.inputs, g.s_t, *(g.dense[k] for k in sorted(g.dense)),
+              np.array([g.center.start, g.center.stop]),
+              np.array([g.loss_overall, g.loss_context, g.loss_score])):
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestCorruptionBound:
+    # backward skips the (U, H) corruption product when the bound
+    # max|z_t| + max_k |delta_k| max_h |W_center[h]| proves that no
+    # corruption saturates a unit; the two paths differ only in rounding
+
+    def test_linear_path_matches_full_product(self, corruption_products):
+        # W_hi scaled so the bounds reach up to about 0.9, and W_oh2 so
+        # that some hinges go inactive
+        nearest, bounds, active, inactive = np.inf, [], 0, 0
+        for seed in range(12):
+            p, ids, centers = bound_window(seed, 4.0 + 1.4 * seed, 200.0)
+            bounds.append(bound_of(p, ids, centers))
+            assert bounds[-1] < 1.0 - 1e-9
+            for alpha in (0.1, 0.7):
+                grads = backward(p, ids, centers, 0.4, alpha)
+                want = full_product(p, ids, centers, 0.4, alpha)
+                assert_matches_full_product(grads, want)
+                nearest = min(nearest, np.min(np.abs(want["margins"])))
+                active += np.count_nonzero(want["weights"])
+                inactive += np.count_nonzero(want["weights"] == 0.0)
+        assert corruption_products == []
+        assert max(bounds) > 0.8 and active and inactive
+        # a margin within rounding of 0 could take either sign on the two
+        # paths; the nearest here is about 4.0e-2
+        assert nearest > 1e-6
+
+    def test_saturating_window_takes_the_full_product_bitwise(
+            self, corruption_products):
+        # the sha256 was taken before the bound existed, so the full
+        # path is the earlier arithmetic bit for bit; the window has
+        # saturating, shared and inactive corruptions
+        vocab = Vocabulary([f"w{k}" for k in range(9)])
+        p = SSWEParams.init(len(vocab), Config(embed_dim=4, hidden_dim=5,
+                                               window_size=5),
+                            np.random.default_rng(5))
+        p.W_hi *= 300.0
+        p.W_oh2 *= 40.0
+        ids = np.array([4, 8, 6, 3, 9])
+        centers = corrupt_window(6, 12, np.random.default_rng(5), vocab)
+        assert bound_of(p, ids, centers) > 1.0
+        grads = backward(p, ids, centers, 0.6, 0.5)
+        assert corruption_products == [(7, 5)]
+        assert grads.partial.tolist() == [0, 4]
+        assert np.count_nonzero(grads.weights) == 1
+        assert gradient_digest(grads) == \
+            "50ded01cbbbec07020180123b924eeb5103fcacd737213f804f019bd36c3dbcf"
+
+    @pytest.mark.parametrize("target,linear", [
+        (1.0 - 1e-6, True), (1.0 - 1e-10, False), (1.0 + 1e-6, False)])
+    def test_path_at_the_threshold(self, corruption_products, target,
+                                   linear):
+        # b_h is 0, so the bound scales with W_hi
+        p, ids, centers = bound_window(3)
+        p.W_hi *= target / bound_of(p, ids, centers)
+        assert bound_of(p, ids, centers) == pytest.approx(target, rel=1e-13)
+        grads = backward(p, ids, centers, 0.4, 0.3)
+        assert (corruption_products == []) == linear
+        want = full_product(p, ids, centers, 0.4, 0.3)
+        assert np.abs(want["z_c"]).max() < 1.0
+        assert_matches_full_product(grads, want)
+
+    def test_linear_path_never_runs_a_saturating_window(
+            self, corruption_products):
+        # scales from well inside the bound to well past saturation
+        ran = {True: 0, False: 0}
+        for seed in range(40):
+            p, ids, centers = bound_window(seed, 2.0 + 1.5 * seed)
+            before = len(corruption_products)
+            backward(p, ids, centers, 0.4, 0.3)
+            linear = len(corruption_products) == before
+            saturates = np.abs(full_product(p, ids, centers, 0.4, 0.3)
+                               ["z_c"]).max() >= 1.0
+            assert not (linear and saturates)
+            ran[linear] += 1
+        assert ran[True] and ran[False]
+
+
 def training_essays(vocab, n_essays=6):
     return [make_essay([3 + (k + j) % vocab.n_words for j in range(8)],
                        essay_id=k, raw=float(k % 11))
