@@ -313,9 +313,9 @@ def extract_windows(essays: list[Essay], n: int) -> Windows:
     return Windows(stream, view, starts, scores)
 
 
-def corrupt_window(target: int, n_corruptions: int, rng,
+def corrupt_window(target, n_corruptions: int, rng,
                    vocab: Vocabulary) -> np.ndarray:
-    """Draw the center ids of corrupted copies of a window.
+    """Draw the center ids of corrupted copies of a window, or of several.
 
     A corrupted window is the window whose center is ``target`` with
     that center replaced by one of the returned ids; every other
@@ -323,20 +323,40 @@ def corrupt_window(target: int, n_corruptions: int, rng,
     array in draw order. Replacements are uniform over non-special
     vocabulary ids excluding ``target``, drawn with replacement, so the
     draws depend on the target alone.
+
+    ``target`` may also be a 1-D array of the centers of m windows; row
+    k of the (m, n_corruptions) result is then what the k-th of m
+    single calls, made in order on the same generator, would return.
+    The targets are split into runs of equal candidate count (a special
+    id has one candidate more than a word), and each run takes one
+    ``integers`` call. That call gives the stream of the run's single
+    calls: numpy draws an array element by element in C order, and the
+    unused half of a 64-bit output stays in the bit generator, not in
+    the call. SSWE training draws this way for each chunk of
+    consecutive windows in its shuffled order. A target without a
+    candidate is a :class:`DataError` before anything is drawn.
     """
     if n_corruptions < 1:
         raise ConfigError(f"need at least one corruption, got {n_corruptions}")
-    n_candidates = vocab.n_words
-    target_off = target - N_SPECIALS if target >= N_SPECIALS else None
-    if target_off is not None:
-        n_candidates -= 1
-    if n_candidates < 1:
+    targets = np.asarray(target).reshape(-1)
+    words = targets >= N_SPECIALS
+    # a word's candidates are every word but itself
+    n_candidates = vocab.n_words - words
+    if (n_candidates < 1).any():
         raise DataError("vocabulary too small to corrupt the target word")
 
-    draws = rng.integers(0, n_candidates, size=n_corruptions)
-    if target_off is not None:
-        draws = np.where(draws >= target_off, draws + 1, draws)
-    return draws + N_SPECIALS
+    # the runs' edges: both ends and every change of candidate count
+    edges = np.diff(n_candidates, prepend=0, append=0).nonzero()[0].tolist()
+    draws = np.empty((len(targets), n_corruptions), dtype=np.int64)
+    for lo, hi in zip(edges, edges[1:]):
+        draws[lo:hi] = rng.integers(0, n_candidates[lo],
+                                    size=(hi - lo, n_corruptions))
+    # a word's own offset among the words is skipped; a special id's
+    # offset lies past every draw
+    skip = np.where(words, targets - N_SPECIALS, vocab.n_words)
+    draws += draws >= skip[:, None]
+    draws += N_SPECIALS
+    return draws if np.ndim(target) else draws[0]
 
 
 # --- split manifests and the corpus cache -------------------------------

@@ -58,6 +58,10 @@ from .errors import ConfigError, DataError, NumericalError
 EMBEDDING_MAGIC = b"SSWE"
 EMBEDDING_VERSION = 1
 
+# windows whose corruptions one corrupt_window call draws: 400 KB of
+# centers at 200 corruptions, where an ASAP epoch's would take 3.4 GB
+CORRUPT_CHUNK = 256
+
 
 def htanh(x):
     """Hard tanh: clips to [-1, 1], identity inside. Element-wise."""
@@ -246,15 +250,18 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     c = n // 2
     center = slice(c * d, (c + 1) * d)
     W_center = W_hi[:, center]
-    n_corrupt = len(corrupt_centers)
     # the distinct centers in ascending order and their counts, from the
-    # run boundaries of one sort (np.unique's wrappers cost more than this)
-    drawn = np.sort(np.asarray(corrupt_centers, dtype=np.intp))
+    # run boundaries of one sort; the ndarray methods and operators cost
+    # less than np.unique's, np.sort's, np.flatnonzero's and np.diff's
+    # wrappers
+    drawn = np.array(corrupt_centers, dtype=np.intp)
+    drawn.sort()
+    n_corrupt = len(drawn)
     starts = np.empty(n_corrupt + 1, dtype=bool)
     starts[0] = starts[-1] = True
     np.not_equal(drawn[1:], drawn[:-1], out=starts[1:-1])
-    bounds = np.flatnonzero(starts)
-    centers, counts = drawn[bounds[:-1]], np.diff(bounds)
+    bounds = starts.nonzero()[0]
+    centers, counts = drawn[bounds[:-1]], bounds[1:] - bounds[:-1]
 
     x_t = rows_of[ids]
     s_t = x_t.reshape(-1)
@@ -357,8 +364,14 @@ def train_sswe(essays: list[Essay], vocab: Vocabulary,
     edges, whose gold score is the essay's ``scaled_score``; the windows
     are rows of one id stream (:func:`extract_windows`). Corruptions are
     redrawn at every visit from the seeded generator, so a fixed seed
-    reproduces the parameter trajectory exactly. Every id is checked
-    against the vocabulary once, up front; an id out of range is a
+    reproduces the parameter trajectory exactly. They are drawn for
+    ``CORRUPT_CHUNK`` consecutive windows of the shuffled order at a
+    time, one :func:`corrupt_window` call per chunk. Nothing else draws
+    from the generator between an epoch's shuffle and its last window,
+    and a chunk's draws are the stream of one call per window (see
+    :func:`corrupt_window`), so the chunk size changes no value; a chunk
+    bounds the draws held at once. Every id is checked against the
+    vocabulary once, up front; an id out of range is a
     :class:`DataError`, and essays without a token are a
     :class:`ConfigError`.
     """
@@ -377,51 +390,62 @@ def train_sswe(essays: list[Essay], vocab: Vocabulary,
     params = SSWEParams.init(len(vocab), cfg, rng)
     eta = cfg.learning_rate
     history = []
+    # out of the window loop: the windows' centers, and views of the
+    # arrays that the update writes in place
     view, starts, scores = windows.view, windows.starts, windows.scores
     half = cfg.window_size // 2
+    targets = view[starts, half]
+    rows_of, W_hi, b_h = params.M.T, params.W_hi, params.b_h
+    W_oh2, W_oh1, b_o1 = params.W_oh2, params.W_oh1, params.b_o1
+    d = params.embed_dim
+    # W_hi is C-ordered, so W_hi.T is a Fortran-ordered view that ger
+    # updates in place
+    W_hi_f, W_center = W_hi.T, W_hi[:, half * d:(half + 1) * d]
     order = np.arange(len(windows))
     for epoch in range(cfg.embed_epochs):
         rng.shuffle(order)
         tot_all = tot_ctx = tot_sc = 0.0
-        for idx in order:
-            ids = view[starts[idx]]
-            centers = corrupt_window(ids[half], cfg.n_corruptions, rng,
-                                     vocab)
-            grads = backward(params, ids, centers, scores[idx], cfg.alpha)
-            tot_all += grads.loss_overall
-            tot_ctx += grads.loss_context
-            tot_sc += grads.loss_score
-            if eta != 0.0:
-                # eta rides on the BLAS calls' scale and on small
-                # arrays; of the corruptions' rows only the saturating
-                # ones are scaled one by one. W_hi is C-ordered, so
-                # W_hi.T is a Fortran-ordered view that ger updates in
-                # place: W_hi -= eta * outer(u, s_t)
-                dger(-eta, grads.s_t, grads.dense["b_h"], a=params.W_hi.T,
-                     overwrite_a=True)
-                # the center block eta * dz.T @ inputs, built transposed
-                # so that no operand is copied
-                params.W_hi[:, grads.center] -= dgemm(
-                    eta, grads.inputs.T, grads.dz.T, trans_b=1).T
-                # b_o2's gradient is always 0, so it takes no step
-                dense = grads.dense
-                params.b_h -= eta * dense["b_h"]
-                params.W_oh2 -= eta * dense["W_oh2"]
-                params.W_oh1 -= eta * dense["W_oh1"]
-                params.b_o1 -= eta * dense["b_o1"]
-                # every gradient was taken before these writes, so the
-                # centers' and the context's columns may overlap
-                step = np.zeros((len(grads.centers), params.embed_dim))
-                dger(eta, grads.rows[0], grads.weights, a=step.T,
-                     overwrite_a=True)
-                if grads.partial.size:
-                    step[grads.partial] = eta * grads.rows[1:]
-                params.M.T[grads.centers] -= step
-                step = eta * grads.ctx_rows
-                if len(set(grads.ids.tolist())) == len(step):
-                    params.M.T[grads.ids] -= step
-                else:
-                    np.subtract.at(params.M.T, grads.ids, step)
+        for lo in range(0, len(order), CORRUPT_CHUNK):
+            chunk = order[lo:lo + CORRUPT_CHUNK]
+            drawn = corrupt_window(targets[chunk], cfg.n_corruptions, rng,
+                                   vocab)
+            # the chunk's ids as intp rows, which backward takes uncopied
+            for ids, centers, score in zip(
+                    view[starts[chunk]].astype(np.intp), drawn,
+                    scores[chunk].tolist()):
+                grads = backward(params, ids, centers, score, cfg.alpha)
+                tot_all += grads.loss_overall
+                tot_ctx += grads.loss_context
+                tot_sc += grads.loss_score
+                if eta != 0.0:
+                    # eta rides on the BLAS calls' scale and on small
+                    # arrays; of the corruptions' rows only the saturating
+                    # ones are scaled one by one. W_hi -= eta * outer(u, s_t)
+                    dger(-eta, grads.s_t, grads.dense["b_h"], a=W_hi_f,
+                         overwrite_a=True)
+                    # the center block eta * dz.T @ inputs, built transposed
+                    # so that no operand is copied
+                    W_center -= dgemm(eta, grads.inputs.T, grads.dz.T,
+                                      trans_b=1).T
+                    # b_o2's gradient is always 0, so it takes no step
+                    dense = grads.dense
+                    b_h -= eta * dense["b_h"]
+                    W_oh2 -= eta * dense["W_oh2"]
+                    W_oh1 -= eta * dense["W_oh1"]
+                    b_o1 -= eta * dense["b_o1"]
+                    # every gradient was taken before these writes, so the
+                    # centers' and the context's columns may overlap
+                    step = np.zeros((len(grads.centers), d))
+                    dger(eta, grads.rows[0], grads.weights, a=step.T,
+                         overwrite_a=True)
+                    if grads.partial.size:
+                        step[grads.partial] = eta * grads.rows[1:]
+                    rows_of[grads.centers] -= step
+                    step = eta * grads.ctx_rows
+                    if len(set(ids.tolist())) == len(step):
+                        rows_of[ids] -= step
+                    else:
+                        np.subtract.at(rows_of, ids, step)
         k = len(windows)
         history.append(EpochLosses(epoch, tot_all / k, tot_ctx / k, tot_sc / k))
         if not np.isfinite(history[-1].loss_overall):
@@ -444,9 +468,11 @@ def nearest_neighbors(params: SSWEParams, vocab: Vocabulary, word: str,
     qn = norms[wid]
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = np.where((norms > 0) & (qn > 0), (q @ M) / (norms * qn), 0.0)
-    order = sorted((i for i in range(N_SPECIALS, M.shape[1]) if i != wid),
-                   key=lambda i: (-sims[i], i))
-    return [(vocab.id_to_token[i], float(sims[i])) for i in order[:k]]
+    ids = np.arange(N_SPECIALS, M.shape[1])
+    ids = ids[ids != wid]
+    # lexsort's last key is its first: descending similarity, then id
+    top = ids[np.lexsort((ids, -sims[ids]))[:k]].tolist()
+    return [(vocab.id_to_token[i], float(sims[i])) for i in top]
 
 
 def cosine_distance(params: SSWEParams, vocab: Vocabulary,

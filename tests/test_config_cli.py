@@ -463,6 +463,24 @@ class TestTrainCommands:
         assert rc == 2
         assert "ingest" in capsys.readouterr().err
 
+    def test_one_word_vocabulary_is_a_data_error(self, tmp_path):
+        # every token but "only" occurs once, so min_count 2 keeps one
+        # word and most windows center an unknown word, which can be
+        # corrupted; the windows of "only" cannot
+        rows = ["essay_id\tessay_set\tessay\tdomain1_score"] + [
+            f"{k}\t1\tu{k}a u{k}b only u{k}c u{k}d u{k}e\t{k % 4}"
+            for k in range(1, 21)]
+        (tmp_path / "synth.tsv").write_text("\n".join(rows) + "\n")
+        cfgpath = write_workspace_config(tmp_path, min_count=2)
+        assert main(["--config", str(cfgpath), "ingest"]) == 0
+        corpus, _ = load_corpus_cache(tmp_path / "splits" / "corpus.json")
+        assert corpus.vocab.n_words == 1
+        proc = run_limited_cli(["--config", str(cfgpath), "train-embeddings"])
+        assert proc.returncode == 2, proc.stderr
+        assert "vocabulary too small to corrupt the target word" \
+            in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestEvaluateCommand:
     def test_single_split_report(self, workspace, capsys):

@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -540,6 +541,58 @@ class TestCorruption:
         vocab = Vocabulary(["only"])
         with pytest.raises(DataError):
             corrupt_window(3, 1, np.random.default_rng(0), vocab)
+
+    @staticmethod
+    def assert_chunks_are_single_draws(targets, cut, n_corruptions, seed,
+                                       vocab):
+        single = np.random.default_rng(seed)
+        want = np.stack([corrupt_window(t, n_corruptions, single, vocab)
+                         for t in targets])
+        chunked = np.random.default_rng(seed)
+        got = np.concatenate([
+            corrupt_window(targets[:cut], n_corruptions, chunked, vocab),
+            corrupt_window(targets[cut:], n_corruptions, chunked, vocab)])
+        assert got.shape == (len(targets), n_corruptions)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # and the generators go on from the same state
+        assert chunked.integers(1 << 62) == single.integers(1 << 62)
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_corruptions", [1, 3, 8])
+    def test_chunked_draws_are_the_single_draws(self, seed, n_corruptions):
+        # a special id has one candidate more than a word, so the UNKs
+        # split each chunk into runs; the cut between the two chunks falls
+        # inside a run of words
+        vocab = Vocabulary([f"w{k}" for k in range(40)])
+        targets = np.array([5, 9, UNK_ID, UNK_ID, 7, 7, 12, 30, UNK_ID, 3,
+                            42, PAD_ID, BOUNDARY_ID], dtype=np.int32)
+        got = self.assert_chunks_are_single_draws(targets, 6, n_corruptions,
+                                                  seed, vocab)
+        assert (got >= N_SPECIALS).all()
+        assert (got != targets[:, None]).all()
+
+    def test_chunked_draws_above_two_to_the_31_candidates(self):
+        # corrupt_window reads only n_words, so a stub stands in for a
+        # vocabulary of 2^33 words, and numpy draws 64-bit values
+        vocab = SimpleNamespace(n_words=1 << 33)
+        targets = np.array([UNK_ID, (1 << 32) + 7, (1 << 32) + 7, 5, 6,
+                            UNK_ID, 40])
+        for seed in range(3):
+            got = self.assert_chunks_are_single_draws(targets, 4, 5, seed,
+                                                      vocab)
+            assert got.max() > 1 << 31
+
+    def test_vocab_of_one_word_cannot_corrupt_a_chunk(self):
+        vocab = Vocabulary(["only"])
+        rng = np.random.default_rng(0)
+        # a special id's one candidate is the word
+        assert corrupt_window(np.array([UNK_ID, UNK_ID]), 3, rng,
+                              vocab).tolist() == [[3, 3, 3], [3, 3, 3]]
+        # the chunk's first targets are specials, its last the word
+        with pytest.raises(DataError, match="vocabulary too small to "
+                           "corrupt the target word"):
+            corrupt_window(np.array([UNK_ID, UNK_ID, 3]), 3, rng, vocab)
 
 
 class TestManifests:

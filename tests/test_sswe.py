@@ -10,7 +10,8 @@ import pytest
 import essayscore
 import essayscore.sswe as sswemod
 from essayscore.config import Config
-from essayscore.corpus import ScoreRange, Vocabulary, corrupt_window
+from essayscore.corpus import (N_SPECIALS, UNK_ID, ScoreRange, Vocabulary,
+                               corrupt_window)
 from essayscore.errors import (ConfigError, DataError, ModelFormatError,
                                NumericalError)
 from essayscore.sswe import (
@@ -486,6 +487,42 @@ class TestTraining:
                                    "embeddings on an empty window set"):
                     train_sswe(essays, vocab, cfg)
 
+    def test_chunk_size_leaves_training_unchanged(self, monkeypatch):
+        # a chunk of one window draws its corruptions per window; the 48
+        # windows of an epoch make 7 chunks of 7, the last one short, and
+        # the unknown words split chunks into runs
+        vocab = Vocabulary([f"w{k}" for k in range(10)])
+        essays = training_essays(vocab)
+        for k, essay in enumerate(essays):
+            essay.tokens[k % 8] = UNK_ID
+        cfg = Config(embed_dim=5, hidden_dim=6, window_size=3,
+                     n_corruptions=4, learning_rate=0.05, embed_epochs=3,
+                     seed=13)
+        want, want_history = train_sswe(essays, vocab, cfg)
+        for chunk in (1, 7):
+            monkeypatch.setattr(sswemod, "CORRUPT_CHUNK", chunk)
+            got, history = train_sswe(essays, vocab, cfg)
+            assert history == want_history
+            for name in ("M",) + got.dense_names():
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes(), (chunk, name)
+
+    @pytest.mark.parametrize("chunk", [1, 256])
+    def test_one_word_vocabulary_cannot_corrupt(self, monkeypatch, chunk):
+        # unknown words have the one word as their candidate, and most
+        # windows center one, so chunks start with special ids; the
+        # word's own windows have no candidate
+        monkeypatch.setattr(sswemod, "CORRUPT_CHUNK", chunk)
+        vocab = Vocabulary(["only"])
+        cfg = Config(embed_dim=4, hidden_dim=3, window_size=3,
+                     n_corruptions=2, learning_rate=0.01, embed_epochs=1)
+        with pytest.raises(DataError, match="vocabulary too small to "
+                           "corrupt the target word"):
+            train_sswe([make_essay([UNK_ID] * 30 + [3] + [UNK_ID] * 9)],
+                       vocab, cfg)
+        _, history = train_sswe([make_essay([UNK_ID] * 5)], vocab, cfg)
+        assert len(history) == 1
+
     def test_divergence_raises_numerical_error(self):
         vocab = Vocabulary([f"w{k}" for k in range(10)])
         cfg = Config(embed_dim=5, hidden_dim=6, window_size=3,
@@ -636,6 +673,32 @@ class TestNeighbors:
         assert names[-1] == "d"
         assert "a" not in names
         assert got[0][1] > got[-1][1]
+
+    def test_ranking_matches_a_sort_by_similarity_then_id(self):
+        # columns from few distinct directions, so similarities tie, and
+        # zero columns at similarity 0; the query itself is zero once
+        rng = np.random.default_rng(8)
+        vocab = Vocabulary([f"w{k}" for k in range(60)])
+        cfg = Config(embed_dim=3, hidden_dim=2, window_size=3)
+        p = SSWEParams.init(len(vocab), cfg, rng)
+        p.M[...] = rng.integers(-1, 2, size=(3, 4))[:, rng.integers(
+            4, size=len(vocab))] * rng.integers(1, 4, size=len(vocab))
+        p.M[:, rng.choice(len(vocab), 12, replace=False)] = 0.0
+        p.M[:, 5] = 0.0
+        norms = np.linalg.norm(p.M, axis=0)
+        for word in ("w0", "w1", "w2", "w7"):
+            wid = vocab.id_of(word)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                sims = np.where((norms > 0) & (norms[wid] > 0),
+                                (p.M[:, wid] @ p.M) / (norms * norms[wid]),
+                                0.0)
+            want = sorted((i for i in range(N_SPECIALS, len(vocab))
+                           if i != wid), key=lambda i: (-sims[i], i))
+            assert len(set(sims[want].tolist())) < len(want) / 4
+            for k in (1, 10, len(vocab)):
+                got = nearest_neighbors(p, vocab, word, k=k)
+                assert got == [(vocab.id_to_token[i], float(sims[i]))
+                               for i in want[:k]], (word, k)
 
     def test_distance_consistency(self):
         vocab = Vocabulary(["a", "b"])
