@@ -9,7 +9,8 @@ generates the synthetic fixtures. Every flag mirrors a config key;
 ``key = value`` file applied underneath the flags.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error,
-3 numerical failure.
+3 numerical failure. A run that asks for more memory than there is, as
+sizes a config sets too large do, is a config error.
 """
 
 from __future__ import annotations
@@ -470,6 +471,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc}); are the configured sizes "
+              f"too large?", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

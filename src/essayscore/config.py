@@ -19,6 +19,12 @@ from .errors import ConfigError
 
 PEEPHOLE_MODES = ("full", "diagonal", "off")
 
+# the largest a size key may be: a product of two sizes, or of one and a
+# vocabulary of int32 ids, then stays far inside numpy's array index range
+MAX_SIZE = 2 ** 24
+_SIZE_KEYS = ("embed_dim", "hidden_dim", "window_size", "n_corruptions",
+              "lstm_dim")
+
 
 @dataclass
 class Config:
@@ -75,6 +81,9 @@ class Config:
             if kind == "float" and not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got "
                                   f"{getattr(self, name)}")
+            # no file name holds a NUL, and open() raises ValueError on one
+            if kind == "str" and "\0" in getattr(self, name):
+                raise ConfigError(f"{name} must not contain a NUL character")
         # numpy's generators take no negative seed
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -115,6 +124,10 @@ class Config:
         if self.clip_norm < 0.0:
             raise ConfigError(f"clip_norm must be a finite number >= 0, "
                               f"got {self.clip_norm}")
+        for name in _SIZE_KEYS:
+            if getattr(self, name) > MAX_SIZE:
+                raise ConfigError(f"{name} must be <= {MAX_SIZE}, got "
+                                  f"{getattr(self, name)}")
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(Config)}

@@ -24,10 +24,10 @@ import json
 import math
 import re
 import struct
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -114,13 +114,35 @@ def build_vocabulary(token_sequences, min_count: int = 2) -> Vocabulary:
     to UNK later). An empty corpus yields a vocabulary holding only the
     special tokens.
     """
+    seen = _first_seen_ids()
+    ids = np.fromiter(map(seen.__getitem__,
+                          chain.from_iterable(token_sequences)), dtype=np.intp)
+    vocab, _ = _ranked_vocabulary(
+        list(seen), np.bincount(ids, minlength=len(seen)), min_count)
+    return vocab
+
+
+def _first_seen_ids() -> defaultdict:
+    """A token -> provisional id map that gives each new token the next id,
+    so its keys are the distinct tokens in the order they were first seen."""
+    return defaultdict(count().__next__)
+
+
+def _ranked_vocabulary(tokens: list[str], counts: np.ndarray,
+                       min_count: int) -> tuple[Vocabulary, np.ndarray]:
+    """The :class:`Vocabulary` of distinct ``tokens`` seen ``counts`` times
+    each, and the map from their positions in ``tokens`` (provisional ids)
+    to vocabulary ids, UNK for a dropped token, as an int32 array."""
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    counts = Counter(chain.from_iterable(token_sequences))
-    kept = sorted(tok for tok, c in counts.items() if c >= min_count)
+    kept = sorted((counts >= min_count).nonzero()[0].tolist(),
+                  key=tokens.__getitem__)
     # a stable sort keeps the lexicographic order among equal counts
-    kept.sort(key=counts.__getitem__, reverse=True)
-    return Vocabulary(kept)
+    order = np.array(kept, dtype=np.intp)[
+        np.argsort(-counts[kept], kind="stable")]
+    remap = np.full(len(tokens), UNK_ID, dtype=np.int32)
+    remap[order] = np.arange(N_SPECIALS, N_SPECIALS + order.size)
+    return Vocabulary([tokens[k] for k in order.tolist()]), remap
 
 
 @dataclass(frozen=True)
@@ -431,10 +453,14 @@ def load_corpus(path, min_count: int = 2,
     required column raises :class:`DataError` naming the column. The
     vocabulary is built from the kept rows at ``min_count``, and the kept
     rows' ids are encoded into one int32 array that every essay's
-    ``tokens`` views.
+    ``tokens`` views. While reading, each token is mapped to a
+    provisional id, in the order tokens are first seen, so only one
+    string per distinct token is held; the kept rows' ids are then
+    counted at once and remapped to the vocabulary's with one gather.
     """
-    rows = []  # (essay id, set id, tokens, raw score)
+    rows = []  # (essay id, set id, provisional token ids, raw score)
     row_errors = []
+    seen = _first_seen_ids()
     first_line: dict[int, int] = {}  # essay id -> line of its kept row
     with _open_utf8(path, newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
@@ -469,7 +495,10 @@ def load_corpus(path, min_count: int = 2,
                                 f"{first_line[essay_id]}; row skipped"))
                     continue
                 first_line[essay_id] = lineno
-                rows.append((essay_id, set_id, tokens, raw_score))
+                rows.append((essay_id, set_id,
+                             np.fromiter(map(seen.__getitem__, tokens),
+                                         dtype=np.int32, count=len(tokens)),
+                             raw_score))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise DataError(f"{path}:{reader.reader.line_num}: {exc}") from None
 
@@ -493,15 +522,14 @@ def load_corpus(path, min_count: int = 2,
                 in_range.append((essay_id, set_id, tokens, score))
         rows = in_range
 
-    vocab = build_vocabulary((tokens for _, _, tokens, _ in rows),
-                             min_count=min_count)
-    ids, sets, token_lists, scores = zip(*rows) if rows else ((),) * 4
-    lengths = np.fromiter(map(len, token_lists), dtype=np.int64,
-                          count=len(rows))
-    # Vocabulary.encode over every kept token, into int32 directly
-    tokens = np.fromiter(map(vocab.token_to_id.get,
-                             chain.from_iterable(token_lists), repeat(UNK_ID)),
-                         dtype=np.int32, count=int(lengths.sum()))
+    ids, sets, id_lists, scores = zip(*rows) if rows else ((),) * 4
+    lengths = np.fromiter(map(len, id_lists), dtype=np.int64, count=len(ids))
+    flat = np.concatenate((np.empty(0, dtype=np.int32), *id_lists))
+    # the per-row arrays go before the remap makes its copy of the ids
+    del rows, id_lists
+    vocab, remap = _ranked_vocabulary(
+        list(seen), np.bincount(flat, minlength=len(seen)), min_count)
+    tokens = remap[flat]
     essays = _flat_essays(ids, sets, scores, lengths, tokens, ranges)
     return Corpus(essays, vocab, ranges), row_errors
 

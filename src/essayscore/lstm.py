@@ -41,12 +41,17 @@ of a step each run on one contiguous block: activations are (N, K, .)
 arrays, a row per token with the directions side by side, and step t is
 rows ``s:e`` of them; the gates of a step are a (4, m, K, H) block
 (gate, essay, direction, unit), which the step's first add writes. The
-loops write every product into a buffer allocated once per pass and
-re-slice the running state only when an essay ends or, going back,
-starts. They bind their ufuncs to locals once per pass, pass ``out``
-positionally and write each in-place add or multiply as that ufunc with
-``out`` set, because at these sizes parsing the ``out=`` keyword and
-looking up ``np.<ufunc>`` are a visible share of a call.
+loops write every product into a buffer allocated once per pass. They
+walk the steps a segment at a time, a run of steps with the same number
+m of running essays: a segment's rows of each packed array are one
+(T, m, K, .) block, and its steps zip the per-step views of those
+blocks, so a step slices nothing and makes its numpy calls and little
+else. The running state is re-sliced once per segment, when an essay
+ends or, going back, starts. The loops bind their ufuncs to locals once
+per pass, pass ``out`` positionally and write each in-place add or
+multiply as that ufunc with ``out`` set, because at these sizes parsing
+the ``out=`` keyword and looking up ``np.<ufunc>`` are a visible share
+of a call.
 Activations are stored packed, without padding: essays are ranked by
 length, longest first, so the essays running at step t are a prefix of
 those running at t - 1, and step t occupies the next ``counts[t]`` rows
@@ -81,6 +86,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from itertools import cycle, repeat
 
 import numpy as np
 
@@ -346,6 +352,25 @@ def _draw_masks(model: SeqModel, layout: _Layout, rng) -> list:
     return list(kept[rows] / keep)
 
 
+def _segments(offsets) -> list:
+    """The lockstep steps in runs of one running count: (s, e, m) per run,
+    its packed rows ``s:e`` and its m essays per step, first step first."""
+    offsets = np.asarray(offsets)
+    counts = offsets[1:] - offsets[:-1]
+    starts = [0, *((counts[1:] != counts[:-1]).nonzero()[0] + 1).tolist()]
+    bounds = offsets[starts + [counts.size]].tolist()
+    return list(zip(bounds[:-1], bounds[1:], counts[starts].tolist()))
+
+
+def _blocks(X: np.ndarray, s: int, e: int, m: int) -> np.ndarray:
+    """A segment's rows ``s:e`` of X, (N, K, .) or (g, N, K, .), as views
+    of one step each: (T, m, K, .) or (T, g, m, K, .)."""
+    T = (e - s) // m
+    rows = X[..., s:e, :, :]
+    blocks = rows.reshape(X.shape[:-3] + (T, m) + X.shape[-2:])
+    return blocks if X.ndim == 3 else blocks.swapaxes(0, 1)
+
+
 def _recur(W_h: np.ndarray, W_p, G: np.ndarray, offsets: np.ndarray,
            keep: bool):
     """Run a layer's K directions over the lockstep steps of a packed batch.
@@ -356,13 +381,20 @@ def _recur(W_h: np.ndarray, W_p, G: np.ndarray, offsets: np.ndarray,
     (4, m, K, H) block (gate, essay, direction, unit), and the state is
     step t's rows ``s:e`` of (N, K, .) arrays, so each nonlinearity and
     cell product is one call on contiguous memory; only that add and the
-    peephole adds read through transposed views. The running essays are
-    a prefix of the last step's, so the state is re-sliced, still
-    contiguous, only when an essay ends. Returns (gates, C, TC, H): the
-    gates as (4, N, K, H) planes, each step's block copied in once it is
-    done, and C, TC and H as (N, K, H). With ``keep`` unset only H is
-    kept for every step (the gates, C and TC are None): the gates stay
-    in the one reused block and two cell buffers take turns.
+    peephole adds read through transposed views. The steps run a segment
+    at a time, a run of T steps with the same m running essays: the
+    segment's rows of ``G``, ``H``, ``C``, ``TC`` and the gate planes are
+    (T, m, K, .) blocks, and the loop zips their per-step views, ``G``'s
+    gate-major and ``H``'s and ``C``'s transposed as the next product
+    reads them, so a step slices nothing. The running essays are a prefix
+    of the last segment's, so the state is re-sliced, still contiguous,
+    once per segment. The peephole term starts at zero, so the first step
+    adds it as every other does. Returns (gates, C, TC, H): the gates as
+    (4, N, K, H) planes, each step's block copied in once it is done, and
+    C, TC and H as (N, K, H). With ``keep`` unset only H is kept for
+    every step (the gates, C and TC are None): the gates stay in the one
+    reused block and two cell buffers take turns, their order carried
+    from segment to segment.
     """
     # imported here, once per pass: scipy.special costs start-up time and
     # memory that the commands which never run an LSTM would pay
@@ -381,56 +413,65 @@ def _recur(W_h: np.ndarray, W_p, G: np.ndarray, offsets: np.ndarray,
     elif peep:
         # (3, 1, K, H): one row per gate and direction, broadcast over essays
         W_p3 = W_p.reshape(K, 3, n).transpose(1, 0, 2)[:, None]
-    offsets = offsets.tolist()
-    B = offsets[1]
-    h, c = np.zeros((B, K, n)), np.zeros((B, K, n))
+    segments = _segments(offsets)
+    B = segments[0][2]
+    # the state before step 0; the peephole term starts at zero too, and
+    # expit(x + 0.0) has the bits of expit(x)
+    c = np.zeros((B, K, n))
+    hT = np.zeros((B, K, n)).swapaxes(0, 1)
     hw_all, fc_all = np.empty((B, K, 4 * n)), np.empty((B, K, n))
-    q_all = np.empty((B, K, 3 * n) if full else (3, B, K, n))
+    q_all = np.zeros((B, K, 3 * n) if full else (3, B, K, n))
     block = np.empty(4 * B * K * n)
-    cells = None if keep else (np.empty((B, K, n)), np.empty((B, K, n)))
-    tc = None if keep else np.empty((B, K, n))
-    m = 0
-    for t, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
-        if e - s != m:
-            # the essays still running are a prefix of the last step's
-            m = e - s
-            h, c, hw, fc = h[:m], c[:m], hw_all[:m], fc_all[:m]
-            hwT = hw.swapaxes(0, 1)
-            hw4 = hw.reshape(m, K, 4, n).transpose(2, 0, 1, 3)
-            a = block[:4 * m * K * n].reshape(4, m, K, n)
-            a_if, a_i, a_f, a_u, a_o = a[:2], a[0], a[1], a[2], a[3]
-            if full:
-                q = q_all[:m]
-                qT = q.swapaxes(0, 1)
-                q4 = q.reshape(m, K, 3, n).transpose(2, 0, 1, 3)
-            elif peep:
-                q4 = q_all[:, :m]
-            if peep:
-                q_if, q_o = q4[:2], q4[2]
-            if not keep:
-                cells = (cells[0][:m], cells[1][:m])
-                tc = tc[:m]
-        matmul(h.swapaxes(0, 1), W_hT, hwT)
-        add(G4[:, s:e], hw4, a)
-        if t and peep:
-            # the input and forget gates peep at the last step's cell
-            add(a_if, q_if, a_if)
-        expit(a_if, a_if)
-        tanh(a_u, a_u)
-        c_new = multiply(a_i, a_u, C[s:e] if keep else cells[t & 1])
-        add(c_new, multiply(a_f, c, fc), c_new)
-        c = c_new
+    if not keep:
+        cells = (np.empty((B, K, n)), np.empty((B, K, n)))
+        tc_all = np.empty((B, K, n))
+    t = 0  # the first step of the segment
+    for s, e, m in segments:
+        c, hT, hw, fc = c[:m], hT[:, :m], hw_all[:m], fc_all[:m]
+        hwT = hw.swapaxes(0, 1)
+        hw4 = hw.reshape(m, K, 4, n).transpose(2, 0, 1, 3)
         if full:
-            matmul(c.swapaxes(0, 1), W_pT, qT)
-        elif peep:
-            multiply(c, W_p3, q4)
-        if peep:
-            add(a_o, q_o, a_o)
-        expit(a_o, a_o)
-        tc_new = tanh(c, TC[s:e] if keep else tc)
-        h = multiply(a_o, tc_new, H[s:e])
+            q = q_all[:m]
+            qT = q.swapaxes(0, 1)
+            q4 = q.reshape(m, K, 3, n).transpose(2, 0, 1, 3)
+        else:
+            q4 = q_all[:, :m]
+        q_if, q_o = q4[:2], q4[2]
+        a = block[:4 * m * K * n].reshape(4, m, K, n)
+        a_if, a_i, a_f, a_u, a_o = a[:2], a[0], a[1], a[2], a[3]
+        hs = _blocks(H, s, e, m)
         if keep:
-            P[:, s:e] = a
+            ps, cs, tcs = (_blocks(X, s, e, m) for X in (P, C, TC))
+            cTs = cs.swapaxes(1, 2)
+        else:
+            ps = repeat(None)
+            turns = (cells[t & 1][:m], cells[~t & 1][:m])
+            cs, cTs = cycle(turns), cycle(x.swapaxes(0, 1) for x in turns)
+            tcs = repeat(tc_all[:m])
+        for g, p, c_new, c_newT, tc, h_new, h_newT in zip(
+                _blocks(G4, s, e, m), ps, cs, cTs, tcs, hs, hs.swapaxes(1, 2)):
+            matmul(hT, W_hT, hwT)
+            add(g, hw4, a)
+            if peep:
+                # the input and forget gates peep at the last step's cell
+                add(a_if, q_if, a_if)
+            expit(a_if, a_if)
+            tanh(a_u, a_u)
+            multiply(a_i, a_u, c_new)
+            add(c_new, multiply(a_f, c, fc), c_new)
+            if full:
+                matmul(c_newT, W_pT, qT)
+            elif peep:
+                multiply(c_new, W_p3, q4)
+            if peep:
+                add(a_o, q_o, a_o)
+            expit(a_o, a_o)
+            tanh(c_new, tc)
+            multiply(a_o, tc, h_new)
+            if keep:
+                p[...] = a
+            c, hT = c_new, h_newT
+        t += (e - s) // m
     return P, C, TC, H
 
 
@@ -441,14 +482,16 @@ def _recur_backward(W_h: np.ndarray, W_p, P: np.ndarray, C: np.ndarray,
     Takes the gate planes, C and TC as :func:`_recur` returns them and
     dH as (N, K, H); the result is (N, K, 4H). The per-row factors are
     computed once, over all steps, from the contiguous gate planes. The
+    steps run back a segment at a time, as :func:`_recur` runs them
+    forward: the loop zips the per-step views of each segment's blocks of
+    ``dH``, the factors, ``F`` and the result, last step first. The
     gradients carried back from step t + 1 live in contiguous (m, K, H)
     buffers: going back in time essays only start, so the running ones
     are a prefix of a zeroed (B, K, H) buffer and an essay's rows stay
     zero until its last step is reached.
     """
     N, K, n = dH.shape
-    offsets = layout.offsets.tolist()
-    B = offsets[1]
+    B = int(layout.offsets[1])
     I, F, U, O = P
     C_prev = np.zeros((N, K, n))
     C_prev[B:] = C[layout.prev]
@@ -460,39 +503,45 @@ def _recur_backward(W_h: np.ndarray, W_p, P: np.ndarray, C: np.ndarray,
     del C_prev
     dA = np.empty((N, K, 4 * n))
     dA4 = dA.reshape(N, K, 4, n).transpose(2, 0, 1, 3)
-    dA_ifu, dA_i, dA_f, dA_o = dA4[:3], dA4[0], dA4[1], dA4[3]
-    dAT = dA.swapaxes(0, 1)
-    full = W_p is not None and W_p.ndim == 3
+    peep, full = W_p is not None, W_p is not None and W_p.ndim == 3
     if full:
         W_p_if, W_p_o = W_p[:, :2 * n, :], W_p[:, 2 * n:, :]
-    elif W_p is not None:
+    elif peep:
         w_i, w_f, w_o = (W_p[:, k * n:(k + 1) * n] for k in range(3))
     dh_all, dc_all, prod_all = (np.zeros((B, K, n)) for _ in range(3))
     matmul, add, multiply = np.matmul, np.add, np.multiply
-    m = 0
-    for s, e in zip(offsets[-2::-1], offsets[:0:-1]):
-        if e - s != m:
-            m = e - s
-            dh, dc, prod = dh_all[:m], dc_all[:m], prod_all[:m]
-            dhT, prodT = dh.swapaxes(0, 1), prod.swapaxes(0, 1)
-        add(dh, dH[s:e], dh)
-        da_o = multiply(dh, k_o[s:e], dA_o[s:e])
-        add(dc, multiply(dh, k_c[s:e], prod), dc)
-        a = dAT[:, s:e]
-        if full:
-            matmul(a[..., 3 * n:], W_p_o, prodT)
-            add(dc, prod, dc)
-        elif W_p is not None:
-            add(dc, multiply(da_o, w_o, prod), dc)
-        multiply(dc, k_ifu[:, s:e], dA_ifu[:, s:e])
-        matmul(a, W_h, dhT)
-        multiply(dc, F[s:e], dc)
-        if full:
-            matmul(a[..., :2 * n], W_p_if, prodT)
-            add(dc, prod, dc)
-        elif W_p is not None:
-            add(dc, multiply(dA_i[s:e], w_i, prod), dc)
-            add(dc, multiply(dA_f[s:e], w_f, prod), dc)
+    for s, e, m in reversed(_segments(layout.offsets)):
+        dh, dc, prod = dh_all[:m], dc_all[:m], prod_all[:m]
+        dhT, prodT = dh.swapaxes(0, 1), prod.swapaxes(0, 1)
+
+        def back(X):
+            return _blocks(X, s, e, m)[::-1]
+
+        aTs = back(dA).swapaxes(1, 2)  # (K, m, 4H) per step
+        # what the peepholes read: the o and i/f columns of a step's
+        # gradients when full, the i and f gradients when diagonal
+        peeped = (aTs[..., 3 * n:], aTs[..., :2 * n]) if full else \
+            (back(dA4[0]), back(dA4[1])) if peep else (repeat(None),) * 2
+        for (dh_t, ko, kc, da_o, aT, kifu, da_ifu, f, pa,
+             pb) in zip(back(dH), back(k_o), back(k_c), back(dA4[3]), aTs,
+                        back(k_ifu), back(dA4[:3]), back(F), *peeped):
+            add(dh, dh_t, dh)
+            multiply(dh, ko, da_o)
+            add(dc, multiply(dh, kc, prod), dc)
+            if full:
+                matmul(pa, W_p_o, prodT)
+                add(dc, prod, dc)
+            elif peep:
+                add(dc, multiply(da_o, w_o, prod), dc)
+            multiply(dc, kifu, da_ifu)
+            matmul(aT, W_h, dhT)
+            multiply(dc, f, dc)
+            if full:
+                matmul(pb, W_p_if, prodT)
+                add(dc, prod, dc)
+            elif peep:
+                add(dc, multiply(pa, w_i, prod), dc)
+                add(dc, multiply(pb, w_f, prod), dc)
     return dA
 
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from essayscore.cli import main
-from essayscore.config import (Config, SearchSpace, config_hash, load_config,
-                               parse_config_text, serialize_config,
-                               write_config)
+from essayscore.config import (MAX_SIZE, Config, SearchSpace, config_hash,
+                               load_config, parse_config_text,
+                               serialize_config, write_config)
 from essayscore.corpus import Vocabulary, load_corpus_cache, read_manifest
 from essayscore.errors import ConfigError
 from essayscore.lstm import (MODEL_MAGIC, SeqModel, load_model,
@@ -772,6 +772,37 @@ class TestUsageErrors:
         assert rc == 1
         assert "must be finite" in capsys.readouterr().err
         assert model.read_bytes() == before
+
+    # a NUL in a path from a config file reached open(), whose ValueError
+    # ended the run in a traceback
+    @pytest.mark.parametrize("key", ["data_path", "range_table"])
+    def test_nul_in_a_config_path(self, tmp_path, key, capsys):
+        cfgpath = write_workspace_config(tmp_path, **{key: "a\0b"})
+        assert main(["--config", str(cfgpath), "ingest"]) == 1
+        assert f"{key} must not contain a NUL" in capsys.readouterr().err
+
+    # a size of 10**20 failed in numpy with "Maximum allowed dimension
+    # exceeded", one of 10**8 with a MemoryError, both as tracebacks
+    @pytest.mark.parametrize("key", ["embed_dim", "hidden_dim", "window_size",
+                                     "n_corruptions", "lstm_dim"])
+    def test_size_above_the_bound(self, workspace, key, capsys):
+        _, cfgpath = workspace
+        rc = main(["--config", str(cfgpath), f"--{key.replace('_', '-')}",
+                   "99999999999999999999", "train-embeddings"])
+        assert rc == 1
+        assert f"{key} must be <= {MAX_SIZE}" in capsys.readouterr().err
+
+    def test_sizes_beyond_memory(self, workspace):
+        # the largest embed_dim asks for a (2**24, V) matrix, past the
+        # child's 2 GiB address space
+        _, cfgpath = workspace
+        proc = run_limited_cli(["--config", str(cfgpath), "--embed-dim",
+                                str(MAX_SIZE), "--models-dir",
+                                str(cfgpath.parent / "big"),
+                                "train-embeddings"])
+        assert proc.returncode == 1
+        assert "out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     # a hand-edited cache used to train with a float token truncated to
     # an id, or fail on a string score as a "missing field"; the token

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from essayscore import synth
 from essayscore.config import Config
 from essayscore.corpus import (
     BOUNDARY_ID,
@@ -304,6 +305,89 @@ class TestIngest:
         assert essays[0].scaled_score == 1.0
         assert essays[1].scaled_score == 0.0
         assert essays[2].scaled_score == 0.5
+
+
+# sha256 of the corpus cache of each synthetic profile (seed 0) at three
+# min_counts, taken when ingestion still kept every token's string
+PINNED_SYNTH_CACHES = {
+    "ablation": "b70e632666760287d21dc3f22ff0fdc5edcdaa48c7498b4b209302c72a46345f",
+    "misspell": "f70e633b5f31ccc6b2baf444b809b4d62cd2260d2b38c870d965e0b6fab92814",
+    "overfit16-1":
+        "7a0ef32245e0423699ba33a825a7330d90b553e39156c38a93fdc027f8e3a700",
+    "overfit16-2":
+        "3b1da1dd6f65f6e7cc3aa7198633d48c5d76b17dc2da638199d90503e6df9459",
+    "overfit16-3":
+        "3d9aaf2553c92bc6245a0df185b2576b6041a22c96e26a8d14d00e4094600a0d",
+}
+
+# rows appended to overfit16: a repeated id, a non-integer id, an empty
+# essay, a bad score, a row of a second set and one whose tokens differ
+# only in case or are placeholders and non-ASCII
+MESSY_ROWS = ("3\t1\ta later copy of essay three\t1\n"
+              "x\t1\ta row without an integer id\t1\n"
+              "40\t1\t\t1\n"
+              "41\t1\tthe castle is terrible terrible\tN/A\n"
+              "42\t2\tthe music is strong , the river is great .\t2\n"
+              "43\t1\tZebra zebra ZEBRA @CAPS1 @CAPS1 qu\u00e9 qu\u00e9\t4\n")
+
+# (with a range table, min_count): sha256 of the cache, taken as above
+PINNED_MESSY_CACHES = {
+    (False, 1):
+        "ba34adc24c19790d729be8c45512b21966902a3d62b2a4ae92bd9fc2c6897a5e",
+    (False, 2):
+        "c3ea183dfea0d9f6b037cd3df17607842a8a755497b781694d0cb5e5d4e4e702",
+    (True, 1):
+        "6735be84a44e7f3c5c76cd2841bc54d819db91691c6f30398f2e5f09ddfb9530",
+    (True, 2):
+        "9e0ffedb91def0bf9f3305b312a432231f040638b21bc15a6ffaae4e89c6a21d",
+}
+
+
+def cache_digest(tmp_path, corpus) -> str:
+    path = tmp_path / "corpus.json"
+    save_corpus_cache(path, corpus)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestIngestPins:
+    """The cache bytes of ingested corpora: vocabulary order, ids and
+    ranges must not move."""
+
+    @pytest.mark.parametrize("min_count", [1, 2, 3])
+    @pytest.mark.parametrize("profile", sorted(synth.PROFILES))
+    def test_synth_caches_are_pinned(self, tmp_path, profile, min_count):
+        tsv = tmp_path / "s.tsv"
+        synth.write_tsv(tsv, profile, 0)
+        corpus, row_errors = load_corpus(tsv, min_count=min_count)
+        assert row_errors == []
+        key = f"{profile}-{min_count}" if profile == "overfit16" else profile
+        assert cache_digest(tmp_path, corpus) == PINNED_SYNTH_CACHES[key]
+
+    @pytest.mark.parametrize("min_count", [1, 2])
+    @pytest.mark.parametrize("table", [False, True])
+    def test_messy_caches_are_pinned(self, tmp_path, table, min_count):
+        # the table drops set 1's scores 9 and 10 and every row of set 2,
+        # whose tokens must then count toward no word
+        tsv = tmp_path / "m.tsv"
+        tsv.write_text(synth.generate("overfit16", 0) + MESSY_ROWS,
+                       encoding="utf-8")
+        corpus, row_errors = load_corpus(
+            tsv, min_count=min_count,
+            ranges={1: ScoreRange(0, 8)} if table else None)
+        assert [e.line for e in row_errors] \
+            == [18, 19, 20, 21] + ([0, 0, 0] if table else [])
+        assert cache_digest(tmp_path, corpus) \
+            == PINNED_MESSY_CACHES[table, min_count]
+
+    def test_bad_min_count_is_a_config_error_after_reading(self, tmp_path):
+        tsv = tmp_path / "s.tsv"
+        tsv.write_text(FIXTURE_TSV)
+        with pytest.raises(ConfigError, match="min_count"):
+            load_corpus(tsv, min_count=0)
+        # a missing column is found first, as before
+        tsv.write_text("essay_id\tessay\n1\thello\n")
+        with pytest.raises(DataError, match="essay_set"):
+            load_corpus(tsv, min_count=0)
 
 
 class TestRangeTable:

@@ -355,10 +355,12 @@ def normwise_error(a, b):
 
 
 # "ragged": the running count changes at most steps, and two pairs of
-# essays end on the same step
+# essays end on the same step; "runs": long runs of steps with the same
+# running count, so the step loops walk segments of 1, 2, 4 and 5 steps
 LENGTHS = {"B1-len1": (1,), "B1": (9,), "mixed": (1, 5, 9, 3),
            "equal": (4, 4),
-           "ragged": (6, 13, 1, 9, 4, 11, 6, 2, 8, 12, 3, 9)}
+           "ragged": (6, 13, 1, 9, 4, 11, 6, 2, 8, 12, 3, 9),
+           "runs": (7, 7, 7, 3, 3, 12, 1, 12)}
 
 # every architecture of VARIANTS, with dropout on
 PIN_VARIANTS = [dict(v, dropout=0.5) for v in VARIANTS if "dropout" not in v]
@@ -550,6 +552,31 @@ class TestBatchMatchesReference:
             "6b04ef2d999d126143580fd69ddc644d0a2b8eb7bb43130edfccc74066262f63",
         "bil2-off-dropout-ragged":
             "aad26d0f2c2967595981dd723cfac78a92cb68b64d61489c0002ca61cdc70471",
+        # taken with the pins above, before the loops walked segments
+        "unil1-full-dropout-runs":
+            "f7490a14984d3d1de2ff3800cb959c9e62001b19a161d20aab4c93236547f766",
+        "unil1-diagonal-dropout-runs":
+            "54ccb14e55210264bcecb4cfcacc2ad59a0f774a73bf08ee25c8fb07f552e991",
+        "unil1-off-dropout-runs":
+            "01e5fca2c7957b031c76ea4e649a5421c00dc2add522894bc9baa0531ec4c345",
+        "bil1-full-dropout-runs":
+            "5afc09a06de0ce2ad9cbdb03b63e3d88c95b0ad7667d3fe070971b7e7263c5c4",
+        "bil1-diagonal-dropout-runs":
+            "9cf30c1c362a0ca8b22877d66c59bef094ea07c46d017470f33860de6053df09",
+        "bil1-off-dropout-runs":
+            "cecdfe7d2e0efe7caf2854c3df6e55c0adccf24c96ce4f573b89258bc44ec6f0",
+        "unil2-full-dropout-runs":
+            "d42e02de9d600530e52ed6e650867b9836f1af7ed353dc3db530bb1eaf014468",
+        "unil2-diagonal-dropout-runs":
+            "db9a81b0a6065eb2beec57845d4e847b9320894a372fc209b8b9cd730547bd47",
+        "unil2-off-dropout-runs":
+            "4223947db379b8b521ae757fa8d2b103cf529ed6f73fbc242b2bfd15a3408df4",
+        "bil2-full-dropout-runs":
+            "947bf38043f1895fd755e6eb6463a6d29dba3f59c85cc2b6e8873fffabd0aa47",
+        "bil2-diagonal-dropout-runs":
+            "8b53b84c3eb207ab02262b8768e7c9373cfefc2411f245c0423e864e05888a6f",
+        "bil2-off-dropout-runs":
+            "dad4546f289d323af79c785e33e27a1e7cc6351b3e2691ad20070cfe1c59fe5d",
     }
 
     @pytest.mark.parametrize("lengths", list(LENGTHS))
