@@ -30,7 +30,7 @@ from . import metrics as metricsmod
 from . import saliency as salmod
 from . import sswe as sswemod
 from . import synth as synthmod
-from .errors import ConfigError, DataError, EssayScoreError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 ENV_CONFIG = "ESSAYSCORE_CONFIG"
 

@@ -27,7 +27,7 @@ import struct
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -90,11 +90,6 @@ class Vocabulary:
         """Number of non-special entries."""
         return len(self.id_to_token) - N_SPECIALS
 
-    def encode(self, tokens: list[str]) -> list[int]:
-        """Map tokens to ids; out-of-vocabulary tokens map to UNK."""
-        get = self.token_to_id.get
-        return [get(tok, UNK_ID) for tok in tokens]
-
     def decode(self, ids) -> list[str]:
         """The tokens of an int array or a list of ids."""
         return list(map(self.id_to_token.__getitem__,
@@ -105,27 +100,6 @@ class Vocabulary:
             return self.token_to_id[token]
         except KeyError:
             raise KeyError(f"token {token!r} not in vocabulary") from None
-
-
-def build_vocabulary(token_sequences, min_count: int = 2) -> Vocabulary:
-    """Build a :class:`Vocabulary` from an iterable of token sequences.
-
-    Tokens seen fewer than ``min_count`` times are dropped (they encode
-    to UNK later). An empty corpus yields a vocabulary holding only the
-    special tokens.
-    """
-    seen = _first_seen_ids()
-    ids = np.fromiter(map(seen.__getitem__,
-                          chain.from_iterable(token_sequences)), dtype=np.intp)
-    vocab, _ = _ranked_vocabulary(
-        list(seen), np.bincount(ids, minlength=len(seen)), min_count)
-    return vocab
-
-
-def _first_seen_ids() -> defaultdict:
-    """A token -> provisional id map that gives each new token the next id,
-    so its keys are the distinct tokens in the order they were first seen."""
-    return defaultdict(count().__next__)
 
 
 def _ranked_vocabulary(tokens: list[str], counts: np.ndarray,
@@ -210,6 +184,18 @@ def _open_utf8(path, newline=None):
                         f"({exc.object[exc.start:exc.end]!r})") from None
 
 
+def _int_field(text, field: str) -> int:
+    """``int(text)``; a value it rejects (a short row's None, or more
+    digits than it converts, too) is a ValueError naming ``field`` that
+    echoes at most 20 characters of ``text``."""
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        shown = repr(text) if text is None or len(text) <= 20 \
+            else f"{text[:20]!r}... ({len(text)} characters)"
+        raise ValueError(f"{field} {shown} is not an integer") from None
+
+
 def read_range_table(path) -> dict[int, ScoreRange]:
     """Parse a ``set_id<TAB>min<TAB>max`` score-range table."""
     ranges = {}
@@ -222,7 +208,8 @@ def read_range_table(path) -> dict[int, ScoreRange]:
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected set_id<TAB>min<TAB>max")
             try:
-                set_id, lo, hi = int(parts[0]), float(parts[1]), float(parts[2])
+                set_id = _int_field(parts[0], "set_id")
+                lo, hi = float(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -402,9 +389,9 @@ def read_manifest(path) -> list[int]:
             if not line or line.startswith("#"):
                 continue
             try:
-                eid = int(line)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: not an essay id: {line!r}") from None
+                eid = _int_field(line, "essay id")
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
             if eid in first_line:
                 raise DataError(f"{path}:{lineno}: essay id {eid} repeats "
                                 f"line {first_line[eid]}")
@@ -460,7 +447,7 @@ def load_corpus(path, min_count: int = 2,
     """
     rows = []  # (essay id, set id, provisional token ids, raw score)
     row_errors = []
-    seen = _first_seen_ids()
+    seen = defaultdict(count().__next__)  # token -> provisional id
     first_line: dict[int, int] = {}  # essay id -> line of its kept row
     with _open_utf8(path, newline="") as fh:
         reader = csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
@@ -471,10 +458,10 @@ def load_corpus(path, min_count: int = 2,
                     raise DataError(f"missing required column {col!r} in {path}")
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    essay_id = int(row["essay_id"])
-                    set_id = int(row["essay_set"])
-                except (TypeError, ValueError):
-                    row_errors.append(RowError(lineno, "non-integer essay_id or essay_set"))
+                    essay_id = _int_field(row["essay_id"], "essay_id")
+                    set_id = _int_field(row["essay_set"], "essay_set")
+                except ValueError as exc:
+                    row_errors.append(RowError(lineno, str(exc)))
                     continue
                 try:
                     raw_score = float(row["domain1_score"])

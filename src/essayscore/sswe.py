@@ -69,11 +69,6 @@ def htanh(x):
     return np.minimum(np.maximum(x, -1.0), 1.0)
 
 
-def htanh_grad_mask(preact):
-    """1 where hard tanh is identity, 0 in the flat regions and at the kinks."""
-    return (np.abs(preact) < 1.0).astype(float)
-
-
 def uniform_columns(rng, scale: float, d: int, v: int) -> np.ndarray:
     """``rng.uniform(-scale, scale, size=(d, v))``, Fortran-ordered.
 
@@ -203,13 +198,6 @@ class SSWEGradients:
     loss_score: float = 0.0
 
 
-def loss_overall(alpha: float, context_value: float, score_value: float) -> float:
-    """Weighted blend: alpha * context + (1 - alpha) * score."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * context_value + (1.0 - alpha) * score_value
-
-
 def backward(params: SSWEParams, ids, corrupt_centers,
              gold_score: float, alpha: float = 0.1) -> SSWEGradients:
     """Exact analytic gradients of the overall loss for one window.
@@ -240,8 +228,11 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     matrix-vector products, ``partial`` is empty, and no ``(U, H)``
     product is formed. Otherwise the corruptions' hidden layer is
     computed in full, ``delta @ W_center.T``. The two paths agree within
-    rounding; they associate the sums differently.
+    rounding; they associate the sums differently. An ``alpha`` outside
+    [0, 1] is a :class:`ConfigError`.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     rows_of = params.M.T          # (V, D), one C-ordered row per word
     W_hi = params.W_hi
     d = params.embed_dim
@@ -296,12 +287,14 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     l_ctx = float(counts @ np.maximum(0.0, margins)) / n_corrupt
     # squared error via numpy so a diverged run overflows to inf
     l_sc = float(np.square(np.float64(f_ss - gold_score)))
-    l_all = loss_overall(alpha, l_ctx, l_sc)
+    l_all = alpha * l_ctx + (1.0 - alpha) * l_sc
 
     total = weights.sum()
     df_t = -alpha * total / n_corrupt
     df_ss = (1.0 - alpha) * 2.0 * (f_ss - gold_score)
-    dz_t = (df_t * params.W_oh2 + df_ss * params.W_oh1) * htanh_grad_mask(z_t)
+    # hard tanh's slope: 0 in the flat regions and at the kinks
+    dz_t = (df_t * params.W_oh2 + df_ss * params.W_oh1) \
+        * (np.abs(z_t) < 1.0).astype(float)
     inputs = (weights @ delta)[None]
     if linear:
         # df_t * i_t + alpha / E * weights @ i_c, whose z_t terms cancel

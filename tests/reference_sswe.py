@@ -8,9 +8,11 @@ the finite-difference checks differentiate. ``reference_backward`` and
 gradient, the embedding gradient accumulated as a dict of columns one
 contribution at a time, and a per-column update loop on a C-ordered
 ``M``, over windows that ``essay_windows`` cuts from each essay padded
-on its own. None of this is used by the package; the factored step in
-``essayscore.sswe``, over the windows of one shared id stream, must
-match it within rounding.
+on its own. The oracle holds its own activation (``htanh``), its slope
+(``htanh_slope``) and the loss blend (``loss_overall``), so it shares no
+formula with what it checks. None of this is used by the package; the
+factored step in ``essayscore.sswe``, over the windows of one shared id
+stream, must match it within rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +21,18 @@ import numpy as np
 
 from essayscore.corpus import BOUNDARY_ID, corrupt_window
 from essayscore.errors import ConfigError
-from essayscore.sswe import SSWEParams, htanh, htanh_grad_mask, loss_overall
+from essayscore.sswe import SSWEParams
+
+
+def htanh(x):
+    """Hard tanh: -1 below -1, 1 above 1, the identity between."""
+    return np.clip(x, -1.0, 1.0)
+
+
+def htanh_slope(preact):
+    """Hard tanh's derivative: 1 inside (-1, 1), 0 in the flat regions,
+    and 0 at the kinks too."""
+    return (np.abs(preact) < 1.0).astype(float)
 
 
 def embed_window(context, M) -> np.ndarray:
@@ -67,6 +80,12 @@ def loss_score(predictions, golds) -> float:
     if predictions.shape != golds.shape or predictions.size == 0:
         raise ValueError(f"shape mismatch: {predictions.shape} vs {golds.shape}")
     return float(np.mean((predictions - golds) ** 2))
+
+
+def loss_overall(alpha: float, context_value: float,
+                 score_value: float) -> float:
+    """Weighted blend: alpha * context + (1 - alpha) * score."""
+    return alpha * context_value + (1.0 - alpha) * score_value
 
 
 def essay_windows(essays, n):
@@ -146,8 +165,8 @@ def reference_backward(params, context, corruptions, gold_score, alpha):
     df_t = -alpha * np.count_nonzero(active) / n_corrupt
     df_c = alpha * active.astype(float) / n_corrupt
     df_ss = (1.0 - alpha) * 2.0 * (f_ss - gold_score)
-    dz_t = (df_t * params.W_oh2 + df_ss * params.W_oh1) * htanh_grad_mask(z_t)
-    dz_c = (params.W_oh2[:, None] * df_c[None, :]) * htanh_grad_mask(z_c)
+    dz_t = (df_t * params.W_oh2 + df_ss * params.W_oh1) * htanh_slope(z_t)
+    dz_c = (params.W_oh2[:, None] * df_c[None, :]) * htanh_slope(z_c)
     dz_c_sum = dz_c.sum(axis=1)
     dense = {
         "W_oh2": df_t * i_t + i_c @ df_c,

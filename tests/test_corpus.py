@@ -19,7 +19,6 @@ from essayscore.corpus import (
     Corpus,
     ScoreRange,
     Vocabulary,
-    build_vocabulary,
     corrupt_window,
     extract_windows,
     load_corpus,
@@ -91,12 +90,14 @@ class TestVocabulary:
         assert v.id_to_token[:N_SPECIALS] == ["<pad>", "<unk>", "<edge>"]
         assert v.id_of("cat") == N_SPECIALS
 
-    def test_encode_maps_oov_to_unk(self):
-        v = Vocabulary(["cat"])
-        assert v.encode(["cat", "dog"]) == [3, UNK_ID]
+    def test_oov_token_is_unk_in_a_loaded_corpus(self, tmp_path):
+        corpus, _ = load_corpus(
+            write_rows(tmp_path, ["cat cat", "cat dog"]), min_count=2)
+        assert corpus.vocab.token_to_id.get("dog") is None
+        assert corpus.essays[1].tokens.tolist() == [N_SPECIALS, UNK_ID]
 
     def test_decode_round_trip(self, tiny_vocab):
-        ids = tiny_vocab.encode(["the", "cat", "sat"])
+        ids = [tiny_vocab.token_to_id[t] for t in ["the", "cat", "sat"]]
         assert tiny_vocab.decode(ids) == ["the", "cat", "sat"]
 
     def test_decode_takes_a_list_or_an_int32_view(self, tiny_vocab):
@@ -110,25 +111,28 @@ class TestVocabulary:
         with pytest.raises(KeyError):
             tiny_vocab.id_of("missing")
 
-    def test_build_orders_by_frequency_then_token(self):
-        seqs = [["b", "a", "a", "c", "c", "b", "a"]]
-        v = build_vocabulary(seqs, min_count=1)
+    def test_build_orders_by_frequency_then_token(self, tmp_path):
+        v = load_corpus(write_rows(tmp_path, ["b a a c c b a"]),
+                        min_count=1)[0].vocab
         assert v.id_to_token[N_SPECIALS:] == ["a", "b", "c"]
 
-    def test_build_drops_rare_tokens(self):
-        v = build_vocabulary([["a", "a", "b"]], min_count=2)
+    def test_build_drops_rare_tokens(self, tmp_path):
+        v = load_corpus(write_rows(tmp_path, ["a a b"]), min_count=2)[0].vocab
         assert "a" in v.token_to_id
         assert "b" not in v.token_to_id
 
-    def test_build_rejects_bad_min_count(self):
+    def test_build_rejects_bad_min_count(self, tmp_path):
         with pytest.raises(ConfigError):
-            build_vocabulary([], min_count=0)
+            load_corpus(write_rows(tmp_path, ["a"]), min_count=0)
 
     @pytest.mark.parametrize("min_count", [1, 3])
-    def test_build_matches_the_tuple_key_sort(self, min_count):
+    def test_build_matches_the_tuple_key_sort(self, tmp_path, min_count):
         # about 200 distinct tokens in 11,000, so most counts are shared
-        # by several tokens
-        seqs = [tokenize(text) for text in fuzz_texts(min_count, 600)]
+        # by several tokens; tabs and line breaks become spaces, which
+        # splits the text into the same tokens
+        texts = [re.sub(r"[\t\r\n]", " ", text)
+                 for text in fuzz_texts(min_count, 600)]
+        seqs = [tokenize(text) for text in texts]
         want = reference_corpus.vocabulary_order(seqs, min_count)
         counts = {}
         for seq in seqs:
@@ -136,14 +140,26 @@ class TestVocabulary:
                 counts[tok] = counts.get(tok, 0) + 1
         assert len(want) > 50
         assert len(set(counts[tok] for tok in want)) < len(want) / 2
-        got = build_vocabulary(seqs, min_count=min_count)
+        got = load_corpus(write_rows(tmp_path, texts),
+                          min_count=min_count)[0].vocab
         assert got.id_to_token[N_SPECIALS:] == want
 
-    def test_build_is_deterministic(self):
-        seqs = [["x", "y", "z", "y"], ["z", "z", "x"]]
-        a = build_vocabulary(seqs, min_count=1)
-        b = build_vocabulary(list(reversed(seqs)), min_count=1)
+    def test_build_is_deterministic(self, tmp_path):
+        rows = ["x y z y", "z z x"]
+        a = load_corpus(write_rows(tmp_path, rows), min_count=1)[0].vocab
+        b = load_corpus(write_rows(tmp_path, rows[::-1]), min_count=1)[0].vocab
         assert a.id_to_token == b.id_to_token
+
+
+def write_rows(tmp_path, texts):
+    """A TSV of one set-1 essay scored 1 per text, ids from 1; returns
+    its path."""
+    p = tmp_path / "rows.tsv"
+    p.write_text("essay_id\tessay_set\tessay\tdomain1_score\n"
+                 + "".join(f"{k}\t1\t{text}\t1\n"
+                           for k, text in enumerate(texts, start=1)),
+                 encoding="utf-8")
+    return p
 
 
 class TestEssayEquality:
@@ -227,7 +243,8 @@ class TestIngest:
         tokens = [tokenize(line.split("\t")[2])
                   for line in FIXTURE_TSV.splitlines()[1:]]
         assert [e.tokens.tolist() for e in corpus.essays] \
-            == [corpus.vocab.encode(t) for t in tokens]
+            == [[corpus.vocab.token_to_id.get(tok, UNK_ID) for tok in t]
+                for t in tokens]
 
     def test_observed_ranges_per_set(self, tmp_path):
         p = tmp_path / "f.tsv"

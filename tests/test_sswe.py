@@ -20,9 +20,7 @@ from essayscore.sswe import (
     backward,
     cosine_distance,
     htanh,
-    htanh_grad_mask,
     load_embeddings,
-    loss_overall,
     nearest_neighbors,
     save_embeddings,
     train_sswe,
@@ -32,8 +30,10 @@ from essayscore.lstm import SeqModel, train_scorer
 
 from conftest import finite_difference, max_relative_error, make_essay
 from reference_sswe import (dense_gradients, embed_window, forward,
-                            loss_context, loss_score, predict_window_score,
+                            htanh_slope, loss_context, loss_overall,
+                            loss_score, predict_window_score,
                             reference_train, sample_loss)
+from reference_sswe import htanh as ref_htanh
 
 
 class TestHtanh:
@@ -41,9 +41,18 @@ class TestHtanh:
         x = np.array([-5.0, -1.0, -0.3, 0.0, 0.7, 1.0, 2.0])
         assert list(htanh(x)) == [-1.0, -1.0, -0.3, 0.0, 0.7, 1.0, 1.0]
 
-    def test_grad_mask_zero_outside_and_at_kinks(self):
-        x = np.array([-5.0, -1.0, -0.3, 0.9999, 1.0, 2.0])
-        assert list(htanh_grad_mask(x)) == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
+    def test_backward_slope_zero_outside_and_at_kinks(self):
+        # W_hi = 0 makes z_t = b_h exactly; at alpha = 0 the b_h gradient
+        # is dz_t = df_ss * W_oh1 * slope, with df_ss the b_o1 gradient
+        z = np.array([-5.0, -1.0, -0.3, 0.9999, 1.0, 2.0, 0.0])
+        p = small_params(h=len(z))
+        p.W_hi[...] = 0.0
+        p.b_h[...] = z
+        grads = backward(p, (3, 4, 5), [6, 7], 0.5, 0.0)
+        slope = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+        assert grads.dense["b_o1"][0] != 0.0 and np.all(p.W_oh1 != 0.0)
+        assert np.array_equal(grads.dense["b_h"],
+                              grads.dense["b_o1"][0] * p.W_oh1 * slope)
 
 
 class TestHyper:
@@ -142,8 +151,6 @@ class TestLosses:
         assert loss_overall(0.1, 2.0, 0.5) == pytest.approx(0.65)
         assert loss_overall(0.0, 9.9, 0.5) == 0.5
         assert loss_overall(1.0, 2.0, 9.9) == 2.0
-        with pytest.raises(ConfigError):
-            loss_overall(-0.1, 1.0, 1.0)
 
 
 def fixed_corruptions(ids, n_corruptions, rng, vocab):
@@ -222,6 +229,11 @@ class TestBackward:
         assert np.all(dense_m[:, [6, 7]] == 0.0)
         assert grads.loss_overall == grads.loss_score
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_alpha_outside_the_unit_interval_is_rejected(self, alpha):
+        with pytest.raises(ConfigError, match=r"alpha must lie in \[0, 1\]"):
+            backward(small_params(), (3, 4, 5), [6, 7], 0.5, alpha)
+
     def test_losses_attached(self):
         p = small_params()
         corruptions = [6]
@@ -255,13 +267,13 @@ def full_product(params, ids, centers, gold, alpha):
     W_center = p.W_hi[:, c * d:(c + 1) * d]
     x_t = p.M.T[ids]
     z_t = p.W_hi @ x_t.reshape(-1) + p.b_h
-    i_t = htanh(z_t)
+    i_t = ref_htanh(z_t)
     f_t = p.W_oh2 @ i_t + p.b_o2[0]
     f_ss = p.W_oh1 @ i_t + p.b_o1[0]
     uniq, counts = np.unique(centers, return_counts=True)
     delta = p.M.T[uniq] - x_t[c]
     z_c = delta @ W_center.T + z_t
-    i_c = htanh(z_c)
+    i_c = ref_htanh(z_c)
     margins = 1.0 - f_t + (i_c @ p.W_oh2 + p.b_o2[0])
     weights = np.where(margins > 0.0, counts, 0.0)
     e = len(centers)
@@ -269,7 +281,7 @@ def full_product(params, ids, centers, gold, alpha):
     l_sc = (f_ss - gold) ** 2
     df_t = -alpha * weights.sum() / e
     df_ss = (1.0 - alpha) * 2.0 * (f_ss - gold)
-    dz_t = (df_t * p.W_oh2 + df_ss * p.W_oh1) * htanh_grad_mask(z_t)
+    dz_t = (df_t * p.W_oh2 + df_ss * p.W_oh1) * htanh_slope(z_t)
     shared = alpha / e * p.W_oh2
     u = dz_t + weights.sum() * shared
     ctx_rows = (u @ p.W_hi).reshape(n, d)
