@@ -184,6 +184,12 @@ def _open_utf8(path, newline=None):
                         f"({exc.object[exc.start:exc.end]!r})") from None
 
 
+def _echo(text) -> str:
+    """A field's text as an error shows it: at most 20 characters."""
+    return repr(text) if text is None or len(text) <= 20 \
+        else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _int_field(text, field: str) -> int:
     """``int(text)``; a value it rejects (a short row's None, or more
     digits than it converts, too) is a ValueError naming ``field`` that
@@ -191,9 +197,16 @@ def _int_field(text, field: str) -> int:
     try:
         return int(text)
     except (TypeError, ValueError):
-        shown = repr(text) if text is None or len(text) <= 20 \
-            else f"{text[:20]!r}... ({len(text)} characters)"
-        raise ValueError(f"{field} {shown} is not an integer") from None
+        raise ValueError(f"{field} {_echo(text)} is not an integer") from None
+
+
+def _float_field(text, field: str) -> float:
+    """``float(text)``; a value it rejects is a ValueError, as in
+    :func:`_int_field`."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} {_echo(text)} is not a number") from None
 
 
 def read_range_table(path) -> dict[int, ScoreRange]:
@@ -209,7 +222,8 @@ def read_range_table(path) -> dict[int, ScoreRange]:
                 raise DataError(f"{path}:{lineno}: expected set_id<TAB>min<TAB>max")
             try:
                 set_id = _int_field(parts[0], "set_id")
-                lo, hi = float(parts[1]), float(parts[2])
+                lo = _float_field(parts[1], "min")
+                hi = _float_field(parts[2], "max")
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -301,10 +315,13 @@ def extract_windows(essays: list[Essay], n: int) -> Windows:
     for e in essays:
         pieces += (e.tokens, pad)
     # int64 first, so a list's id outside the int32 range is seen, not
-    # wrapped; an empty list is a float array, which the cast accepts
+    # wrapped; an empty list is a float array, which the cast accepts. A
+    # list holding an id in [2**63, 2**64) is a float array too, whose
+    # cast would only warn; ids of 2**64 and above overflow.
     try:
-        stream = np.concatenate(pieces, dtype=np.int64, casting="unsafe")
-    except OverflowError:
+        with np.errstate(invalid="raise"):
+            stream = np.concatenate(pieces, dtype=np.int64, casting="unsafe")
+    except (OverflowError, FloatingPointError):
         raise DataError("token id out of the int32 range") from None
     int32 = np.iinfo(np.int32)
     if stream.min() < int32.min or stream.max() > int32.max:
@@ -460,14 +477,10 @@ def load_corpus(path, min_count: int = 2,
                 try:
                     essay_id = _int_field(row["essay_id"], "essay_id")
                     set_id = _int_field(row["essay_set"], "essay_set")
+                    raw_score = _float_field(row["domain1_score"],
+                                             "domain1_score")
                 except ValueError as exc:
                     row_errors.append(RowError(lineno, str(exc)))
-                    continue
-                try:
-                    raw_score = float(row["domain1_score"])
-                except (TypeError, ValueError):
-                    row_errors.append(RowError(
-                        lineno, f"non-numeric domain1_score {row['domain1_score']!r}"))
                     continue
                 if not math.isfinite(raw_score):
                     row_errors.append(RowError(lineno, "non-finite domain1_score"))

@@ -80,6 +80,23 @@ bitwise the dense rule, as a zero gradient leaves a weight unchanged
 when ``eps_rms > 0``. An accumulator no step has written yet is still
 zero, so its decay is skipped; allocated by ``np.zeros``, its pages are
 not even mapped until a step writes them.
+
+A loaded model reads layer 0's rows from a table. A trained model
+projects the same words again and again, and that product also slows
+the small numpy calls of the step loop right after it. So a model that
+:func:`load_model` returns counts the distinct-word rows its passes
+project; once the count reaches V it builds the table ``M.T @ W_x.T``,
+(V, 4KH), and from then on every pass gathers layer 0's rows from the
+table, adding the bias after the gather. A one-shot ``evaluate`` never
+pays for it; a long-running scorer does within its first few dozen
+requests. Table rows round as the per-batch product's rows do once BLAS
+multiplies both with its blocked kernel; below that they can differ in
+the last bits. While the table exists, ``M`` and layer 0's ``W_x`` are
+read-only, so a direct write raises rather than leaving stale rows.
+:meth:`SeqModel.named_arrays` and :meth:`SeqModel.copy` drop the table,
+make the arrays writable again and end the counting for good, as does
+replacing ``M`` or ``W_x``. A model from :meth:`SeqModel.init` never
+counts: training always multiplies.
 """
 
 from __future__ import annotations
@@ -171,6 +188,42 @@ class SeqModel:
         if W_yh.shape != (width,):
             raise ConfigError(f"head width {W_yh.shape} does not match "
                               f"layer output width {width}")
+        # layer 0's projection table (see the module docstring): the count
+        # of distinct-word rows projected so far, None on a model that
+        # builds no table, and (M, W_x, M.T @ W_x.T) once built
+        self._seen = None
+        self._table = None
+
+    def _projection_table(self, rows: int):
+        """Layer 0's (V, 4KH) table for a pass over ``rows`` distinct
+        words, or None: the pass then projects them itself, and they
+        count towards the table.
+
+        The table is built once the count reaches V, and ended when ``M``
+        or layer 0's ``W_x`` is no longer the array it was built from.
+        While it exists, those two are read-only.
+        """
+        W_x = self.layers[0].W_x
+        if self._table is not None and (self._table[0] is not self.M
+                                        or self._table[1] is not W_x):
+            self._end_table()
+        if self._seen is None:
+            return None
+        if self._table is None:
+            if self._seen < self.vocab_size:
+                self._seen += rows
+                return None
+            self.M.flags.writeable = W_x.flags.writeable = False
+            self._table = (self.M, W_x,
+                           self.M.T @ W_x.reshape(-1, self.embed_dim).T)
+        return self._table[2]
+
+    def _end_table(self):
+        """Drop the table, its arrays writable again; build none again."""
+        if self._table is not None:
+            for a in self._table[:2]:
+                a.flags.writeable = True
+        self._seen = self._table = None
 
     @classmethod
     def init(cls, M: np.ndarray, cfg: Config, rng) -> "SeqModel":
@@ -220,7 +273,10 @@ class SeqModel:
         (k = 1); its arrays are views of the layer's stacked buffers, so
         writing through them changes the model. Every forward direction
         comes before every backward one: the tensor order of the file.
+        Since those arrays can be written, the projection table goes, and
+        the model builds none again.
         """
+        self._end_table()
         yield "M", self.M
         prefixes = ("fwd", "bwd") if self.bidirectional else ("fwd",)
         for k, prefix in enumerate(prefixes):
@@ -236,6 +292,8 @@ class SeqModel:
         return dict(self.named_arrays())[name]
 
     def copy(self) -> "SeqModel":
+        """A deep copy; like :meth:`named_arrays`, it ends the table."""
+        self._end_table()
         return copy.deepcopy(self)
 
 
@@ -575,11 +633,18 @@ def _run(model: SeqModel, layout: _Layout, masks=None, keep: bool = True):
     N = layout.ids.size
     at = np.empty_like(layout.inverse)  # each packed row's index into cols
     at[layout.row] = layout.inverse
+    table = model._projection_table(layout.cols.size)
     inputs, layers, seq = [], [], None
     for l, layer in enumerate(model.layers):
         W_x = layer.W_x.reshape(-1, layer.in_dim)
-        # layer 0 projects each distinct word once, then gathers the rows
-        proj = seq @ W_x.T if l else (model.M.T[layout.cols] @ W_x.T)[at]
+        # layer 0 projects each distinct word once and gathers the rows,
+        # or gathers them from the model's table
+        if l:
+            proj = seq @ W_x.T
+        elif table is None:
+            proj = (model.M.T[layout.cols] @ W_x.T)[at]
+        else:
+            proj = table[layout.cols[at]]
         if keep:
             inputs.append(seq)
         del seq
@@ -799,7 +864,9 @@ def predict(model: SeqModel, essays: list[Essay],
 
     With ``normalized`` (the default) the model's output lives in [0, 1]
     and is unscaled through the set range; a model trained directly on
-    raw scores skips the unscaling.
+    raw scores skips the unscaling. A loaded model counts these essays'
+    distinct words towards its projection table, so a call over fewer
+    than V of them builds none, and later calls may read from it.
     """
     for essay in essays:
         if essay.set_id not in ranges:
@@ -1025,7 +1092,11 @@ def load_model(path) -> tuple[SeqModel, str]:
     """Read a :func:`save_model` file.
 
     An invalid architecture, a zero embed dim and trailing bytes are
-    :class:`ModelFormatError` (exit 2).
+    :class:`ModelFormatError` (exit 2). The model counts towards layer 0's
+    projection table (see the module docstring): once its passes have
+    projected V distinct-word rows it reads them from the table, and
+    ``M`` and layer 0's ``W_x`` stay read-only until
+    :meth:`SeqModel.named_arrays` or :meth:`SeqModel.copy` ends it.
     """
     with artifact.reading(path, MODEL_MAGIC, MODEL_VERSION,
                           "model file") as inp:
@@ -1043,4 +1114,5 @@ def load_model(path) -> tuple[SeqModel, str]:
             if name != "M":
                 arr[...] = inp.tensor(arr.shape)
         config_hash = inp.text()
+    model._seen = 0  # counting towards the projection table
     return model, config_hash

@@ -27,6 +27,7 @@ HEADER = "essay_id\tessay_set\tessay\tdomain1_score\n"
 
 # more digits than int() converts by default (4300)
 LONG_INT = "1" * 5000
+LONG_WORD = "x" * 5000
 
 
 def embedding_bytes(tmp_path) -> bytes:
@@ -101,6 +102,14 @@ class TestRangeTable:
                                             "is not an integer"):
             read_range_table(p)
 
+    def test_long_bound_is_echoed_short(self, tmp_path):
+        p = tmp_path / "ranges.tsv"
+        p.write_text(f"1\t0\t{LONG_WORD}\n")
+        with pytest.raises(DataError) as info:
+            read_range_table(p)
+        assert str(info.value) == (f"{p}:1: max {LONG_WORD[:20]!r}... "
+                                   "(5000 characters) is not a number")
+
 
 class TestLoadCorpus:
     @pytest.mark.parametrize("score", ["inf", "-inf", "nan"])
@@ -112,6 +121,16 @@ class TestLoadCorpus:
         assert [e.essay_id for e in corpus.essays] == [1]
         assert [(e.line, e.message) for e in row_errors] \
             == [(3, "non-finite domain1_score")]
+
+    def test_long_score_is_echoed_short(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text(HEADER + "1\t1\tfine words\t3\n"
+                     f"2\t1\tother words\t{LONG_WORD}\n")
+        corpus, row_errors = load_corpus(p, min_count=1)
+        assert [e.essay_id for e in corpus.essays] == [1]
+        assert [(e.line, e.message) for e in row_errors] == [
+            (3, f"domain1_score {LONG_WORD[:20]!r}... (5000 characters) "
+                "is not a number")]
 
     def test_integer_fields_are_named(self, tmp_path):
         p = tmp_path / "f.tsv"
@@ -126,6 +145,13 @@ class TestLoadCorpus:
 def test_list_id_beyond_int64_is_a_data_error():
     with pytest.raises(DataError, match="out of the int32 range"):
         extract_windows([make_essay([10, 2 ** 64])], 3)
+
+
+# numpy holds such a list as floats, whose cast to int64 only warns
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64 - 1])
+def test_list_id_in_the_uint64_range_is_a_data_error(big):
+    with pytest.raises(DataError, match="out of the int32 range"):
+        extract_windows([make_essay([10, big])], 3)
 
 
 def test_zero_corruptions_is_a_config_error():

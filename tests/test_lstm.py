@@ -21,6 +21,8 @@ from essayscore.lstm import (COLUMN_BLOCK, FORGET_BIAS, PREDICT_CHUNK,
                              rmsprop_update,
                              save_model, train_scorer)
 
+from essayscore import lstm
+
 import reference_lstm as ref
 from conftest import (as_views, finite_difference, make_essay,
                       max_relative_error, traced_peak)
@@ -694,6 +696,148 @@ class TestCopy:
         assert model.M[0, 0] != clone.M[0, 0]
         assert ref.gate(ref.direction(model, 0, 0), "W_is")[0, 0] \
             != ref.gate(ref.direction(clone, 0, 0), "W_is")[0, 0]
+
+
+def loaded(tmp_path, model):
+    """``model`` saved and loaded again: a model that counts towards a
+    projection table."""
+    path = tmp_path / "model.sats"
+    save_model(path, model)
+    return load_model(path)[0]
+
+
+def build_table(model):
+    """Project every word until the loaded model builds its table, which
+    shows as its ``M`` turning read-only."""
+    for _ in range(2):
+        predict_batch(model, [list(range(model.vocab_size))])
+    assert not model.M.flags.writeable
+
+
+def table_outputs(model, token_lists, dy):
+    """predict_batch's scores, forward_batch's, backward_inputs's rows."""
+    y, cache = forward_batch(model, token_lists)
+    return (predict_batch(model, token_lists), y,
+            backward_inputs(model, cache, dy))
+
+
+class TestProjectionTable:
+    """A loaded model reads layer 0's projections from a per-word table
+    once it has projected V distinct-word rows; a model from
+    ``SeqModel.init`` always multiplies."""
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=variant_id)
+    def test_outputs_agree_with_the_product(self, tmp_path, variant):
+        model, token_lists, golds = batch_case(variant, LENGTHS["ragged"])
+        table = loaded(tmp_path, model)
+        build_table(table)
+        for got, want in zip(table_outputs(table, token_lists, golds),
+                             table_outputs(model, token_lists, golds)):
+            assert normwise_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_outputs_are_bitwise_the_product_above_blas_small(
+            self, tmp_path, bidirectional):
+        # table rows round as a per-batch product's do once BLAS takes its
+        # blocked kernel for both: U = 230 distinct words at D 200; a
+        # 2,000-word table is also split over threads when BLAS has them
+        model = build_model(vocab=2000, embed_dim=200, seed=33, lstm_dim=10,
+                            boost=1.0, bidirectional=bidirectional)
+        rng = np.random.default_rng(4)
+        words = rng.permutation(2000)[:230]
+        token_lists = [list(words) + list(words[:20]), list(words[100:140])]
+        table = loaded(tmp_path, model)
+        build_table(table)
+        dy = np.array([0.5, -1.5])
+        for got, want in zip(table_outputs(table, token_lists, dy),
+                             table_outputs(model, token_lists, dy)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_built_once_V_rows_are_projected(self, tmp_path):
+        # each pass without a table counts its distinct words; a one-shot
+        # predict over fewer than V of them builds none
+        model = loaded(tmp_path, build_model(vocab=14, embed_dim=5))
+        essays = [make_essay([1, 2, 3]), make_essay([3, 4, 5, 6])]
+        ranges = {1: ScoreRange(0, 10)}
+        first = predict(model, essays, ranges)
+        for _ in range(2):  # 6, then 12 of 14 rows counted before the pass
+            predict(model, essays, ranges)
+            assert model.M.flags.writeable
+        last = predict(model, essays, ranges)
+        assert not model.M.flags.writeable
+        assert normwise_error(last, first) <= 1e-12
+
+    def test_table_arrays_are_read_only(self, tmp_path):
+        model = loaded(tmp_path, build_model(vocab=14, embed_dim=5))
+        build_table(model)
+        with pytest.raises(ValueError, match="read-only"):
+            model.M[0, 3] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.layers[0].W_x[0, 0, 0] = 1.0
+        # written through get_array, the new weights reach the output
+        tokens = [[1, 4, 3, 7]]
+        model.get_array("M")[:, 3] += 0.5
+        model.get_array("fwd0.W_x")[0, 0] += 0.5
+        want = build_model(vocab=14, embed_dim=5)
+        want.M[:, 3] += 0.5
+        want.layers[0].W_x[0, 0, 0] += 0.5
+        assert predict_batch(model, tokens).tobytes() \
+            == predict_batch(want, tokens).tobytes()
+
+    @pytest.mark.parametrize("access", ["named_arrays", "get_array", "copy"])
+    def test_access_to_the_arrays_ends_the_table(self, tmp_path, access):
+        model = loaded(tmp_path, build_model(vocab=14, embed_dim=5))
+        build_table(model)
+        if access == "named_arrays":
+            models = [model]
+            dict(model.named_arrays())
+        elif access == "get_array":
+            models = [model]
+            model.get_array("head.b_y")
+        else:
+            models = [model, model.copy()]
+        for m in models:
+            for _ in range(3):
+                predict_batch(m, [list(range(14))])
+            assert m.M.flags.writeable
+            assert m.layers[0].W_x.flags.writeable
+
+    @pytest.mark.parametrize("name", ["M", "W_x"])
+    def test_reassigned_arrays_are_projected_afresh(self, tmp_path, name):
+        model = loaded(tmp_path, build_model(vocab=14, embed_dim=5))
+        build_table(model)
+        owner = model if name == "M" else model.layers[0]
+        old = getattr(owner, name)
+        setattr(owner, name, old * 2.0)
+        tokens = [[1, 4, 3, 7]]
+        got = predict_batch(model, tokens)
+        assert old.flags.writeable
+        want = SeqModel(model.M, model.layers, model.W_yh, model.b_y,
+                        model.dropout)
+        assert got.tobytes() == predict_batch(want, tokens).tobytes()
+
+    def test_init_model_builds_no_table(self, monkeypatch):
+        # straight from init: build_model's named_arrays would end a table
+        rng = np.random.default_rng(20)
+        cfg = Config(lstm_dim=3, dropout=0.0, peepholes="off", epochs=3,
+                     learning_rate=0.01, batch_size=4)
+        model = SeqModel.init(rng.uniform(-0.5, 0.5, size=(3, 9)), cfg, rng)
+        for _ in range(3):
+            predict_batch(model, [list(range(9))])
+        assert model.M.flags.writeable
+        # nor do train_scorer's validation predicts, each epoch
+        writable = []
+        real = lstm.predict
+
+        def spy(model, *args, **kwargs):
+            out = real(model, *args, **kwargs)
+            writable.append(model.M.flags.writeable)
+            return out
+
+        monkeypatch.setattr(lstm, "predict", spy)
+        train, val, ranges = toy_corpus()
+        train_scorer(model, train, val, ranges, cfg)
+        assert writable == [True] * 3
 
 
 class TestOptimizer:
