@@ -1,10 +1,12 @@
-"""The one binary container of embedding (``.sswe``) and model (``.sats``) files.
+"""The one binary container of the program's files: embeddings (``.sswe``),
+models (``.sats``) and the corpus cache that ``ingest`` writes.
 
 A 4-byte magic, a u32 version, little-endian ``struct`` header fields,
-then text (u32 byte count, UTF-8) and tensor (little-endian f64, C or
-Fortran order) fields, and nothing after them. Every size is checked
-against the bytes left before anything of that size is allocated; each
-fault in a file is a :class:`ModelFormatError` (exit 2) naming its kind.
+then text (u32 byte count, UTF-8) and tensor (little-endian f64, int32 or
+int64; C or Fortran order) fields, and nothing after them. Every size is
+checked against the bytes left before anything of that size is
+allocated; each fault in a file is a :class:`ModelFormatError` (exit 2)
+naming its kind.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError
-
-_F8 = np.dtype("<f8")
 
 
 class Reader:
@@ -56,11 +56,11 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise self.error("text field is not UTF-8") from exc
 
-    def tensor(self, shape, order: str = "C") -> np.ndarray:
+    def tensor(self, shape, order: str = "C", dtype="<f8") -> np.ndarray:
         """A new array read straight from the file, with no copy."""
-        count = math.prod(shape)
-        self.require(8 * count)
-        flat = np.empty(count, dtype=_F8)
+        count, dtype = math.prod(shape), np.dtype(dtype)
+        self.require(dtype.itemsize * count)
+        flat = np.empty(count, dtype=dtype)
         if self._fh.readinto(flat) != flat.nbytes:
             raise self.error("truncated")
         self._left -= flat.nbytes
@@ -97,9 +97,9 @@ class Writer:
         raws = (value.encode("utf-8") for value in values)
         self._fh.write(b"".join(pack(len(raw)) + raw for raw in raws))
 
-    def tensor(self, arr, order: str = "C"):
+    def tensor(self, arr, order: str = "C", dtype="<f8"):
         # F order is arr.T in C order, written from its own memory
-        arr = np.asarray(arr, dtype=_F8)
+        arr = np.asarray(arr, dtype=dtype)
         self._fh.write(np.ascontiguousarray(arr.T if order == "F" else arr))
 
 

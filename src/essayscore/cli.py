@@ -34,7 +34,7 @@ from .errors import ConfigError, DataError, NumericalError
 
 ENV_CONFIG = "ESSAYSCORE_CONFIG"
 
-CACHE_NAME = "corpus.json"
+CACHE_NAME = "corpus.json"  # binary; the benchmark reads it by this name
 MANIFEST_NAMES = {"train": "train.ids", "val": "val.ids", "test": "test.ids"}
 EMBEDDINGS_NAME = "embeddings.sswe"
 MODEL_NAME = "model.sats"
@@ -287,6 +287,10 @@ def cmd_evaluate(args) -> int:
                                    normalized=cfg.normalize_scores)
             gold = [e.raw_score for e in essays]
             rep = metricsmod.report(pred, gold, score_range)
+            if np.isnan(rep.pearson_r):
+                print(f"note: {name} split: the predictions are constant, "
+                      "so Spearman and Pearson are undefined",
+                      file=sys.stderr)
             pending.write_report(
                 os.path.join(cfg.reports_dir, f"metrics_{name}.csv"),
                 [metricsmod.CSV_HEADER, rep.csv_row(model_name)])

@@ -6,6 +6,14 @@ A corpus keeps its token ids in one int32 array, essay after essay; each
 and from :func:`load_corpus_cache` alike. Functions that take essays
 also accept token ids as a list of ints, as a library caller builds them.
 
+The corpus cache that ``ingest`` writes is an :mod:`essayscore.artifact`
+file. After the magic and version come the word, range, essay and token
+counts (u64); the vocabulary's words, special tokens left out, as one
+text joined by newlines (no word is empty or holds whitespace); the
+ranges' set ids (int64) and (lo, hi) bounds (f64); the essays' ids, sets
+and lengths (int64) and raw scores (f64); every essay's tokens in order
+(int32); and the config hash as text.
+
 The training windows of a list of essays are the rows of one sliding
 view over a single boundary-padded int32 id stream (:class:`Windows`),
 so building them copies each token once and makes no object per window.
@@ -17,10 +25,8 @@ competition: a header row with at least ``essay_id``, ``essay_set``,
 
 from __future__ import annotations
 
-import base64
 import csv
 import hashlib
-import json
 import math
 import re
 import struct
@@ -32,8 +38,9 @@ from itertools import count
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import artifact
 from .config import Config
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ModelFormatError
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -44,6 +51,9 @@ UNK_ID = 1
 BOUNDARY_ID = 2
 
 N_SPECIALS = 3
+
+CACHE_MAGIC = b"CRPS"
+CACHE_VERSION = 1
 
 # a word cannot start with "@" nor a placeholder with a word character,
 # so the order of the first two alternatives changes no match (words,
@@ -191,13 +201,17 @@ def _echo(text) -> str:
 
 
 def _int_field(text, field: str) -> int:
-    """``int(text)``; a value it rejects (a short row's None, or more
-    digits than it converts, too) is a ValueError naming ``field`` that
-    echoes at most 20 characters of ``text``."""
+    """``int(text)`` for an id, which the corpus cache holds as int64; a
+    value ``int`` rejects (a short row's None, or more digits than it
+    converts, too) or one outside int64 is a ValueError naming ``field``
+    that echoes at most 20 characters of ``text``."""
     try:
-        return int(text)
+        value = int(text)
     except (TypeError, ValueError):
         raise ValueError(f"{field} {_echo(text)} is not an integer") from None
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{field} {_echo(text)} is outside the int64 range")
+    return value
 
 
 def _float_field(text, field: str) -> float:
@@ -546,133 +560,66 @@ def _flat_essays(ids, sets, scores, lengths, tokens: np.ndarray,
 
 
 def save_corpus_cache(path, corpus: Corpus, config_hash: str = ""):
-    """Write ``corpus`` as JSON: the vocabulary, the ranges, per-essay
-    ``ids``, ``sets``, ``scores`` and ``lengths``, and every essay's
-    tokens in order as one base64 field of little-endian int32."""
-    essays = corpus.essays
-    tokens = np.concatenate([np.empty(0, dtype=np.int32)]
-                            + [e.tokens for e in essays]).astype("<i4", copy=False)
-    payload = {
-        "config_hash": config_hash,
-        "vocabulary": corpus.vocab.id_to_token[N_SPECIALS:],
-        "ranges": {str(k): [r.lo, r.hi] for k, r in sorted(corpus.ranges.items())},
-        "ids": [e.essay_id for e in essays],
-        "sets": [e.set_id for e in essays],
-        "scores": [e.raw_score for e in essays],
-        "lengths": [len(e.tokens) for e in essays],
-        "tokens": base64.b64encode(tokens.tobytes()).decode("ascii"),
-    }
-    # one dumps call runs the C encoder; json.dump streams through the
-    # pure-Python one, for the same bytes
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload))
-
-
-def _finite_number(x) -> bool:
-    """Whether ``x``, read from JSON, is an int or float that is finite
-    as a float; a bool is not a number here."""
-    try:
-        return type(x) in (int, float) and math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
+    """Write ``corpus`` in the :mod:`essayscore.artifact` container, laid
+    out as the module docstring says. A word that is empty or holds
+    whitespace is a :class:`DataError`."""
+    essays, words = corpus.essays, corpus.vocab.id_to_token[N_SPECIALS:]
+    text = "\n".join(words)
+    if len(text.split()) != len(words):
+        raise DataError("a vocabulary word is empty or holds whitespace")
+    ranges = dict(sorted(corpus.ranges.items()))
+    columns = [[e.essay_id for e in essays], [e.set_id for e in essays],
+               [len(e.tokens) for e in essays]]
+    with artifact.writing(path, CACHE_MAGIC, CACHE_VERSION) as out:
+        out.header("4Q", len(words), len(ranges), len(essays), sum(columns[2]))
+        out.text(text)
+        out.tensor(list(ranges), dtype="<i8")
+        out.tensor([(r.lo, r.hi) for r in ranges.values()])
+        out.tensor(columns, dtype="<i8")
+        out.tensor([e.raw_score for e in essays])
+        out.tensor(np.concatenate([np.empty(0, dtype=np.int32)]
+                                  + [e.tokens for e in essays]), dtype="<i4")
+        out.text(config_hash)
 
 
 def load_corpus_cache(path) -> tuple[Corpus, str]:
-    """Read a :func:`save_corpus_cache` file.
-
-    Every token must be an id of the cached vocabulary, every score a
-    finite number, every essay id and set an integer and every set one
-    of the cached ranges; the lengths must be non-negative and sum to the
-    token count. Anything else, or a cache in the older per-essay format,
-    is a :class:`DataError` naming the file.
-    """
+    """Read a :func:`save_corpus_cache` file and its config hash. Any
+    fault, a cache of another format among them, is a
+    :class:`ModelFormatError` naming the file that asks for ``ingest``."""
     try:
-        with _open_utf8(path) as fh:
-            payload = json.load(fh)
-    # a JSONDecodeError is a ValueError, as is an integer of more digits
-    # than int() converts; deep nesting exhausts the decoder's recursion
-    except (ValueError, RecursionError) as exc:
-        raise DataError(f"corrupt corpus cache {path}: {exc}") from None
-
-    def corrupt(message: str) -> DataError:
-        return DataError(f"corrupt corpus cache {path}: {message}")
-
-    if not isinstance(payload, dict):
-        raise corrupt("not a JSON object")
-    if "essays" in payload:
-        raise DataError(f"corpus cache {path} is in an older format; "
-                        "re-run `ingest`")
-    try:
-        vocabulary, range_items, ids, sets, scores, lengths, field = (
-            payload[k] for k in ("vocabulary", "ranges", "ids", "sets",
-                                 "scores", "lengths", "tokens"))
-    except KeyError as exc:
-        raise corrupt(f"missing field {exc}") from None
-
-    if not (isinstance(vocabulary, list)
-            and set(map(type, vocabulary)) <= {str}):
-        raise corrupt("the vocabulary is not a list of strings")
-    try:
-        vocab = Vocabulary(vocabulary)
-    except DataError as exc:
-        raise corrupt(str(exc)) from None
-    if not isinstance(range_items, dict):
-        raise corrupt("the ranges are not an object")
-    ranges = {}
-    for key, bounds in range_items.items():
-        if not (re.fullmatch(r"-?[0-9]+", key) and isinstance(bounds, list)
-                and len(bounds) == 2 and all(map(_finite_number, bounds))
-                and bounds[0] <= bounds[1]):
-            raise corrupt(f"range {key!r}: {bounds!r} is not a finite "
-                          "[min, max] of an integer set")
-        ranges[int(key)] = ScoreRange(*bounds)
-
-    columns = (ids, sets, scores, lengths)
-    if not all(isinstance(c, list) for c in columns) \
-            or len(set(map(len, columns))) != 1:
-        raise corrupt("ids, sets, scores and lengths are not lists of "
-                      "one length")
-    for name, column in (("essay ids", ids), ("sets", sets),
-                         ("lengths", lengths)):
-        if not set(map(type, column)) <= {int}:
-            bad = next(x for x in column if type(x) is not int)
-            raise corrupt(f"{name} must be integers, found {bad!r}")
-
-    if not isinstance(field, str):
-        raise corrupt("the token field is not a base64 string")
-    try:
-        raw = base64.b64decode(field, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise corrupt(f"the token field is not base64: {exc}") from None
-    if len(raw) % 4:
-        raise corrupt(f"the token field holds {len(raw)} bytes, not a "
-                      "whole number of int32 ids")
-    tokens = np.frombuffer(raw, dtype="<i4").astype(np.int32, copy=False)
-    if lengths and min(lengths) < 0:
-        k = lengths.index(min(lengths))
-        raise corrupt(f"essay {ids[k]} has length {lengths[k]}")
-    if sum(lengths) != tokens.size:
-        raise corrupt(f"the lengths sum to {sum(lengths)}, but the token "
-                      f"field holds {tokens.size} tokens")
-    n_vocab = len(vocab)
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= n_vocab):
-        at = np.flatnonzero((tokens < 0) | (tokens >= n_vocab))[0]
-        k = np.searchsorted(np.cumsum(lengths), at, side="right")
-        raise corrupt(f"essay {ids[k]} has token {int(tokens[at])!r}, not "
-                      f"an id in [0, {n_vocab})")
-    try:
-        finite = set(map(type, scores)) <= {int, float} \
-            and bool(np.isfinite(np.array(scores, dtype=float)).all())
-    except OverflowError:
-        finite = False
-    if not finite:
-        k = next(k for k, s in enumerate(scores) if not _finite_number(s))
-        raise corrupt(f"essay {ids[k]} has score {scores[k]!r}, not a "
-                      "finite number")
-    missing = set(sets) - ranges.keys()
-    if missing:
-        k = next(k for k, s in enumerate(sets) if s in missing)
-        raise corrupt(f"essay {ids[k]} is in set {sets[k]}, which has no "
-                      "cached range")
-    essays = _flat_essays(ids, sets, scores, lengths, tokens, ranges)
-    return Corpus(essays, vocab, ranges), payload.get("config_hash", "")
+        with artifact.reading(path, CACHE_MAGIC, CACHE_VERSION,
+                              "corpus cache") as inp:
+            n_words, n_ranges, n, n_tokens = inp.header("4Q")
+            # the texts' length prefixes, the words and the arrays
+            inp.require(8 + max(2 * n_words - 1, 0) + 24 * n_ranges
+                        + 32 * n + 4 * n_tokens)
+            words = inp.text().split()
+            set_ids = inp.tensor((n_ranges,), dtype="<i8").tolist()
+            bounds = inp.tensor((n_ranges, 2))
+            ids, sets, lengths = inp.tensor((3, n), dtype="<i8")
+            scores = inp.tensor((n,))
+            tokens = inp.tensor((n_tokens,), dtype="<i4")
+            config_hash = inp.text()
+        try:
+            vocab = Vocabulary(words)
+        except DataError as exc:  # a repeated word
+            raise inp.error(str(exc)) from None
+        if len(words) != n_words:
+            raise inp.error(f"{len(words)} words, not {n_words}")
+        if not np.isfinite(bounds).all() or (np.diff(bounds) < 0).any():
+            raise inp.error("a range is not finite or has max < min")
+        if lengths.min(initial=0) < 0 or sum(lengths.tolist()) != n_tokens:
+            raise inp.error(f"the lengths do not add up to {n_tokens} tokens")
+        if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= len(vocab):
+            raise inp.error(f"a token is not an id in [0, {len(vocab)})")
+        if not np.isfinite(scores).all():
+            raise inp.error("a score is not finite")
+        if not np.isin(sets, set_ids).all():
+            raise inp.error("a set has no range")
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{exc}; run `ingest` again") from None
+    ranges = {s: ScoreRange(lo, hi) for s, (lo, hi)
+              in zip(set_ids, bounds.tolist())}
+    essays = _flat_essays(ids.tolist(), sets.tolist(), scores.tolist(),
+                          lengths, tokens, ranges)
+    return Corpus(essays, vocab, ranges), config_hash

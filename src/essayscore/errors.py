@@ -14,7 +14,7 @@ class DataError(EssayScoreError):
 
 
 class ModelFormatError(DataError):
-    """Persisted model or embedding file failed to parse."""
+    """A model, embedding or corpus cache file failed to parse."""
 
 
 class NumericalError(EssayScoreError):

@@ -7,6 +7,7 @@ quadratically weighted kappa on the discrete score grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,11 @@ def quadratic_weighted_kappa(pred, gold, score_range: ScoreRange) -> float:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Agreement summary between one model's predictions and gold scores."""
+    """Agreement summary between one model's predictions and gold scores.
+
+    A correlation that is undefined because the predictions do not vary
+    is ``nan``: ``nan`` in the CSV row and ``undefined`` in the text.
+    """
 
     n: int
     spearman_rho: float
@@ -121,22 +126,30 @@ class MetricsReport:
                 f"{self.pearson_r!r},{self.rmse!r},{self.qwk!r}")
 
     def pretty(self) -> str:
+        def signed(x: float) -> str:
+            return "undefined" if math.isnan(x) else f"{x:+.4f}"
         return "\n".join([
             f"n         {self.n}",
-            f"spearman  {self.spearman_rho:+.4f}",
-            f"pearson   {self.pearson_r:+.4f}",
+            f"spearman  {signed(self.spearman_rho)}",
+            f"pearson   {signed(self.pearson_r)}",
             f"rmse      {self.rmse:.4f}",
             f"qwk       {self.qwk:+.4f}",
         ])
 
 
 def report(pred, gold, score_range: ScoreRange) -> MetricsReport:
-    """All four metrics over one prediction/gold pairing (raw scale)."""
+    """All four metrics over one prediction/gold pairing (raw scale).
+
+    Constant predictions leave the correlations undefined (``nan``);
+    RMSE and QWK are reported all the same, QWK 0 when the gold scores
+    vary.
+    """
     pred_arr, gold_arr = _pair(pred, gold, 2)
+    flat = pred_arr.min() == pred_arr.max()
     return MetricsReport(
         n=pred_arr.size,
-        spearman_rho=spearman_rho(pred_arr, gold_arr),
-        pearson_r=pearson_r(pred_arr, gold_arr),
+        spearman_rho=math.nan if flat else spearman_rho(pred_arr, gold_arr),
+        pearson_r=math.nan if flat else pearson_r(pred_arr, gold_arr),
         rmse=rmse(pred_arr, gold_arr),
         qwk=quadratic_weighted_kappa(pred_arr, gold_arr, score_range),
     )

@@ -11,7 +11,9 @@ instead of being granted.
 """
 
 import json
+import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from essayscore.cli import main
 from essayscore.config import Config, write_config
 
 from conftest import run_limited_cli, run_limited
+from test_corpus import cache_fields
 
 N_MUTANTS = 30
 EXIT_TAG = "@exit"
@@ -71,35 +74,36 @@ def mutate(data: bytes, rng) -> bytes:
     return bytes(out)
 
 
-# JSON values a corpus cache field, or one element of it, is replaced with
-JSON_VALUES = [None, True, False, 0, -1, 1.5, 1e308, 2 ** 70, -(2 ** 63) - 1,
-               "", "x", "\u00e9", [], {}, [[]], [1, "a"], {"1": [0, 1]},
-               "AAAA", "A" * 1000]
+# values one element of a corpus cache field is overwritten with, by the
+# field's struct type: the edges of each type, and non-finite floats
+EDGE_VALUES = {"Q": [0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1],
+               "q": [0, -1, 1, 2 ** 31, 2 ** 63 - 1, -(2 ** 63)],
+               "i": [0, -1, 3, 2 ** 31 - 1, -(2 ** 31)],
+               "d": [0.0, -1.0, 0.5, 1e308, math.inf, -math.inf, math.nan]}
+FIELD_TYPES = {"counts": "Q", "set ids": "q", "bounds": "d", "ids": "q",
+               "sets": "q", "lengths": "q", "scores": "d", "tokens": "i"}
 
 
-def mutate_cache(text: str, rng) -> str:
-    """A structural edit of a corpus cache: a field replaced or removed,
-    or one element of a list field replaced, removed or repeated."""
-    payload = json.loads(text)
-    key = sorted(payload)[rng.integers(len(payload))]
-    value = JSON_VALUES[rng.integers(len(JSON_VALUES))]
+def mutate_cache(data: bytes, rng) -> bytes:
+    """A structural edit of a corpus cache: one element of a numeric
+    field overwritten with an edge value of its type, removed or
+    repeated."""
+    spans = cache_fields(data)
+    names = [name for name in FIELD_TYPES if spans[name][1] > spans[name][0]]
+    name = names[rng.integers(len(names))]
+    fmt = FIELD_TYPES[name]
+    size = struct.calcsize("<" + fmt)
+    lo, hi = spans[name]
+    at = lo + size * int(rng.integers((hi - lo) // size))
     op = int(rng.integers(3))
-    field = payload[key]
-    if op == 0 or not isinstance(field, (list, dict)) or not field:
-        if op == 1:
-            del payload[key]
-        else:
-            payload[key] = value
-    elif isinstance(field, dict):
-        name = sorted(field)[rng.integers(len(field))]
-        field[name] = value
+    if op == 0:
+        values = EDGE_VALUES[fmt]
+        element = struct.pack("<" + fmt, values[rng.integers(len(values))])
+    elif op == 1:
+        element = b""
     else:
-        at = int(rng.integers(len(field)))
-        if op == 1:
-            field[at] = value
-        else:
-            field.insert(at, field[at] if rng.integers(2) else value)
-    return json.dumps(payload)
+        element = data[at:at + size] * 2
+    return data[:at] + element + data[at + size:]
 
 
 def cli_child(argv):
@@ -219,13 +223,13 @@ class TestMutatedInputs:
         assert 0 in codes and 2 in codes
 
     def test_corpus_cache(self, ingested, tmp_path):
-        # every other mutant edits the JSON fields, the rest the bytes
+        # every other mutant edits a numeric field, the rest any bytes
         root, _, _, config = ingested
 
         def mutator(data, rng):
             if rng.integers(2):
                 return mutate(data, rng)
-            return mutate_cache(data.decode(), rng).encode()
+            return mutate_cache(data, rng)
 
         argvs = []
         for k, data in enumerate(mutants(root / "splits" / "corpus.json",

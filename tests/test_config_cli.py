@@ -1,7 +1,6 @@
 """Configuration handling and end-to-end command-line runs."""
 
 import hashlib
-import json
 import re
 import struct
 from pathlib import Path
@@ -21,8 +20,7 @@ from essayscore.sswe import (EMBEDDING_MAGIC, SSWEParams,
                              load_embeddings, save_embeddings)
 
 from conftest import run_limited_cli
-from test_corpus import (CACHE_MUTATIONS, decode_tokens, encode_tokens,
-                         saved_cache, write_mutated)
+from test_corpus import CACHE_MUTATIONS, JSON_CACHE, put, saved_cache
 
 
 class TestConfigParsing:
@@ -535,15 +533,41 @@ class TestEvaluateCommand:
         old = (root / "reports" / "metrics_val.csv").read_bytes()
 
         model, tag = load_model(root / "models" / "model.sats")
-        model.W_yh[...] = 0.0  # constant predictions break rank metrics
-        flat = tmp_path / "flat.sats"
-        save_model(flat, model, tag)
+        model.W_yh[...] = np.nan  # predictions that are not finite
+        broken = tmp_path / "broken.sats"
+        save_model(broken, model, tag)
         rc = main(["--config", str(cfgpath), "evaluate",
-                   "--model", str(flat), "--split", "val"])
+                   "--model", str(broken), "--split", "val"])
         assert rc == 3
         capsys.readouterr()
         assert (root / "reports" / "metrics_val.csv").read_bytes() == old
         assert not list((root / "reports").glob("*.tmp"))
+
+    def test_constant_predictions_report_rmse_and_qwk(self, workspace,
+                                                      tmp_path, capsys):
+        # a zero-weight head predicts one score for every essay, which
+        # leaves the correlations undefined; evaluate used to exit 3
+        root, cfgpath = workspace
+        model, tag = load_model(root / "models" / "model.sats")
+        model.W_yh[...] = 0.0
+        flat = tmp_path / "flat.sats"
+        save_model(flat, model, tag)
+        capsys.readouterr()
+        assert main(["--config", str(cfgpath), "evaluate", "--model",
+                     str(flat), "--split", "all"]) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            f"note: {name} split: the predictions are constant, so "
+            "Spearman and Pearson are undefined"
+            for name in ("train", "val", "test")]
+        assert out.count("spearman  undefined") == 3
+        for name in ("train", "val", "test"):
+            row = (root / "reports" / f"metrics_{name}.csv").read_text() \
+                .splitlines()[2].split(",")
+            assert row[2:4] == ["nan", "nan"]
+            assert float(row[4]) > 0 and float(row[5]) == 0.0
+            assert "pearson   undefined" in \
+                (root / "reports" / f"metrics_{name}.txt").read_text()
 
     def test_constant_gold_scores_are_a_data_error(self, tmp_path):
         # the first five overfit16 essays all score 0; evaluating their
@@ -805,17 +829,15 @@ class TestUsageErrors:
         assert "Traceback" not in proc.stderr
 
     # a hand-edited cache used to train with a float token truncated to
-    # an id, or fail on a string score as a "missing field"; the token
-    # field now holds int32 ids alone, so an out-of-range id is what a
-    # bad token can be
+    # an id; the cache holds int32 ids and f64 scores, so an id out of
+    # range and a score that is not finite are what they can be
     @pytest.mark.parametrize("command", [
         ["train-embeddings"], ["train-scorer", "--embeddings", "learned"]],
         ids=["embeddings", "scorer"])
     @pytest.mark.parametrize("field,value,message", [
         ("tokens", -1, "not an id"), ("tokens", "vocab", "not an id"),
-        ("score", "7", "not a finite number"),
-        ("score", float("nan"), "not a finite number"),
-        ("score", False, "not a finite number")])
+        ("scores", float("nan"), "a score is not finite"),
+        ("scores", float("-inf"), "a score is not finite")])
     def test_bad_corpus_cache_values(self, tmp_path, capsys, command, field,
                                      value, message):
         cfgpath = write_workspace_config(tmp_path)
@@ -823,22 +845,18 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "synth.tsv")]) == 0
         assert main(["--config", str(cfgpath), "ingest"]) == 0
         cache = tmp_path / "splits" / "corpus.json"
-        payload = json.loads(cache.read_text())
-        essay_id = payload["ids"][-1]
+        corpus, _ = load_corpus_cache(cache)
         if value == "vocab":
-            value = len(payload["vocabulary"]) + 3  # one past the last id
-        if field == "tokens":
-            # the first token of the last essay
-            tokens = decode_tokens(payload["tokens"])
-            tokens[sum(payload["lengths"][:-1])] = value
-            payload["tokens"] = encode_tokens(tokens)
-        else:
-            payload["scores"][-1] = value
-        cache.write_text(json.dumps(payload))
+            value = len(corpus.vocab)  # one past the last id
+        # the first token of the last essay, or its score
+        *head, last = corpus.essays
+        at, fmt = (sum(len(e.tokens) for e in head), "i") \
+            if field == "tokens" else (len(head), "d")
+        cache.write_bytes(put(cache.read_bytes(), field, at, fmt, value))
         capsys.readouterr()
         assert main(["--config", str(cfgpath)] + command) == 2
         err = capsys.readouterr().err
-        assert f"essay {essay_id} has" in err and message in err
+        assert f"corpus cache {cache}: " in err and message in err
 
     def test_every_cache_mutation_exits_2(self, tmp_path, capsys):
         cfgpath = write_workspace_config(tmp_path)
@@ -846,23 +864,21 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "synth.tsv")]) == 0
         assert main(["--config", str(cfgpath), "ingest"]) == 0
         cache = tmp_path / "splits" / "corpus.json"
+        saved = saved_cache(tmp_path)[1].read_bytes()
         for name, (edit, message) in CACHE_MUTATIONS.items():
-            saved_cache(tmp_path)
-            write_mutated(tmp_path / "cache.json", edit)
-            cache.write_bytes((tmp_path / "cache.json").read_bytes())
+            cache.write_bytes(edit(saved))
             capsys.readouterr()
             assert main(["--config", str(cfgpath), "train-embeddings"]) == 2
             err = capsys.readouterr().err
             assert str(cache) in err and re.search(message, err), name
-        # and as a process: one line on stderr, no traceback
-        saved_cache(tmp_path)
-        write_mutated(tmp_path / "cache.json",
-                      CACHE_MUTATIONS["old nested format"][0])
-        cache.write_bytes((tmp_path / "cache.json").read_bytes())
+        # and a JSON cache of an older version, as a process: one line on
+        # stderr, no traceback
+        cache.write_text(JSON_CACHE)
         proc = run_limited_cli(["--config", str(cfgpath), "train-scorer"])
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "older format; re-run `ingest`" in proc.stderr
+        assert proc.stderr == (f"error: corpus cache {cache}: wrong magic "
+                               "b'{\"co'; run `ingest` again\n")
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.cfg"), "ingest"])
@@ -904,10 +920,13 @@ class TestNonUtf8Input:
                 self.corrupt(bad, b"\n", b"\n\xff\n")
             else:
                 bad = tmp_path / "splits" / "corpus.json"
-                self.corrupt(bad, b'"vocabulary": ["', b'"vocabulary": ["\xe9')
+                self.corrupt(bad, b"\nthe\n", b"\nth\xe9\n")
         capsys.readouterr()
         assert main(argv + [command]) == 2
-        assert f"{bad} is not valid UTF-8" in capsys.readouterr().err
+        # the cache is binary, and its words are its one text field
+        assert (f"corpus cache {bad}: text field is not UTF-8"
+                if target == "cache" else f"{bad} is not valid UTF-8") \
+            in capsys.readouterr().err
 
     def test_config_file_exits_1(self, tmp_path, capsys):
         cfgpath = write_workspace_config(tmp_path)
@@ -996,7 +1015,8 @@ class TestSplitManifests:
 class TestPinnedOutputs:
     # sha256 of every file the stages write, taken before the stages
     # shared one loader and one report writer; splits/corpus.json since
-    # the cache holds its tokens as one int32 field
+    # the cache is in the artifact container, after its corpus loaded
+    # equal from the JSON cache it replaced
     PINNED = {
         "heatmaps/essay_1.html": "0faddc62a6e338b2778f8b3693cd5dcababbe0f4a284b3d5b41ed1e4298a4347",
         "heatmaps/essay_5.html": "edef256af1ef193bc938e3e21a582ff43343dc433364ef31607fc25755a01394",
@@ -1016,7 +1036,7 @@ class TestPinnedOutputs:
         "spans/essay_1.html": "6adcd91603f9962413afcaa420e9a2b8cfea405cf6ccfa08eecd15646bfbca48",
         "spans/essay_5.html": "da1b6ee7d2d00e6ffc91c2e7afd409e660bd00461bfe61ad9f19118f384335ad",
         "spans/index.csv": "3ef7aa5226697e049f32116ab9c889ba4241095f2639cc20f5ecb0a44d16baf0",
-        "splits/corpus.json": "e8f3f3ba399dbc5970588853ad5906e4a57d24e87eec6f22164c10de6f925f27",
+        "splits/corpus.json": "9fd702bcf585281c96f7550658a0db2938591e4b85bc1400ac75d64ba4758bd6",
         "splits/test.ids": "7e5b6e8148d4672c0656f4c803d5c62e0655b9298b5e8b9d706eddfedf9306b0",
         "splits/train.ids": "c03543dc5bceddd5684e04c5bf17c3ba58db041c5088ad14df0b5fdc61dfa6c3",
         "splits/val.ids": "7d29cf3d788bb3c90e66c9fee63f52c2104f9af885b183bbaedbcfc2d6b648b6",

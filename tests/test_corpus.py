@@ -1,7 +1,7 @@
-import base64
 import hashlib
-import json
+import math
 import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -212,10 +212,11 @@ FIXTURE_TSV = """essay_id\tessay_set\tessay\tdomain1_score
 3\t2\tBeing patience is being understanding .\t3
 """
 
-# the bytes of FIXTURE_TSV's cache in the flat format: per-essay ids,
-# sets, scores and lengths, and one base64 field of little-endian int32
+# the bytes of FIXTURE_TSV's cache in the artifact container, retaken
+# when the cache left JSON, after each pinned corpus loaded equal from the
+# two formats
 PINNED_CACHE = \
-    "cf447a8d32860112135c8a989a1d6a604ca03a9688a15ce34a34b8b631aed65e"
+    "146f8ec5ac72b9b4747da870620addb07fc29d89c77bb9004f1b0f5f436e1c76"
 
 
 class TestIngest:
@@ -325,16 +326,17 @@ class TestIngest:
 
 
 # sha256 of the corpus cache of each synthetic profile (seed 0) at three
-# min_counts, taken when ingestion still kept every token's string
+# min_counts, taken as PINNED_CACHE was (the corpora themselves are those
+# pinned when ingestion still kept every token's string)
 PINNED_SYNTH_CACHES = {
-    "ablation": "b70e632666760287d21dc3f22ff0fdc5edcdaa48c7498b4b209302c72a46345f",
-    "misspell": "f70e633b5f31ccc6b2baf444b809b4d62cd2260d2b38c870d965e0b6fab92814",
+    "ablation": "e0dd6972689072ac44dbb7e095d9d56427192999d3549a5361946c60a6ea1f68",
+    "misspell": "ca249b1cc3dd6b929001e1a48a6fcf096c5e792ad82141b2847b11c85aac1966",
     "overfit16-1":
-        "7a0ef32245e0423699ba33a825a7330d90b553e39156c38a93fdc027f8e3a700",
+        "3b8ffdc1ed5b1d12d0275ace913fbcc7099e797b1f0a5184f89e61ad354f6d78",
     "overfit16-2":
-        "3b1da1dd6f65f6e7cc3aa7198633d48c5d76b17dc2da638199d90503e6df9459",
+        "4915f3c39ca71389b0354b3d8bf3bfb29a173975aead9043148bcb0b33d281a1",
     "overfit16-3":
-        "3d9aaf2553c92bc6245a0df185b2576b6041a22c96e26a8d14d00e4094600a0d",
+        "d4b3b684c5f2ff1309a011a7288309411b55446cfcd88832516903691c960ef1",
 }
 
 # rows appended to overfit16: a repeated id, a non-integer id, an empty
@@ -350,13 +352,13 @@ MESSY_ROWS = ("3\t1\ta later copy of essay three\t1\n"
 # (with a range table, min_count): sha256 of the cache, taken as above
 PINNED_MESSY_CACHES = {
     (False, 1):
-        "ba34adc24c19790d729be8c45512b21966902a3d62b2a4ae92bd9fc2c6897a5e",
+        "12913f577bea9afd774291ceb13bbd22d13c1ab14dabb45fd43bec38acadc99a",
     (False, 2):
-        "c3ea183dfea0d9f6b037cd3df17607842a8a755497b781694d0cb5e5d4e4e702",
+        "e7b3b2646569d8d46b45e9167e0f68b6cc38353177276463031a88abc774452f",
     (True, 1):
-        "6735be84a44e7f3c5c76cd2841bc54d819db91691c6f30398f2e5f09ddfb9530",
+        "15a37987a46fc10ad16466f975ec42f063d7c72fb0fca81ab9183f1e7d064526",
     (True, 2):
-        "9e0ffedb91def0bf9f3305b312a432231f040638b21bc15a6ffaae4e89c6a21d",
+        "237856f7890355b0325d6ec896368f5c4db4fb91b61c2ee95bfa342445568e68",
 }
 
 
@@ -452,13 +454,12 @@ class TestNonUtf8:
             read_manifest(p)
 
     def test_corpus_cache(self, tmp_path):
-        tsv = tmp_path / "f.tsv"
-        tsv.write_text(FIXTURE_TSV)
-        corpus, _ = load_corpus(tsv, min_count=1)
-        cache = tmp_path / "cache.json"
-        save_corpus_cache(cache, corpus)
-        cache.write_bytes(cache.read_bytes().replace(b'"being"', b'"b\xe9ing"'))
-        with pytest.raises(DataError, match="cache.json is not valid UTF-8"):
+        # the cache is binary; its words are its one UTF-8 text of words
+        _, cache = saved_cache(tmp_path)
+        cache.write_bytes(cache.read_bytes().replace(b"\nbeing\n",
+                                                     b"\nb\xe9ing\n"))
+        with pytest.raises(DataError, match=f"corpus cache {cache}: text "
+                                            "field is not UTF-8"):
             load_corpus_cache(cache)
 
 
@@ -714,106 +715,87 @@ def saved_cache(tmp_path):
     tsv = tmp_path / "f.tsv"
     tsv.write_text(FIXTURE_TSV)
     corpus, _ = load_corpus(tsv, min_count=1)
-    cache = tmp_path / "cache.json"
+    cache = tmp_path / "corpus.cache"
     save_corpus_cache(cache, corpus, config_hash="deadbeef")
     return corpus, cache
 
 
-def encode_tokens(ids) -> str:
-    return base64.b64encode(np.asarray(ids, dtype="<i4").tobytes()).decode()
+# FIXTURE_TSV's cache as it was written while caches were JSON
+JSON_CACHE = (
+    '{"config_hash": "deadbeef", "vocabulary": [".", "being", "i", ",", '
+    '"are", "computers", "dear", "effects", "feel", "great", "have", "hope", '
+    '"is", "local", "newspaper", "on", "patience", "people", "same", "the", '
+    '"think", "understanding", "way", "you"], "ranges": {"1": [4.0, 8.0], '
+    '"2": [3.0, 3.0]}, "ids": [1, 2, 3], "sets": [1, 1, 2], "scores": '
+    '[8.0, 4.0, 3.0], "lengths": [13, 8, 6], "tokens": "CQAAABAAAAARAAAABgAA'
+    'AAUAAAAXAAAACgAAAAgAAAANAAAAEgAAABQAAAAHAAAADAAAAAUAAAAOAAAAGgAAAAsAAAAW'
+    'AAAAFQAAABkAAAADAAAABAAAABMAAAAPAAAABAAAABgAAAADAAAA"}')
 
 
-def decode_tokens(field: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(field), dtype="<i4").copy()
+def cache_fields(data: bytes) -> dict[str, tuple[int, int]]:
+    """The byte span of each field of a corpus cache, by name; a text
+    field's span includes its length prefix."""
+    n_words, n_ranges, n, n_tokens = struct.unpack_from("<4Q", data, 8)
+    (n_text,) = struct.unpack_from("<I", data, 40)
+    sizes = {"magic": 8, "counts": 32, "words": 4 + n_text,
+             "set ids": 8 * n_ranges, "bounds": 16 * n_ranges, "ids": 8 * n,
+             "sets": 8 * n, "lengths": 8 * n, "scores": 8 * n,
+             "tokens": 4 * n_tokens}
+    spans, at = {}, 0
+    for name, size in sizes.items():
+        spans[name] = (at, at + size)
+        at += size
+    spans["config hash"] = (at, len(data))
+    return spans
 
 
-def _set_token(payload, at, value):
-    tokens = decode_tokens(payload["tokens"])
-    tokens[at] = value
-    payload["tokens"] = encode_tokens(tokens)
+def put(data: bytes, field: str, k: int, fmt: str, value) -> bytes:
+    """``data`` with element ``k`` of ``field`` packed as ``fmt``."""
+    out = bytearray(data)
+    size = struct.calcsize("<" + fmt)
+    struct.pack_into("<" + fmt, out, cache_fields(data)[field][0] + k * size,
+                     value)
+    return bytes(out)
 
 
-def _nested(payload):
-    """The per-essay layout caches had before the token field."""
-    tokens = decode_tokens(payload.pop("tokens")).tolist()
-    essays, start = [], 0
-    for eid, set_id, score, n in zip(*(payload.pop(k) for k in
-                                       ("ids", "sets", "scores", "lengths"))):
-        essays.append({"id": eid, "set": set_id, "score": score,
-                       "tokens": tokens[start:start + n]})
-        start += n
-    payload["essays"] = essays
-
-
-# edits of a saved cache's payload, each with a regex its DataError must
+# edits of a saved cache's bytes, each with a regex its DataError must
 # match after the file's name; FIXTURE_TSV's cache has essays 1, 2 and 3
-# of 13, 8 and 6 tokens and a vocabulary of 27 entries
+# of 13, 8 and 6 tokens, a vocabulary of 27 entries and the ranges
+# [4, 8] of set 1 and [3, 3] of set 2
+NOT_AN_ID = r"a token is not an id in \[0, 27\)"
+BAD_LENGTHS = "the lengths do not add up to 27 tokens"
+BAD_RANGE = "a range is not finite or has max < min"
 CACHE_MUTATIONS = {
-    "invalid base64": (lambda p: p.update(tokens=p["tokens"][:-4] + "!!!!"),
-                       "not base64"),
-    "non-ascii token field": (lambda p: p.update(tokens="\u00e9" * 4),
-                              "not base64"),
-    "token field of 5 bytes": (
-        lambda p: p.update(tokens=base64.b64encode(b"\0" * 5).decode()),
-        "5 bytes, not a whole number of int32 ids"),
-    "token field not a string": (lambda p: p.update(tokens=[3, 4]),
-                                 "not a base64 string"),
-    "lengths short of the tokens": (
-        lambda p: p["lengths"].__setitem__(2, 5),
-        "lengths sum to 26, but the token field holds 27 tokens"),
-    "lengths past the tokens": (
-        lambda p: p["lengths"].__setitem__(0, 14),
-        "lengths sum to 28, but the token field holds 27 tokens"),
-    "negative length": (
-        lambda p: p.update(lengths=[-1, 22, 6]), "essay 1 has length -1"),
-    "id equal to the vocabulary size": (
-        lambda p: _set_token(p, 21, 27),
-        r"essay 3 has token 27, not an id in \[0, 27\)"),
-    "negative id": (lambda p: _set_token(p, 20, -5),
-                    r"essay 2 has token -5, not an id in \[0, 27\)"),
-    "nan score": (lambda p: p["scores"].__setitem__(1, float("nan")),
-                  "essay 2 has score nan, not a finite number"),
-    "inf score": (lambda p: p["scores"].__setitem__(0, float("inf")),
-                  "essay 1 has score inf, not a finite number"),
-    "string score": (lambda p: p["scores"].__setitem__(2, "7"),
-                     "essay 3 has score '7', not a finite number"),
-    "bool score": (lambda p: p["scores"].__setitem__(2, True),
-                   "essay 3 has score True, not a finite number"),
-    "huge int score": (lambda p: p["scores"].__setitem__(0, 10 ** 400),
-                       "essay 1 has score 1000"),
-    "set missing from the ranges": (
-        lambda p: p["sets"].__setitem__(1, 9),
-        "essay 2 is in set 9, which has no cached range"),
-    "fractional essay id": (lambda p: p["ids"].__setitem__(1, 2.5),
-                            "essay ids must be integers, found 2.5"),
-    "string essay id": (lambda p: p["ids"].__setitem__(0, "1"),
-                        "essay ids must be integers, found '1'"),
-    "bool set": (lambda p: p["sets"].__setitem__(0, True),
-                 "sets must be integers, found True"),
-    "fractional length": (lambda p: p["lengths"].__setitem__(0, 13.0),
-                          "lengths must be integers, found 13.0"),
-    "columns of two lengths": (lambda p: p["scores"].pop(),
-                               "not lists of one length"),
-    "missing lengths": (lambda p: p.pop("lengths"),
-                        "missing field 'lengths'"),
-    "range not a pair": (lambda p: p["ranges"].update({"2": [3.0]}),
-                         r"range '2': \[3.0\] is not a finite"),
-    "range of a non-integer set": (
-        lambda p: p["ranges"].update({"x": [0, 1]}), "range 'x'"),
-    "range with max below min": (
-        lambda p: p["ranges"].update({"1": [8.0, 4.0]}), "range '1'"),
-    "duplicate vocabulary entry": (
-        lambda p: p["vocabulary"].append("being"), "duplicate tokens"),
-    "vocabulary entry not a string": (
-        lambda p: p["vocabulary"].append(7), "not a list of strings"),
-    "old nested format": (_nested, "older format; re-run `ingest`"),
+    "token equal to the vocabulary size": (
+        lambda d: put(d, "tokens", 21, "i", 27), NOT_AN_ID),
+    "negative token": (lambda d: put(d, "tokens", 20, "i", -5), NOT_AN_ID),
+    "nan score": (lambda d: put(d, "scores", 1, "d", math.nan),
+                  "a score is not finite"),
+    "inf score": (lambda d: put(d, "scores", 0, "d", -math.inf),
+                  "a score is not finite"),
+    "set without a range": (lambda d: put(d, "sets", 1, "q", 9),
+                            "a set has no range"),
+    "duplicate word": (lambda d: d.replace(b"\nbeing\n", b"\nlocal\n"),
+                       "duplicate tokens in vocabulary"),
+    "more words counted than held": (lambda d: put(d, "counts", 0, "Q", 25),
+                                     "24 words, not 25"),
+    "negative length": (lambda d: put(d, "lengths", 0, "q", -1), BAD_LENGTHS),
+    "lengths short of the tokens": (lambda d: put(d, "lengths", 2, "q", 5),
+                                    BAD_LENGTHS),
+    "lengths past the tokens": (lambda d: put(d, "lengths", 0, "q", 14),
+                                BAD_LENGTHS),
+    "lengths past int64 in all": (
+        lambda d: put(put(d, "lengths", 0, "q", 2 ** 63 - 1), "lengths", 1,
+                      "q", 2 ** 63 - 1), BAD_LENGTHS),
+    "range with max below min": (lambda d: put(d, "bounds", 1, "d", 2.0),
+                                 BAD_RANGE),
+    "infinite bound": (lambda d: put(d, "bounds", 2, "d", -math.inf),
+                       BAD_RANGE),
+    "nan bound": (lambda d: put(d, "bounds", 3, "d", math.nan), BAD_RANGE),
+    "another format version": (lambda d: put(d, "magic", 1, "I", 2),
+                               "unsupported format version 2"),
+    "trailing bytes": (lambda d: d + b"\0", "trailing bytes"),
 }
-
-
-def write_mutated(cache, edit):
-    payload = json.loads(cache.read_text())
-    edit(payload)
-    cache.write_text(json.dumps(payload))
 
 
 class TestCorpusCache:
@@ -853,32 +835,63 @@ class TestCorpusCache:
         assert hashlib.sha256(cache.read_bytes()).hexdigest() == PINNED_CACHE
 
     def test_old_format_cache_asks_for_a_reingest(self, tmp_path):
-        # what an older cache holds, with the "min_count" key some carried
-        _, cache = saved_cache(tmp_path)
-        write_mutated(cache, lambda p: (_nested(p), p.update(min_count=1)))
-        with pytest.raises(DataError, match=f"corpus cache {cache} is in an "
-                                            "older format; re-run `ingest`"):
+        cache = tmp_path / "corpus.json"
+        cache.write_text(JSON_CACHE)
+        with pytest.raises(DataError) as exc:
             load_corpus_cache(cache)
+        assert str(exc.value) == (f"corpus cache {cache}: wrong magic "
+                                  "b'{\"co'; run `ingest` again")
 
-    def test_corrupt_cache_rejected(self, tmp_path):
-        p = tmp_path / "cache.json"
-        # an integer past int()'s digit limit, and nesting past the
-        # decoder's recursion limit, both used to escape as tracebacks
-        for text in ("{not json", "[1, 2]", "7",
-                     '{"ids": [' + "9" * 5000 + "]}", "[" * 100_000):
-            p.write_text(text)
-            with pytest.raises(DataError, match=f"corrupt corpus cache {p}"):
-                load_corpus_cache(p)
+    def test_truncation_at_every_field_boundary(self, tmp_path):
+        _, cache = saved_cache(tmp_path)
+        good = cache.read_bytes()
+        spans = cache_fields(good)
+        # each field's start, the end of the two length prefixes, the
+        # version's start and the last byte
+        cuts = {start for start, _ in spans.values()} | {
+            spans["words"][0] + 4, spans["config hash"][0] + 4, 4,
+            len(good) - 1}
+        assert len(cuts) == 15
+        for cut in sorted(cuts):
+            cache.write_bytes(good[:cut])
+            with pytest.raises(DataError) as exc:
+                load_corpus_cache(cache)
+            assert str(exc.value) == \
+                f"corpus cache {cache}: truncated; run `ingest` again", cut
+
+    @pytest.mark.parametrize("count", range(4))
+    def test_flipped_count_bytes(self, tmp_path, count):
+        # the word, range, essay and token counts, each of their bytes
+        # flipped whole and in its lowest bit
+        _, cache = saved_cache(tmp_path)
+        good = cache.read_bytes()
+        for at in range(8 + 8 * count, 16 + 8 * count):
+            for mask in (0x01, 0xFF):
+                data = bytearray(good)
+                data[at] ^= mask
+                cache.write_bytes(bytes(data))
+                with pytest.raises(DataError,
+                                   match=f"corpus cache {cache}: .*; run"):
+                    load_corpus_cache(cache)
 
     @pytest.mark.parametrize("name", list(CACHE_MUTATIONS))
     def test_mutation_is_a_data_error_naming_the_file(self, tmp_path, name):
         _, cache = saved_cache(tmp_path)
         edit, message = CACHE_MUTATIONS[name]
-        write_mutated(cache, edit)
+        data = cache.read_bytes()
+        cache.write_bytes(edit(data))
+        assert cache.read_bytes() != data
         with pytest.raises(DataError) as exc:
             load_corpus_cache(cache)
-        assert str(cache) in str(exc.value)
+        assert str(exc.value).startswith(f"corpus cache {cache}: ")
         assert re.search(message, str(exc.value)), str(exc.value)
+
+    @pytest.mark.parametrize("word", ["a b", "a\nb", "\t", ""])
+    def test_word_that_would_not_split_back_is_not_written(self, tmp_path,
+                                                            word):
+        vocab = Vocabulary(["ab", word])
+        with pytest.raises(DataError, match="empty or holds whitespace"):
+            save_corpus_cache(tmp_path / "c", Corpus([], vocab, {}))
 
     def test_byte_flips_and_truncations(self, tmp_path):
         # a flip can leave a valid cache (a digit of a score, a letter of

@@ -11,7 +11,8 @@ from essayscore.cli import main
 from essayscore.config import Config
 from essayscore.corpus import (ScoreRange, Vocabulary, corrupt_window,
                                extract_windows, load_corpus,
-                               load_corpus_cache, read_range_table)
+                               load_corpus_cache, read_range_table,
+                               save_corpus_cache)
 from essayscore.errors import ConfigError, DataError, ModelFormatError, \
     NumericalError
 from essayscore.lstm import LSTMLayer, SeqModel
@@ -21,7 +22,6 @@ from essayscore.sswe import (SSWEParams, cosine_distance, load_embeddings,
 
 from conftest import make_essay
 from test_config_cli import write_workspace_config
-from test_corpus import saved_cache, write_mutated
 
 HEADER = "essay_id\tessay_set\tessay\tdomain1_score\n"
 
@@ -160,13 +160,6 @@ def test_zero_corruptions_is_a_config_error():
                        Vocabulary(["ab", "cd", "ef"]))
 
 
-def test_cache_ranges_not_an_object(tmp_path):
-    _, cache = saved_cache(tmp_path)
-    write_mutated(cache, lambda p: p.update(ranges=[[0, 8]]))
-    with pytest.raises(DataError, match="the ranges are not an object"):
-        load_corpus_cache(cache)
-
-
 class TestLstmShapes:
     def test_unknown_peephole_mode(self):
         with pytest.raises(ConfigError,
@@ -277,3 +270,49 @@ class TestLongIntegers:
         err = capsys.readouterr().err
         self.assert_short_data_error(rc, err, "warning: line 2: essay_id ")
         assert "no usable essays" in err
+
+
+class TestIdsOutsideInt64:
+    """The corpus cache holds essay and set ids as int64, so an id field
+    outside int64 is rejected where it enters, echoed as above."""
+
+    @staticmethod
+    def echo(text):
+        return repr(text) if len(text) <= 20 \
+            else f"{text[:20]!r}... ({len(text)} characters)"
+
+    @pytest.mark.parametrize("text", [str(2 ** 63), str(-2 ** 63 - 1),
+                                      "1" * 31])
+    def test_tsv_rows(self, tmp_path, text):
+        # int64's own edges are kept, and cached
+        p = tmp_path / "f.tsv"
+        p.write_text(HEADER + f"{text}\t1\ta\t3\n5\t{text}\tb\t3\n"
+                     f"{2 ** 63 - 1}\t{-2 ** 63}\tc\t3\n")
+        corpus, row_errors = load_corpus(p, min_count=1)
+        assert [(e.line, e.message) for e in row_errors] == [
+            (2, f"essay_id {self.echo(text)} is outside the int64 range"),
+            (3, f"essay_set {self.echo(text)} is outside the int64 range")]
+        save_corpus_cache(tmp_path / "c", corpus)
+        (essay,) = load_corpus_cache(tmp_path / "c")[0].essays
+        assert (essay.essay_id, essay.set_id) == (2 ** 63 - 1, -2 ** 63)
+
+    @pytest.mark.parametrize("text", [str(2 ** 63), "1" * 31])
+    def test_range_table_set_id(self, tmp_path, text):
+        p = tmp_path / "ranges.tsv"
+        p.write_text(f"1\t0\t4\n{text}\t0\t10\n")
+        with pytest.raises(DataError) as info:
+            read_range_table(p)
+        assert str(info.value) == \
+            f"{p}:2: set_id {self.echo(text)} is outside the int64 range"
+
+    def test_ingest_warns_and_caches_the_other_rows(self, tmp_path, capsys):
+        tsv = tmp_path / "synth.tsv"
+        assert main(["synth", "--profile", "overfit16", "--out", str(tsv)]) == 0
+        tsv.write_text(tsv.read_text() + f"{'1' * 31}\t1\tone more\t3\n")
+        cfgpath = write_workspace_config(tmp_path)
+        capsys.readouterr()
+        assert main(["--config", str(cfgpath), "ingest"]) == 0
+        assert (f"warning: line 18: essay_id {self.echo('1' * 31)} is "
+                "outside the int64 range") in capsys.readouterr().err
+        corpus, _ = load_corpus_cache(tmp_path / "splits" / "corpus.json")
+        assert len(corpus.essays) == 16

@@ -198,6 +198,21 @@ class TestReport:
         assert rep.rmse == rmse(pred, gold)
         assert rep.qwk == quadratic_weighted_kappa(pred, gold, r)
 
+    def test_constant_predictions_leave_the_correlations_undefined(self):
+        gold = [2.0, 5.0, 8.0, 8.0]
+        rep = report([4.0] * 4, gold, ScoreRange(0, 10))
+        assert math.isnan(rep.spearman_rho) and math.isnan(rep.pearson_r)
+        assert rep.rmse == rmse([4.0] * 4, gold)
+        assert rep.qwk == 0.0
+        assert rep.csv_row("m").startswith("m,4,nan,nan,")
+        assert rep.pretty().splitlines()[1:3] == ["spearman  undefined",
+                                                  "pearson   undefined"]
+        # the components still raise, and so does constant gold
+        with pytest.raises(NumericalError):
+            pearson_r([4.0] * 4, gold)
+        with pytest.raises(NumericalError):
+            report([1.0, 2.0, 3.0], [5.0] * 3, ScoreRange(0, 10))
+
     def test_csv_row_shape(self):
         rep = MetricsReport(n=3, spearman_rho=0.5, pearson_r=0.25,
                             rmse=1.5, qwk=0.125)
