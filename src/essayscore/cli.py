@@ -38,6 +38,8 @@ CACHE_NAME = "corpus.json"  # binary; the benchmark reads it by this name
 MANIFEST_NAMES = {"train": "train.ids", "val": "val.ids", "test": "test.ids"}
 EMBEDDINGS_NAME = "embeddings.sswe"
 MODEL_NAME = "model.sats"
+# an error line longer than this is cut, and its length shown
+ERROR_LINE_CHARS = 300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -474,18 +476,19 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        line, code = f"error: {exc}", 1
     except MemoryError as exc:
-        print(f"error: out of memory ({exc}); are the configured sizes "
-              f"too large?", file=sys.stderr)
-        return 1
+        line, code = (f"error: out of memory ({exc}); are the configured "
+                      f"sizes too large?", 1)
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        line, code = f"numerical failure: {exc}", 3
     except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        line, code = f"error: {exc}", 2
+    # a message may echo an input whole: a value, a path, a file's line
+    if len(line) > ERROR_LINE_CHARS:
+        line = f"{line[:ERROR_LINE_CHARS]}... ({len(line)} characters)"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -149,12 +149,12 @@ class ScoreRange:
         return min(max(raw, self.lo), self.hi)
 
 
-@dataclass
+@dataclass(eq=False)
 class Essay:
     """A scored, tokenized essay with ids from one :class:`Vocabulary`.
 
     ``tokens`` is an int32 view into its corpus's token array (a list of
-    ints works too).
+    ints works too). Essays compare by identity.
     """
 
     essay_id: int
@@ -162,16 +162,6 @@ class Essay:
     tokens: np.ndarray
     raw_score: float
     scaled_score: float
-
-    def __eq__(self, other):
-        # tokens by value: the generated method would compare them inside
-        # a tuple, which raises for an array of more than one element
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.essay_id, self.set_id, self.raw_score,
-                 self.scaled_score) == (other.essay_id, other.set_id,
-                                        other.raw_score, other.scaled_score)
-                and np.array_equal(self.tokens, other.tokens))
 
 
 @dataclass(frozen=True)
@@ -253,16 +243,14 @@ def _split_key(essay_id: int, seed: int) -> bytes:
     return hashlib.blake2b(str(essay_id).encode(), digest_size=8, key=key).digest()
 
 
-def split_corpus(essays: list[Essay], cfg: Config | None = None):
+def split_corpus(essays: list[Essay], cfg: Config):
     """Partition essays into (train, validation, test) lists.
 
     The split is stratified by set: each essay set is cut independently
-    at ``cfg.val_ratio`` and ``cfg.test_ratio`` (default :class:`Config`),
-    with integer remainders going to train. Bucket membership depends
-    only on the essay ids present in a set and ``cfg.seed``, never on
-    input order.
+    at ``cfg.val_ratio`` and ``cfg.test_ratio``, with integer remainders
+    going to train. Bucket membership depends only on the essay ids
+    present in a set and ``cfg.seed``, never on input order.
     """
-    cfg = Config() if cfg is None else cfg
     cfg.validate()
 
     by_set: dict[int, list[Essay]] = {}
@@ -355,18 +343,18 @@ def extract_windows(essays: list[Essay], n: int) -> Windows:
 
 def corrupt_window(target, n_corruptions: int, rng,
                    vocab: Vocabulary) -> np.ndarray:
-    """Draw the center ids of corrupted copies of a window, or of several.
+    """Draw the center ids of corrupted copies of m windows.
 
-    A corrupted window is the window whose center is ``target`` with
-    that center replaced by one of the returned ids; every other
-    position is shared, so only the centers are returned, as an int
-    array in draw order. Replacements are uniform over non-special
-    vocabulary ids excluding ``target``, drawn with replacement, so the
-    draws depend on the target alone.
+    ``target`` holds the m windows' centers, a 1-D array. A corrupted
+    window is the window whose center is ``target[k]`` with that center
+    replaced by one of row k's ids; every other position is shared, so
+    only the centers are returned, as an (m, n_corruptions) int array in
+    draw order. Replacements are uniform over non-special vocabulary ids
+    excluding the center, drawn with replacement, so the draws depend on
+    the center alone. Row k is what a call for ``target[k]`` alone would
+    draw after the calls for the targets before it, on the same
+    generator.
 
-    ``target`` may also be a 1-D array of the centers of m windows; row
-    k of the (m, n_corruptions) result is then what the k-th of m
-    single calls, made in order on the same generator, would return.
     The targets are split into runs of equal candidate count (a special
     id has one candidate more than a word), and each run takes one
     ``integers`` call. That call gives the stream of the run's single
@@ -378,7 +366,7 @@ def corrupt_window(target, n_corruptions: int, rng,
     """
     if n_corruptions < 1:
         raise ConfigError(f"need at least one corruption, got {n_corruptions}")
-    targets = np.asarray(target).reshape(-1)
+    targets = np.asarray(target)
     words = targets >= N_SPECIALS
     # a word's candidates are every word but itself
     n_candidates = vocab.n_words - words
@@ -396,7 +384,7 @@ def corrupt_window(target, n_corruptions: int, rng,
     skip = np.where(words, targets - N_SPECIALS, vocab.n_words)
     draws += draws >= skip[:, None]
     draws += N_SPECIALS
-    return draws if np.ndim(target) else draws[0]
+    return draws
 
 
 # --- split manifests and the corpus cache -------------------------------
@@ -457,7 +445,7 @@ class Corpus:
         return found
 
 
-def load_corpus(path, min_count: int = 2,
+def load_corpus(path, min_count: int,
                 ranges: dict[int, ScoreRange] | None = None
                 ) -> tuple[Corpus, list[RowError]]:
     """Read a UTF-8 ASAP-style TSV into an encoded :class:`Corpus`.

@@ -102,7 +102,7 @@ counts: training always multiplies.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import cycle, repeat
 
 import numpy as np
@@ -888,15 +888,15 @@ def predict(model: SeqModel, essays: list[Essay],
 class RMSPropState:
     """Running mean-square accumulators, one per named parameter array.
 
-    ``fresh`` names the accumulators no step has written yet: they are
-    still zero, so their decay is skipped.
+    ``fresh`` is true until the first step: the accumulators are still
+    zero then, so that step skips their decay.
     """
 
     acc: dict[str, np.ndarray]
-    rho: float = 0.9
-    eps: float = 1e-8
-    eta: float = 1e-7
-    fresh: set[str] = field(default_factory=set)
+    rho: float
+    eps: float
+    eta: float
+    fresh: bool
 
     @classmethod
     def for_model(cls, model: SeqModel, cfg: Config) -> "RMSPropState":
@@ -906,29 +906,24 @@ class RMSPropState:
                            and not a.flags.c_contiguous else "C")
                for n, a in model.named_arrays()}
         return cls(acc=acc, rho=cfg.rho_rms, eps=cfg.eps_rms,
-                   eta=cfg.learning_rate, fresh=set(acc))
+                   eta=cfg.learning_rate, fresh=True)
 
 
 def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
                    grads: dict):
     """In-place step: acc <- rho*acc + (1-rho)*g^2; p <- p - eta*g/sqrt(acc+eps).
 
-    Arrays without a gradient entry still have their accumulator decayed
-    (zero gradient), matching the element-wise rule. A :class:`ColumnGrad`
-    covers only its columns of a 2-D array; every other column has a
-    zero gradient, which leaves its weights unchanged (``eps > 0``), so
-    only the listed columns are stepped. The result is bitwise the dense
-    rule's.
+    Every array of ``state`` needs its entry in ``grads``; a missing one
+    is a ``KeyError`` naming it. A :class:`ColumnGrad` covers only its
+    columns of a 2-D array; every other column has a zero gradient,
+    which leaves its weights unchanged (``eps > 0``), so only the listed
+    columns are stepped. The result is bitwise the dense rule's.
     """
     for name, acc in state.acc.items():
-        g = grads.get(name)
-        if name not in state.fresh:
+        g = grads[name]
+        # a fresh accumulator is all zeros, which decay to zeros
+        if not state.fresh:
             acc *= state.rho
-        elif g is not None:
-            # until this first write it is all zeros, which decay to zeros
-            state.fresh.discard(name)
-        if g is None:
-            continue
         if isinstance(g, ColumnGrad):
             # the listed columns as rows of the transposed arrays, stepped
             # a block at a time through buffers that stay in cache: the
@@ -953,6 +948,7 @@ def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
         else:
             acc += (1.0 - state.rho) * g * g
             arrays[name] -= state.eta * g / np.sqrt(acc + state.eps)
+    state.fresh = False
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:

@@ -154,9 +154,8 @@ class SSWEGradients:
     Sparse over the embedding matrix, in two parts whose columns may
     overlap; a column's gradient is the sum of its rows in both.
 
-    - ``ids`` and ``ctx_rows``: the window's ids in order and one row per
-      position, shape ``(n, D)``. An id that repeats gets each of its
-      rows.
+    - ``ctx_rows``: one row per position of the window's ids, shape
+      ``(n, D)``. An id that repeats gets each of its rows.
     - The corruptions: ``centers`` holds the distinct centers, ascending.
       Row 0 of ``dz`` is the hidden gradient of one draw of a corruption
       with no saturated unit, ``alpha / E * W_oh2``, and row 0 of
@@ -171,10 +170,11 @@ class SSWEGradients:
       ``rows`` is ``dz @ W_center``, ``W_center`` the center block of
       ``W_hi``.
 
-    ``dense`` holds the gradients of ``b_h``, ``W_oh2``, ``b_o2``,
-    ``W_oh1`` and ``b_o1``. The gradient of ``W_hi`` is kept factored:
-    ``outer(dense["b_h"], s_t)`` plus ``dz.T @ inputs`` added to the
-    columns ``center``, the window's center block. A corruption's center
+    ``dense`` holds the gradients of ``b_h``, ``W_oh2``, ``W_oh1`` and
+    ``b_o1``; ``b_o2`` cancels from every margin ``1 - f_t + f_c``, so
+    its gradient is 0 and left out. The gradient of ``W_hi`` is kept
+    factored: ``outer(dense["b_h"], s_t)`` plus ``dz.T @ inputs`` added
+    to the window's center block of columns. A corruption's center
     difference is its center's vector minus the target's; ``inputs[0]``
     is their sum weighted by ``weights``, and ``inputs[1 + j]`` that of
     ``centers[partial[j]]``. :func:`train_sswe` applies the rank-one part
@@ -182,7 +182,6 @@ class SSWEGradients:
     is ever allocated.
     """
 
-    ids: np.ndarray
     ctx_rows: np.ndarray
     centers: np.ndarray
     weights: np.ndarray
@@ -192,14 +191,13 @@ class SSWEGradients:
     inputs: np.ndarray
     dense: dict[str, np.ndarray]
     s_t: np.ndarray
-    center: slice
-    loss_overall: float = 0.0
-    loss_context: float = 0.0
-    loss_score: float = 0.0
+    loss_overall: float
+    loss_context: float
+    loss_score: float
 
 
 def backward(params: SSWEParams, ids, corrupt_centers,
-             gold_score: float, alpha: float = 0.1) -> SSWEGradients:
+             gold_score: float, alpha: float) -> SSWEGradients:
     """Exact analytic gradients of the overall loss for one window.
 
     ``ids`` are the window's ``n`` ids, its center at ``n // 2``.
@@ -239,8 +237,7 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     ids = np.asarray(ids, dtype=np.intp)
     n = len(ids)
     c = n // 2
-    center = slice(c * d, (c + 1) * d)
-    W_center = W_hi[:, center]
+    W_center = W_hi[:, c * d:(c + 1) * d]
     # the distinct centers in ascending order and their counts, from the
     # run boundaries of one sort; the ndarray methods and operators cost
     # less than np.unique's, np.sort's, np.flatnonzero's and np.diff's
@@ -321,8 +318,6 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     dense = {
         "b_h": u,
         "W_oh2": d_W_oh2,
-        # b_o2 cancels from every margin 1 - f_t + f_c
-        "b_o2": np.zeros(1),
         "W_oh1": df_ss * i_t,
         "b_o1": np.array([df_ss]),
     }
@@ -333,11 +328,11 @@ def backward(params: SSWEParams, ids, corrupt_centers,
     np.matmul(u, W_hi, out=ctx_rows.reshape(-1))
     np.matmul(dz_t, W_center, out=ctx_rows[c])
 
-    return SSWEGradients(ids=ids, ctx_rows=ctx_rows, centers=centers,
+    return SSWEGradients(ctx_rows=ctx_rows, centers=centers,
                          weights=weights, partial=partial, dz=dz,
                          rows=dz @ W_center, inputs=inputs, dense=dense,
-                         s_t=s_t, center=center, loss_overall=l_all,
-                         loss_context=l_ctx, loss_score=l_sc)
+                         s_t=s_t, loss_overall=l_all, loss_context=l_ctx,
+                         loss_score=l_sc)
 
 
 @dataclass

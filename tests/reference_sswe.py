@@ -121,19 +121,23 @@ def sample_loss(params: SSWEParams, context, corrupt_centers,
     return loss_overall(alpha, l_ctx, l_sc), l_ctx, l_sc
 
 
-def dense_gradients(params: SSWEParams, grads) -> dict[str, np.ndarray]:
-    """Every gradient of an ``SSWEGradients`` as an array shaped like its
-    parameter: ``M`` from the context rows (a repeated id adds each of its
-    rows), the shared row times each center's weight and the partial
-    rows; ``W_hi`` from its rank-one factors plus the center block."""
+def dense_gradients(params: SSWEParams, ids,
+                    grads) -> dict[str, np.ndarray]:
+    """Every gradient of the ``SSWEGradients`` of the window ``ids`` as an
+    array shaped like its parameter: ``M`` from the context rows (a
+    repeated id adds each of its rows), the shared row times each
+    center's weight and the partial rows; ``W_hi`` from its rank-one
+    factors plus the center block; ``b_o2``'s, which cancels from every
+    margin, as 0."""
+    d, c = params.embed_dim, len(ids) // 2
     dense_m = np.zeros_like(params.M)
     rows_of = dense_m.T
-    np.add.at(rows_of, grads.ids, grads.ctx_rows)
+    np.add.at(rows_of, np.asarray(ids, dtype=np.intp), grads.ctx_rows)
     rows_of[grads.centers] += np.outer(grads.weights, grads.rows[0])
     rows_of[grads.centers[grads.partial]] += grads.rows[1:]
     w_hi = np.outer(grads.dense["b_h"], grads.s_t)
-    w_hi[:, grads.center] += grads.dz.T @ grads.inputs
-    return {"M": dense_m, "W_hi": w_hi, **grads.dense}
+    w_hi[:, c * d:(c + 1) * d] += grads.dz.T @ grads.inputs
+    return {"M": dense_m, "W_hi": w_hi, "b_o2": np.zeros(1), **grads.dense}
 
 
 def reference_backward(params, context, corruptions, gold_score, alpha):
@@ -220,9 +224,9 @@ def reference_train(essays, vocab, cfg):
         for idx in order:
             context, score = windows[idx]
             corruptions = [context[:c] + (int(w),) + context[c + 1:]
-                           for w in corrupt_window(context[c],
+                           for w in corrupt_window([context[c]],
                                                    cfg.n_corruptions,
-                                                   rng, vocab)]
+                                                   rng, vocab)[0]]
             m_cols, dense, loss = reference_backward(
                 params, context, corruptions, score, cfg.alpha)
             losses.append(loss)

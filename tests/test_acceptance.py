@@ -76,8 +76,8 @@ def test_1_gradients_match_finite_differences():
         p = SSWEParams.init(12, Config(embed_dim=6, hidden_dim=7,
                                        window_size=3),
                             np.random.default_rng(3))
-        corruptions = corrupt_window(ids[1], 6, np.random.default_rng(0),
-                                     vocab)
+        corruptions = corrupt_window([ids[1]], 6, np.random.default_rng(0),
+                                     vocab)[0]
         grads = backward(p, ids, corruptions, 0.7, alpha)
         arrays = {"M": p.M, **{n: getattr(p, n) for n in p.dense_names()}}
         numeric = finite_difference(
@@ -85,7 +85,7 @@ def test_1_gradients_match_finite_differences():
             arrays)
         # difference noise at step 1e-5 swamps entries whose true value
         # is ~0, so floor the denominator at what the step can resolve
-        assert max_relative_error(dense_gradients(p, grads),
+        assert max_relative_error(dense_gradients(p, ids, grads),
                                   numeric, floor=1e-6) <= 1e-4
 
     # sequence network, all four shapes, peepholes and dropout off

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from essayscore.cli import main
+from essayscore.cli import ERROR_LINE_CHARS, main
 from essayscore.config import (MAX_SIZE, Config, SearchSpace, config_hash,
                                load_config, parse_config_text,
                                serialize_config, write_config)
@@ -884,6 +884,35 @@ class TestUsageErrors:
         rc = main(["--config", str(tmp_path / "absent.cfg"), "ingest"])
         assert rc == 2
         capsys.readouterr()
+
+    # each of these echoed its 5,000-character input whole, in an error
+    # line of over 5,000 characters; "CFG" is a config file whose
+    # embed_dim is the long value
+    LONG = "7" * 4999 + "x"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--embed-dim", LONG, "ingest"], 1),
+        (["--config", "CFG", "ingest"], 1),
+        (["--peepholes", "p" * 5000, "ingest"], 1),
+        (["visualize", "--ids", "1", "--span-len", LONG], 1),
+        (["evaluate", "--split", "s" * 5000], 1),
+        (["visualize", "--ids", "i" * 5000], 1),
+        (["search", "--alpha-choices", "a" * 5000], 1),
+        (["--data-path", "d" * 5000, "ingest"], 2)],
+        ids=["embed-dim", "config-file", "peepholes", "span-len", "split",
+             "ids", "alpha-choices", "data-path"])
+    def test_long_input_gives_a_bounded_error_line(self, tmp_path, capsys,
+                                                   argv, code):
+        cfgpath = tmp_path / "long.cfg"
+        cfgpath.write_text(f"embed_dim = {self.LONG}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([str(cfgpath) if a == "CFG" else a for a in argv]) == code
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        head, length = re.fullmatch(r"(.*)\.\.\. \((\d+) characters\)",
+                                    line).groups()
+        assert len(head) == ERROR_LINE_CHARS and int(length) > 5000
+        assert head.startswith("error: ")
 
 
 class TestNonUtf8Input:

@@ -162,25 +162,13 @@ def write_rows(tmp_path, texts):
     return p
 
 
-class TestEssayEquality:
-    def test_equal_essays_of_views(self):
-        a, b = as_views([make_essay([4, 5]), make_essay([4, 5])])
-        assert a == b and not a != b
-
-    def test_different_tokens_or_fields(self):
-        a, b, c = as_views([make_essay([4, 5]), make_essay([4, 6]),
-                            make_essay([4, 5, 6])])
-        assert a != b and a != c
-        assert a != make_essay([4, 5], essay_id=2)
-        assert a != make_essay([4, 5], raw=6.0)
-        assert a != "not an essay"
-
-    def test_a_list_against_a_view(self):
-        listed = make_essay([4, 5, 6])
-        (viewed,) = as_views([listed])
-        assert isinstance(viewed.tokens, np.ndarray)
-        assert listed == viewed and viewed == listed
-        assert listed != as_views([make_essay([4, 5, 7])])[0]
+def test_essays_compare_by_identity():
+    # so comparing never reads the tokens, which as arrays of more than
+    # one element would raise inside ==
+    a, b = as_views([make_essay([4, 5]), make_essay([4, 5])])
+    listed = make_essay([4, 5])
+    assert a != b and not a == b and a != listed and listed != a
+    assert a == a and b in [listed, b] and listed not in [a, b]
 
 
 class TestScoreRange:
@@ -470,17 +458,17 @@ def _essays(n, set_id=1):
 
 class TestSplit:
     def test_default_ratios_on_100(self):
-        train, val, test = split_corpus(_essays(100))
+        train, val, test = split_corpus(_essays(100), Config())
         assert (len(train), len(val), len(test)) == (64, 16, 20)
 
     def test_partition(self):
         essays = _essays(37)
-        train, val, test = split_corpus(essays)
+        train, val, test = split_corpus(essays, Config())
         ids = sorted(e.essay_id for part in (train, val, test) for e in part)
         assert ids == sorted(e.essay_id for e in essays)
 
     def test_remainder_goes_to_train(self):
-        train, val, test = split_corpus(_essays(7))
+        train, val, test = split_corpus(_essays(7), Config())
         assert len(val) == int(0.16 * 7)
         assert len(test) == int(0.20 * 7)
         assert len(train) == 7 - len(val) - len(test)
@@ -498,15 +486,15 @@ class TestSplit:
 
     def test_order_insensitive(self):
         essays = _essays(40)
-        a = split_corpus(essays)
-        b = split_corpus(list(reversed(essays)))
+        a = split_corpus(essays, Config())
+        b = split_corpus(list(reversed(essays)), Config())
         assert {e.essay_id for e in a[1]} == {e.essay_id for e in b[1]}
         assert {e.essay_id for e in a[2]} == {e.essay_id for e in b[2]}
 
     def test_stratified_by_set(self):
         essays = _essays(50, set_id=1) + \
             [make_essay([3], essay_id=i, set_id=2) for i in range(100, 150)]
-        train, val, test = split_corpus(essays)
+        train, val, test = split_corpus(essays, Config())
         for part in (val, test):
             by_set = {s: sum(1 for e in part if e.set_id == s) for s in (1, 2)}
             assert by_set[1] == by_set[2]
@@ -522,7 +510,7 @@ class TestSplit:
 
     def test_output_preserves_input_order(self):
         essays = _essays(30)
-        train, _, _ = split_corpus(essays)
+        train, _, _ = split_corpus(essays, Config())
         ids = [e.essay_id for e in train]
         assert ids == sorted(ids)
 
@@ -611,15 +599,15 @@ class TestCorruption:
     def test_only_center_differs(self, tiny_vocab):
         target = tiny_vocab.id_of("sat")
         rng = np.random.default_rng(0)
-        centers = corrupt_window(target, 50, rng, tiny_vocab)
+        centers = corrupt_window(np.array([target]), 50, rng, tiny_vocab)
         # one id per corruption: every other position is the window's own
-        assert centers.shape == (50,)
-        for w in centers:
+        assert centers.shape == (1, 50)
+        for w in centers[0]:
             assert w != target
 
     def test_replacements_are_real_words(self, tiny_vocab):
         rng = np.random.default_rng(1)
-        for w in corrupt_window(4, 100, rng, tiny_vocab):
+        for w in corrupt_window([4], 100, rng, tiny_vocab)[0]:
             assert w >= N_SPECIALS
 
     def test_uniform_over_candidates(self, tiny_vocab):
@@ -628,7 +616,7 @@ class TestCorruption:
         rng = np.random.default_rng(2)
         draws = 9000
         counts = np.zeros(len(tiny_vocab))
-        for w in corrupt_window(target, draws, rng, tiny_vocab):
+        for w in corrupt_window([target], draws, rng, tiny_vocab)[0]:
             counts[w] += 1
         assert counts[target] == 0
         candidates = counts[N_SPECIALS:]
@@ -642,14 +630,15 @@ class TestCorruption:
     def test_vocab_of_one_word_cannot_corrupt(self):
         vocab = Vocabulary(["only"])
         with pytest.raises(DataError):
-            corrupt_window(3, 1, np.random.default_rng(0), vocab)
+            corrupt_window([3], 1, np.random.default_rng(0), vocab)
 
     @staticmethod
     def assert_chunks_are_single_draws(targets, cut, n_corruptions, seed,
                                        vocab):
         single = np.random.default_rng(seed)
-        want = np.stack([corrupt_window(t, n_corruptions, single, vocab)
-                         for t in targets])
+        want = np.concatenate([corrupt_window(targets[k:k + 1],
+                                              n_corruptions, single, vocab)
+                               for k in range(len(targets))])
         chunked = np.random.default_rng(seed)
         got = np.concatenate([
             corrupt_window(targets[:cut], n_corruptions, chunked, vocab),

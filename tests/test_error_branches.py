@@ -156,7 +156,7 @@ def test_list_id_in_the_uint64_range_is_a_data_error(big):
 
 def test_zero_corruptions_is_a_config_error():
     with pytest.raises(ConfigError, match="at least one corruption, got 0"):
-        corrupt_window(5, 0, np.random.default_rng(0),
+        corrupt_window([5], 0, np.random.default_rng(0),
                        Vocabulary(["ab", "cd", "ef"]))
 
 

@@ -155,7 +155,7 @@ class TestLosses:
 
 def fixed_corruptions(ids, n_corruptions, rng, vocab):
     """Pre-drawn corruption centers, reused across finite-difference evals."""
-    return corrupt_window(ids[len(ids) // 2], n_corruptions, rng, vocab)
+    return corrupt_window([ids[len(ids) // 2]], n_corruptions, rng, vocab)[0]
 
 
 def test_finite_difference_mutates_fortran_arrays_in_place():
@@ -178,7 +178,7 @@ class TestBackward:
         numeric = finite_difference(
             lambda: sample_loss(p, ids, corruptions, 0.7, alpha)[0],
             arrays)
-        analytic = dense_gradients(p, grads)
+        analytic = dense_gradients(p, ids, grads)
         assert analytic.keys() == numeric.keys()
         assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -211,21 +211,21 @@ class TestBackward:
         numeric = finite_difference(
             lambda: sample_loss(p, ids, corruptions, 0.3, 0.5)[0],
             arrays)
-        assert max_relative_error(dense_gradients(p, grads), numeric) <= 1e-4
+        assert max_relative_error(dense_gradients(p, ids, grads), numeric) <= 1e-4
 
     def test_untouched_columns_absent(self):
         p = small_params()
         vocab = Vocabulary([f"w{k}" for k in range(9)])
         corruptions = [6, 7]
         grads = backward(p, (3, 4, 5), corruptions, 0.5, 0.5)
-        dense_m = dense_gradients(p, grads)["M"]
+        dense_m = dense_gradients(p, (3, 4, 5), grads)["M"]
         untouched = [k for k in range(p.vocab_size) if k not in range(3, 8)]
         assert np.all(dense_m[:, untouched] == 0.0)
 
     def test_alpha_zero_ignores_corruption_columns(self):
         p = small_params()
         grads = backward(p, (3, 4, 5), [6, 7], 0.5, 0.0)
-        dense_m = dense_gradients(p, grads)["M"]
+        dense_m = dense_gradients(p, (3, 4, 5), grads)["M"]
         assert np.all(dense_m[:, [6, 7]] == 0.0)
         assert grads.loss_overall == grads.loss_score
 
@@ -333,15 +333,21 @@ def bound_window(seed, w_hi_scale=1.0, w_oh2_scale=1.0):
     p.W_hi *= w_hi_scale
     p.W_oh2 *= w_oh2_scale
     ids = rng.integers(0, len(vocab), size=5)
-    return p, ids, corrupt_window(ids[2], 50, rng, vocab)
+    return p, ids, corrupt_window([ids[2]], 50, rng, vocab)[0]
 
 
-def gradient_digest(g):
-    """sha256 over the bytes, dtype and shape of every field of ``g``."""
+def gradient_digest(g, ids, d):
+    """sha256 over the bytes, dtype and shape of every field of ``g``, and
+    of what the window fixes: its ids as ``backward`` takes them, the
+    bounds of its center block (embedding size ``d``) and ``b_o2``'s
+    zero gradient, in the order of the fields that once held them."""
+    ids = np.asarray(ids, dtype=np.intp)
+    c = len(ids) // 2
+    dense = {**g.dense, "b_o2": np.zeros(1)}
     h = hashlib.sha256()
-    for a in (g.ids, g.ctx_rows, g.centers, g.weights, g.partial, g.dz,
-              g.rows, g.inputs, g.s_t, *(g.dense[k] for k in sorted(g.dense)),
-              np.array([g.center.start, g.center.stop]),
+    for a in (ids, g.ctx_rows, g.centers, g.weights, g.partial, g.dz,
+              g.rows, g.inputs, g.s_t, *(dense[k] for k in sorted(dense)),
+              np.array([c * d, (c + 1) * d]),
               np.array([g.loss_overall, g.loss_context, g.loss_score])):
         a = np.asarray(a)
         h.update(f"{a.dtype.str}{a.shape}".encode())
@@ -387,13 +393,13 @@ class TestCorruptionBound:
         p.W_hi *= 300.0
         p.W_oh2 *= 40.0
         ids = np.array([4, 8, 6, 3, 9])
-        centers = corrupt_window(6, 12, np.random.default_rng(5), vocab)
+        centers = corrupt_window([6], 12, np.random.default_rng(5), vocab)[0]
         assert bound_of(p, ids, centers) > 1.0
         grads = backward(p, ids, centers, 0.6, 0.5)
         assert corruption_products == [(7, 5)]
         assert grads.partial.tolist() == [0, 4]
         assert np.count_nonzero(grads.weights) == 1
-        assert gradient_digest(grads) == \
+        assert gradient_digest(grads, ids, p.embed_dim) == \
             "50ded01cbbbec07020180123b924eeb5103fcacd737213f804f019bd36c3dbcf"
 
     @pytest.mark.parametrize("target,linear", [
