@@ -348,8 +348,6 @@ def _run_trial(cfg, corpus, train, val) -> float:
     rng = np.random.default_rng(cfg.seed)
     model = lstmmod.SeqModel.init(params.M, cfg, rng)
     _, history = lstmmod.train_scorer(model, train, val, corpus.ranges, cfg)
-    if not history:
-        raise ConfigError("search needs a nonzero epoch budget")
     return min(h.val_rmse for h in history)
 
 
@@ -364,6 +362,9 @@ def cmd_search(args) -> int:
                                alpha_choices=choices)
     space.validate()
     cfg, chash, corpus, (train, val) = _stage(args, "train", "val")
+    # a trial draws no epoch count, and one of zero epochs has no RMSE
+    if cfg.epochs == 0:
+        raise ConfigError("search needs a nonzero epoch budget")
 
     rng = np.random.default_rng(space.seed)
     rows = ["trial,alpha,learning_rate,embed_dim,hidden_dim,window_size,"

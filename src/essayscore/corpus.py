@@ -604,6 +604,8 @@ def load_corpus_cache(path) -> tuple[Corpus, str]:
             raise inp.error("a score is not finite")
         if not np.isin(sets, set_ids).all():
             raise inp.error("a set has no range")
+        if np.unique(ids).size != n:
+            raise inp.error("an essay id is repeated")
     except ModelFormatError as exc:
         raise ModelFormatError(f"{exc}; run `ingest` again") from None
     ranges = {s: ScoreRange(lo, hi) for s, (lo, hi)

@@ -66,16 +66,15 @@ The embedding side works per distinct word: a batch's U distinct ids
 (``_Layout.cols``) are projected by the first layer's ``W_x`` once, and
 the (U, 4KH) result is gathered into the token rows. Going back, that
 layer's gate gradients are summed per distinct word in token order; the
-sums times the rows of ``M`` give its ``W_x`` gradient, and ``M``'s own
-gradient reaches the optimizer as those (U, 4KH) sums
-(:class:`ColumnGrad`, from :func:`backward_columns`). The column step
-forms the rows, the sums times ``W_x``, a block of columns at a time. So
-a training step builds no (N, D) array, and the gradient of ``M`` no
-(U, D) one: the one (U, D) array left is the rows of ``M`` that the
-``W_x`` gradient reads, gathered and freed within the backward pass. Only
+sums times the rows of ``M`` give its ``W_x`` gradient, and the sums
+times ``W_x`` give ``M``'s own gradient rows, one (U, D) product
+(:class:`ColumnGrad`, from :func:`backward_columns`) formed after the
+backward pass has freed its gather of ``M``'s rows. So a training step
+builds no (N, D) array and holds one (U, D) array at a time. Only
 per-token input gradients (:func:`bptt`, and :func:`backward_inputs`
 for saliency) project each token's gate gradients. RMSprop steps ``M``
-on the touched columns only and decays the rest of its accumulator:
+on the touched columns only, a block of columns at a time through
+buffers that stay in cache, and decays the rest of its accumulator:
 bitwise the dense rule, as a zero gradient leaves a weight unchanged
 when ``eps_rms > 0``. An accumulator no step has written yet is still
 zero, so its decay is skipped; allocated by ``np.zeros``, its pages are
@@ -123,10 +122,6 @@ PREDICT_CHUNK = 32
 # columns of M per block of the RMSprop column step: the block's
 # buffers stay in cache
 COLUMN_BLOCK = 128
-# OpenBLAS multiplies products of at most this many multiply-adds with
-# its small-matrix kernels, which on some shapes round otherwise than its
-# blocked kernels (see ColumnGrad)
-BLAS_SMALL = 100 ** 3
 
 
 class LSTMLayer:
@@ -749,59 +744,18 @@ def backward_inputs(model: SeqModel, cache: BatchCache, dy) -> np.ndarray:
 
 
 class ColumnGrad:
-    """``M``'s gradient on the columns a batch touched, as gate sums.
-
-    Column ``cols[j]`` of the gradient is ``sums[j] @ W`` (layer 0's gate
-    gradients summed per distinct word, times a copy of its stacked
-    ``W_x``), multiplied by each recorded factor in turn: ``g *= s``
-    records ``s``, as scaling a batch gradient or clipping it does.
-    :meth:`blocks` forms those rows a block of columns at a time, so the
-    (U, D) gradient is never held whole.
-
-    Each block's product rounds as the same rows of the one product
-    ``sums @ W`` do. Blocks start at multiples of ``COLUMN_BLOCK``, so
-    BLAS's row tiles line up with the whole product's. BLAS also picks
-    its kernel by a product's size, and kernels round differently: when
-    the whole product is above ``BLAS_SMALL`` multiply-adds every block
-    is too, taking as many ``COLUMN_BLOCK`` rows as that needs, and no
-    block is one row, which BLAS multiplies as a matrix-vector product
-    (with D = 1 the whole product is one, and is one block).
+    """``M``'s gradient on the columns a batch touched: column
+    ``cols[j]`` of the gradient is ``rows[j]``, (U, D). ``g *= s`` scales
+    the rows in place, as scaling a batch gradient or clipping it does.
     """
 
-    def __init__(self, cols: np.ndarray, sums: np.ndarray, W: np.ndarray):
+    def __init__(self, cols: np.ndarray, rows: np.ndarray):
         self.cols = cols
-        self.sums = sums
-        self.W = W
-        self.factors: list[float] = []
-        U, per_row = cols.size, W.size
-        step = COLUMN_BLOCK
-        if W.shape[1] == 1:
-            # a matrix-vector product, which BLAS threads split at their
-            # own rows: one block, of U numbers
-            step = U
-        elif U * per_row > BLAS_SMALL:
-            step *= -(-(BLAS_SMALL + 1) // (COLUMN_BLOCK * per_row))
-        bounds = list(range(0, U, step))
-        tail = U - bounds[-1]
-        if len(bounds) > 1 and (tail == 1 or tail * per_row <= BLAS_SMALL
-                                < U * per_row):
-            bounds.pop()  # the last block joins the one before it
-        self.bounds = bounds + [U]
-        self.height = max(np.diff(self.bounds))  # rows of the largest block
+        self.rows = rows
 
     def __imul__(self, factor: float) -> "ColumnGrad":
-        self.factors.append(factor)
+        self.rows *= factor
         return self
-
-    def blocks(self):
-        """Yield (cols, rows) block by block; ``rows`` is one buffer,
-        overwritten by the next block."""
-        buf = np.empty((self.height, self.W.shape[1]))
-        for j, k in zip(self.bounds[:-1], self.bounds[1:]):
-            rows = np.matmul(self.sums[j:k], self.W, out=buf[:k - j])
-            for factor in self.factors:
-                rows *= factor
-            yield self.cols[j:k], rows
 
 
 def backward_columns(model: SeqModel, cache: BatchCache,
@@ -809,11 +763,11 @@ def backward_columns(model: SeqModel, cache: BatchCache,
     """Backpropagate per-essay output gradients ``dy`` (B,) through the
     stack: the parameter gradients under their ``named_arrays`` names,
     summed over the batch, with ``M``'s as a :class:`ColumnGrad` over
-    the batch's distinct ids, ascending."""
+    the batch's distinct ids, ascending: layer 0's gate gradients summed
+    per distinct word, times its stacked ``W_x``."""
     grads, _, sums = _backward(model, cache, dy)
-    # a copy: the optimizer may step W_x before it reaches M
-    W = model.layers[0].W_x.reshape(-1, model.embed_dim).copy()
-    return grads, ColumnGrad(cache.layout.cols, sums, W)
+    rows = sums @ model.layers[0].W_x.reshape(-1, model.embed_dim)
+    return grads, ColumnGrad(cache.layout.cols, rows)
 
 
 def forward_essay(model: SeqModel, tokens, training: bool = False,
@@ -929,8 +883,9 @@ def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
             # a block at a time through buffers that stay in cache: the
             # same operations in the same order as the dense branch below
             acc_t, p_t = acc.T, arrays[name].T
-            bufs = np.empty((2, g.height, g.W.shape[1]))
-            for c, r in g.blocks():
+            bufs = np.empty((2, COLUMN_BLOCK, g.rows.shape[1]))
+            for j in range(0, g.cols.size, COLUMN_BLOCK):
+                c, r = g.cols[j:j + COLUMN_BLOCK], g.rows[j:j + COLUMN_BLOCK]
                 sub, buf = bufs[:, :c.size]
                 # "raise" mode would fill a copy of ``out``; every col is valid
                 np.take(acc_t, c, axis=0, out=sub, mode="clip")
@@ -954,14 +909,12 @@ def rmsprop_update(state: RMSPropState, arrays: dict[str, np.ndarray],
 def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale all gradients down to a global L2 norm; returns the norm found.
 
-    A :class:`ColumnGrad` counts block by block, through the rows its
-    step will form.
+    A :class:`ColumnGrad` counts its rows, with no temporary of their size.
     """
     total = 0.0
     for g in grads.values():
         if isinstance(g, ColumnGrad):
-            for _, r in g.blocks():
-                total += float((r * r).sum())
+            total += float(np.vdot(g.rows, g.rows))
         else:
             total += float((g * g).sum())
     norm = total ** 0.5
@@ -1026,13 +979,14 @@ def train_scorer(model: SeqModel, train: list[Essay], val: list[Essay],
                 sq_sum += float(np.square(e))
             grads, m_grad = backward_columns(model, cache, 2.0 * err)
             grads["M"] = m_grad
-            del cache
+            del cache, m_grad
             inv = 1.0 / len(batch)
-            for g in grads.values():
-                g *= inv
+            for name in grads:
+                grads[name] *= inv
             if cfg.clip_norm > 0.0:
                 clip_gradients(grads, cfg.clip_norm)
             rmsprop_update(state, dict(model.named_arrays()), grads)
+            del grads  # M's (U, D) rows, not to be held through the next batch
 
         train_mse = sq_sum / len(train)
         val_rmse = float(np.sqrt(np.mean(

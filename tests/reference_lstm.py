@@ -346,8 +346,8 @@ def per_token_columns(model: SeqModel, cache, dy):
 
 
 def column_rows(g: ColumnGrad) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, rows) of a column gradient, its blocks' rows held whole."""
-    return g.cols, np.concatenate([rows.copy() for _, rows in g.blocks()])
+    """(cols, rows) of a column gradient, the rows a copy."""
+    return g.cols, g.rows.copy()
 
 
 def dense_rmsprop_update(state: RMSPropState, arrays, grads):

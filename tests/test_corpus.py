@@ -764,6 +764,8 @@ CACHE_MUTATIONS = {
                   "a score is not finite"),
     "set without a range": (lambda d: put(d, "sets", 1, "q", 9),
                             "a set has no range"),
+    "repeated essay id": (lambda d: put(d, "ids", 1, "q", 1),
+                          "an essay id is repeated"),
     "duplicate word": (lambda d: d.replace(b"\nbeing\n", b"\nlocal\n"),
                        "duplicate tokens in vocabulary"),
     "more words counted than held": (lambda d: put(d, "counts", 0, "Q", 25),

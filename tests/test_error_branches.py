@@ -220,14 +220,19 @@ class TestCommands:
             in capsys.readouterr().err
         assert not (root / "models" / "model.sats").exists()
 
-    def test_search_with_zero_epochs(self, ingested, capsys):
+    def test_search_with_zero_epochs(self, ingested, capsys, monkeypatch):
+        # refused before the first trial trains its embeddings
         root, cfgpath = ingested
+        calls = []
+        monkeypatch.setattr("essayscore.sswe.train_sswe",
+                            lambda *args: calls.append(args))
         capsys.readouterr()
         assert main(["--config", str(cfgpath), "--epochs", "0", "search",
                      "--trials", "1"]) == 1
         out, err = capsys.readouterr()
         assert "search needs a nonzero epoch budget" in err
         assert "trial 0" not in out
+        assert calls == []
         assert not (root / "reports" / "search_trials.csv").exists()
 
 

@@ -3,6 +3,7 @@
 import math
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -335,6 +336,22 @@ class TestBackward:
         backwards = np.zeros_like(dense)
         np.add.at(backwards, ids[::-1], dA[::-1])
         assert backwards.tobytes() != dense.tobytes()
+
+    def test_column_rows_are_the_sums_times_the_stacked_W_x(self):
+        # bit for bit, at the paper's D with both directions' W_x stacked
+        # and a product past BLAS's small-matrix size
+        model = build_model(vocab=400, embed_dim=200, seed=13, lstm_dim=10,
+                            bidirectional=True, layers=2, peepholes="full")
+        rng = np.random.default_rng(13)
+        token_lists = [list(rng.integers(0, 400, size=L))
+                       for L in rng.integers(1, 120, size=8)]
+        y, cache = forward_batch(model, token_lists)
+        _, _, sums = _backward(model, cache, 1.0 - y)
+        _, m_grad = backward_columns(model, cache, 1.0 - y)
+        W = np.concatenate(list(model.layers[0].W_x))
+        assert sums.size * W.shape[1] > 100 ** 3
+        assert m_grad.cols.tobytes() == cache.layout.cols.tobytes()
+        assert m_grad.rows.tobytes() == (sums @ W).tobytes()
 
     def test_dropout_mask_is_respected(self):
         # with a saved mask, gradients of masked-out units must vanish
@@ -877,66 +894,64 @@ class TestOptimizer:
 
     def test_column_step_is_bitwise_the_dense_rule(self):
         # a state from for_model over several steps, every array stepped
-        # in every step: the first skips every decay, the later ones not
-        rng = np.random.default_rng(17)
-        V = 3 * COLUMN_BLOCK
-        model = build_model(vocab=V, embed_dim=4, seed=17)
-        model.M = np.asfortranarray(model.M)
-        model.M[0, 5] = -0.0
-        oracle = model.copy()
-        cfg = Config(learning_rate=0.01)
-        state, ref_state = (RMSPropState.for_model(m, cfg)
-                            for m in (model, oracle))
-        assert state.acc["M"].flags.f_contiguous
-        width = model.layers[0].W_x.shape[1]
-        # one column; a few columns; two blocks and a row, in blocks with
-        # no single row; one whole block; every column
-        for U in (1, 3, 2 * COLUMN_BLOCK + 1, COLUMN_BLOCK, V):
-            grads = {name: rng.normal(size=a.shape)
-                     for name, a in model.named_arrays() if name != "M"}
-            dense = {name: g.copy() for name, g in grads.items()}
-            cols = np.sort(rng.choice(V, size=U, replace=False))
-            sums = rng.normal(size=(U, width))
-            sums[U // 2] = 0.0  # a touched column with a zero gradient
-            grads["M"] = ColumnGrad(cols, sums, rng.normal(size=(width, 4)))
-            grads["M"] *= 0.5
-            grads["M"] *= 0.75
-            dense["M"] = np.zeros_like(model.M)
-            dense["M"][:, cols] = ref.column_rows(grads["M"])[1].T
-            rmsprop_update(state, dict(model.named_arrays()), grads)
-            ref.dense_rmsprop_update(ref_state, dict(oracle.named_arrays()),
-                                     dense)
-            assert state.fresh is False
-        for (name, got), (_, want) in zip(model.named_arrays(),
-                                          oracle.named_arrays()):
-            assert got.tobytes() == want.tobytes(), name
-            assert state.acc[name].tobytes() \
-                == ref_state.acc[name].tobytes(), name
+        # in every step: the first skips every decay, the later ones not;
+        # M of 4 rows, and of one
+        for D in (4, 1):
+            rng = np.random.default_rng(17)
+            V = 3 * COLUMN_BLOCK
+            model = build_model(vocab=V, embed_dim=D, seed=17)
+            model.M = np.asfortranarray(model.M)
+            model.M[0, 5] = -0.0
+            oracle = model.copy()
+            cfg = Config(learning_rate=0.01)
+            state, ref_state = (RMSPropState.for_model(m, cfg)
+                                for m in (model, oracle))
+            assert state.acc["M"].flags.f_contiguous
+            width = model.layers[0].W_x.shape[1]
+            # one column; a few columns; two blocks and a row; one whole
+            # block; every column
+            for U in (1, 3, 2 * COLUMN_BLOCK + 1, COLUMN_BLOCK, V):
+                grads = {name: rng.normal(size=a.shape)
+                         for name, a in model.named_arrays() if name != "M"}
+                dense = {name: g.copy() for name, g in grads.items()}
+                cols = np.sort(rng.choice(V, size=U, replace=False))
+                sums = rng.normal(size=(U, width))
+                sums[U // 2] = 0.0  # a touched column with a zero gradient
+                grads["M"] = ColumnGrad(cols,
+                                        sums @ rng.normal(size=(width, D)))
+                grads["M"] *= 0.5
+                grads["M"] *= 0.75
+                dense["M"] = np.zeros_like(model.M)
+                dense["M"][:, cols] = ref.column_rows(grads["M"])[1].T
+                rmsprop_update(state, dict(model.named_arrays()), grads)
+                ref.dense_rmsprop_update(ref_state,
+                                         dict(oracle.named_arrays()), dense)
+                assert state.fresh is False
+            for (name, got), (_, want) in zip(model.named_arrays(),
+                                              oracle.named_arrays()):
+                assert got.tobytes() == want.tobytes(), (D, name)
+                assert state.acc[name].tobytes() \
+                    == ref_state.acc[name].tobytes(), (D, name)
 
     @pytest.mark.parametrize("U,width,D", [
         (1, 12, 200), (2, 12, 200), (COLUMN_BLOCK + 1, 12, 200),
         (3 * COLUMN_BLOCK + 1, 40, 200), (6300, 80, 200), (300, 24, 3),
         (1576, 24, 12), (5014, 24, 12), (6300, 40, 4), (6300, 40, 1)])
-    def test_column_blocks_are_the_rows_of_one_product(self, U, width, D):
-        # bit for bit, scaled by every factor in turn: a lone last row, a
-        # whole product past BLAS's small-matrix size with blocks that
-        # would be under it, row tiles that must line up, and D = 1
+    def test_column_rows_are_scaled_by_each_factor_in_turn(self, U, width,
+                                                           D):
+        # bit for bit: a single row, products on both sides of BLAS's
+        # small-matrix size, the tiny benchmark's train shape and D = 1
         rng = np.random.default_rng(U + width + D)
         cols = np.arange(U) * 2
         sums, W = rng.normal(size=(U, width)), rng.normal(size=(width, D))
-        m_grad = ColumnGrad(cols, sums, W)
+        m_grad = ColumnGrad(cols, sums @ W)
         m_grad *= 0.25
         m_grad *= 3.0
-        blocks = [(c.copy(), r.copy()) for c, r in m_grad.blocks()]
-        assert all(c[0] % (2 * COLUMN_BLOCK) == 0 for c, _ in blocks)
-        assert min(c.size for c, _ in blocks) > 1 or U == 1
-        assert np.concatenate([c for c, _ in blocks]).tobytes() \
-            == cols.tobytes()
+        assert m_grad.cols.tobytes() == cols.tobytes()
         want = sums @ W
         want *= 0.25
         want *= 3.0
-        assert np.concatenate([r for _, r in blocks]).tobytes() \
-            == want.tobytes()
+        assert m_grad.rows.tobytes() == want.tobytes()
 
     def test_clip_rescales_to_global_norm(self):
         g1 = np.full((2, 2), 3.0)
@@ -1004,9 +1019,9 @@ class TestTrainingStepMemory:
             rmsprop_update(state, arrays, grads)
 
         peak = traced_peak(step)
-        # the gate arrays, plus the rows of M that layer 0's W_x gradient
-        # reads: M's own gradient adds no (U, D) array, and there is not
-        # one (N, D) array
+        # the gate arrays, plus one (U, D) array at a time: the rows of M
+        # that layer 0's W_x gradient reads, freed before M's own gradient
+        # rows are formed; there is not one (N, D) array
         bound = 4 * gates + 8 * U * self.D
         assert bound < 8 * N * self.D
         assert peak < bound
@@ -1015,8 +1030,8 @@ class TestTrainingStepMemory:
         rng = np.random.default_rng(9)
         V, U, width = 800, 4 * COLUMN_BLOCK + 17, 40
         cols = np.sort(rng.choice(V, size=U, replace=False))
-        m_grad = ColumnGrad(cols, rng.normal(size=(U, width)),
-                            rng.normal(size=(width, self.D)))
+        m_grad = ColumnGrad(cols, rng.normal(size=(U, width))
+                            @ rng.normal(size=(width, self.D)))
         M = np.asfortranarray(rng.normal(size=(self.D, V)))
         state = RMSPropState(acc={"M": np.zeros_like(M)}, rho=0.9, eps=1e-8,
                              eta=0.01, fresh=True)
@@ -1026,10 +1041,35 @@ class TestTrainingStepMemory:
             rmsprop_update(state, {"M": M}, {"M": m_grad})
 
         peak = traced_peak(step)
-        # the largest block's rows and the step's two buffers of its size
-        bound = 3.25 * 8 * m_grad.height * self.D
+        # the step's two buffers of one block each: the clip and the step
+        # make no temporary of the (U, D) rows
+        bound = 3.25 * 8 * COLUMN_BLOCK * self.D
         assert bound < 8 * U * self.D
         assert peak < bound
+
+    def test_a_batch_gradient_is_freed_before_the_next_batch(self,
+                                                             monkeypatch):
+        # M's gradient rows are (U, D): no batch's passes run while the
+        # batch before holds its rows
+        made, live = [], []
+
+        def spy_forward(*args, **kw):
+            live.append(sum(ref() is not None for ref in made))
+            return forward_batch(*args, **kw)
+
+        def spy_backward(*args):
+            grads, m_grad = backward_columns(*args)
+            made.append(weakref.ref(m_grad))
+            return grads, m_grad
+
+        monkeypatch.setattr(lstm, "forward_batch", spy_forward)
+        monkeypatch.setattr(lstm, "backward_columns", spy_backward)
+        train, val, ranges = toy_corpus()
+        cfg = Config(lstm_dim=3, dropout=0.0, peepholes="off", epochs=2,
+                     batch_size=3, learning_rate=0.01)
+        train_scorer(build_model(vocab=9, seed=20), train, val, ranges, cfg)
+        assert len(made) == 6
+        assert live == [0] * 6
 
 
 def toy_corpus():
